@@ -70,7 +70,7 @@ __all__ = [
     "rees_mul_1",
     "rees_star_1",
     "FiniteMonoid",
-    "singleton_base",
+    "SINGLETON_BASE",
     "genus_pair",
     "genus_pair_parts",
     "a2_image",
@@ -590,10 +590,9 @@ class FiniteMonoid:
 
 # -- genus pairs over the disconnected singleton base ------------------------
 
-def singleton_base():
-    """The rank-0 shape [1] ~> [1] whose two vertices sit in separate
-    blocks; its self-composition makes exactly one dead block."""
-    return make_partition(1, 1, [[vin(1)], [vout(1)]])
+# The rank-0 shape [1] ~> [1] whose two vertices sit in separate blocks;
+# its self-composition makes exactly one dead block.
+SINGLETON_BASE = make_partition(1, 1, [[vin(1)], [vout(1)]])
 
 
 def genus_pair(i: int, s, j: int) -> Cobordism:
@@ -601,14 +600,12 @@ def genus_pair(i: int, s, j: int) -> Cobordism:
     block, j on the out block, closed spectrum s."""
     if i not in (0, 1) or j not in (0, 1):
         raise RangeError("genus entries must be 0 or 1 here")
-    base = singleton_base()
-    return make_cobordism(base, {base.blocks[0]: i, base.blocks[1]: j}, s)
+    return make_cobordism(SINGLETON_BASE, (i, j), s)
 
 
 def genus_pair_parts(x: Cobordism):
     """Invert genus_pair: the (i, s, j) coordinates of such a cobordism."""
-    base = singleton_base()
-    if x.base != base:
+    if x.base != SINGLETON_BASE:
         raise RangeError("not a value over the singleton base")
     return x.genus[0], x.spectrum, x.genus[1]
 

@@ -19,7 +19,8 @@ block bijection and are involutive anti-automorphisms on all variants.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple, Union
 
 from .errors import (
     BaseMismatch,
@@ -31,17 +32,16 @@ from .errors import (
     ShapeMismatch,
 )
 from .partitions import (
-    IN,
-    OUT,
     CompositionResult,
     MergeInfo,
     Partition,
-    Vertex,
     block_stats,
     compose,
     is_idempotent_structurally,
     reflect,
+    reflect_tracked,
     rotate,
+    rotate_tracked,
 )
 
 __all__ = [
@@ -230,41 +230,21 @@ def compose_cobordism(x: Cobordism, y: Cobordism) -> Cobordism:
     _check_flags(x, y)
     res = compose(x.base, y.base)
     live, dead = _merge_labels(res, x.genus, y.genus)
-    spectrum = x.spectrum + y.spectrum + Spectrum((d, 1) for d in dead)
+    spectrum = Spectrum(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
     if not x.regular:
         assert all(l >= 0 for l in live)
         assert not spectrum.min_genus_negative()
     return Cobordism(res.product, live, spectrum, x.regular)
 
 
-def _block_index_map(p: Partition) -> dict[tuple[Vertex, ...], int]:
-    return {block: i for i, block in enumerate(p.blocks)}
-
-
-def _transport(base: Partition, image: Partition, genus: Sequence[int], move) -> tuple[int, ...]:
-    """Carry labels along the block bijection induced by a vertex map."""
-    index = _block_index_map(image)
-    out = [0] * len(image.blocks)
-    for block, label in zip(base.blocks, genus):
-        target = tuple(sorted(move(v) for v in block))
-        out[index[target]] = label
-    return tuple(out)
-
-
-def _reflect_vertex(p: Partition):
-    def move(v: Vertex) -> Vertex:
-        return Vertex(OUT if v.side == IN else IN, v.index)
-
-    return move
-
-
-def _rotate_vertex(p: Partition):
-    def move(v: Vertex) -> Vertex:
-        if v.side == IN:
-            return Vertex(OUT, p.m + 1 - v.index)
-        return Vertex(IN, p.n + 1 - v.index)
-
-    return move
+def _transport(base: Partition, genus: Sequence[int], tracked):
+    """The image of base under reflect_tracked or rotate_tracked, with the
+    labels carried along the block bijection."""
+    image, moved = tracked(base)
+    out = [0] * len(genus)
+    for i, target in moved.items():
+        out[target] = genus[i]
+    return image, tuple(out)
 
 
 def _require_regular(x) -> None:
@@ -279,22 +259,19 @@ def star_deformed(x: DeformedPartition) -> DeformedPartition:
     return DeformedPartition(reflect(x.base), -x.s - stats.rb - stats.lb, True)
 
 
-def _star_genus(x: Partition, genus: Sequence[int]) -> tuple[int, ...]:
-    """Reflected labels g*(B*) = -g(B) - v(B) + 2."""
-    image = reflect(x)
-    index = _block_index_map(image)
-    out = [0] * len(image.blocks)
-    for block, label in zip(x.blocks, genus):
-        target = tuple(
-            sorted(Vertex(OUT if v.side == IN else IN, v.index) for v in block)
-        )
-        out[index[target]] = -label - len(block) + 2
-    return tuple(out)
+def _star_genus(x: Partition, genus: Sequence[int]) -> tuple[Partition, tuple[int, ...]]:
+    """The reflected base with labels g*(B*) = -g(B) - v(B) + 2."""
+    image, moved = reflect_tracked(x)
+    per_block = block_stats(x).per_block
+    out = [0] * len(genus)
+    for i, target in moved.items():
+        out[target] = -genus[i] - per_block[i].v + 2
+    return image, tuple(out)
 
 
 def star_labeled(x: LabeledPartition) -> LabeledPartition:
     _require_regular(x)
-    return LabeledPartition(reflect(x.base), _star_genus(x.base, x.genus), True)
+    return LabeledPartition(*_star_genus(x.base, x.genus), True)
 
 
 def star_cobordism(x: Cobordism) -> Cobordism:
@@ -304,7 +281,8 @@ def star_cobordism(x: Cobordism) -> Cobordism:
     _require_regular(x)
     stats = block_stats(x.base)
     spectrum = x.spectrum.negate() + Spectrum({1: -(stats.lb + stats.rb)})
-    return Cobordism(reflect(x.base), _star_genus(x.base, x.genus), spectrum, True)
+    image, genus = _star_genus(x.base, x.genus)
+    return Cobordism(image, genus, spectrum, True)
 
 
 def sigma(x):
@@ -314,8 +292,7 @@ def sigma(x):
         return reflect(x)
     if isinstance(x, DeformedPartition):
         return DeformedPartition(reflect(x.base), x.s, x.regular)
-    image = reflect(x.base)
-    genus = _transport(x.base, image, x.genus, _reflect_vertex(x.base))
+    image, genus = _transport(x.base, x.genus, reflect_tracked)
     if isinstance(x, LabeledPartition):
         return LabeledPartition(image, genus, x.regular)
     return Cobordism(image, genus, x.spectrum, x.regular)
@@ -327,8 +304,7 @@ def rho(x):
         return rotate(x)
     if isinstance(x, DeformedPartition):
         return DeformedPartition(rotate(x.base), x.s, x.regular)
-    image = rotate(x.base)
-    genus = _transport(x.base, image, x.genus, _rotate_vertex(x.base))
+    image, genus = _transport(x.base, x.genus, rotate_tracked)
     if isinstance(x, LabeledPartition):
         return LabeledPartition(image, genus, x.regular)
     return Cobordism(image, genus, x.spectrum, x.regular)

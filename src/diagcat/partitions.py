@@ -5,6 +5,16 @@ index set {1..m} and an outgoing index set {1..n}.  Vertices are written
 ``in1, in2, ...`` and ``out1, out2, ...``; the canonical order is all
 incoming vertices first, then all outgoing ones, both by index.
 
+A Partition stores its block structure as one integer label per vertex,
+in canonical vertex order, numbered as a restricted-growth string: the
+first vertex has label 0 and every vertex either repeats a label already
+seen or takes the next unused one.  Equal partitions therefore have equal
+label tuples.  Label i is block i of ``Partition.blocks``, the blocks as
+tuples of Vertex sorted by least vertex; ``blocks`` is derived from the
+labels on first access.  The label encoding is private to this module:
+everything outside it builds partitions with make_partition() and reads
+them through ``blocks``, block_stats() and the functions below.
+
 Composition of alpha: [l] ~> [m] with beta: [m] ~> [n] stacks the two
 partitions on a three-layer vertex set (alpha's incoming layer, the shared
 middle layer, beta's outgoing layer), takes the join of the two equivalence
@@ -21,7 +31,8 @@ True
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 from .errors import (
     BoundExceeded,
@@ -47,7 +58,9 @@ __all__ = [
     "PartitionStats",
     "block_stats",
     "reflect",
+    "reflect_tracked",
     "rotate",
+    "rotate_tracked",
     "IdempotentDecomposition",
     "is_idempotent_structurally",
     "enumerate_partitions",
@@ -77,41 +90,63 @@ def vout(j: int) -> Vertex:
     return Vertex(OUT, j)
 
 
-def _coerce_vertex(v) -> Vertex:
-    if isinstance(v, Vertex):
-        return v
-    side, index = v
-    if side not in _SIDE_NAMES:
-        raise RangeError(f"unknown side {side!r}")
-    return Vertex(_SIDE_NAMES[side], int(index))
+@lru_cache(maxsize=128)
+def _ground(m: int, n: int) -> tuple[Vertex, ...]:
+    """The vertices of shape [m] ~> [n] in canonical order."""
+    return tuple(vin(i) for i in range(1, m + 1)) + tuple(vout(j) for j in range(1, n + 1))
+
+
+def _relabel(seq) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Renumber labels by first occurrence; returns the restricted-growth
+    labels and the map from each old label to its new one."""
+    new: dict[int, int] = {}
+    labels = tuple([new.setdefault(x, len(new)) for x in seq])
+    return labels, new
 
 
 class Partition:
-    """An immutable (m, n)-partition with canonically ordered blocks.
+    """An immutable (m, n)-partition.
 
-    Blocks are stored as tuples of vertices sorted in canonical order, and
-    the block list is sorted by least vertex, so equal partitions compare
-    and hash equal.  Use make_partition() to build one with validation.
+    ``labels`` holds the restricted-growth label of every vertex in
+    canonical order and ``nblocks`` the number of blocks; equality and hash
+    come from the labels.  Use make_partition() to build one with
+    validation.
     """
 
-    __slots__ = ("m", "n", "blocks", "_hash")
+    __slots__ = ("m", "n", "labels", "nblocks", "_blocks", "_hash")
 
-    def __init__(self, m: int, n: int, blocks: tuple[tuple[Vertex, ...], ...]):
+    def __init__(self, m: int, n: int, labels: tuple[int, ...], nblocks: int):
         self.m = m
         self.n = n
-        self.blocks = blocks
-        self._hash = hash((m, n, blocks))
+        self.labels = labels
+        self.nblocks = nblocks
+
+    @property
+    def blocks(self) -> tuple[tuple[Vertex, ...], ...]:
+        """The blocks as vertex tuples in canonical order, block i holding
+        the vertices labelled i."""
+        try:
+            return self._blocks
+        except AttributeError:
+            groups: list[list[Vertex]] = [[] for _ in range(self.nblocks)]
+            for v, label in zip(_ground(self.m, self.n), self.labels):
+                groups[label].append(v)
+            self._blocks = tuple(map(tuple, groups))
+            return self._blocks
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Partition)
             and self.m == other.m
-            and self.n == other.n
-            and self.blocks == other.blocks
+            and self.labels == other.labels
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.m, self.labels))
+            return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join("{" + " ".join(map(repr, b)) + "}" for b in self.blocks)
@@ -123,11 +158,8 @@ class Partition:
     @property
     def rank(self) -> int:
         """Number of transversal blocks (touching both sides)."""
-        r = 0
-        for b in self.blocks:
-            if b[0].side == IN and b[-1].side == OUT:
-                r += 1
-        return r
+        m = self.m
+        return len(set(self.labels[:m]).intersection(self.labels[m:]))
 
     def block_of(self, v: Vertex) -> tuple[Vertex, ...]:
         for b in self.blocks:
@@ -136,44 +168,53 @@ class Partition:
         raise RangeError(f"{v!r} is not a vertex of this partition")
 
 
-def _sort_blocks(blocks: Iterable[Iterable[Vertex]]) -> tuple[tuple[Vertex, ...], ...]:
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
+def _coerce_vertex(v) -> tuple[int, int]:
+    side, index = v
+    if side not in _SIDE_NAMES:
+        raise RangeError(f"unknown side {side!r}")
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise RangeError(f"vertex index {index!r} is not an integer")
+    return _SIDE_NAMES[side], index
 
 
 def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
     """Build a validated (m, n)-partition from raw block data.
 
-    Raises RangeError for out-of-range indices, OverlapError for repeated
-    vertices, and CoverageError when some vertex is missing.
+    Each vertex is a Vertex or a (side, index) pair with side "in"/"out"
+    (or IN/OUT) and an int index.  Raises RangeError for unknown sides,
+    non-integer or out-of-range indices, OverlapError for repeated
+    vertices, and CoverageError for empty blocks or missing vertices.
     """
     if m < 0 or n < 0:
         raise RangeError("shape must be non-negative")
-    seen: set[Vertex] = set()
-    clean: list[list[Vertex]] = []
-    for raw in blocks:
+    owner = [-1] * (m + n)
+    for b, raw in enumerate(blocks):
         block = [_coerce_vertex(v) for v in raw]
         if not block:
             raise CoverageError("empty block")
-        for v in block:
-            hi = m if v.side == IN else n
-            if not 1 <= v.index <= hi:
-                raise RangeError(f"{v!r} out of range for shape [{m}]~>[{n}]")
-            if v in seen:
-                raise OverlapError(f"{v!r} appears twice")
-            seen.add(v)
-        clean.append(block)
-    if len(seen) != m + n:
-        missing = [v for v in _ground(m, n) if v not in seen]
+        for side, index in block:
+            if side == IN:
+                pos, hi = index - 1, m
+            else:
+                pos, hi = m + index - 1, n
+            if not 1 <= index <= hi:
+                raise RangeError(f"{Vertex(side, index)!r} out of range for shape [{m}]~>[{n}]")
+            if owner[pos] >= 0:
+                raise OverlapError(f"{Vertex(side, index)!r} appears twice")
+            owner[pos] = b
+    if -1 in owner:
+        missing = [
+            vin(pos + 1) if pos < m else vout(pos - m + 1)
+            for pos, b in enumerate(owner)
+            if b < 0
+        ]
         raise CoverageError(f"uncovered vertices: {missing}")
-    return Partition(m, n, _sort_blocks(clean))
-
-
-def _ground(m: int, n: int) -> list[Vertex]:
-    return [vin(i) for i in range(1, m + 1)] + [vout(j) for j in range(1, n + 1)]
+    labels, new = _relabel(owner)
+    return Partition(m, n, labels, len(new))
 
 
 def identity_partition(n: int) -> Partition:
-    return Partition(n, n, tuple((vin(i), vout(i)) for i in range(1, n + 1)))
+    return Partition(n, n, tuple(range(n)) * 2, n)
 
 
 class MergeInfo(NamedTuple):
@@ -195,8 +236,8 @@ class CompositionResult(NamedTuple):
     origins is aligned with product.blocks: each entry is either
     ("alpha", i) / ("beta", j) for an untouched factor block, or a MergeInfo
     for a class that involves middle vertices.  dead_blocks lists the
-    classes that lie entirely in the middle layer; len(dead_blocks) is
-    b(alpha, beta).
+    classes that lie entirely in the middle layer, ordered by their least
+    middle index; len(dead_blocks) is b(alpha, beta).
     """
 
     product: Partition
@@ -212,84 +253,67 @@ def compose(alpha: Partition, beta: Partition) -> CompositionResult:
     """Compose alpha: [l] ~> [m] with beta: [m] ~> [n]."""
     if alpha.n != beta.m:
         raise ShapeMismatch(f"cannot compose [{alpha.m}]~>[{alpha.n}] with [{beta.m}]~>[{beta.n}]")
-    lo, mid, hi = alpha.m, alpha.n, beta.n
-    total = lo + mid + hi
+    lo, mid = alpha.m, alpha.n
+    la, lb = alpha.labels, beta.labels
+    na, nb = alpha.nblocks, beta.nblocks
 
-    parent = list(range(total))
-
-    def find(x: int) -> int:
+    # Union-find with path halving over the factor blocks, alpha's as
+    # 0..na-1 and beta's as na..na+nb-1, joined through each middle
+    # vertex.  The larger root always goes under the smaller one, so
+    # parent[x] <= x throughout and the root of every class is its least
+    # block.
+    parent = list(range(na + nb))
+    for k in range(mid):
+        x = la[lo + k]
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
-        return x
+        y = na + lb[k]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    # One ascending pass resolves every block to its root.
+    for x in range(na + nb):
+        parent[x] = parent[parent[x]]
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
+    # Product labels: outer vertices in canonical order, each class
+    # numbered by its first appearance.
+    new: dict[int, int] = {}
+    number = new.setdefault
+    labels = [number(parent[x], len(new)) for x in la[:lo]]
+    labels += [number(parent[na + y], len(new)) for y in lb[mid:]]
 
-    # Layer encoding: alpha-in -> [0, lo), middle -> [lo, lo+mid),
-    # beta-out -> [lo+mid, total).
-    def enc_alpha(v: Vertex) -> int:
-        return v.index - 1 if v.side == IN else lo + v.index - 1
+    # Classes through the middle layer, in order of their least middle
+    # vertex; every other class is a single untouched factor block.
+    merged: dict[int, tuple[list[int], list[int], list[int]]] = {}
+    for k in range(mid):
+        root = parent[la[lo + k]]
+        parts = merged.get(root)
+        if parts is None:
+            parts = merged[root] = ([], [], [])
+        parts[2].append(k + 1)
+    for i in range(na):
+        parts = merged.get(parent[i])
+        if parts is not None:
+            parts[0].append(i)
+    for j in range(nb):
+        parts = merged.get(parent[na + j])
+        if parts is not None:
+            parts[1].append(j)
+    info = {
+        root: MergeInfo(tuple(a), tuple(b), tuple(v)) for root, (a, b, v) in merged.items()
+    }
 
-    def enc_beta(v: Vertex) -> int:
-        return lo + v.index - 1 if v.side == IN else lo + mid + v.index - 1
-
-    for block in alpha.blocks:
-        first = enc_alpha(block[0])
-        for v in block[1:]:
-            union(first, enc_alpha(v))
-    for block in beta.blocks:
-        first = enc_beta(block[0])
-        for v in block[1:]:
-            union(first, enc_beta(v))
-
-    classes: dict[int, list[int]] = {}
-    for x in range(total):
-        classes.setdefault(find(x), []).append(x)
-
-    alpha_of: dict[int, list[int]] = {}
-    for i, block in enumerate(alpha.blocks):
-        alpha_of.setdefault(find(enc_alpha(block[0])), []).append(i)
-    beta_of: dict[int, list[int]] = {}
-    for j, block in enumerate(beta.blocks):
-        beta_of.setdefault(find(enc_beta(block[0])), []).append(j)
-
-    live: list[tuple[tuple[Vertex, ...], object]] = []
-    dead: list[MergeInfo] = []
-    for root, members in classes.items():
-        outer: list[Vertex] = []
-        middle: list[int] = []
-        for x in members:
-            if x < lo:
-                outer.append(vin(x + 1))
-            elif x < lo + mid:
-                middle.append(x - lo + 1)
-            else:
-                outer.append(vout(x - lo - mid + 1))
-        info = MergeInfo(
-            tuple(alpha_of.get(root, ())),
-            tuple(beta_of.get(root, ())),
-            tuple(middle),
-        )
-        if not outer:
-            dead.append(info)
-            continue
-        if middle:
-            origin: object = info
-        elif outer[0].side == IN:
-            assert len(info.alpha_blocks) == 1 and not info.beta_blocks
-            origin = ("alpha", info.alpha_blocks[0])
-        else:
-            assert len(info.beta_blocks) == 1 and not info.alpha_blocks
-            origin = ("beta", info.beta_blocks[0])
-        live.append((tuple(outer), origin))
-
-    live.sort(key=lambda pair: pair[0])
-    product = Partition(lo, hi, tuple(b for b, _ in live))
-    dead.sort(key=lambda d: d.middle)
-    return CompositionResult(product, tuple(o for _, o in live), tuple(dead))
+    origins = tuple(
+        info[root] if root in info else ("alpha", root) if root < na else ("beta", root - na)
+        for root in new
+    )
+    dead = tuple(mi for root, mi in info.items() if root not in new)
+    return CompositionResult(Partition(lo, beta.n, tuple(labels), len(new)), origins, dead)
 
 
 class BlockStats(NamedTuple):
@@ -322,19 +346,39 @@ class PartitionStats(NamedTuple):
 
 def block_stats(p: Partition) -> PartitionStats:
     """Per-block vertex counts plus rank / left / right block totals."""
-    per = []
+    iv = [0] * p.nblocks
+    ov = [0] * p.nblocks
+    for label in p.labels[: p.m]:
+        iv[label] += 1
+    for label in p.labels[p.m :]:
+        ov[label] += 1
     rank = lb = rb = 0
-    for block in p.blocks:
-        iv = sum(1 for v in block if v.side == IN)
-        ov = len(block) - iv
-        per.append(BlockStats(iv, ov))
-        if iv and ov:
+    for i, o in zip(iv, ov):
+        if i and o:
             rank += 1
-        elif ov:
+        elif o:
             rb += 1
         else:
             lb += 1
-    return PartitionStats(tuple(per), rank, lb, rb)
+    return PartitionStats(tuple(map(BlockStats, iv, ov)), rank, lb, rb)
+
+
+def _moved(m: int, n: int, seq) -> tuple[Partition, dict[int, int]]:
+    labels, new = _relabel(seq)
+    return Partition(m, n, labels, len(new)), new
+
+
+def reflect_tracked(p: Partition) -> tuple[Partition, dict[int, int]]:
+    """reflect(p) plus the block bijection, mapping the index of each
+    block of p to the index of its image."""
+    return _moved(p.n, p.m, p.labels[p.m :] + p.labels[: p.m])
+
+
+def rotate_tracked(p: Partition) -> tuple[Partition, dict[int, int]]:
+    """rotate(p) plus the block bijection, as in reflect_tracked()."""
+    # incoming i goes to outgoing m + 1 - i and outgoing j to incoming
+    # n + 1 - j, which reverses the whole vertex order.
+    return _moved(p.n, p.m, p.labels[::-1])
 
 
 def reflect(p: Partition) -> Partition:
@@ -343,22 +387,12 @@ def reflect(p: Partition) -> Partition:
     reflect is an involutive anti-automorphism: reflect(a * b) equals
     reflect(b) * reflect(a).
     """
-    blocks = _sort_blocks(
-        [Vertex(OUT if v.side == IN else IN, v.index) for v in b] for b in p.blocks
-    )
-    return Partition(p.n, p.m, blocks)
+    return reflect_tracked(p)[0]
 
 
 def rotate(p: Partition) -> Partition:
     """Half-turn: reflect, then reverse the index order on both layers."""
-    blocks = _sort_blocks(
-        [
-            Vertex(OUT, p.m + 1 - v.index) if v.side == IN else Vertex(IN, p.n + 1 - v.index)
-            for v in b
-        ]
-        for b in p.blocks
-    )
-    return Partition(p.n, p.m, blocks)
+    return rotate_tracked(p)[0]
 
 
 class IdempotentDecomposition(tuple):
@@ -431,19 +465,16 @@ def enumerate_partitions(m: int, n: int, bound: int = 8):
     size = m + n
     if size > bound:
         raise BoundExceeded(f"ground set of {size} exceeds bound {bound}")
-    ground = _ground(m, n)
     if size == 0:
-        yield Partition(m, n, ())
+        yield Partition(m, n, (), 0)
         return
-    # Restricted growth strings: label[0] = 0, label[i] <= max(label[:i]) + 1.
+    # Restricted growth strings in lexicographic order:
+    # labels[0] = 0, labels[i] <= max(labels[:i]) + 1.
     labels = [0] * size
 
     def rec(i: int, top: int):
         if i == size:
-            blocks: list[list[Vertex]] = [[] for _ in range(top + 1)]
-            for v, lab in zip(ground, labels):
-                blocks[lab].append(v)
-            yield Partition(m, n, _sort_blocks(blocks))
+            yield Partition(m, n, tuple(labels), top + 1)
             return
         for lab in range(top + 2):
             labels[i] = lab

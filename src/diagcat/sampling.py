@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .partitions import Partition, make_partition, vin, vout
+from .partitions import IN, OUT, Partition, make_partition
 from .cobordisms import (
     Cobordism,
     DeformedPartition,
@@ -48,7 +48,7 @@ __all__ = [
 
 def random_partition(rng: random.Random, m: int, n: int) -> Partition:
     """Uniform-ish set partition via sequential block assignment."""
-    points = [vin(i) for i in range(1, m + 1)] + [vout(j) for j in range(1, n + 1)]
+    points = [(IN, i) for i in range(1, m + 1)] + [(OUT, j) for j in range(1, n + 1)]
     blocks: list[list] = []
     for p in points:
         i = rng.randrange(len(blocks) + 1)

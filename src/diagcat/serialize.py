@@ -62,12 +62,17 @@ def _vertex_json(v: Vertex) -> dict:
     return {"side": _SIDE_NAME[v.side], "index": v.index}
 
 
-def _vertex_from_json(d: dict) -> Vertex:
+def _vertex_from_json(d: dict) -> tuple[int, int]:
+    """A vertex object as a (side, index) pair; the index must be a JSON
+    integer, not a float, string or boolean."""
     try:
         side = {"in": IN, "out": OUT}[d["side"]]
-        return Vertex(side, int(d["index"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        index = d["index"]
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad vertex object {d!r}") from exc
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ParseError(f"bad vertex object {d!r}: index must be an integer")
+    return side, index
 
 
 def _vertex_key(v: Vertex) -> str:

@@ -110,12 +110,12 @@ from .partitions import (
     OUT,
     MergeInfo,
     Partition,
-    Vertex,
     block_stats,
     compose,
     enumerate_partitions,
     is_idempotent_structurally,
     reflect,
+    reflect_tracked,
 )
 from .sampling import (
     random_affine,
@@ -133,9 +133,11 @@ class CheckFailed(AssertionError):
     """Raised inside a check to mark its criterion as failed."""
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: str | Callable[[], str]) -> None:
+    """Fail the check unless cond holds.  A message that formats operands
+    is passed as a callable, so it is only built when the check fails."""
     if not cond:
-        raise CheckFailed(message)
+        raise CheckFailed(message() if callable(message) else message)
 
 
 @lru_cache(maxsize=None)
@@ -191,7 +193,7 @@ def check_partition_axioms(rng: random.Random, full: bool) -> str:
         rb = b3[None, :, :] + b4[:, p3]
         _require(
             np.array_equal(left, right) and np.array_equal(lb, rb),
-            f"associativity or label cocycle broken at shape {(a, b, c, d)}",
+            lambda: f"associativity or label cocycle broken at shape {(a, b, c, d)}",
         )
         triples += count
 
@@ -205,7 +207,10 @@ def check_partition_axioms(rng: random.Random, full: bool) -> str:
         r4 = compose(x, r3.product)
         _require(
             r2.product == r4.product and r1.b + r2.b == r3.b + r4.b,
-            f"random [4]~>[4] triple broke associativity or the cocycle: {x!r}, {y!r}, {z!r}",
+            lambda: (
+                f"random [4]~>[4] triple broke associativity or the cocycle: "
+                f"{x!r}, {y!r}, {z!r}"
+            ),
         )
     return (
         f"{triples} exhaustive triples over layer sizes <= 3 "
@@ -224,24 +229,24 @@ def check_reflect_star_laws(rng: random.Random, full: bool) -> str:
         parts = _parts(n, n)
         for a in parts:
             s = reflect(a)
-            _require(reflect(s) == a, f"double reflection moved {a!r}")
+            _require(reflect(s) == a, lambda: f"double reflection moved {a!r}")
             st = block_stats(a)
             fwd = compose(a, s)
             bwd = compose(s, a)
-            _require(fwd.b == st.rb, f"b(a, a*) != rb(a) at {a!r}")
-            _require(bwd.b == st.lb, f"b(a*, a) != lb(a) at {a!r}")
+            _require(fwd.b == st.rb, lambda: f"b(a, a*) != rb(a) at {a!r}")
+            _require(bwd.b == st.lb, lambda: f"b(a*, a) != lb(a) at {a!r}")
             _require(
-                compose(fwd.product, a).product == a, f"a a* a != a at {a!r}"
+                compose(fwd.product, a).product == a, lambda: f"a a* a != a at {a!r}"
             )
             _require(
-                compose(bwd.product, s).product == s, f"a* a a* != a* at {a!r}"
+                compose(bwd.product, s).product == s, lambda: f"a* a a* != a* at {a!r}"
             )
             singles += 1
         for a, b in itertools.product(parts, repeat=2):
             _require(
                 reflect(compose(a, b).product)
                 == compose(reflect(b), reflect(a)).product,
-                f"(ab)* != b* a* at {a!r}, {b!r}",
+                lambda: f"(ab)* != b* a* at {a!r}, {b!r}",
             )
             pairs += 1
     return (
@@ -319,7 +324,7 @@ def check_cobordism_assoc(rng: random.Random, full: bool) -> str:
             r_ab_c.product == r_a_bc.product
             and np.array_equal(live_l, live_r)
             and _rows_key(dead_l) == _rows_key(dead_r),
-            f"label associativity broken symbolically at {a!r}, {b!r}, {c!r}",
+            lambda: f"label associativity broken symbolically at {a!r}, {b!r}, {c!r}",
         )
 
         # keep the symbolic model tied to the real composition
@@ -339,7 +344,7 @@ def check_cobordism_assoc(rng: random.Random, full: bool) -> str:
             direct.base == r_ab_c.product
             and direct.genus == tuple(int(v) for v in live_l @ assign)
             and direct.spectrum == predicted_spec,
-            f"symbolic model out of step with compose_cobordism at {a!r}, {b!r}, {c!r}",
+            lambda: f"symbolic model out of step with compose_cobordism at {a!r}, {b!r}, {c!r}",
         )
         triples += 1
 
@@ -353,7 +358,7 @@ def check_cobordism_assoc(rng: random.Random, full: bool) -> str:
         _require(
             compose_cobordism(compose_cobordism(x, y), z)
             == compose_cobordism(x, compose_cobordism(y, z)),
-            f"random cobordism triple broke associativity: {x!r}, {y!r}, {z!r}",
+            lambda: f"random cobordism triple broke associativity: {x!r}, {y!r}, {z!r}",
         )
         randoms += 1
     return (
@@ -373,25 +378,25 @@ def check_regular_star_laws(rng: random.Random, full: bool) -> str:
         m, n = rng.randint(0, 3), rng.randint(0, 3)
         x = random_deformed(rng, m, n, regular=True)
         xs = star_deformed(x)
-        _require(star_deformed(xs) == x, f"x** != x for {x!r}")
+        _require(star_deformed(xs) == x, lambda: f"x** != x for {x!r}")
         _require(
             compose_deformed(compose_deformed(x, xs), x) == x,
-            f"x x* x != x for {x!r}",
+            lambda: f"x x* x != x for {x!r}",
         )
         _require(
             compose_deformed(compose_deformed(xs, x), xs) == xs,
-            f"x* x x* != x* for {x!r}",
+            lambda: f"x* x x* != x* for {x!r}",
         )
         y = random_cobordism(rng, m, n, regular=True)
         ys = star_cobordism(y)
-        _require(star_cobordism(ys) == y, f"y** != y for {y!r}")
+        _require(star_cobordism(ys) == y, lambda: f"y** != y for {y!r}")
         _require(
             compose_cobordism(compose_cobordism(y, ys), y) == y,
-            f"y y* y != y for {y!r}",
+            lambda: f"y y* y != y for {y!r}",
         )
         _require(
             compose_cobordism(compose_cobordism(ys, y), ys) == ys,
-            f"y* y y* != y* for {y!r}",
+            lambda: f"y* y y* != y* for {y!r}",
         )
         count += 2
     return (
@@ -408,17 +413,12 @@ def check_regular_star_laws(rng: random.Random, full: bool) -> str:
 def _sym_star(base: Partition, rows):
     """Star of a symbolic labeled value: reflect the base and send each
     block label g to -g - v + 2 on the image block with v vertices."""
-    image = reflect(base)
-    pos = {blk: t for t, blk in enumerate(image.blocks)}
+    image, moved = reflect_tracked(base)
+    per_block = block_stats(base).per_block
     out = np.zeros_like(rows)
-    for i, blk in enumerate(base.blocks):
-        moved = tuple(
-            sorted(Vertex(IN if v.side == OUT else OUT, v.index) for v in blk)
-        )
-        row = -rows[i]
-        row = row.copy()
-        row[-1] += 2 - len(blk)
-        out[pos[moved]] = row
+    for i, target in moved.items():
+        out[target] = -rows[i]
+        out[target, -1] += 2 - per_block[i].v
     return image, out
 
 
@@ -440,7 +440,7 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
         live_rev, _ = _sym_compose(r_rev, b_rows, a_rows, width)
         _require(
             star_base == r_rev.product and np.array_equal(star_rows, live_rev),
-            f"(xy)* != y* x* symbolically over bases {a!r}, {b!r}",
+            lambda: f"(xy)* != y* x* symbolically over bases {a!r}, {b!r}",
         )
         assign = np.array(
             [rng.randint(-2, 2) for _ in range(width - 1)] + [1], dtype=np.int64
@@ -450,12 +450,12 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
         lhs = star_labeled(compose_labeled(x, y))
         _require(
             lhs == compose_labeled(star_labeled(y), star_labeled(x)),
-            f"(xy)* != y* x* numerically at {x!r}, {y!r}",
+            lambda: f"(xy)* != y* x* numerically at {x!r}, {y!r}",
         )
         _require(
             lhs.base == star_base
             and lhs.genus == tuple(int(v) for v in star_rows @ assign),
-            f"symbolic star model out of step with star_labeled at {a!r}, {b!r}",
+            lambda: f"symbolic star model out of step with star_labeled at {a!r}, {b!r}",
         )
 
     # the deformed star reverses some products but not all of them
@@ -474,12 +474,12 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
             verdicts.add(lhs == rhs)
         _require(
             len(verdicts) == 1,
-            f"deformed star equality depends on shifts at {a!r}, {b!r}",
+            lambda: f"deformed star equality depends on shifts at {a!r}, {b!r}",
         )
         eq = verdicts.pop()
         if cond:
             cond_pairs += 1
-            _require(eq, f"rb(a) + lb(b) = 2b did not force reversal at {a!r}, {b!r}")
+            _require(eq, lambda: f"rb(a) + lb(b) = 2b did not force reversal at {a!r}, {b!r}")
         if eq:
             eq_pairs += 1
             extra += not cond
@@ -488,7 +488,7 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
         )
         _require(
             eq == exact,
-            f"side-count drop criterion missed the reversal verdict at {a!r}, {b!r}",
+            lambda: f"side-count drop criterion missed the reversal verdict at {a!r}, {b!r}",
         )
     _require(extra > 0, "expected reversal without the sufficient condition")
     return (
@@ -514,13 +514,13 @@ def check_idempotent_structure(rng: random.Random, full: bool) -> str:
             truth = compose(e, e).product == e
             _require(
                 bool(verdict) == truth,
-                f"structural verdict disagrees with e*e at {e!r}",
+                lambda: f"structural verdict disagrees with e*e at {e!r}",
             )
             if truth:
                 idem += 1
                 _require(
                     all(rank <= 1 for _, rank in verdict),
-                    f"witness component with rank above 1 at {e!r}",
+                    lambda: f"witness component with rank above 1 at {e!r}",
                 )
             total += 1
     return (
@@ -555,7 +555,7 @@ def check_fiber_oracle(rng: random.Random, full: bool) -> str:
     bases = _irreducible_idempotent_bases()
     _require(
         len(bases) == 69,
-        f"expected 69 irreducible idempotent bases with n <= 3, found {len(bases)}",
+        lambda: f"expected 69 irreducible idempotent bases with n <= 3, found {len(bases)}",
     )
     for i in range(1000):
         e = bases[i % len(bases)]
@@ -567,7 +567,7 @@ def check_fiber_oracle(rng: random.Random, full: bool) -> str:
         direct = reduce(compose_cobordism, xs)
         _require(
             fiber_product_oracle(e, xs) == direct,
-            f"oracle disagrees with iterated composition over {e!r}",
+            lambda: f"oracle disagrees with iterated composition over {e!r}",
         )
 
     lhs, rhs = parse_word("abacaba"), parse_word("acababa")
@@ -579,7 +579,7 @@ def check_fiber_oracle(rng: random.Random, full: bool) -> str:
         val_r = reduce(compose_cobordism, (subst[ch] for ch in rhs.letters))
         _require(
             val_l == val_r,
-            f"shuffled seven-letter identity failed in the fiber over {e!r}",
+            lambda: f"shuffled seven-letter identity failed in the fiber over {e!r}",
         )
     return (
         "69 irreducible idempotent bases with n <= 3; 1000 random products "
@@ -606,7 +606,7 @@ def check_a2_morphism(rng: random.Random, full: bool) -> str:
             expected = A2_ZERO
         else:
             expected = a21_pair(x.i, y.j)
-        _require(z == expected, f"band table wrong at {x!r} * {y!r} = {z!r}")
+        _require(z == expected, lambda: f"band table wrong at {x!r} * {y!r} = {z!r}")
     _require(
         a21_mul(a21_pair(0, 1), a21_pair(1, 0)) is A2_ZERO,
         "(0,1)(1,0) should vanish",
@@ -626,12 +626,12 @@ def check_a2_morphism(rng: random.Random, full: bool) -> str:
         ix = a2_image(x)
         _require(
             a2_image(sigma(x)) == a21_star(ix) and a2_image(rho(x)) == a21_star(ix),
-            f"collapse map breaks the involutions at {x!r}",
+            lambda: f"collapse map breaks the involutions at {x!r}",
         )
         for y in pool:
             _require(
                 a2_image(compose_cobordism(x, y)) == a21_mul(ix, a2_image(y)),
-                f"collapse map is not multiplicative at {x!r}, {y!r}",
+                lambda: f"collapse map is not multiplicative at {x!r}, {y!r}",
             )
             checked += 1
     return (
@@ -683,12 +683,12 @@ def check_affine_validation(rng: random.Random, full: bool) -> str:
         for d in generators:
             _require(
                 make_affine(d.m, d.n, _raw_partners(d)) == d,
-                f"validator rejected or rebuilt {d!r} differently",
+                lambda: f"validator rejected or rebuilt {d!r} differently",
             )
             accepted += 1
         _require(
             affine_power(zeta(n), n) == lambda_pow(n),
-            f"rotation^{n} is not the full shift at width {n}",
+            lambda: f"rotation^{n} is not the full shift at width {n}",
         )
 
     rejected = 0
@@ -710,18 +710,18 @@ def check_affine_validation(rng: random.Random, full: bool) -> str:
         r = rng.randint(-3, 3)
         left = compose_affine(lambda_pow(a.m, r), a).product
         right = compose_affine(a, lambda_pow(a.n, r)).product
-        _require(left == right, f"full shift fails to slide across {a!r}")
+        _require(left == right, lambda: f"full shift fails to slide across {a!r}")
         _require(
             _side_strings(left, IN) == _side_strings(a, IN)
             and _side_strings(left, OUT) == _side_strings(a, OUT),
-            f"full shift changed the side strings of {a!r}",
+            lambda: f"full shift changed the side strings of {a!r}",
         )
         for idx in range(1, a.m + 1):
             q = a.partner_of(IN, idx)
             if q.side == OUT:
                 _require(
                     left.partner_of(IN, idx) == q.shifted(r),
-                    f"transversal offset did not shift by {r} on {a!r}",
+                    lambda: f"transversal offset did not shift by {r} on {a!r}",
                 )
         slid += 1
 
@@ -739,7 +739,7 @@ def check_affine_validation(rng: random.Random, full: bool) -> str:
             gap = shift_gap(x, y)
             _require(
                 (gap is not None) == same,
-                f"shadow fiber test disagrees with twist search at {x!r}, {y!r}",
+                lambda: f"shadow fiber test disagrees with twist search at {x!r}, {y!r}",
             )
             mismatch += 1
     _require(
@@ -747,7 +747,7 @@ def check_affine_validation(rng: random.Random, full: bool) -> str:
         and counts[(2, 2)] == 13
         and counts[(3, 3)] == 58
         and counts[(1, 3)] == 15,
-        f"enumeration counts moved: {counts}",
+        lambda: f"enumeration counts moved: {counts}",
     )
     return (
         f"{accepted} generator diagrams rebuilt through the validator; "
@@ -767,12 +767,12 @@ def check_circle_counting(rng: random.Random, full: bool) -> str:
     r = compose_affine(cc1, cc1)
     _require(
         r.product == cc1 and r.b0 == 1 and r.bw == 0,
-        f"cup-cap self-composition miscounted: b0={r.b0}, bw={r.bw}",
+        lambda: f"cup-cap self-composition miscounted: b0={r.b0}, bw={r.bw}",
     )
     w = compose_affine(cc1, cc2)
     _require(
         w.b0 == 0 and w.bw == 1,
-        f"wrap element miscounted: b0={w.b0}, bw={w.bw}",
+        lambda: f"wrap element miscounted: b0={w.b0}, bw={w.bw}",
     )
 
     randoms = 0
@@ -782,11 +782,11 @@ def check_circle_counting(rng: random.Random, full: bool) -> str:
         left = compose_pair(compose_pair(x, y), z)
         _require(
             left == compose_pair(x, compose_pair(y, z)),
-            f"wrap-counting composition not associative at {x!r}, {y!r}, {z!r}",
+            lambda: f"wrap-counting composition not associative at {x!r}, {y!r}, {z!r}",
         )
         _require(
             left.skeleton.rank == 0 or left.k == 0,
-            f"positive rank with nonzero wrap count: {left!r}",
+            lambda: f"positive rank with nonzero wrap count: {left!r}",
         )
         randoms += 1
     for _ in range(5000):
@@ -795,11 +795,11 @@ def check_circle_counting(rng: random.Random, full: bool) -> str:
         left = compose_triple(compose_triple(x, y), z)
         _require(
             left == compose_triple(x, compose_triple(y, z)),
-            f"two-counter composition not associative at {x!r}, {y!r}, {z!r}",
+            lambda: f"two-counter composition not associative at {x!r}, {y!r}, {z!r}",
         )
         _require(
             left.skeleton.rank == 0 or left.k == 0,
-            f"positive rank with nonzero wrap count: {left!r}",
+            lambda: f"positive rank with nonzero wrap count: {left!r}",
         )
         randoms += 1
     return (
@@ -816,9 +816,9 @@ def check_circle_counting(rng: random.Random, full: bool) -> str:
 def check_ann3_structure(rng: random.Random, full: bool) -> str:
     annm = build_ann_monoid(3)
     els, fm = annm.elements, annm.monoid
-    _require(len(els) == 12, f"expected 12 elements, found {len(els)}")
+    _require(len(els) == 12, lambda: f"expected 12 elements, found {len(els)}")
     units = fm.units()
-    _require(len(units) == 3, f"unit group should have order 3, found {len(units)}")
+    _require(len(units) == 3, lambda: f"unit group should have order 3, found {len(units)}")
     _require(
         all(els[u].rank == 3 for u in units),
         "units should all have full rank",
@@ -830,7 +830,7 @@ def check_ann3_structure(rng: random.Random, full: bool) -> str:
                 "non-identity unit should have order 3",
             )
     band = [i for i, e in enumerate(els) if e.rank == 1]
-    _require(len(band) == 9, f"expected 9 rank-1 elements, found {len(band)}")
+    _require(len(band) == 9, lambda: f"expected 9 rank-1 elements, found {len(band)}")
     in_band = set(band)
     for i in band:
         _require(fm.table[i][i] == i, "rank-1 elements should be idempotent")
@@ -848,7 +848,7 @@ def check_ann3_structure(rng: random.Random, full: bool) -> str:
     cols = {tuple(fm.table[j][i] for j in band) for i in band}
     _require(
         len(rows) == 3 and len(cols) == 3,
-        f"band should be 3 x 3, found {len(rows)} rows and {len(cols)} columns",
+        lambda: f"band should be 3 x 3, found {len(rows)} rows and {len(cols)} columns",
     )
     return (
         "12 elements; cyclic unit group of order 3 at full rank; the 9 "
@@ -868,7 +868,7 @@ def check_wrap_idempotent_search(rng: random.Random, full: bool) -> str:
         if d.rank == 1 and compose_affine(d, d).product == d
     ]
     _require(
-        len(idems) == 9, f"expected 9 rank-1 idempotents, found {len(idems)}"
+        len(idems) == 9, lambda: f"expected 9 rank-1 idempotents, found {len(idems)}"
     )
     idem_set = set(idems)
     found = None
@@ -947,10 +947,10 @@ def _n_key(w: Word):
 def check_word_engine(rng: random.Random, full: bool) -> str:
     w = parse_word("x3yxytz4xyz")
     rep = extreme_rep(w)
-    _require(str(rep.e) == "xytzxyz", f"extreme word moved: {rep.e}")
+    _require(str(rep.e) == "xytzxyz", lambda: f"extreme word moved: {rep.e}")
     _require(
         [str(b) for b in rep.blocks] == ["x2", "xy", "1", "z3", "1", "1"],
-        f"interior blocks moved: {[str(b) for b in rep.blocks]}",
+        lambda: f"interior blocks moved: {[str(b) for b in rep.blocks]}",
     )
     _require(rep.reassemble() == w, "extreme representation does not reassemble")
     _require(normal_form(w) == w, "the worked example should already be sorted")
@@ -982,14 +982,14 @@ def check_word_engine(rng: random.Random, full: bool) -> str:
             other = extreme_rep(u)
             _require(
                 other.e == head.e,
-                f"equivalent words with different extreme words: {group[0]}, {u}",
+                lambda: f"equivalent words with different extreme words: {group[0]}, {u}",
             )
             _require(
                 all(
                     Counter(p.letters) == Counter(q.letters)
                     for p, q in zip(head.blocks, other.blocks)
                 ),
-                f"equivalent words with unbalanced interior blocks: {group[0]}, {u}",
+                lambda: f"equivalent words with unbalanced interior blocks: {group[0]}, {u}",
             )
 
     # exercise the pairwise deciders directly on sampled pairs
@@ -997,17 +997,17 @@ def check_word_engine(rng: random.Random, full: bool) -> str:
         u, v = rng.choice(words), rng.choice(words)
         _require(
             holds_in_M(u, v) == (normal_form(u) == normal_form(v)),
-            f"one-variable decider and sorted forms disagree on {u}, {v}",
+            lambda: f"one-variable decider and sorted forms disagree on {u}, {v}",
         )
         _require(
             holds_in_N(u, v) == (canonical_form(u) == canonical_form(v)),
-            f"parity decider and canonical forms disagree on {u}, {v}",
+            lambda: f"parity decider and canonical forms disagree on {u}, {v}",
         )
     positives = 0
     for group in by_nf.values():
         if len(group) >= 2:
             u, v = rng.choice(group), rng.choice(group)
-            _require(holds_in_M(u, v), f"decider rejects an equivalent pair {u}, {v}")
+            _require(holds_in_M(u, v), lambda: f"decider rejects an equivalent pair {u}, {v}")
             positives += 1
 
     sorted_words = 0
@@ -1017,7 +1017,7 @@ def check_word_engine(rng: random.Random, full: bool) -> str:
         _require(
             result == normal_form(u)
             and Counter(result.letters) == Counter(u.letters),
-            f"sorting did not terminate at the sorted form for {u}",
+            lambda: f"sorting did not terminate at the sorted form for {u}",
         )
         sorted_words += 1
 
@@ -1079,17 +1079,17 @@ def check_shift_monoid_zimin(rng: random.Random, full: bool) -> str:
             right = right + cf_times(_FOREST_GENERATORS[i], 2 ** (k - 1 - i))
         _require(
             value == SDPElement(left, right, 2**k - 1),
-            f"closed form missed at k={k}: {value!r}",
+            lambda: f"closed form missed at k={k}: {value!r}",
         )
         if k >= 2:
             w = zimin_sorted_pair(k).rhs
             _require(
                 any(a == b == letters[0] for a, b in zip(w.letters, w.letters[1:])),
-                f"registered witness at k={k} should contain a square of the first letter",
+                lambda: f"registered witness at k={k} should contain a square of the first letter",
             )
             _require(
                 evaluate(w, subst, sdp) != value,
-                f"sorted witness fails to separate at k={k}",
+                lambda: f"sorted witness fails to separate at k={k}",
             )
     return (
         "doubling words match ((2^(k-1)x1, sum 2^(k-i)xi), 2^k - 1) for "
@@ -1109,7 +1109,7 @@ def check_rees_witnesses(rng: random.Random, full: bool) -> str:
         acc = rees_mul(acc, x0)
         _require(
             acc == ReesL2Element(CF_EMPTY, cf_times(CF_CIRCLE, t - 1), CF_EMPTY),
-            f"(0,0,0)^{t} should be (0, (t-1) bare circles, 0), got {acc!r}",
+            lambda: f"(0,0,0)^{t} should be (0, (t-1) bare circles, 0), got {acc!r}",
         )
 
     rees = monoid_REES()
@@ -1121,14 +1121,14 @@ def check_rees_witnesses(rng: random.Random, full: bool) -> str:
             value = evaluate(w, subst, rees)
             _require(
                 marker in value.mid.indecomposables(),
-                f"mixing word {w} lost the doubled nested circle",
+                lambda: f"mixing word {w} lost the doubled nested circle",
             )
             mixed += 1
         for text in ("x" * t, "x*" * t):
             value = evaluate(parse_iword(text), subst, rees)
             _require(
                 marker not in value.mid.indecomposables(),
-                f"pure power {text} grew a doubled nested circle",
+                lambda: f"pure power {text} grew a doubled nested circle",
             )
             pure += 1
     return (
@@ -1148,35 +1148,35 @@ def check_involution_laws(rng: random.Random, full: bool) -> str:
         m, n, r = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
         for inv in (sigma, rho):
             p, q = random_partition(rng, m, n), random_partition(rng, n, r)
-            _require(inv(inv(p)) == p, f"involution fails to square away on {p!r}")
+            _require(inv(inv(p)) == p, lambda: f"involution fails to square away on {p!r}")
             _require(
                 inv(compose(p, q).product) == compose(inv(q), inv(p)).product,
-                f"involution fails to reverse on {p!r}, {q!r}",
+                lambda: f"involution fails to reverse on {p!r}, {q!r}",
             )
             x = random_deformed(rng, m, n, regular=True)
             y = random_deformed(rng, n, r, regular=True)
-            _require(inv(inv(x)) == x, f"involution fails to square away on {x!r}")
+            _require(inv(inv(x)) == x, lambda: f"involution fails to square away on {x!r}")
             _require(
                 inv(compose_deformed(x, y)) == compose_deformed(inv(y), inv(x)),
-                f"involution fails to reverse on {x!r}, {y!r}",
+                lambda: f"involution fails to reverse on {x!r}, {y!r}",
             )
             lx = random_cobordism(rng, m, n, regular=True)
             ly = random_cobordism(rng, n, r, regular=True)
-            _require(inv(inv(lx)) == lx, f"involution fails to square away on {lx!r}")
+            _require(inv(inv(lx)) == lx, lambda: f"involution fails to square away on {lx!r}")
             _require(
                 inv(compose_cobordism(lx, ly))
                 == compose_cobordism(inv(ly), inv(lx)),
-                f"involution fails to reverse on {lx!r}, {ly!r}",
+                lambda: f"involution fails to reverse on {lx!r}, {ly!r}",
             )
             _require(
                 to_labeled(inv(lx)) == inv(to_labeled(lx))
                 and to_deformed(inv(lx)) == inv(to_deformed(lx)),
-                f"forgetting labels breaks the involution on {lx!r}",
+                lambda: f"forgetting labels breaks the involution on {lx!r}",
             )
             kx, ky = to_labeled(lx), to_labeled(ly)
             _require(
                 inv(compose_labeled(kx, ky)) == compose_labeled(inv(ky), inv(kx)),
-                f"involution fails to reverse on {kx!r}, {ky!r}",
+                lambda: f"involution fails to reverse on {kx!r}, {ky!r}",
             )
         checks += 1
 
@@ -1191,15 +1191,15 @@ def check_involution_laws(rng: random.Random, full: bool) -> str:
         n = rng.randint(1, 3)
         a, b = rng.choice(pools[n]), rng.choice(pools[n])
         for inv in (sigma_affine, rho_affine):
-            _require(inv(inv(a)) == a, f"involution fails to square away on {a!r}")
+            _require(inv(inv(a)) == a, lambda: f"involution fails to square away on {a!r}")
             _require(
                 inv(compose_affine(a, b).product)
                 == compose_affine(inv(b), inv(a)).product,
-                f"involution fails to reverse on {a!r}, {b!r}",
+                lambda: f"involution fails to reverse on {a!r}, {b!r}",
             )
             _require(
                 project_to_ann(inv(a)) == inv(project_to_ann(a)),
-                f"shadow map breaks the involution on {a!r}",
+                lambda: f"shadow map breaks the involution on {a!r}",
             )
         # the reflection is also the regular star of the circle-free family
         _require(
@@ -1207,7 +1207,7 @@ def check_involution_laws(rng: random.Random, full: bool) -> str:
                 compose_affine(a, sigma_affine(a)).product, a
             ).product
             == a,
-            f"x sigma(x) x != x for {a!r}",
+            lambda: f"x sigma(x) x != x for {a!r}",
         )
         ka = 0 if a.rank > 0 else rng.randint(-2, 2)
         kb = 0 if b.rank > 0 else rng.randint(-2, 2)
@@ -1220,33 +1220,33 @@ def check_involution_laws(rng: random.Random, full: bool) -> str:
         for inv in (sigma_affine, rho_affine):
             _require(
                 inv(inv(pa)) == pa and inv(inv(ta)) == ta and inv(inv(da)) == da,
-                f"involution fails to square away on decorated values over {a!r}",
+                lambda: f"involution fails to square away on decorated values over {a!r}",
             )
             _require(
                 inv(compose_pair(pa, pb)) == compose_pair(inv(pb), inv(pa)),
-                f"involution fails to reverse on {pa!r}, {pb!r}",
+                lambda: f"involution fails to reverse on {pa!r}, {pb!r}",
             )
             _require(
                 inv(compose_triple(ta, tb)) == compose_triple(inv(tb), inv(ta)),
-                f"involution fails to reverse on {ta!r}, {tb!r}",
+                lambda: f"involution fails to reverse on {ta!r}, {tb!r}",
             )
             _require(
                 inv(sa * sb) == inv(sb) * inv(sa),
-                f"involution fails to reverse on {sa!r}, {sb!r}",
+                lambda: f"involution fails to reverse on {sa!r}, {sb!r}",
             )
             _require(
                 inv(compose_deformed_ann(da, db))
                 == compose_deformed_ann(inv(db), inv(da)),
-                f"involution fails to reverse on {da!r}, {db!r}",
+                lambda: f"involution fails to reverse on {da!r}, {db!r}",
             )
         checks += 1
 
     for x in a21_elements():
-        _require(a21_star(a21_star(x)) == x, f"band involution moved {x!r}")
+        _require(a21_star(a21_star(x)) == x, lambda: f"band involution moved {x!r}")
         for y in a21_elements():
             _require(
                 a21_star(a21_mul(x, y)) == a21_mul(a21_star(y), a21_star(x)),
-                f"band involution fails to reverse on {x!r}, {y!r}",
+                lambda: f"band involution fails to reverse on {x!r}, {y!r}",
             )
     return (
         f"{checks} sampled rounds: both involutions square to the identity "

@@ -1,0 +1,170 @@
+"""Partitions stored as restricted-growth label tuples, checked against
+set-based reference implementations that know nothing of the labels."""
+
+import itertools
+import random
+
+import pytest
+
+from diagcat import (
+    IN,
+    OUT,
+    enumerate_partitions,
+    make_partition,
+    reflect,
+    rho,
+    sigma,
+    star_cobordism,
+    vin,
+    vout,
+)
+from diagcat.cobordisms import Cobordism, LabeledPartition, Spectrum
+from diagcat.partitions import MergeInfo, compose, rotate
+from diagcat.sampling import random_partition
+
+
+def join_oracle(alpha, beta):
+    """Compose by merging vertex sets on three layers until no two
+    classes share a point; returns (product, origins, dead_blocks) in the
+    shape of CompositionResult."""
+    pieces = []
+    for i, block in enumerate(alpha.blocks):
+        points = {("top", v.index) if v.side == IN else ("mid", v.index) for v in block}
+        pieces.append((points, {("alpha", i)}))
+    for j, block in enumerate(beta.blocks):
+        points = {("mid", v.index) if v.side == IN else ("bot", v.index) for v in block}
+        pieces.append((points, {("beta", j)}))
+    classes = []
+    for points, tags in pieces:
+        points, tags = set(points), set(tags)
+        rest = []
+        for other_points, other_tags in classes:
+            if other_points & points:
+                points |= other_points
+                tags |= other_tags
+            else:
+                rest.append((other_points, other_tags))
+        classes = rest + [(points, tags)]
+
+    def info(points, tags):
+        return MergeInfo(
+            tuple(sorted(i for side, i in tags if side == "alpha")),
+            tuple(sorted(j for side, j in tags if side == "beta")),
+            tuple(sorted(k for layer, k in points if layer == "mid")),
+        )
+
+    live, dead = {}, []
+    for points, tags in classes:
+        outer = tuple(
+            sorted(vin(k) if layer == "top" else vout(k) for layer, k in points if layer != "mid")
+        )
+        if not outer:
+            dead.append(info(points, tags))
+        elif any(layer == "mid" for layer, _ in points):
+            live[outer] = info(points, tags)
+        else:
+            (tag,) = tags
+            live[outer] = tag
+    product = make_partition(alpha.m, beta.n, list(live))
+    origins = tuple(live[block] for block in product.blocks)
+    return product, origins, tuple(sorted(dead, key=lambda d: d.middle))
+
+
+def assert_matches_oracle(x, y):
+    r = compose(x, y)
+    product, origins, dead = join_oracle(x, y)
+    assert r.product == product
+    assert r.product.blocks == product.blocks
+    assert r.origins == origins
+    assert r.dead_blocks == dead
+
+
+def assert_labels_match_blocks(p):
+    points = [vin(i) for i in range(1, p.m + 1)] + [vout(j) for j in range(1, p.n + 1)]
+    assert len(p.blocks) == p.nblocks
+    for i, block in enumerate(p.blocks):
+        assert block == tuple(v for v, label in zip(points, p.labels) if label == i)
+
+
+def test_compose_matches_join_on_all_small_shapes():
+    pairs = 0
+    for a, b, c in itertools.product(range(3), repeat=3):
+        for x in enumerate_partitions(a, b):
+            for y in enumerate_partitions(b, c):
+                assert_matches_oracle(x, y)
+                pairs += 1
+    assert pairs == 564
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_compose_matches_join_on_random_pairs(n):
+    rng = random.Random(n)
+    for _ in range(300):
+        l, r = rng.randint(0, n), rng.randint(0, n)
+        x, y = random_partition(rng, l, n), random_partition(rng, n, r)
+        assert_matches_oracle(x, y)
+        assert_labels_match_blocks(compose(x, y).product)
+
+
+def test_blocks_hold_the_points_of_their_label():
+    for m, n in ((0, 0), (1, 2), (2, 2), (3, 1)):
+        for p in enumerate_partitions(m, n):
+            assert_labels_match_blocks(p)
+    rng = random.Random(7)
+    for _ in range(100):
+        assert_labels_match_blocks(random_partition(rng, rng.randint(0, 8), rng.randint(0, 8)))
+
+
+def _flip(v):
+    return (OUT if v.side == IN else IN), v.index
+
+
+def _turn(p):
+    return lambda v: (OUT, p.m + 1 - v.index) if v.side == IN else (IN, p.n + 1 - v.index)
+
+
+def moved_oracle(p, move):
+    """The image of p under a vertex map, and for each block of p the
+    index of its image block."""
+    image = make_partition(p.n, p.m, [[move(v) for v in block] for block in p.blocks])
+    index = {block: t for t, block in enumerate(image.blocks)}
+    targets = [index[tuple(sorted(map(move, block)))] for block in p.blocks]
+    return image, targets
+
+
+def _hom_22_23():
+    return list(enumerate_partitions(2, 2)) + list(enumerate_partitions(2, 3))
+
+
+def test_reflect_and_rotate_carry_blocks():
+    for p in _hom_22_23():
+        for inv, mover in ((reflect, _flip), (rotate, _turn(p))):
+            image, _ = moved_oracle(p, mover)
+            assert inv(p) == image
+            assert inv(p).blocks == image.blocks
+            assert inv(inv(p)) == p
+
+
+def test_involutions_and_star_carry_labels():
+    for p in _hom_22_23():
+        genus = tuple(10 * i + 1 for i in range(len(p.blocks)))
+        spectrum = Spectrum({2: 1})
+        for inv, mover in ((sigma, _flip), (rho, _turn(p))):
+            image, targets = moved_oracle(p, mover)
+            expected = [0] * len(genus)
+            for label, t in zip(genus, targets):
+                expected[t] = label
+            assert inv(LabeledPartition(p, genus, True)) == LabeledPartition(
+                image, tuple(expected), True
+            )
+            assert inv(Cobordism(p, genus, spectrum, True)) == Cobordism(
+                image, tuple(expected), spectrum, True
+            )
+        image, targets = moved_oracle(p, _flip)
+        starred = [0] * len(genus)
+        for block, label, t in zip(p.blocks, genus, targets):
+            starred[t] = -label - len(block) + 2
+        sides = sum(1 for b in p.blocks if len({v.side for v in b}) == 1)
+        assert star_cobordism(Cobordism(p, genus, spectrum, True)) == Cobordism(
+            image, tuple(starred), Spectrum({2: -1, 1: -sides}), True
+        )

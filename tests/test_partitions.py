@@ -34,6 +34,14 @@ def test_make_partition_validates():
         make_partition(2, 1, [[vin(1), vout(1)]])
 
 
+@pytest.mark.parametrize("index", [1.9, 1.0, True, "1", None])
+def test_make_partition_rejects_non_integer_indices(index):
+    with pytest.raises(RangeError):
+        make_partition(1, 1, [[("in", index), ("out", 1)]])
+    with pytest.raises(RangeError):
+        make_partition(1, 1, [[("in", 1), ("out", index)]])
+
+
 @pytest.mark.parametrize(
     "m, n, count",
     [(0, 0, 1), (1, 0, 1), (1, 1, 2), (2, 2, 15), (2, 3, 52), (3, 3, 203)],

@@ -58,6 +58,18 @@ def test_decode_rejects_garbage():
         decode("aTLe", {"m": 1, "n": 1, "partners": [{"from": {}}]})
 
 
+@pytest.mark.parametrize("index", [1.9, 1.0, True, "1", None])
+@pytest.mark.parametrize("name", ["P", "Pd", "Cob", "Ann"])
+def test_partition_decoders_reject_non_integer_indices(name, index):
+    obj = {
+        "m": 1,
+        "n": 1,
+        "blocks": [[{"side": "in", "index": index}, {"side": "out", "index": 1}]],
+    }
+    with pytest.raises(ParseError):
+        decode(name, obj)
+
+
 def test_compose_through_category_table():
     rng = random.Random(9)
     for name in ("P", "Cob", "aTLe", "Ann"):
