@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     CrossingError,
@@ -47,6 +47,7 @@ from .errors import (
 from .partitions import (
     IN,
     OUT,
+    CompositionResult,
     Partition,
     Vertex,
     compose as compose_partition,
@@ -70,6 +71,7 @@ __all__ = [
     "AffineTriple",
     "make_pair",
     "make_triple",
+    "compose_decorated",
     "compose_pair",
     "compose_triple",
     "star_pair",
@@ -83,7 +85,6 @@ __all__ = [
     "compose_deformed_ann",
     "star_deformed_ann",
     "shift_gap",
-    "is_rectangular",
     "enumerate_affine",
     "build_ann_monoid",
     "AnnMonoid",
@@ -405,22 +406,31 @@ def make_triple(
     return AffineTriple(skeleton, k, k0, regular)
 
 
-def compose_pair(x: AffinePair, y: AffinePair) -> AffinePair:
+def compose_decorated(x, y):
+    """Compose two wrap pairs, two-counter triples or deformed shadows of
+    one regularity over a single base composition; returns the product and
+    that composition, an AffineComposition of the skeletons or the
+    CompositionResult of the shadow bases."""
     if x.regular != y.regular:
         raise RegularityMismatch("cannot mix regular and non-regular values")
+    if isinstance(x, DeformedAnnular):
+        prod, res = compose_ann(x.base, y.base)
+        return DeformedAnnular(prod, x.k + y.k + res.b, x.regular), res
     res = compose_affine(x.skeleton, y.skeleton)
     if res.product.rank > 0:
         assert res.bw == 0 and x.k == 0 and y.k == 0
-    return AffinePair(res.product, x.k + y.k + res.bw, x.regular)
+    k = x.k + y.k + res.bw
+    if isinstance(x, AffineTriple):
+        return AffineTriple(res.product, k, x.k0 + y.k0 + res.b0, x.regular), res
+    return AffinePair(res.product, k, x.regular), res
+
+
+def compose_pair(x: AffinePair, y: AffinePair) -> AffinePair:
+    return compose_decorated(x, y)[0]
 
 
 def compose_triple(x: AffineTriple, y: AffineTriple) -> AffineTriple:
-    if x.regular != y.regular:
-        raise RegularityMismatch("cannot mix regular and non-regular values")
-    res = compose_affine(x.skeleton, y.skeleton)
-    if res.product.rank > 0:
-        assert res.bw == 0 and x.k == 0 and y.k == 0
-    return AffineTriple(res.product, x.k + y.k + res.bw, x.k0 + y.k0 + res.b0, x.regular)
+    return compose_decorated(x, y)[0]
 
 
 def star_pair(x: AffinePair) -> AffinePair:
@@ -444,54 +454,59 @@ def star_triple(x: AffineTriple) -> AffineTriple:
     )
 
 
+def _reflect_diagram(x: AffineDiagram) -> AffineDiagram:
+    flip = {IN: OUT, OUT: IN}
+    new = [
+        APoint(q.offset, flip[q.side], q.index)
+        for q in x.partner[x.m :] + x.partner[: x.m]
+    ]
+    return AffineDiagram(x.n, x.m, tuple(new))
+
+
+def _rotate_diagram(x: AffineDiagram) -> AffineDiagram:
+    new = []
+    # New top row has x.n indices; new top (0, k) is the image of the
+    # old bottom point (0, n + 1 - k), and so on.
+    for k in range(1, x.n + 1):
+        q = x.partner_of(OUT, x.n + 1 - k)
+        if q.side == IN:
+            new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
+        else:
+            new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
+    for k in range(1, x.m + 1):
+        q = x.partner_of(IN, x.m + 1 - k)
+        if q.side == IN:
+            new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
+        else:
+            new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
+    return AffineDiagram(x.n, x.m, tuple(new))
+
+
+def _mirror(x, diagram_map, partition_map):
+    """x under the involution given by its maps on bare diagrams and on
+    shadow bases; the counters k, k0 and the regularity flag stay put."""
+    if isinstance(x, AffineDiagram):
+        return diagram_map(x)
+    if isinstance(x, AffinePair):
+        return AffinePair(diagram_map(x.skeleton), x.k, x.regular)
+    if isinstance(x, AffineTriple):
+        return AffineTriple(diagram_map(x.skeleton), x.k, x.k0, x.regular)
+    if isinstance(x, AnnularPartition):
+        return AnnularPartition(partition_map(x.base))
+    if isinstance(x, DeformedAnnular):
+        base = _mirror(x.base, diagram_map, partition_map)
+        return DeformedAnnular(base, x.k, x.regular)
+    raise TypeError(f"no involution for {type(x).__name__}")
+
+
 def sigma_affine(x):
     """Reflection swapping the two rows while keeping offsets."""
-    if isinstance(x, AffineDiagram):
-        flip = {IN: OUT, OUT: IN}
-        new = [
-            APoint(q.offset, flip[q.side], q.index)
-            for q in x.partner[x.m :] + x.partner[: x.m]
-        ]
-        return AffineDiagram(x.n, x.m, tuple(new))
-    if isinstance(x, AffinePair):
-        return AffinePair(sigma_affine(x.skeleton), x.k, x.regular)
-    if isinstance(x, AffineTriple):
-        return AffineTriple(sigma_affine(x.skeleton), x.k, x.k0, x.regular)
-    if isinstance(x, AnnularPartition):
-        return AnnularPartition(reflect(x.base))
-    if isinstance(x, DeformedAnnular):
-        return DeformedAnnular(AnnularPartition(reflect(x.base.base)), x.k, x.regular)
-    raise TypeError(f"no reflection for {type(x).__name__}")
+    return _mirror(x, _reflect_diagram, reflect)
 
 
 def rho_affine(x):
     """Half-turn: reflect rows, negate offsets, reverse both index orders."""
-    if isinstance(x, AffineDiagram):
-        new = []
-        # New top row has x.n indices; new top (0, k) is the image of the
-        # old bottom point (0, n + 1 - k), and so on.
-        for k in range(1, x.n + 1):
-            q = x.partner_of(OUT, x.n + 1 - k)
-            if q.side == IN:
-                new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
-            else:
-                new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
-        for k in range(1, x.m + 1):
-            q = x.partner_of(IN, x.m + 1 - k)
-            if q.side == IN:
-                new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
-            else:
-                new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
-        return AffineDiagram(x.n, x.m, tuple(new))
-    if isinstance(x, AffinePair):
-        return AffinePair(rho_affine(x.skeleton), x.k, x.regular)
-    if isinstance(x, AffineTriple):
-        return AffineTriple(rho_affine(x.skeleton), x.k, x.k0, x.regular)
-    if isinstance(x, AnnularPartition):
-        return AnnularPartition(rotate(x.base))
-    if isinstance(x, DeformedAnnular):
-        return DeformedAnnular(AnnularPartition(rotate(x.base.base)), x.k, x.regular)
-    raise TypeError(f"no half-turn for {type(x).__name__}")
+    return _mirror(x, _rotate_diagram, rotate)
 
 
 # -- annular quotients -------------------------------------------------------
@@ -526,26 +541,26 @@ def project_to_ann(a: AffineDiagram) -> AnnularPartition:
     return AnnularPartition(make_partition(a.m, a.n, [sorted(b) for b in blocks]))
 
 
-def compose_ann(x: AnnularPartition, y: AnnularPartition) -> tuple[AnnularPartition, int]:
-    """Compose the shadows; returns the product and the dead-block count,
-    which equals the total number of circles the affine composition makes."""
+def compose_ann(
+    x: AnnularPartition, y: AnnularPartition
+) -> tuple[AnnularPartition, CompositionResult]:
+    """Compose the shadows; returns the product and the base composition,
+    whose dead-block count equals the total number of circles the affine
+    composition makes."""
     res = compose_partition(x.base, y.base)
-    return AnnularPartition(res.product), res.b
+    return AnnularPartition(res.product), res
 
 
 def compose_deformed_ann(x: DeformedAnnular, y: DeformedAnnular) -> DeformedAnnular:
-    if x.regular != y.regular:
-        raise RegularityMismatch("cannot mix regular and non-regular values")
-    prod, dead = compose_ann(x.base, y.base)
-    return DeformedAnnular(prod, x.k + y.k + dead, x.regular)
+    return compose_decorated(x, y)[0]
 
 
 def star_deformed_ann(x: DeformedAnnular) -> DeformedAnnular:
     if not x.regular:
         raise NotRegular("star needs a regular value")
     s = AnnularPartition(reflect(x.base.base))
-    fwd = compose_ann(x.base, s)[1]
-    bwd = compose_ann(s, x.base)[1]
+    fwd = compose_ann(x.base, s)[1].b
+    bwd = compose_ann(s, x.base)[1].b
     return DeformedAnnular(s, -x.k - fwd - bwd, True)
 
 
@@ -568,13 +583,6 @@ def shift_gap(x: AffineDiagram, y: AffineDiagram):
     if compose_affine(lambda_pow(x.m, q), x).product != y:
         return None
     return q
-
-
-def is_rectangular(a: AffineDiagram) -> bool:
-    """True when no string crosses the seam between adjacent windows,
-    i.e. every partner offset is 0, so the diagram is a glued-in
-    rectangle diagram."""
-    return all(q.offset == 0 for q in a.partner)
 
 
 def enumerate_affine(m: int, n: int, max_offset: int, bound: int = 10):

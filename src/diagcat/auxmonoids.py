@@ -3,18 +3,18 @@
 Circle forests model nested families of disjoint planar circles: a forest
 is a multiset of trees and a tree is one circle enclosing a forest.  They
 form a free commutative monoid under disjoint union, generated by the
-single-circle trees, with a unary "enclose" operation.  On top of them
-live a group completion, a free product with one extra generator, generic
-ideal extensions of rectangular bands, a five-element 0-simple semigroup,
-a semidirect product with parity twisting, and a triple semigroup whose
-middle coordinate absorbs encircled sums.  A validated multiplication
-table type covers the finite cases.
+single-circle trees, with a unary "enclose" operation.  Next to them live
+generic ideal extensions of rectangular bands, a five-element 0-simple
+semigroup, a semidirect product of forest pairs with parity twisting, a
+triple semigroup whose middle coordinate absorbs encircled sums, and the
+genus pairs over the singleton base that collapse onto the five-element
+band.  A validated multiplication table type covers the finite cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import (
     BadInvolution,
@@ -24,25 +24,14 @@ from .errors import (
     NotClosed,
     RangeError,
 )
-from .cobordisms import Cobordism, Spectrum, make_cobordism
+from .cobordisms import Cobordism, make_cobordism
 from .partitions import make_partition, vin, vout
 
 __all__ = [
     "CircleForest",
     "CF_EMPTY",
     "CF_CIRCLE",
-    "cf_add",
-    "cf_enclose",
     "cf_times",
-    "GCElement",
-    "gc_zero",
-    "gc_embed",
-    "gc_add",
-    "gc_negate",
-    "OCWord",
-    "oc_identity",
-    "oc_omega",
-    "oc_mul",
     "JEInstance",
     "JEElement",
     "JE_INT",
@@ -51,7 +40,6 @@ __all__ = [
     "je_s",
     "je_pair",
     "je_mul",
-    "je_embed_nat",
     "A21Element",
     "A2_ONE",
     "A2_ZERO",
@@ -131,10 +119,6 @@ class CircleForest:
     def depth(self) -> int:
         return max((_tree_depth(t) for t in self.trees), default=0)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.trees
-
     def indecomposables(self) -> tuple["CircleForest", ...]:
         """The single-tree summands, with multiplicity."""
         return tuple(CircleForest((t,)) for t in self.trees)
@@ -147,104 +131,8 @@ CF_EMPTY = CircleForest()
 CF_CIRCLE = CF_EMPTY.enclose()
 
 
-def cf_add(x: CircleForest, y: CircleForest) -> CircleForest:
-    return x + y
-
-
-def cf_enclose(x: CircleForest) -> CircleForest:
-    return x.enclose()
-
-
 def cf_times(x: CircleForest, m: int) -> CircleForest:
     return x * m
-
-
-# -- group completion --------------------------------------------------------
-
-@dataclass(frozen=True)
-class GCElement:
-    """Finitely supported integer combination of circle trees."""
-
-    coeffs: tuple = ()
-
-    def __post_init__(self):
-        merged: dict = {}
-        for tree, c in self.coeffs:
-            merged[tree] = merged.get(tree, 0) + c
-        cleaned = tuple(
-            (t, c)
-            for t, c in sorted(merged.items(), key=lambda tc: _tree_key(tc[0]))
-            if c != 0
-        )
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def __add__(self, other: "GCElement") -> "GCElement":
-        return GCElement(self.coeffs + other.coeffs)
-
-    def __neg__(self) -> "GCElement":
-        return GCElement(tuple((t, -c) for t, c in self.coeffs))
-
-    def __sub__(self, other: "GCElement") -> "GCElement":
-        return self + (-other)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-def gc_zero() -> GCElement:
-    return GCElement()
-
-
-def gc_embed(x: CircleForest) -> GCElement:
-    return GCElement(tuple((t, 1) for t in x.trees))
-
-
-def gc_add(x: GCElement, y: GCElement) -> GCElement:
-    return x + y
-
-
-def gc_negate(x: GCElement) -> GCElement:
-    return -x
-
-
-# -- free product with one extra generator -----------------------------------
-
-@dataclass(frozen=True)
-class OCWord:
-    """Alternating word c0 o c1 o ... o cq over forests and a generator o.
-
-    The segments tuple lists the forests between consecutive occurrences
-    of the extra generator; q = len(segments) - 1 counts the generator.
-    """
-
-    segments: tuple = (CF_EMPTY,)
-
-    def __post_init__(self):
-        if not self.segments:
-            raise RangeError("an alternating word needs at least one segment")
-
-    @property
-    def is_identity(self) -> bool:
-        return len(self.segments) == 1 and self.segments[0].is_empty
-
-    def __repr__(self) -> str:
-        return " + o + ".join(repr(s) for s in self.segments)
-
-
-def oc_identity() -> OCWord:
-    return OCWord((CF_EMPTY,))
-
-
-def oc_omega() -> OCWord:
-    """The extra generator itself."""
-    return OCWord((CF_EMPTY, CF_EMPTY))
-
-
-def oc_mul(x: OCWord, y: OCWord) -> OCWord:
-    head = x.segments[:-1]
-    tail = y.segments[1:]
-    return OCWord(head + (x.segments[-1] + y.segments[0],) + tail)
 
 
 # -- ideal extensions of rectangular bands -----------------------------------
@@ -332,13 +220,6 @@ def je_mul(x: JEElement, y: JEElement) -> JEElement:
         l, r = x.value
         return JEElement(ins, "pair", (l, ins.right_act(r, y.value[0])))
     return JEElement(ins, "pair", (x.value[0], y.value[1]))
-
-
-def je_embed_nat(x: JEElement) -> JEElement:
-    """The inclusion of the non-negative instance into the integer one."""
-    if x.instance is not JE_NAT:
-        raise InstanceMismatch("embedding is defined on the naturals instance")
-    return JEElement(JE_INT, x.kind, x.value)
 
 
 # -- the five-element 0-simple semigroup with identity -----------------------
@@ -519,22 +400,6 @@ class FiniteMonoid:
         self.star = star
         self.labels = tuple(labels) if labels is not None else None
 
-    @classmethod
-    def from_elements(cls, elements, mul, star=None) -> "FiniteMonoid":
-        elements = list(elements)
-        index = {e: i for i, e in enumerate(elements)}
-        if len(index) != len(elements):
-            raise NotClosed("duplicate elements")
-
-        def look(e):
-            if e not in index:
-                raise NotClosed(f"product {e!r} escapes the element list")
-            return index[e]
-
-        table = [[look(mul(x, y)) for y in elements] for x in elements]
-        star_map = [look(star(x)) for x in elements] if star else None
-        return cls(table, star=star_map, labels=elements)
-
     @property
     def size(self) -> int:
         return len(self.table)
@@ -561,15 +426,6 @@ class FiniteMonoid:
             )
         )
 
-    def unit_order(self, i: int) -> int:
-        if i not in self.units():
-            raise RangeError(f"element {i} is not a unit")
-        t, acc = 1, i
-        while acc != self.one:
-            acc = self.table[acc][i]
-            t += 1
-        return t
-
     def index_period(self, i: int) -> tuple[int, int]:
         """Least (t, p) with x^t == x^(t+p); t starts at 1."""
         seen = {}
@@ -579,13 +435,6 @@ class FiniteMonoid:
             acc = self.table[acc][i]
             t += 1
         return seen[acc], t - seen[acc]
-
-    def is_commutative(self) -> bool:
-        return all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(self.size)
-            for j in range(self.size)
-        )
 
 
 # -- genus pairs over the disconnected singleton base ------------------------

@@ -29,7 +29,6 @@ from .errors import (
     NotIrreducible,
     NotRegular,
     RegularityMismatch,
-    ShapeMismatch,
 )
 from .partitions import (
     CompositionResult,
@@ -51,6 +50,7 @@ __all__ = [
     "Cobordism",
     "make_cobordism",
     "increment",
+    "compose_decorated",
     "compose_deformed",
     "compose_labeled",
     "compose_cobordism",
@@ -61,7 +61,6 @@ __all__ = [
     "rho",
     "to_deformed",
     "to_labeled",
-    "to_partition",
     "fiber_product_oracle",
 ]
 
@@ -175,76 +174,63 @@ def increment(v: int, a: int, b: int) -> int:
     return v - (a + b) + 1
 
 
-def _check_flags(x, y) -> None:
-    if x.regular != y.regular:
-        raise RegularityMismatch("cannot mix regular and non-regular values")
+def _merge_labels(res: CompositionResult, g: Sequence, h: Sequence, unit):
+    """Labels of the product blocks and of the dead blocks, in order.
 
+    Labels are any additive values with ``unit`` the label 1: ints with
+    unit 1, or coefficient rows with the constant-slot row as unit."""
 
-def compose_deformed(x: DeformedPartition, y: DeformedPartition) -> DeformedPartition:
-    _check_flags(x, y)
-    res = compose(x.base, y.base)
-    return DeformedPartition(res.product, x.s + y.s + res.b, x.regular)
+    def merged(info: MergeInfo):
+        a, b, v = len(info.alpha_blocks), len(info.beta_blocks), len(info.middle)
+        return (
+            sum(g[i] for i in info.alpha_blocks)
+            + sum(h[j] for j in info.beta_blocks)
+            + increment(v, a, b) * unit
+        )
 
-
-def _merge_labels(
-    res: CompositionResult, g: Sequence[int], h: Sequence[int]
-) -> tuple[tuple[int, ...], list[int]]:
-    """Labels of the product blocks and of the dead blocks, in order."""
     live = []
     for origin in res.origins:
         if isinstance(origin, MergeInfo):
-            a, b, v = len(origin.alpha_blocks), len(origin.beta_blocks), len(origin.middle)
-            label = (
-                sum(g[i] for i in origin.alpha_blocks)
-                + sum(h[j] for j in origin.beta_blocks)
-                + increment(v, a, b)
-            )
+            live.append(merged(origin))
         elif origin[0] == "alpha":
-            label = g[origin[1]]
+            live.append(g[origin[1]])
         else:
-            label = h[origin[1]]
-        live.append(label)
-    dead = []
-    for info in res.dead_blocks:
-        a, b, v = len(info.alpha_blocks), len(info.beta_blocks), len(info.middle)
-        dead.append(
-            sum(g[i] for i in info.alpha_blocks)
-            + sum(h[j] for j in info.beta_blocks)
-            + increment(v, a, b)
-        )
-    return tuple(live), dead
+            live.append(h[origin[1]])
+    return tuple(live), [merged(info) for info in res.dead_blocks]
+
+
+def compose_decorated(x, y):
+    """Compose two deformed, labeled or cobordism values of one
+    regularity over a single base composition; returns the product and
+    that CompositionResult."""
+    if x.regular != y.regular:
+        raise RegularityMismatch("cannot mix regular and non-regular values")
+    res = compose(x.base, y.base)
+    if isinstance(x, DeformedPartition):
+        return DeformedPartition(res.product, x.s + y.s + res.b, x.regular), res
+    live, dead = _merge_labels(res, x.genus, y.genus, 1)
+    if not x.regular:
+        assert all(l >= 0 for l in live)
+    if isinstance(x, LabeledPartition):
+        return LabeledPartition(res.product, live, x.regular), res
+    spectrum = Spectrum(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
+    if not x.regular:
+        assert not spectrum.min_genus_negative()
+    return Cobordism(res.product, live, spectrum, x.regular), res
+
+
+def compose_deformed(x: DeformedPartition, y: DeformedPartition) -> DeformedPartition:
+    return compose_decorated(x, y)[0]
 
 
 def compose_labeled(x: LabeledPartition, y: LabeledPartition) -> LabeledPartition:
     """Compose label-decorated partitions, discarding dead-block labels."""
-    _check_flags(x, y)
-    res = compose(x.base, y.base)
-    live, _ = _merge_labels(res, x.genus, y.genus)
-    if not x.regular:
-        assert all(l >= 0 for l in live)
-    return LabeledPartition(res.product, live, x.regular)
+    return compose_decorated(x, y)[0]
 
 
 def compose_cobordism(x: Cobordism, y: Cobordism) -> Cobordism:
     """Compose, depositing dead-block labels into the spectrum."""
-    _check_flags(x, y)
-    res = compose(x.base, y.base)
-    live, dead = _merge_labels(res, x.genus, y.genus)
-    spectrum = Spectrum(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
-    if not x.regular:
-        assert all(l >= 0 for l in live)
-        assert not spectrum.min_genus_negative()
-    return Cobordism(res.product, live, spectrum, x.regular)
-
-
-def _transport(base: Partition, genus: Sequence[int], tracked):
-    """The image of base under reflect_tracked or rotate_tracked, with the
-    labels carried along the block bijection."""
-    image, moved = tracked(base)
-    out = [0] * len(genus)
-    for i, target in moved.items():
-        out[target] = genus[i]
-    return image, tuple(out)
+    return compose_decorated(x, y)[0]
 
 
 def _require_regular(x) -> None:
@@ -259,19 +245,20 @@ def star_deformed(x: DeformedPartition) -> DeformedPartition:
     return DeformedPartition(reflect(x.base), -x.s - stats.rb - stats.lb, True)
 
 
-def _star_genus(x: Partition, genus: Sequence[int]) -> tuple[Partition, tuple[int, ...]]:
-    """The reflected base with labels g*(B*) = -g(B) - v(B) + 2."""
+def _star_genus(x: Partition, genus: Sequence, unit) -> tuple[Partition, tuple]:
+    """The reflected base with labels g*(B*) = -g(B) - v(B) + 2, for
+    additive labels with unit ``unit`` as in _merge_labels()."""
     image, moved = reflect_tracked(x)
     per_block = block_stats(x).per_block
     out = [0] * len(genus)
     for i, target in moved.items():
-        out[target] = -genus[i] - per_block[i].v + 2
+        out[target] = -genus[i] + (2 - per_block[i].v) * unit
     return image, tuple(out)
 
 
 def star_labeled(x: LabeledPartition) -> LabeledPartition:
     _require_regular(x)
-    return LabeledPartition(*_star_genus(x.base, x.genus), True)
+    return LabeledPartition(*_star_genus(x.base, x.genus, 1), True)
 
 
 def star_cobordism(x: Cobordism) -> Cobordism:
@@ -281,33 +268,31 @@ def star_cobordism(x: Cobordism) -> Cobordism:
     _require_regular(x)
     stats = block_stats(x.base)
     spectrum = x.spectrum.negate() + Spectrum({1: -(stats.lb + stats.rb)})
-    image, genus = _star_genus(x.base, x.genus)
+    image, genus = _star_genus(x.base, x.genus, 1)
     return Cobordism(image, genus, spectrum, True)
 
 
-def sigma(x):
-    """Side-swapping reflection; labels travel with their blocks, spectra
-    and deformation integers stay put."""
-    if isinstance(x, Partition):
-        return reflect(x)
+def _mirror(x, tracked):
+    """x under the involution whose base map is reflect_tracked or
+    rotate_tracked: labels travel with their blocks, while s, the spectrum
+    and the regularity flag stay put."""
+    image, moved = tracked(x.base)
     if isinstance(x, DeformedPartition):
-        return DeformedPartition(reflect(x.base), x.s, x.regular)
-    image, genus = _transport(x.base, x.genus, reflect_tracked)
-    if isinstance(x, LabeledPartition):
-        return LabeledPartition(image, genus, x.regular)
-    return Cobordism(image, genus, x.spectrum, x.regular)
+        return x._replace(base=image)
+    genus = [0] * len(x.genus)
+    for i, target in moved.items():
+        genus[target] = x.genus[i]
+    return x._replace(base=image, genus=tuple(genus))
+
+
+def sigma(x):
+    """Side-swapping reflection of a partition or a decorated value."""
+    return reflect(x) if isinstance(x, Partition) else _mirror(x, reflect_tracked)
 
 
 def rho(x):
     """Half-turn; like sigma but composed with the index reversal."""
-    if isinstance(x, Partition):
-        return rotate(x)
-    if isinstance(x, DeformedPartition):
-        return DeformedPartition(rotate(x.base), x.s, x.regular)
-    image, genus = _transport(x.base, x.genus, rotate_tracked)
-    if isinstance(x, LabeledPartition):
-        return LabeledPartition(image, genus, x.regular)
-    return Cobordism(image, genus, x.spectrum, x.regular)
+    return rotate(x) if isinstance(x, Partition) else _mirror(x, rotate_tracked)
 
 
 def to_deformed(x: Cobordism) -> DeformedPartition:
@@ -318,10 +303,6 @@ def to_deformed(x: Cobordism) -> DeformedPartition:
 def to_labeled(x: Cobordism) -> LabeledPartition:
     """Forget the spectrum."""
     return LabeledPartition(x.base, x.genus, x.regular)
-
-
-def to_partition(x) -> Partition:
-    return x.base if not isinstance(x, Partition) else x
 
 
 def fiber_product_oracle(e: Partition, xs: Sequence[Cobordism]) -> Cobordism:

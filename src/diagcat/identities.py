@@ -48,11 +48,9 @@ __all__ = [
     "parse_iword",
     "parse_identity",
     "zimin",
-    "occ",
     "content",
     "is_balanced",
     "is_balanced_mod2",
-    "factor2_counts",
     "left_section",
     "right_section",
     "ExtremeRep",
@@ -64,8 +62,6 @@ __all__ = [
     "SortStep",
     "sort_step",
     "sort_to_normal",
-    "delete_letters",
-    "semigroup_family",
     "evaluate",
     "Monoid",
     "Verdict",
@@ -220,10 +216,6 @@ def zimin(k: int) -> Word:
 
 # -- counting and sections ---------------------------------------------------
 
-def occ(w: Word, x: str) -> int:
-    return w.letters.count(x)
-
-
 def content(w: Word) -> frozenset[str]:
     return frozenset(w.letters)
 
@@ -237,10 +229,6 @@ def is_balanced_mod2(u: Word, v: Word) -> bool:
     if set(cu) != set(cv):
         return False
     return all(cu[x] % 2 == cv[x] % 2 for x in cu)
-
-
-def factor2_counts(w: Word) -> dict[tuple[str, str], int]:
-    return dict(Counter(zip(w.letters, w.letters[1:])))
 
 
 def left_section(w: Word, x: str) -> Word:
@@ -450,26 +438,6 @@ def sort_to_normal(w: Word, guard: int = 100_000) -> tuple[Word, int]:
         w = sort_step(w, target).word
         steps += 1
     raise AssertionError("sorting did not terminate")
-
-
-def delete_letters(w: Union[Word, IWord], letters) -> Union[Word, IWord]:
-    drop = set(letters)
-    if isinstance(w, IWord):
-        return IWord(tuple(s for s in w.symbols if s[0] not in drop))
-    return Word(tuple(ch for ch in w.letters if ch not in drop))
-
-
-def semigroup_family(identity: Identity, deletable) -> list[Identity]:
-    """Expand a monoid identity into the semigroup family obtained by
-    deleting every subset of the given letters."""
-    deletable = sorted(set(deletable))
-    out = []
-    for r in range(len(deletable) + 1):
-        for subset in itertools.combinations(deletable, r):
-            lhs = delete_letters(identity.lhs, subset)
-            rhs = delete_letters(identity.rhs, subset)
-            out.append(Identity(lhs, rhs, "semigroup"))
-    return out
 
 
 # -- evaluation and search ---------------------------------------------------

@@ -161,12 +161,6 @@ class Partition:
         m = self.m
         return len(set(self.labels[:m]).intersection(self.labels[m:]))
 
-    def block_of(self, v: Vertex) -> tuple[Vertex, ...]:
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise RangeError(f"{v!r} is not a vertex of this partition")
-
 
 def _coerce_vertex(v) -> tuple[int, int]:
     side, index = v

@@ -13,7 +13,6 @@ from .partitions import IN, OUT, Partition, make_partition
 from .cobordisms import (
     Cobordism,
     DeformedPartition,
-    LabeledPartition,
     Spectrum,
     make_cobordism,
 )
@@ -29,19 +28,16 @@ from .annular import (
     sigma_affine,
     zeta,
 )
-from .auxmonoids import CF_EMPTY, CircleForest
 from .identities import Word
 
 __all__ = [
     "random_partition",
     "random_deformed",
-    "random_labeled",
     "random_spectrum",
     "random_cobordism",
     "random_affine",
     "random_pair",
     "random_triple",
-    "random_forest",
     "random_word",
 ]
 
@@ -74,21 +70,6 @@ def random_deformed(
 
 def _random_labels(rng, base, lo, hi):
     return {blk: rng.randint(lo, hi) for blk in base.blocks}
-
-
-def random_labeled(
-    rng: random.Random,
-    m: int,
-    n: int,
-    lo: int = -2,
-    hi: int = 2,
-    regular: bool = False,
-) -> LabeledPartition:
-    base = random_partition(rng, m, n)
-    if not regular:
-        lo = max(lo, 0)
-    cob = make_cobordism(base, _random_labels(rng, base, lo, hi), (), regular)
-    return LabeledPartition(cob.base, cob.genus, cob.regular)
 
 
 def random_spectrum(
@@ -149,18 +130,6 @@ def random_triple(
     lo = -max_k if regular else 0
     k = 0 if skel.rank > 0 else rng.randint(lo, max_k)
     return make_triple(skel, k, rng.randint(lo, max_k), regular)
-
-
-def random_forest(rng: random.Random, max_size: int = 4, max_depth: int = 3) -> CircleForest:
-    size = rng.randint(0, max_size)
-    out = CF_EMPTY
-    for _ in range(size):
-        piece = CircleForest(((),))
-        for _ in range(rng.randint(0, max_depth - 1)):
-            if rng.random() < 0.5:
-                piece = piece.enclose()
-        out = out + piece
-    return out
 
 
 def random_word(

@@ -6,6 +6,11 @@ Schemas:
   "to": {"offset", "side", "index"}}, ...]}
 * decorated variants add flat fields: "shift", "genus" (keyed by the least
   vertex of each block), "spectrum" (genus -> count), "k", "k0", "regular".
+
+Every number must be a JSON integer and "regular" a JSON boolean; anything
+else raises ParseError.  A missing "regular" means non-regular, except in
+Pd-bar, Cob0-bar and Cob-bar, which are regular by name.  In these three
+and in Pd, Cob0 and Cob, a "regular" that contradicts the name is an error.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import re
 from typing import Callable, NamedTuple
 
+from . import annular, cobordisms
 from .errors import NegativeLabel, ParseError
 from .partitions import IN, OUT, Partition, Vertex, compose, make_partition
 from .cobordisms import (
@@ -20,9 +26,6 @@ from .cobordisms import (
     DeformedPartition,
     LabeledPartition,
     Spectrum,
-    compose_cobordism,
-    compose_deformed,
-    compose_labeled,
     make_cobordism,
 )
 from .annular import (
@@ -33,9 +36,6 @@ from .annular import (
     DeformedAnnular,
     compose_affine,
     compose_ann,
-    compose_deformed_ann,
-    compose_pair,
-    compose_triple,
     make_affine,
     make_pair,
     make_triple,
@@ -62,17 +62,33 @@ def _vertex_json(v: Vertex) -> dict:
     return {"side": _SIDE_NAME[v.side], "index": v.index}
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; a boolean, float, string or null raises ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _regular(d: dict, fixed: bool | None = None) -> bool:
+    """The "regular" field, a JSON boolean.  A category that fixes it by
+    name passes that value as fixed: it is then the default, and any other
+    value is an error."""
+    value = d.get("regular", bool(fixed))
+    if not isinstance(value, bool):
+        raise ParseError(f"regular must be a boolean, not {value!r}")
+    if fixed is not None and value != fixed:
+        raise ParseError(f"regular is {value} in a category where it is {fixed}")
+    return value
+
+
 def _vertex_from_json(d: dict) -> tuple[int, int]:
-    """A vertex object as a (side, index) pair; the index must be a JSON
-    integer, not a float, string or boolean."""
+    """A vertex object as a (side, index) pair."""
     try:
         side = {"in": IN, "out": OUT}[d["side"]]
         index = d["index"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad vertex object {d!r}") from exc
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise ParseError(f"bad vertex object {d!r}: index must be an integer")
-    return side, index
+    return side, _int(index, "vertex index")
 
 
 def _vertex_key(v: Vertex) -> str:
@@ -97,7 +113,7 @@ def partition_to_json(p: Partition) -> dict:
 def partition_from_json(d: dict) -> Partition:
     try:
         blocks = [[_vertex_from_json(v) for v in block] for block in d["blocks"]]
-        return make_partition(int(d["m"]), int(d["n"]), blocks)
+        return make_partition(_int(d["m"], "m"), _int(d["n"], "n"), blocks)
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad partition object: {exc}") from exc
 
@@ -108,7 +124,7 @@ def spectrum_to_json(s: Spectrum) -> dict:
 
 def spectrum_from_json(d: dict) -> Spectrum:
     try:
-        return Spectrum({int(g): int(c) for g, c in d.items()})
+        return Spectrum({int(g): _int(c, "spectrum count") for g, c in d.items()})
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad spectrum object {d!r}") from exc
 
@@ -122,7 +138,7 @@ def _genus_to_json(base: Partition, genus) -> dict:
 def _genus_from_json(base: Partition, d: dict):
     lookup = {}
     for key, g in d.items():
-        lookup[_vertex_from_key(key)] = int(g)
+        lookup[_vertex_from_key(key)] = _int(g, "genus")
     out = []
     for block in base.blocks:
         anchor = block[0]
@@ -158,12 +174,12 @@ def affine_from_json(d: dict) -> AffineDiagram:
         for entry in d["partners"]:
             src = entry["from"]
             dst = entry["to"]
-            table[(src["side"], int(src["index"]))] = (
-                int(dst["offset"]),
+            table[(src["side"], _int(src["index"], "index"))] = (
+                _int(dst["offset"], "offset"),
                 dst["side"],
-                int(dst["index"]),
+                _int(dst["index"], "index"),
             )
-        return make_affine(int(d["m"]), int(d["n"]), table)
+        return make_affine(_int(d["m"], "m"), _int(d["n"], "n"), table)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad affine object: {exc}") from exc
 
@@ -180,7 +196,8 @@ class Category(NamedTuple):
 def _dec_deformed(regular):
     def dec(d):
         p = partition_from_json(d)
-        shift = int(d.get("shift", 0))
+        shift = _int(d.get("shift", 0), "shift")
+        _regular(d, regular)
         if not regular and shift < 0:
             raise NegativeLabel("negative shift in non-regular value")
         return DeformedPartition(p, shift, regular)
@@ -196,7 +213,7 @@ def _dec_labeled(regular):
     def dec(d):
         p = partition_from_json(d)
         genus = _genus_from_json(p, d.get("genus", {}))
-        cob = make_cobordism(p, genus, (), regular)
+        cob = make_cobordism(p, genus, (), _regular(d, regular))
         return LabeledPartition(cob.base, cob.genus, regular)
 
     return dec
@@ -215,22 +232,17 @@ def _dec_cobordism(regular):
         p = partition_from_json(d)
         genus = _genus_from_json(p, d.get("genus", {}))
         spectrum = spectrum_from_json(d.get("spectrum", {}))
-        return make_cobordism(p, genus, spectrum, regular)
+        return make_cobordism(p, genus, spectrum, _regular(d, regular))
 
     return dec
 
 
 def _enc_cobordism(x: Cobordism) -> dict:
-    return {
-        **partition_to_json(x.base),
-        "genus": _genus_to_json(x.base, x.genus),
-        "spectrum": spectrum_to_json(x.spectrum),
-        "regular": x.regular,
-    }
+    return {**_enc_labeled(x), "spectrum": spectrum_to_json(x.spectrum)}
 
 
 def _dec_pair(d):
-    return make_pair(affine_from_json(d), int(d.get("k", 0)), bool(d.get("regular")))
+    return make_pair(affine_from_json(d), _int(d.get("k", 0), "k"), _regular(d))
 
 
 def _enc_pair(x: AffinePair) -> dict:
@@ -240,9 +252,9 @@ def _enc_pair(x: AffinePair) -> dict:
 def _dec_triple(d):
     return make_triple(
         affine_from_json(d),
-        int(d.get("k", 0)),
-        int(d.get("k0", 0)),
-        bool(d.get("regular")),
+        _int(d.get("k", 0), "k"),
+        _int(d.get("k0", 0), "k0"),
+        _regular(d),
     )
 
 
@@ -264,69 +276,63 @@ def _enc_ann(x: AnnularPartition) -> dict:
 
 
 def _dec_deformed_ann(d):
-    return DeformedAnnular(_dec_ann(d), int(d.get("k", 0)), bool(d.get("regular")))
+    return DeformedAnnular(_dec_ann(d), _int(d.get("k", 0), "k"), _regular(d))
 
 
 def _enc_deformed_ann(x: DeformedAnnular) -> dict:
     return {**_enc_ann(x.base), "k": x.k, "regular": x.regular}
 
 
-def _compose_p(x, y):
-    res = compose(x, y)
-    return res.product, {"dead_blocks": res.b}
+def _undecorated(compose_base):
+    """P and aTLe: the product is the base composition's own."""
+
+    def traced(x, y):
+        res = compose_base(x, y)
+        return res.product, res
+
+    return traced
 
 
-def _compose_pd(x, y):
-    prod = compose_deformed(x, y)
-    return prod, {"dead_blocks": compose(x.base, y.base).b}
+def _dead_blocks(traced):
+    """The table composer of a family over partition bases: its product
+    and the dead blocks of the one base composition it was built from."""
+
+    def compose_(x, y):
+        product, res = traced(x, y)
+        return product, {"dead_blocks": res.b}
+
+    return compose_
 
 
-def _compose_labeled(x, y):
-    prod = compose_labeled(x, y)
-    return prod, {"dead_blocks": compose(x.base, y.base).b}
+def _circles(traced):
+    """The table composer of a family over affine skeletons: its product
+    and the circles closed by the one base composition it was built from."""
+
+    def compose_(x, y):
+        product, res = traced(x, y)
+        return product, {"b0": res.b0, "bw": res.bw}
+
+    return compose_
 
 
-def _compose_cob(x, y):
-    prod = compose_cobordism(x, y)
-    return prod, {"dead_blocks": compose(x.base, y.base).b}
-
-
-def _compose_affine(x, y):
-    res = compose_affine(x, y)
-    return res.product, {"b0": res.b0, "bw": res.bw}
-
-
-def _compose_pair(x, y):
-    res = compose_affine(x.skeleton, y.skeleton)
-    return compose_pair(x, y), {"b0": res.b0, "bw": res.bw}
-
-
-def _compose_triple(x, y):
-    res = compose_affine(x.skeleton, y.skeleton)
-    return compose_triple(x, y), {"b0": res.b0, "bw": res.bw}
-
-
-def _compose_ann(x, y):
-    prod, dead = compose_ann(x, y)
-    return prod, {"dead_blocks": dead}
-
-
-def _compose_dann(x, y):
-    prod = compose_deformed_ann(x, y)
-    return prod, {"dead_blocks": compose_ann(x.base, y.base)[1]}
-
+_compose_p = _dead_blocks(_undecorated(compose))
+_compose_decorated = _dead_blocks(cobordisms.compose_decorated)
+_compose_affine = _circles(_undecorated(compose_affine))
+_compose_counted = _circles(annular.compose_decorated)
+_compose_ann = _dead_blocks(compose_ann)
+_compose_dann = _dead_blocks(annular.compose_decorated)
 
 CATEGORIES: dict[str, Category] = {
     "P": Category("P", partition_from_json, partition_to_json, _compose_p),
-    "Pd": Category("Pd", _dec_deformed(False), _enc_deformed, _compose_pd),
-    "Pd-bar": Category("Pd-bar", _dec_deformed(True), _enc_deformed, _compose_pd),
-    "Cob0": Category("Cob0", _dec_labeled(False), _enc_labeled, _compose_labeled),
-    "Cob0-bar": Category("Cob0-bar", _dec_labeled(True), _enc_labeled, _compose_labeled),
-    "Cob": Category("Cob", _dec_cobordism(False), _enc_cobordism, _compose_cob),
-    "Cob-bar": Category("Cob-bar", _dec_cobordism(True), _enc_cobordism, _compose_cob),
+    "Pd": Category("Pd", _dec_deformed(False), _enc_deformed, _compose_decorated),
+    "Pd-bar": Category("Pd-bar", _dec_deformed(True), _enc_deformed, _compose_decorated),
+    "Cob0": Category("Cob0", _dec_labeled(False), _enc_labeled, _compose_decorated),
+    "Cob0-bar": Category("Cob0-bar", _dec_labeled(True), _enc_labeled, _compose_decorated),
+    "Cob": Category("Cob", _dec_cobordism(False), _enc_cobordism, _compose_decorated),
+    "Cob-bar": Category("Cob-bar", _dec_cobordism(True), _enc_cobordism, _compose_decorated),
     "aTLe": Category("aTLe", affine_from_json, affine_to_json, _compose_affine),
-    "aTL": Category("aTL", _dec_pair, _enc_pair, _compose_pair),
-    "aTLd": Category("aTLd", _dec_triple, _enc_triple, _compose_triple),
+    "aTL": Category("aTL", _dec_pair, _enc_pair, _compose_counted),
+    "aTLd": Category("aTLd", _dec_triple, _enc_triple, _compose_counted),
     "Ann": Category("Ann", _dec_ann, _enc_ann, _compose_ann),
     "Annd": Category("Annd", _dec_deformed_ann, _enc_deformed_ann, _compose_dann),
 }

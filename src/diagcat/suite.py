@@ -9,8 +9,10 @@ whose JSON form is versioned as "report_v1".
 The heavier exhaustive checks work symbolically: block labels become
 integer coefficient rows (one slot per formal label plus a constant
 slot), so one comparison of linear forms covers every numeric label
-assignment at once.  Each symbolic composition is spot checked against
-the real composition on sampled assignments to keep the model honest.
+assignment at once.  They run through the production label merge and
+star, with the constant-slot row as the label 1.  Each symbolic
+composition is spot checked against the real composition on sampled
+assignments.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ import numpy as np
 
 from .annular import (
     AffineDiagram,
-    AnnularPartition,
     DeformedAnnular,
     affine_identity,
     affine_power,
     build_ann_monoid,
     compose_affine,
-    compose_ann,
     compose_deformed_ann,
     compose_pair,
     compose_triple,
@@ -72,8 +72,9 @@ from .cobordisms import (
     compose_cobordism,
     compose_deformed,
     compose_labeled,
+    _merge_labels,
+    _star_genus,
     fiber_product_oracle,
-    increment,
     make_cobordism,
     rho,
     sigma,
@@ -108,14 +109,12 @@ from .identities import (
 from .partitions import (
     IN,
     OUT,
-    MergeInfo,
     Partition,
     block_stats,
     compose,
     enumerate_partitions,
     is_idempotent_structurally,
     reflect,
-    reflect_tracked,
 )
 from .sampling import (
     random_affine,
@@ -256,34 +255,7 @@ def check_reflect_star_laws(rng: random.Random, full: bool) -> str:
 
 
 # --------------------------------------------------------------------------
-# symbolic label algebra shared by checks 3 and 5
-
-
-def _merge_row(info: MergeInfo, rows_a, rows_b, width: int):
-    row = np.zeros(width, dtype=np.int64)
-    for i in info.alpha_blocks:
-        row += rows_a[i]
-    for j in info.beta_blocks:
-        row += rows_b[j]
-    row[-1] += increment(
-        len(info.middle), len(info.alpha_blocks), len(info.beta_blocks)
-    )
-    return row
-
-
-def _sym_compose(res, rows_a, rows_b, width: int):
-    """Labels of a traced composition as coefficient rows; returns the
-    live rows aligned with the product blocks and the dead rows."""
-    live = np.zeros((len(res.product.blocks), width), dtype=np.int64)
-    for t, origin in enumerate(res.origins):
-        if isinstance(origin, MergeInfo):
-            live[t] = _merge_row(origin, rows_a, rows_b, width)
-        elif origin[0] == "alpha":
-            live[t] = rows_a[origin[1]]
-        else:
-            live[t] = rows_b[origin[1]]
-    dead = [_merge_row(info, rows_a, rows_b, width) for info in res.dead_blocks]
-    return live, dead
+# 3. labeled composition, symbolically
 
 
 def _rows_key(rows) -> list:
@@ -307,17 +279,18 @@ def check_cobordism_assoc(rng: random.Random, full: bool) -> str:
         rows_a = np.eye(na, width, 0, dtype=np.int64)
         rows_b = np.eye(nb, width, na, dtype=np.int64)
         rows_c = np.eye(nc, width, na + nb, dtype=np.int64)
+        one = np.eye(1, width, width - 1, dtype=np.int64)[0]
 
         r_ab = traced(a, b)
-        live_ab, dead_ab = _sym_compose(r_ab, rows_a, rows_b, width)
+        live_ab, dead_ab = _merge_labels(r_ab, rows_a, rows_b, one)
         r_ab_c = traced(r_ab.product, c)
-        live_l, dead_l = _sym_compose(r_ab_c, live_ab, rows_c, width)
+        live_l, dead_l = _merge_labels(r_ab_c, live_ab, rows_c, one)
         dead_l += dead_ab
 
         r_bc = traced(b, c)
-        live_bc, dead_bc = _sym_compose(r_bc, rows_b, rows_c, width)
+        live_bc, dead_bc = _merge_labels(r_bc, rows_b, rows_c, one)
         r_a_bc = traced(a, r_bc.product)
-        live_r, dead_r = _sym_compose(r_a_bc, rows_a, live_bc, width)
+        live_r, dead_r = _merge_labels(r_a_bc, rows_a, live_bc, one)
         dead_r += dead_bc
 
         _require(
@@ -342,7 +315,7 @@ def check_cobordism_assoc(rng: random.Random, full: bool) -> str:
         predicted_spec = Spectrum(Counter(int(row @ assign) for row in dead_l))
         _require(
             direct.base == r_ab_c.product
-            and direct.genus == tuple(int(v) for v in live_l @ assign)
+            and direct.genus == tuple(int(row @ assign) for row in live_l)
             and direct.spectrum == predicted_spec,
             lambda: f"symbolic model out of step with compose_cobordism at {a!r}, {b!r}, {c!r}",
         )
@@ -410,18 +383,6 @@ def check_regular_star_laws(rng: random.Random, full: bool) -> str:
 # 5. when the labeled stars reverse products
 
 
-def _sym_star(base: Partition, rows):
-    """Star of a symbolic labeled value: reflect the base and send each
-    block label g to -g - v + 2 on the image block with v vertices."""
-    image, moved = reflect_tracked(base)
-    per_block = block_stats(base).per_block
-    out = np.zeros_like(rows)
-    for i, target in moved.items():
-        out[target] = -rows[i]
-        out[target, -1] += 2 - per_block[i].v
-    return image, out
-
-
 def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
     parts = _parts(2, 2)
 
@@ -431,13 +392,14 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
         width = na + nb + 1
         rows_a = np.eye(na, width, 0, dtype=np.int64)
         rows_b = np.eye(nb, width, na, dtype=np.int64)
+        one = np.eye(1, width, width - 1, dtype=np.int64)[0]
         r_ab = compose(a, b)
-        live, _ = _sym_compose(r_ab, rows_a, rows_b, width)
-        star_base, star_rows = _sym_star(r_ab.product, live)
-        b_base, b_rows = _sym_star(b, rows_b)
-        a_base, a_rows = _sym_star(a, rows_a)
+        live, _ = _merge_labels(r_ab, rows_a, rows_b, one)
+        star_base, star_rows = _star_genus(r_ab.product, live, one)
+        b_base, b_rows = _star_genus(b, rows_b, one)
+        a_base, a_rows = _star_genus(a, rows_a, one)
         r_rev = compose(b_base, a_base)
-        live_rev, _ = _sym_compose(r_rev, b_rows, a_rows, width)
+        live_rev, _ = _merge_labels(r_rev, b_rows, a_rows, one)
         _require(
             star_base == r_rev.product and np.array_equal(star_rows, live_rev),
             lambda: f"(xy)* != y* x* symbolically over bases {a!r}, {b!r}",
@@ -454,7 +416,7 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
         )
         _require(
             lhs.base == star_base
-            and lhs.genus == tuple(int(v) for v in star_rows @ assign),
+            and lhs.genus == tuple(int(row @ assign) for row in star_rows),
             lambda: f"symbolic star model out of step with star_labeled at {a!r}, {b!r}",
         )
 

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from diagcat import (
+    DeformedAnnular,
     affine_identity,
     affine_power,
     build_ann_monoid,
     compose_affine,
+    compose_deformed_ann,
     compose_pair,
     compose_triple,
     cup_cap,
@@ -21,10 +23,11 @@ from diagcat import (
     sigma_affine,
     zeta,
 )
-from diagcat.annular import IN, OUT
+from diagcat.annular import IN, OUT, star_deformed_ann, star_pair, star_triple
 from diagcat.errors import (
     CrossingError,
     NegativeLabel,
+    NotRegular,
     RangeError,
     RankZero,
     UnmatchedPoint,
@@ -166,3 +169,30 @@ def test_rank_one_idempotent_census():
         if d.rank == 1 and compose_affine(d, d).product == d
     ]
     assert len(idems) == 9
+
+
+def _deformed_shadow(rng, n, regular=False):
+    k = rng.randint(-3 if regular else 0, 3)
+    return DeformedAnnular(project_to_ann(random_affine(rng, n)), k, regular)
+
+
+@pytest.mark.parametrize(
+    "sample, star, mul",
+    [
+        (random_pair, star_pair, compose_pair),
+        (random_triple, star_triple, compose_triple),
+        (_deformed_shadow, star_deformed_ann, compose_deformed_ann),
+    ],
+    ids=["pair", "triple", "deformed-shadow"],
+)
+def test_regular_star_laws_on_annular_families(sample, star, mul):
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        for _ in range(150):
+            x = sample(rng, n, regular=True)
+            xs = star(x)
+            assert star(xs) == x
+            assert mul(mul(x, xs), x) == x
+            assert mul(mul(xs, x), xs) == xs
+        with pytest.raises(NotRegular):
+            star(sample(rng, n))

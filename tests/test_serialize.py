@@ -1,10 +1,27 @@
 import random
+import sys
 
 import pytest
 
 from diagcat import CATEGORIES, decode, encode
-from diagcat.annular import DeformedAnnular, project_to_ann
+from diagcat.annular import (
+    AffineDiagram,
+    DeformedAnnular,
+    compose_affine,
+    compose_ann,
+    compose_deformed_ann,
+    compose_pair,
+    compose_triple,
+    project_to_ann,
+)
+from diagcat.cobordisms import (
+    compose_cobordism,
+    compose_deformed,
+    compose_labeled,
+    to_labeled,
+)
 from diagcat.errors import ParseError
+from diagcat.partitions import Partition, compose
 from diagcat.sampling import (
     random_affine,
     random_cobordism,
@@ -14,30 +31,41 @@ from diagcat.sampling import (
     random_triple,
 )
 
+ANNULAR = {"aTLe", "aTL", "aTLd", "Ann", "Annd"}
 
-def _sample(rng, name):
-    m, n = rng.randint(0, 3), rng.randint(0, 3)
-    w = rng.randint(1, 3)
+
+def _shape(rng, name):
+    """Layer sizes (l, m, n) of a composable pair; annular values are
+    square, of width 1 to 3."""
+    if name in ANNULAR:
+        return (rng.randint(1, 3),) * 3
+    return tuple(rng.randint(0, 3) for _ in range(3))
+
+
+def _regular(rng, name):
+    return name.endswith("bar") or (name in ("aTL", "aTLd", "Annd") and rng.random() < 0.5)
+
+
+def _sample(rng, name, m, n, regular):
     if name == "P":
         return random_partition(rng, m, n)
     if name in ("Pd", "Pd-bar"):
-        return random_deformed(rng, m, n, regular=name.endswith("bar"))
+        return random_deformed(rng, m, n, regular=regular)
     if name in ("Cob0", "Cob0-bar"):
-        from diagcat.cobordisms import to_labeled
-
-        return to_labeled(random_cobordism(rng, m, n, regular=name.endswith("bar")))
+        return to_labeled(random_cobordism(rng, m, n, regular=regular))
     if name in ("Cob", "Cob-bar"):
-        return random_cobordism(rng, m, n, regular=name.endswith("bar"))
+        return random_cobordism(rng, m, n, regular=regular)
     if name == "aTLe":
-        return random_affine(rng, w)
+        return random_affine(rng, m)
     if name == "aTL":
-        return random_pair(rng, w)
+        return random_pair(rng, m, regular=regular)
     if name == "aTLd":
-        return random_triple(rng, w)
+        return random_triple(rng, m, regular=regular)
+    shadow = project_to_ann(random_affine(rng, m))
     if name == "Ann":
-        return project_to_ann(random_affine(rng, w))
+        return shadow
     if name == "Annd":
-        return DeformedAnnular(project_to_ann(random_affine(rng, w)), 0, False)
+        return DeformedAnnular(shadow, rng.randint(-3 if regular else 0, 3), regular)
     raise AssertionError(name)
 
 
@@ -45,7 +73,8 @@ def _sample(rng, name):
 def test_round_trip(name):
     rng = random.Random(sum(map(ord, name)))
     for _ in range(40):
-        x = _sample(rng, name)
+        _, m, n = _shape(rng, name)
+        x = _sample(rng, name, m, n, _regular(rng, name))
         assert decode(name, encode(name, x)) == x
 
 
@@ -58,29 +87,145 @@ def test_decode_rejects_garbage():
         decode("aTLe", {"m": 1, "n": 1, "partners": [{"from": {}}]})
 
 
+def _cup(index=1, offset=0):
+    """A [1] ~> [1] object that every category decodes: one block
+    {in1 out1} for the partition families, in1 partnered with out1 for
+    the affine ones.  index and offset replace the index of in1 and its
+    partner offset."""
+    partners = [
+        {
+            "from": {"side": "in", "index": index},
+            "to": {"offset": offset, "side": "out", "index": 1},
+        },
+        {
+            "from": {"side": "out", "index": 1},
+            "to": {"offset": 0, "side": "in", "index": 1},
+        },
+    ]
+    blocks = [[{"side": "in", "index": index}, {"side": "out", "index": 1}]]
+    genus = {"in1": 0}
+    return {"m": 1, "n": 1, "blocks": blocks, "partners": partners, "genus": genus, "k": 0}
+
+
 @pytest.mark.parametrize("index", [1.9, 1.0, True, "1", None])
-@pytest.mark.parametrize("name", ["P", "Pd", "Cob", "Ann"])
+@pytest.mark.parametrize("name", ["P", "Pd", "Cob", "Ann", "aTLe", "aTL", "aTLd"])
 def test_partition_decoders_reject_non_integer_indices(name, index):
-    obj = {
-        "m": 1,
-        "n": 1,
-        "blocks": [[{"side": "in", "index": index}, {"side": "out", "index": 1}]],
-    }
+    decode(name, _cup())
+    with pytest.raises(ParseError):
+        decode(name, _cup(index=index))
+
+
+@pytest.mark.parametrize("value", [2.7, 1.0, True, "2", None])
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("P", "m"),
+        ("P", "n"),
+        ("aTLe", "m"),
+        ("aTLe", "offset"),
+        ("Pd", "shift"),
+        ("Cob0", "genus"),
+        ("Cob", "spectrum"),
+        ("aTL", "k"),
+        ("aTLd", "k0"),
+        ("Annd", "k"),
+    ],
+)
+def test_decoders_reject_non_integer_scalar_fields(name, field, value):
+    obj = _cup()
+    if field == "offset":
+        obj = _cup(offset=value)
+    elif field == "genus":
+        obj["genus"] = {"in1": value}
+    elif field == "spectrum":
+        obj["spectrum"] = {"2": value}
+    else:
+        obj[field] = value
     with pytest.raises(ParseError):
         decode(name, obj)
 
 
+@pytest.mark.parametrize("name", ["aTL", "aTLd", "Annd", "Pd", "Cob0-bar", "Cob"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_regular_must_be_a_boolean(name, value):
+    with pytest.raises(ParseError):
+        decode(name, {**_cup(), "regular": value})
+
+
+@pytest.mark.parametrize("name", ["Pd", "Pd-bar", "Cob0", "Cob0-bar", "Cob", "Cob-bar"])
+def test_regular_must_match_the_category_name(name):
+    regular = name.endswith("-bar")
+    assert decode(name, _cup()).regular is regular
+    assert decode(name, {**_cup(), "regular": regular}).regular is regular
+    with pytest.raises(ParseError):
+        decode(name, {**_cup(), "regular": not regular})
+
+
+@pytest.mark.parametrize("name", ["aTL", "aTLd", "Annd"])
+def test_regular_defaults_to_false_where_the_name_leaves_it_open(name):
+    assert decode(name, _cup()).regular is False
+    assert decode(name, {**_cup(), "regular": True}).regular is True
+
+
+PUBLIC_COMPOSE = {
+    "P": lambda x, y: compose(x, y).product,
+    "Pd": compose_deformed,
+    "Pd-bar": compose_deformed,
+    "Cob0": compose_labeled,
+    "Cob0-bar": compose_labeled,
+    "Cob": compose_cobordism,
+    "Cob-bar": compose_cobordism,
+    "aTLe": lambda x, y: compose_affine(x, y).product,
+    "aTL": compose_pair,
+    "aTLd": compose_triple,
+    "Ann": lambda x, y: compose_ann(x, y)[0],
+    "Annd": compose_deformed_ann,
+}
+
+
+def _bare(x):
+    """The partition or affine diagram under a value of any family."""
+    while not isinstance(x, (Partition, AffineDiagram)):
+        x = x.skeleton if hasattr(x, "skeleton") else x.base
+    return x
+
+
+def _base_compositions(fn, *args):
+    """fn(*args) and the number of calls it made into partitions.compose
+    and compose_affine, however the caller holds them."""
+    codes = {compose.__code__, compose_affine.__code__}
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return out, calls
+
+
 def test_compose_through_category_table():
     rng = random.Random(9)
-    for name in ("P", "Cob", "aTLe", "Ann"):
-        cat = CATEGORIES[name]
+    assert set(PUBLIC_COMPOSE) == set(CATEGORIES)
+    for name, cat in CATEGORIES.items():
         for _ in range(20):
-            x = _sample(rng, name)
-            y = _sample(rng, name)
-            sx = (x.m, x.n) if hasattr(x, "m") else (x.base.m, x.base.n)
-            sy = (y.m, y.n) if hasattr(y, "m") else (y.base.m, y.base.n)
-            if sx[1] != sy[0]:
-                continue
-            product, diag = cat.compose(x, y)
+            l, m, n = _shape(rng, name)
+            regular = _regular(rng, name)
+            x = _sample(rng, name, l, m, regular)
+            y = _sample(rng, name, m, n, regular)
+            (product, diag), calls = _base_compositions(cat.compose, x, y)
+            assert calls == 1, name
+            bx, by = _bare(x), _bare(y)
+            if isinstance(bx, Partition):
+                assert diag == {"dead_blocks": compose(bx, by).b}
+            else:
+                res = compose_affine(bx, by)
+                assert diag == {"b0": res.b0, "bw": res.bw}
+            assert product == PUBLIC_COMPOSE[name](x, y)
             assert decode(name, encode(name, product)) == product
-            assert isinstance(diag, dict) and diag
