@@ -28,7 +28,6 @@ leaving an ordinary partition arrow.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -366,8 +365,7 @@ def affine_power(a: AffineDiagram, k: int) -> AffineDiagram:
 
 # -- decorated variants ------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffinePair:
+class AffinePair(NamedTuple):
     """Diagram plus the count k of wrapping circles."""
 
     skeleton: AffineDiagram
@@ -375,8 +373,7 @@ class AffinePair:
     regular: bool = False
 
 
-@dataclass(frozen=True)
-class AffineTriple:
+class AffineTriple(NamedTuple):
     """Diagram plus wrapping (k) and contractible (k0) circle counts."""
 
     skeleton: AffineDiagram
@@ -487,15 +484,12 @@ def _mirror(x, diagram_map, partition_map):
     shadow bases; the counters k, k0 and the regularity flag stay put."""
     if isinstance(x, AffineDiagram):
         return diagram_map(x)
-    if isinstance(x, AffinePair):
-        return AffinePair(diagram_map(x.skeleton), x.k, x.regular)
-    if isinstance(x, AffineTriple):
-        return AffineTriple(diagram_map(x.skeleton), x.k, x.k0, x.regular)
+    if isinstance(x, (AffinePair, AffineTriple)):
+        return x._replace(skeleton=diagram_map(x.skeleton))
     if isinstance(x, AnnularPartition):
-        return AnnularPartition(partition_map(x.base))
+        return x._replace(base=partition_map(x.base))
     if isinstance(x, DeformedAnnular):
-        base = _mirror(x.base, diagram_map, partition_map)
-        return DeformedAnnular(base, x.k, x.regular)
+        return x._replace(base=_mirror(x.base, diagram_map, partition_map))
     raise TypeError(f"no involution for {type(x).__name__}")
 
 
@@ -511,8 +505,7 @@ def rho_affine(x):
 
 # -- annular quotients -------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnnularPartition:
+class AnnularPartition(NamedTuple):
     """Partition arrow that arises as the shadow of an affine diagram."""
 
     base: Partition
@@ -525,8 +518,7 @@ class AnnularPartition:
         return compose_ann(self, other)[0]
 
 
-@dataclass(frozen=True)
-class DeformedAnnular:
+class DeformedAnnular(NamedTuple):
     base: AnnularPartition
     k: int
     regular: bool = False

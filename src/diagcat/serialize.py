@@ -7,26 +7,33 @@ Schemas:
 * decorated variants add flat fields: "shift", "genus" (keyed by the least
   vertex of each block), "spectrum" (genus -> count), "k", "k0", "regular".
 
-Every number must be a JSON integer and "regular" a JSON boolean; anything
-else raises ParseError.  A missing "regular" means non-regular, except in
-Pd-bar, Cob0-bar and Cob-bar, which are regular by name.  In these three
-and in Pd, Cob0 and Cob, a "regular" that contradicts the name is an error.
+Every number must be a JSON integer, every side "in" or "out", "regular" a
+JSON boolean, and "genus" and "spectrum" JSON objects with canonical ASCII
+keys: "in<i>"/"out<i>" with no leading zeros, and genera in shortest
+decimal form ("0", "3", "-2").  Anything else raises ParseError.
+
+CATEGORIES holds one Category row per category, and the CLI, the benchmark
+and the law tests know the families only through it: adding a family is
+one row plus its codec.  X holds non-regular values and X-bar regular ones;
+P, aTLe and Ann are regular (their star is total); aTL, aTLd and Annd take
+both.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
-from . import annular, cobordisms
+from . import annular, cobordisms, sampling
 from .errors import NegativeLabel, ParseError
-from .partitions import IN, OUT, Partition, Vertex, compose, make_partition
+from .partitions import IN, OUT, Partition, Vertex, compose, make_partition, reflect
 from .cobordisms import (
     Cobordism,
     DeformedPartition,
     LabeledPartition,
     Spectrum,
     make_cobordism,
+    to_labeled,
 )
 from .annular import (
     AffineDiagram,
@@ -39,6 +46,7 @@ from .annular import (
     make_affine,
     make_pair,
     make_triple,
+    project_to_ann,
 )
 
 __all__ = [
@@ -55,7 +63,9 @@ __all__ = [
 ]
 
 _SIDE_NAME = {IN: "in", OUT: "out"}
-_VKEY = re.compile(r"(in|out)(\d+)")
+_SIDE = {"in": IN, "out": OUT}
+_VKEY = re.compile(r"(?P<side>in|out)(?P<number>[1-9][0-9]*)")
+_GKEY = re.compile(r"(?P<number>0|-?[1-9][0-9]*)")
 
 
 def _vertex_json(v: Vertex) -> dict:
@@ -69,22 +79,26 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _regular(d: dict, fixed: bool | None = None) -> bool:
-    """The "regular" field, a JSON boolean.  A category that fixes it by
-    name passes that value as fixed: it is then the default, and any other
-    value is an error."""
-    value = d.get("regular", bool(fixed))
-    if not isinstance(value, bool):
-        raise ParseError(f"regular must be a boolean, not {value!r}")
-    if fixed is not None and value != fixed:
-        raise ParseError(f"regular is {value} in a category where it is {fixed}")
+def _object(value, what: str) -> dict:
+    """A JSON object; an array, string, number or null raises ParseError."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, not {value!r}")
     return value
+
+
+def _key(pattern: re.Pattern, key, what: str) -> tuple[re.Match, int]:
+    """The match of a canonical ASCII key and its number, or ParseError."""
+    m = pattern.fullmatch(key) if isinstance(key, str) else None
+    try:
+        return m, int(m["number"])
+    except (TypeError, ValueError) as exc:  # no match, or too long for int()
+        raise ParseError(f"bad {what} key {key!r}") from exc
 
 
 def _vertex_from_json(d: dict) -> tuple[int, int]:
     """A vertex object as a (side, index) pair."""
     try:
-        side = {"in": IN, "out": OUT}[d["side"]]
+        side = _SIDE[d["side"]]
         index = d["index"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad vertex object {d!r}") from exc
@@ -93,13 +107,6 @@ def _vertex_from_json(d: dict) -> tuple[int, int]:
 
 def _vertex_key(v: Vertex) -> str:
     return f"{_SIDE_NAME[v.side]}{v.index}"
-
-
-def _vertex_from_key(key: str) -> Vertex:
-    m = _VKEY.fullmatch(key)
-    if not m:
-        raise ParseError(f"bad vertex key {key!r}")
-    return Vertex(IN if m.group(1) == "in" else OUT, int(m.group(2)))
 
 
 def partition_to_json(p: Partition) -> dict:
@@ -123,10 +130,8 @@ def spectrum_to_json(s: Spectrum) -> dict:
 
 
 def spectrum_from_json(d: dict) -> Spectrum:
-    try:
-        return Spectrum({int(g): _int(c, "spectrum count") for g, c in d.items()})
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad spectrum object {d!r}") from exc
+    items = _object(d, "spectrum").items()
+    return Spectrum({_key(_GKEY, g, "spectrum")[1]: _int(c, "spectrum count") for g, c in items})
 
 
 def _genus_to_json(base: Partition, genus) -> dict:
@@ -137,8 +142,9 @@ def _genus_to_json(base: Partition, genus) -> dict:
 
 def _genus_from_json(base: Partition, d: dict):
     lookup = {}
-    for key, g in d.items():
-        lookup[_vertex_from_key(key)] = _int(g, "genus")
+    for key, g in _object(d, "genus").items():
+        m, index = _key(_VKEY, key, "genus")
+        lookup[Vertex(_SIDE[m["side"]], index)] = _int(g, "genus")
     out = []
     for block in base.blocks:
         anchor = block[0]
@@ -170,53 +176,65 @@ def affine_to_json(a: AffineDiagram) -> dict:
 
 def affine_from_json(d: dict) -> AffineDiagram:
     try:
-        table = {}
-        for entry in d["partners"]:
-            src = entry["from"]
-            dst = entry["to"]
-            table[(src["side"], _int(src["index"], "index"))] = (
-                _int(dst["offset"], "offset"),
-                dst["side"],
-                _int(dst["index"], "index"),
+        partners = [
+            (
+                _vertex_from_json(entry["from"]),
+                (_int(entry["to"]["offset"], "offset"), *_vertex_from_json(entry["to"])),
             )
-        return make_affine(_int(d["m"], "m"), _int(d["n"], "n"), table)
-    except (KeyError, TypeError, ValueError) as exc:
+            for entry in d["partners"]
+        ]
+        m, n = _int(d["m"], "m"), _int(d["n"], "n")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad affine object: {exc}") from exc
+    return make_affine(m, n, partners)
 
 
-# -- per-category plumbing ---------------------------------------------------
+# -- the category table ------------------------------------------------------
 
 class Category(NamedTuple):
+    """One row of the category table."""
+
     name: str
-    decode: Callable
-    encode: Callable
-    compose: Callable  # (x, y) -> (product, diagnostics dict)
+    read: Callable  # (JSON object, its regular flag) -> value
+    encode: Callable  # value -> JSON object
+    compose: Callable  # (x, y) -> (product, dead blocks or circles b0/bw made)
+    regularities: tuple[bool, ...]  # flags its values take; a missing one means the first
+    square: bool  # every value is [n] ~> [n]
+    sample: Callable  # (rng, m, n, regular) -> random value [m] ~> [n]
+    sigma: Callable  # reflection, an involutive anti-automorphism
+    rho: Callable  # half-turn, an involutive anti-automorphism
+    star: Callable  # x x* x == x, x* x x* == x*; NotRegular on non-regular values
+    quotients: Mapping[str, Callable]  # target name -> homomorphism commuting with sigma, rho
+
+    def decode(self, obj):
+        """The value that the JSON object obj encodes."""
+        regular = _object(obj, f"{self.name} value").get("regular", self.regularities[0])
+        if not isinstance(regular, bool) or regular not in self.regularities:
+            raise ParseError(f"{self.name} takes regular in {self.regularities}, not {regular!r}")
+        return self.read(obj, regular)
 
 
-def _dec_deformed(regular):
-    def dec(d):
-        p = partition_from_json(d)
-        shift = _int(d.get("shift", 0), "shift")
-        _regular(d, regular)
-        if not regular and shift < 0:
-            raise NegativeLabel("negative shift in non-regular value")
-        return DeformedPartition(p, shift, regular)
-
-    return dec
+def _read_deformed(d: dict, regular: bool) -> DeformedPartition:
+    p = partition_from_json(d)
+    shift = _int(d.get("shift", 0), "shift")
+    if not regular and shift < 0:
+        raise NegativeLabel("negative shift in non-regular value")
+    return DeformedPartition(p, shift, regular)
 
 
 def _enc_deformed(x: DeformedPartition) -> dict:
     return {**partition_to_json(x.base), "shift": x.s, "regular": x.regular}
 
 
-def _dec_labeled(regular):
-    def dec(d):
-        p = partition_from_json(d)
-        genus = _genus_from_json(p, d.get("genus", {}))
-        cob = make_cobordism(p, genus, (), _regular(d, regular))
-        return LabeledPartition(cob.base, cob.genus, regular)
+def _read_cobordism(d: dict, regular: bool) -> Cobordism:
+    p = partition_from_json(d)
+    genus = _genus_from_json(p, d.get("genus", {}))
+    return make_cobordism(p, genus, spectrum_from_json(d.get("spectrum", {})), regular)
 
-    return dec
+
+def _read_labeled(d: dict, regular: bool) -> LabeledPartition:
+    """A cobordism with an empty spectrum; a "spectrum" field is ignored."""
+    return to_labeled(_read_cobordism({**d, "spectrum": {}}, regular))
 
 
 def _enc_labeled(x: LabeledPartition) -> dict:
@@ -227,35 +245,21 @@ def _enc_labeled(x: LabeledPartition) -> dict:
     }
 
 
-def _dec_cobordism(regular):
-    def dec(d):
-        p = partition_from_json(d)
-        genus = _genus_from_json(p, d.get("genus", {}))
-        spectrum = spectrum_from_json(d.get("spectrum", {}))
-        return make_cobordism(p, genus, spectrum, _regular(d, regular))
-
-    return dec
-
-
 def _enc_cobordism(x: Cobordism) -> dict:
     return {**_enc_labeled(x), "spectrum": spectrum_to_json(x.spectrum)}
 
 
-def _dec_pair(d):
-    return make_pair(affine_from_json(d), _int(d.get("k", 0), "k"), _regular(d))
+def _read_pair(d: dict, regular: bool) -> AffinePair:
+    return make_pair(affine_from_json(d), _int(d.get("k", 0), "k"), regular)
 
 
 def _enc_pair(x: AffinePair) -> dict:
     return {**affine_to_json(x.skeleton), "k": x.k, "regular": x.regular}
 
 
-def _dec_triple(d):
-    return make_triple(
-        affine_from_json(d),
-        _int(d.get("k", 0), "k"),
-        _int(d.get("k0", 0), "k0"),
-        _regular(d),
-    )
+def _read_triple(d: dict, regular: bool) -> AffineTriple:
+    k, k0 = _int(d.get("k", 0), "k"), _int(d.get("k0", 0), "k0")
+    return make_triple(affine_from_json(d), k, k0, regular)
 
 
 def _enc_triple(x: AffineTriple) -> dict:
@@ -267,74 +271,118 @@ def _enc_triple(x: AffineTriple) -> dict:
     }
 
 
-def _dec_ann(d):
-    return AnnularPartition(partition_from_json(d))
-
-
 def _enc_ann(x: AnnularPartition) -> dict:
     return {**partition_to_json(x.base), "annular": True}
 
 
-def _dec_deformed_ann(d):
-    return DeformedAnnular(_dec_ann(d), _int(d.get("k", 0), "k"), _regular(d))
+def _read_deformed_ann(d: dict, regular: bool) -> DeformedAnnular:
+    shadow = AnnularPartition(partition_from_json(d))
+    k = _int(d.get("k", 0), "k")
+    if not regular and k < 0:
+        raise NegativeLabel("negative circle count in non-regular value")
+    return DeformedAnnular(shadow, k, regular)
 
 
 def _enc_deformed_ann(x: DeformedAnnular) -> dict:
     return {**_enc_ann(x.base), "k": x.k, "regular": x.regular}
 
 
+def _sample_deformed_shadow(rng, m, n, regular) -> DeformedAnnular:
+    shadow = project_to_ann(sampling.random_affine(rng, m))
+    return DeformedAnnular(shadow, rng.randint(-3 if regular else 0, 3), regular)
+
+
 def _undecorated(compose_base):
     """P and aTLe: the product is the base composition's own."""
-
-    def traced(x, y):
-        res = compose_base(x, y)
-        return res.product, res
-
-    return traced
+    return lambda x, y: ((res := compose_base(x, y)).product, res)
 
 
-def _dead_blocks(traced):
-    """The table composer of a family over partition bases: its product
-    and the dead blocks of the one base composition it was built from."""
+def _table_compose(traced, diagnostics):
+    """The table composer: the product of traced and the diagnostics read
+    off the one base composition it was built from."""
 
     def compose_(x, y):
         product, res = traced(x, y)
-        return product, {"dead_blocks": res.b}
+        return product, diagnostics(res)
 
     return compose_
 
 
-def _circles(traced):
-    """The table composer of a family over affine skeletons: its product
-    and the circles closed by the one base composition it was built from."""
-
-    def compose_(x, y):
-        product, res = traced(x, y)
-        return product, {"b0": res.b0, "bw": res.bw}
-
-    return compose_
+def _dead_blocks(res) -> dict:
+    return {"dead_blocks": res.b}
 
 
-_compose_p = _dead_blocks(_undecorated(compose))
-_compose_decorated = _dead_blocks(cobordisms.compose_decorated)
-_compose_affine = _circles(_undecorated(compose_affine))
-_compose_counted = _circles(annular.compose_decorated)
-_compose_ann = _dead_blocks(compose_ann)
-_compose_dann = _dead_blocks(annular.compose_decorated)
+def _circles(res) -> dict:
+    return {"b0": res.b0, "bw": res.bw}
+
+
+def _partition_rows(name, read, encode, sample, star, quotients):
+    """Rows X (non-regular values) and X-bar (regular ones) of a decorated
+    family over partitions; a quotient to Y gives X -> Y and X-bar -> Y-bar."""
+    compose_ = _table_compose(cobordisms.compose_decorated, _dead_blocks)
+    return {
+        name + bar: Category(
+            name + bar, read, encode, compose_, (regular,), False, sample,
+            cobordisms.sigma, cobordisms.rho, star, {y + bar: q for y, q in quotients.items()},
+        )
+        for bar, regular in (("", False), ("-bar", True))
+    }
+
 
 CATEGORIES: dict[str, Category] = {
-    "P": Category("P", partition_from_json, partition_to_json, _compose_p),
-    "Pd": Category("Pd", _dec_deformed(False), _enc_deformed, _compose_decorated),
-    "Pd-bar": Category("Pd-bar", _dec_deformed(True), _enc_deformed, _compose_decorated),
-    "Cob0": Category("Cob0", _dec_labeled(False), _enc_labeled, _compose_decorated),
-    "Cob0-bar": Category("Cob0-bar", _dec_labeled(True), _enc_labeled, _compose_decorated),
-    "Cob": Category("Cob", _dec_cobordism(False), _enc_cobordism, _compose_decorated),
-    "Cob-bar": Category("Cob-bar", _dec_cobordism(True), _enc_cobordism, _compose_decorated),
-    "aTLe": Category("aTLe", affine_from_json, affine_to_json, _compose_affine),
-    "aTL": Category("aTL", _dec_pair, _enc_pair, _compose_counted),
-    "aTLd": Category("aTLd", _dec_triple, _enc_triple, _compose_counted),
-    "Ann": Category("Ann", _dec_ann, _enc_ann, _compose_ann),
-    "Annd": Category("Annd", _dec_deformed_ann, _enc_deformed_ann, _compose_dann),
+    "P": Category(
+        "P", lambda d, regular: partition_from_json(d), partition_to_json,
+        _table_compose(_undecorated(compose), _dead_blocks), (True,), False,
+        lambda rng, m, n, regular: sampling.random_partition(rng, m, n),
+        cobordisms.sigma, cobordisms.rho, reflect, {},
+    ),
+    **_partition_rows(
+        "Pd", _read_deformed, _enc_deformed,
+        lambda rng, m, n, regular: sampling.random_deformed(rng, m, n, regular=regular),
+        cobordisms.star_deformed, {},
+    ),
+    **_partition_rows(
+        "Cob0", _read_labeled, _enc_labeled,
+        lambda rng, m, n, regular: to_labeled(
+            sampling.random_cobordism(rng, m, n, regular=regular)
+        ),
+        cobordisms.star_labeled, {},
+    ),
+    **_partition_rows(
+        "Cob", _read_cobordism, _enc_cobordism,
+        lambda rng, m, n, regular: sampling.random_cobordism(rng, m, n, regular=regular),
+        cobordisms.star_cobordism, {"Cob0": to_labeled, "Pd": cobordisms.to_deformed},
+    ),
+    "aTLe": Category(
+        "aTLe", lambda d, regular: affine_from_json(d), affine_to_json,
+        _table_compose(_undecorated(compose_affine), _circles), (True,), True,
+        lambda rng, m, n, regular: sampling.random_affine(rng, m),
+        annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {"Ann": project_to_ann},
+    ),
+    "aTL": Category(
+        "aTL", _read_pair, _enc_pair, _table_compose(annular.compose_decorated, _circles),
+        (False, True), True,
+        lambda rng, m, n, regular: sampling.random_pair(rng, m, regular=regular),
+        annular.sigma_affine, annular.rho_affine, annular.star_pair, {},
+    ),
+    "aTLd": Category(
+        "aTLd", _read_triple, _enc_triple, _table_compose(annular.compose_decorated, _circles),
+        (False, True), True,
+        lambda rng, m, n, regular: sampling.random_triple(rng, m, regular=regular),
+        annular.sigma_affine, annular.rho_affine, annular.star_triple, {},
+    ),
+    "Ann": Category(
+        "Ann", lambda d, regular: AnnularPartition(partition_from_json(d)), _enc_ann,
+        _table_compose(compose_ann, _dead_blocks), (True,), True,
+        lambda rng, m, n, regular: project_to_ann(sampling.random_affine(rng, m)),
+        annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {},
+    ),
+    "Annd": Category(
+        "Annd", _read_deformed_ann, _enc_deformed_ann,
+        _table_compose(annular.compose_decorated, _dead_blocks), (False, True), True,
+        _sample_deformed_shadow,
+        annular.sigma_affine, annular.rho_affine, annular.star_deformed_ann, {},
+    ),
 }
 
 

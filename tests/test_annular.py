@@ -3,12 +3,10 @@ import random
 import pytest
 
 from diagcat import (
-    DeformedAnnular,
     affine_identity,
     affine_power,
     build_ann_monoid,
     compose_affine,
-    compose_deformed_ann,
     compose_pair,
     compose_triple,
     cup_cap,
@@ -18,21 +16,19 @@ from diagcat import (
     make_pair,
     make_triple,
     project_to_ann,
-    rho_affine,
     shift_gap,
     sigma_affine,
     zeta,
 )
-from diagcat.annular import IN, OUT, star_deformed_ann, star_pair, star_triple
+from diagcat.annular import IN, OUT
 from diagcat.errors import (
     CrossingError,
     NegativeLabel,
-    NotRegular,
     RangeError,
     RankZero,
     UnmatchedPoint,
 )
-from diagcat.sampling import random_affine, random_pair, random_triple
+from diagcat.sampling import random_affine
 
 
 def test_generators_have_expected_shapes():
@@ -119,36 +115,11 @@ def test_pair_wrap_counter():
         make_pair(wrap, -1, False)  # negative count needs the regular tower
 
 
-def test_pair_and_triple_associativity():
-    rng = random.Random(1)
-    for _ in range(200):
-        n = rng.randint(1, 3)
-        x, y, z = (random_pair(rng, n) for _ in range(3))
-        assert compose_pair(compose_pair(x, y), z) == compose_pair(x, compose_pair(y, z))
-        t, u, v = (random_triple(rng, n) for _ in range(3))
-        assert compose_triple(compose_triple(t, u), v) == compose_triple(
-            t, compose_triple(u, v)
-        )
-
-
 def test_triple_counts_contractible_circles():
     cc = cup_cap(2, 1)
     t = make_triple(cc, 0, 0, False)
     r = compose_triple(t, t)
     assert r.k0 == 1 and r.k == 0 and r.skeleton == cc
-
-
-def test_involutions_on_affine_families():
-    rng = random.Random(2)
-    for _ in range(100):
-        a = random_affine(rng, rng.randint(1, 3))
-        b = random_affine(rng, a.n)
-        for inv in (sigma_affine, rho_affine):
-            assert inv(inv(a)) == a
-            assert (
-                inv(compose_affine(a, b).product)
-                == compose_affine(inv(b), inv(a)).product
-            )
 
 
 def test_ann3_monoid_structure():
@@ -169,30 +140,3 @@ def test_rank_one_idempotent_census():
         if d.rank == 1 and compose_affine(d, d).product == d
     ]
     assert len(idems) == 9
-
-
-def _deformed_shadow(rng, n, regular=False):
-    k = rng.randint(-3 if regular else 0, 3)
-    return DeformedAnnular(project_to_ann(random_affine(rng, n)), k, regular)
-
-
-@pytest.mark.parametrize(
-    "sample, star, mul",
-    [
-        (random_pair, star_pair, compose_pair),
-        (random_triple, star_triple, compose_triple),
-        (_deformed_shadow, star_deformed_ann, compose_deformed_ann),
-    ],
-    ids=["pair", "triple", "deformed-shadow"],
-)
-def test_regular_star_laws_on_annular_families(sample, star, mul):
-    rng = random.Random(3)
-    for n in (1, 2, 3):
-        for _ in range(150):
-            x = sample(rng, n, regular=True)
-            xs = star(x)
-            assert star(xs) == x
-            assert mul(mul(x, xs), x) == x
-            assert mul(mul(xs, x), xs) == xs
-        with pytest.raises(NotRegular):
-            star(sample(rng, n))

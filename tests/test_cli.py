@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from diagcat import CATEGORIES, cup_cap, identity_partition, zeta
+from diagcat import CATEGORIES, cup_cap, identity_partition, make_cobordism, zeta
 from diagcat.cli import main
 
 
@@ -65,6 +65,19 @@ def test_compose_validation_failure_exits_3(tmp_path, capsys):
     a = _write(tmp_path, "x.json", crossing)
     b = _write(tmp_path, "cc.json", CATEGORIES["aTLe"].encode(cup_cap(2, 1)))
     assert main(["compose", "aTLe", a, b]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("spectrum", [1]), ("genus", "in1"), ("side", "up")])
+def test_compose_malformed_value_exits_2(tmp_path, capsys, field, value):
+    if field == "side":
+        category, obj = "aTLe", CATEGORIES["aTLe"].encode(cup_cap(2, 1))
+        obj["partners"][0]["to"]["side"] = value
+    else:
+        cob = make_cobordism(identity_partition(1), (0,))
+        category, obj = "Cob", {**CATEGORIES["Cob"].encode(cob), field: value}
+    path = _write(tmp_path, "bad.json", obj)
+    assert main(["compose", category, path, path]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -1,0 +1,104 @@
+"""The laws of every row of the category table, for each regularity it
+admits: associativity, sigma and rho (involutive, product-reversing), the
+star (involutive, both sandwich laws, NotRegular on non-regular values), the
+codec round trip, and each quotient map (a homomorphism commuting with sigma
+and rho)."""
+
+import functools
+import random
+
+import pytest
+
+from diagcat import CATEGORIES, decode, encode
+from diagcat.errors import NotRegular
+
+SAMPLES = 200
+
+CASES = [
+    pytest.param(name, regular, id=f"{name}-{'regular' if regular else 'nonregular'}")
+    for name, cat in CATEGORIES.items()
+    for regular in cat.regularities
+]
+
+QUOTIENTS = [
+    pytest.param(name, target, id=f"{name}-to-{target}")
+    for name, cat in CATEGORIES.items()
+    for target in cat.quotients
+]
+
+
+@functools.cache
+def _triples(name, regular):
+    """Composable triples x, y, z of widths 0-3, or one width 1-3 if square;
+    drawn once and shared by every law of the row."""
+    cat = CATEGORIES[name]
+    rng = random.Random(f"{name}/{regular}")
+    triples = []
+    for _ in range(SAMPLES):
+        widths = [rng.randint(1, 3)] * 4 if cat.square else [rng.randint(0, 3) for _ in range(4)]
+        triples.append(tuple(cat.sample(rng, m, n, regular) for m, n in zip(widths, widths[1:])))
+    return tuple(triples)
+
+
+def _mul(cat, x, y):
+    return cat.compose(x, y)[0]
+
+
+def test_every_family_has_cases():
+    assert {case.values[0] for case in CASES} == set(CATEGORIES)
+    assert {case.values[1] for case in QUOTIENTS} <= set(CATEGORIES)
+
+
+@pytest.mark.parametrize("name, regular", CASES)
+def test_associativity(name, regular):
+    cat = CATEGORIES[name]
+    for x, y, z in _triples(name, regular):
+        xy, first_xy = cat.compose(x, y)
+        yz, first_yz = cat.compose(y, z)
+        left, then_z = cat.compose(xy, z)
+        right, then_x = cat.compose(x, yz)
+        assert left == right
+        assert {k: first_xy[k] + then_z[k] for k in first_xy} == {
+            k: first_yz[k] + then_x[k] for k in first_yz
+        }
+
+
+@pytest.mark.parametrize("involution", ["sigma", "rho"])
+@pytest.mark.parametrize("name, regular", CASES)
+def test_involution(name, regular, involution):
+    cat = CATEGORIES[name]
+    inv = getattr(cat, involution)
+    for x, y, _ in _triples(name, regular):
+        assert inv(inv(x)) == x
+        assert inv(_mul(cat, x, y)) == _mul(cat, inv(y), inv(x))
+
+
+@pytest.mark.parametrize("name, regular", CASES)
+def test_star(name, regular):
+    cat = CATEGORIES[name]
+    for x, _, _ in _triples(name, regular):
+        if not regular:
+            with pytest.raises(NotRegular):
+                cat.star(x)
+            continue
+        xs = cat.star(x)
+        assert cat.star(xs) == x
+        assert _mul(cat, _mul(cat, x, xs), x) == x
+        assert _mul(cat, _mul(cat, xs, x), xs) == xs
+
+
+@pytest.mark.parametrize("name, regular", CASES)
+def test_codec_round_trip(name, regular):
+    for x, _, _ in _triples(name, regular):
+        assert decode(name, encode(name, x)) == x
+
+
+@pytest.mark.parametrize("name, target", QUOTIENTS)
+def test_quotient(name, target):
+    cat, image = CATEGORIES[name], CATEGORIES[target]
+    q = cat.quotients[target]
+    for regular in cat.regularities:
+        for x, y, _ in _triples(name, regular):
+            assert q(_mul(cat, x, y)) == _mul(image, q(x), q(y))
+            assert q(cat.sigma(x)) == image.sigma(q(x))
+            assert q(cat.rho(x)) == image.rho(q(x))

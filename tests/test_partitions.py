@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from diagcat import (
@@ -18,7 +16,6 @@ from diagcat import (
 from diagcat.cobordisms import increment
 from diagcat.errors import CoverageError, OverlapError, RangeError
 from diagcat.partitions import MergeInfo
-from diagcat.sampling import random_partition
 
 
 # the hourglass: both sides collapsed, nothing transversal
@@ -91,17 +88,6 @@ def test_block_stats_on_hourglass():
     st = block_stats(H)
     assert st.rank == 0
     assert st.lb == 1 and st.rb == 1
-
-
-def test_associativity_random():
-    rng = random.Random(0)
-    for _ in range(200):
-        x = random_partition(rng, 2, 2)
-        y = random_partition(rng, 2, 3)
-        z = random_partition(rng, 3, 1)
-        r1, r2 = compose(x, y), compose(y, z)
-        assert compose(r1.product, z).product == compose(x, r2.product).product
-        assert r1.b + compose(r1.product, z).b == r2.b + compose(x, r2.product).b
 
 
 @pytest.mark.parametrize("n, idem", [(0, 1), (1, 2), (2, 12), (3, 114)])

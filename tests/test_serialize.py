@@ -6,76 +6,15 @@ import pytest
 from diagcat import CATEGORIES, decode, encode
 from diagcat.annular import (
     AffineDiagram,
-    DeformedAnnular,
     compose_affine,
     compose_ann,
     compose_deformed_ann,
     compose_pair,
     compose_triple,
-    project_to_ann,
 )
-from diagcat.cobordisms import (
-    compose_cobordism,
-    compose_deformed,
-    compose_labeled,
-    to_labeled,
-)
-from diagcat.errors import ParseError
+from diagcat.cobordisms import Spectrum, compose_cobordism, compose_deformed, compose_labeled
+from diagcat.errors import NegativeLabel, ParseError
 from diagcat.partitions import Partition, compose
-from diagcat.sampling import (
-    random_affine,
-    random_cobordism,
-    random_deformed,
-    random_pair,
-    random_partition,
-    random_triple,
-)
-
-ANNULAR = {"aTLe", "aTL", "aTLd", "Ann", "Annd"}
-
-
-def _shape(rng, name):
-    """Layer sizes (l, m, n) of a composable pair; annular values are
-    square, of width 1 to 3."""
-    if name in ANNULAR:
-        return (rng.randint(1, 3),) * 3
-    return tuple(rng.randint(0, 3) for _ in range(3))
-
-
-def _regular(rng, name):
-    return name.endswith("bar") or (name in ("aTL", "aTLd", "Annd") and rng.random() < 0.5)
-
-
-def _sample(rng, name, m, n, regular):
-    if name == "P":
-        return random_partition(rng, m, n)
-    if name in ("Pd", "Pd-bar"):
-        return random_deformed(rng, m, n, regular=regular)
-    if name in ("Cob0", "Cob0-bar"):
-        return to_labeled(random_cobordism(rng, m, n, regular=regular))
-    if name in ("Cob", "Cob-bar"):
-        return random_cobordism(rng, m, n, regular=regular)
-    if name == "aTLe":
-        return random_affine(rng, m)
-    if name == "aTL":
-        return random_pair(rng, m, regular=regular)
-    if name == "aTLd":
-        return random_triple(rng, m, regular=regular)
-    shadow = project_to_ann(random_affine(rng, m))
-    if name == "Ann":
-        return shadow
-    if name == "Annd":
-        return DeformedAnnular(shadow, rng.randint(-3 if regular else 0, 3), regular)
-    raise AssertionError(name)
-
-
-@pytest.mark.parametrize("name", sorted(CATEGORIES))
-def test_round_trip(name):
-    rng = random.Random(sum(map(ord, name)))
-    for _ in range(40):
-        _, m, n = _shape(rng, name)
-        x = _sample(rng, name, m, n, _regular(rng, name))
-        assert decode(name, encode(name, x)) == x
 
 
 def test_decode_rejects_garbage():
@@ -85,6 +24,9 @@ def test_decode_rejects_garbage():
         decode("nope", {})
     with pytest.raises(ParseError):
         decode("aTLe", {"m": 1, "n": 1, "partners": [{"from": {}}]})
+    for name in CATEGORIES:
+        with pytest.raises(ParseError):
+            decode(name, [])
 
 
 def _cup(index=1, offset=0):
@@ -167,6 +109,55 @@ def test_regular_defaults_to_false_where_the_name_leaves_it_open(name):
     assert decode(name, {**_cup(), "regular": True}).regular is True
 
 
+@pytest.mark.parametrize("name", ["P", "aTLe", "Ann"])
+def test_regular_is_true_where_the_star_is_total(name):
+    assert decode(name, {**_cup(), "regular": True}) == decode(name, _cup())
+    with pytest.raises(ParseError):
+        decode(name, {**_cup(), "regular": False})
+
+
+GENUS_KEYS = ["in01", "in0", "in\u0661", "in 1", " in1", "in1 ", "IN1", "in+1", "1", 1]
+SPECTRUM_KEYS = ["2_0", " 3 ", "03", "-0", "+3", "3.0", "1e1", "\u0663", "", 3]
+FIELDS = [("Cob0", "genus"), ("Cob-bar", "genus"), ("Cob", "spectrum"), ("Cob-bar", "spectrum")]
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [(name, field, value) for name, field in FIELDS for value in ([1], '{"in1": 0}', 0, None)]
+    + [("Cob0", "genus", {key: 0}) for key in GENUS_KEYS]
+    + [("Cob-bar", "spectrum", {key: 1}) for key in SPECTRUM_KEYS],
+)
+def test_genus_and_spectrum_must_be_objects_with_canonical_keys(name, field, value):
+    with pytest.raises(ParseError):
+        decode(name, {**_cup(), field: value})
+
+
+def test_canonical_keys_decode_and_others_cannot_override_them():
+    blocks = [[{"side": "in", "index": 1}], [{"side": "out", "index": 1}]]
+    split = {"m": 1, "n": 1, "blocks": blocks, "genus": {"in1": 0, "out1": 1}}
+    assert decode("Cob0", split).genus == (0, 1)
+    with pytest.raises(ParseError):
+        decode("Cob0", {**split, "genus": {"in1": 0, "out1": 1, "in01": 5}})
+    x = decode("Cob-bar", {**_cup(), "spectrum": {"0": 1, "-2": 1, "13": 2}})
+    assert x.spectrum == Spectrum({0: 1, -2: 1, 13: 2})
+
+
+@pytest.mark.parametrize("side", ["up", "IN", None, 0])
+@pytest.mark.parametrize("end", ["from", "to"])
+@pytest.mark.parametrize("name", ["aTLe", "aTL", "aTLd"])
+def test_affine_decoders_reject_unknown_sides(name, end, side):
+    obj = _cup()
+    obj["partners"][0][end]["side"] = side
+    with pytest.raises(ParseError):
+        decode(name, obj)
+
+
+def test_non_regular_deformed_shadows_have_non_negative_counters():
+    assert decode("Annd", {**_cup(), "k": -1, "regular": True}).k == -1
+    with pytest.raises(NegativeLabel):
+        decode("Annd", {**_cup(), "k": -1})
+
+
 PUBLIC_COMPOSE = {
     "P": lambda x, y: compose(x, y).product,
     "Pd": compose_deformed,
@@ -215,10 +206,10 @@ def test_compose_through_category_table():
     assert set(PUBLIC_COMPOSE) == set(CATEGORIES)
     for name, cat in CATEGORIES.items():
         for _ in range(20):
-            l, m, n = _shape(rng, name)
-            regular = _regular(rng, name)
-            x = _sample(rng, name, l, m, regular)
-            y = _sample(rng, name, m, n, regular)
+            l, m, n = [rng.randint(1, 3)] * 3 if cat.square else [rng.randint(0, 3) for _ in "lmn"]
+            regular = rng.choice(cat.regularities)
+            x = cat.sample(rng, l, m, regular)
+            y = cat.sample(rng, m, n, regular)
             (product, diag), calls = _base_compositions(cat.compose, x, y)
             assert calls == 1, name
             bx, by = _bare(x), _bare(y)
