@@ -80,6 +80,7 @@ __all__ = [
     "AnnularPartition",
     "DeformedAnnular",
     "project_to_ann",
+    "make_ann",
     "compose_ann",
     "compose_deformed_ann",
     "star_deformed_ann",
@@ -176,6 +177,8 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
     partners maps each window point to its partner; accepted forms are a
     mapping {(side, index): (offset, side, index)} or an iterable of such
     pairs, with sides given as "in"/"out" strings or the IN/OUT constants.
+    Indices and offsets must be ints; a bool, float, string or None raises
+    RangeError.
     """
     if m < 0 or n < 0:
         raise RangeError("shape must be non-negative")
@@ -189,10 +192,13 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
         offset, pside, pindex = value
         if side not in side_of or pside not in side_of:
             raise RangeError(f"unknown side in {key!r} -> {value!r}")
-        slot = (side_of[side], int(index))
+        for number in (index, offset, pindex):
+            if isinstance(number, bool) or not isinstance(number, int):
+                raise RangeError(f"{number!r} in {key!r} -> {value!r} is not an integer")
+        slot = (side_of[side], index)
         if slot in table:
             raise UnmatchedPoint(f"duplicate partner for {slot}")
-        table[slot] = APoint(int(offset), side_of[pside], int(pindex))
+        table[slot] = APoint(offset, side_of[pside], pindex)
 
     slots = _fundamental_slots(m, n)
     for slot in slots:
@@ -533,6 +539,46 @@ def project_to_ann(a: AffineDiagram) -> AnnularPartition:
     return AnnularPartition(make_partition(a.m, a.n, [sorted(b) for b in blocks]))
 
 
+def make_ann(base: Partition) -> AnnularPartition:
+    """The shadow with this base, checked to be the shadow of some affine
+    diagram in one pass: every block is a pair (else UnmatchedPoint); each
+    row's cups do not cross in cyclic order, no cup separates two
+    through-string ends, and the through strings keep one cyclic order on
+    both rows (else CrossingError)."""
+    m, size = base.m, base.m + base.n
+    partner = [-1] * size
+    first = [-1] * base.nblocks
+    for pos, b in enumerate(base.labels):
+        q = first[b]
+        if q < 0:
+            first[b] = pos
+        elif partner[q] < 0:
+            partner[q], partner[pos] = pos, q
+        else:
+            raise UnmatchedPoint(f"block {b} of {base!r} has more than two points")
+    if -1 in partner:
+        raise UnmatchedPoint(f"{base!r} has a one-point block")
+    ends = [q for q in partner[:m] if q >= m]
+    if len(ends) > 1 and sum(a > b for a, b in zip(ends, ends[1:] + ends[:1])) != 1:
+        raise CrossingError(f"the through strings of {base!r} cross")
+    for lo, hi in ((0, m), (m, size)):
+        opened = []  # (start of an open cup, through ends seen before it)
+        seen = 0
+        for pos in range(lo, hi):
+            q = partner[pos]
+            if not lo <= q < hi:
+                seen += 1
+            elif q > pos:
+                opened.append((pos, seen))
+            else:
+                start, before = opened.pop()
+                if start != q:
+                    raise CrossingError(f"two cups of {base!r} cross")
+                if seen != before and seen - before != len(ends):
+                    raise CrossingError(f"a cup of {base!r} separates through strings")
+    return AnnularPartition(base)
+
+
 def compose_ann(
     x: AnnularPartition, y: AnnularPartition
 ) -> tuple[AnnularPartition, CompositionResult]:
@@ -577,9 +623,25 @@ def shift_gap(x: AffineDiagram, y: AffineDiagram):
     return q
 
 
+def _crosses(s: tuple[APoint, APoint], r: tuple[APoint, APoint]) -> bool:
+    """Whether two strings, given by their endpoints, cross in the order
+    behind the non-crossing test."""
+    x, x1 = sorted(map(_order_key, s))
+    y, y1 = map(_order_key, r)
+    return (x < y < x1) != (x < y1 < x1)
+
+
 def enumerate_affine(m: int, n: int, max_offset: int, bound: int = 10):
     """Yield every valid affine diagram with partner offsets within
-    [-max_offset, max_offset]."""
+    [-max_offset, max_offset].
+
+    Matchings are built one string at a time, and a branch is dropped as
+    soon as its newest string crosses a shift of itself or of a string
+    already placed.  The order is shift-invariant and a string from offset
+    0 to offset t spans the offsets between them, so two strings with
+    offsets t and u can only cross at relative shifts d with
+    |d| <= |t| + |u|; those are the shifts tried.
+    """
     if m + n > bound:
         raise BoundExceeded(f"window of {m + n} points exceeds bound {bound}")
     if (m + n) % 2:
@@ -587,23 +649,40 @@ def enumerate_affine(m: int, n: int, max_offset: int, bound: int = 10):
     slots = _fundamental_slots(m, n)
     offsets = range(-max_offset, max_offset + 1)
 
-    def rec(table: dict):
+    def crosses_placed(new, placed) -> bool:
+        """Whether new, a string from offset 0, crosses a shift of itself
+        or of a placed string."""
+        p, q = new
+        t = abs(q.offset)
+        for d in range(1, 2 * t + 1):
+            if _crosses(new, (p.shifted(d), q.shifted(d))):
+                return True
+        for a, b in placed:
+            reach = t + abs(b.offset)
+            for d in range(-reach, reach + 1):
+                if _crosses(new, (a.shifted(d), b.shifted(d))):
+                    return True
+        return False
+
+    def rec(table: dict, placed: list):
         free = [s for s in slots if s not in table]
         if not free:
-            try:
-                yield make_affine(m, n, dict(table))
-            except CrossingError:
-                pass
+            yield make_affine(m, n, dict(table))
             return
         p = free[0]
         for q in free[1:]:
             for t in offsets:
+                string = (APoint(0, *p), APoint(t, *q))
+                if crosses_placed(string, placed):
+                    continue
                 table[p] = (t, q[0], q[1])
                 table[q] = (-t, p[0], p[1])
-                yield from rec(table)
+                placed.append(string)
+                yield from rec(table, placed)
+                placed.pop()
                 del table[p], table[q]
 
-    yield from rec({})
+    yield from rec({}, [])
 
 
 class AnnMonoid(NamedTuple):
@@ -630,29 +709,49 @@ def build_ann_monoid(n: int, bound: int = 2000) -> AnnMonoid:
 
     elements: list[AnnularPartition] = []
     index: dict = {}
+    # rows[i][j] is the index of elements[i] * elements[j], -1 where that
+    # product is not formed yet; rows grow with the closure.
+    rows: list[list[int]] = []
+    new: list[int] = []
+
+    def add(base: Partition) -> int:
+        index[base] = len(elements)
+        elements.append(AnnularPartition(base))
+        rows.append([])
+        return index[base]
+
+    def record(i: int, j: int) -> None:
+        """Form elements[i] * elements[j] unless it is known already."""
+        row = rows[i]
+        if j < len(row) and row[j] >= 0:
+            return
+        prod = compose_partition(elements[i].base, elements[j].base).product
+        k = index.get(prod)
+        if k is None:
+            k = add(prod)
+            new.append(k)
+            if len(elements) > bound:
+                raise BoundExceeded(f"closure exceeded {bound} elements")
+        if j >= len(row):
+            row.extend([-1] * (j + 1 - len(row)))
+        row[j] = k
+
     for g in gens:
         if g.base not in index:
-            index[g.base] = len(elements)
-            elements.append(g)
-    frontier = list(elements)
+            add(g.base)
+    frontier = list(range(len(elements)))
+    # Every pair (i, j) is formed: when i is in the frontier, j runs over
+    # all elements, including those the row itself adds; an element added
+    # later has i among the elements when it is in the frontier.
     while frontier:
-        new: list[AnnularPartition] = []
-        for x in frontier:
-            for y in elements:
-                for prod in (x * y, y * x):
-                    if prod.base not in index:
-                        index[prod.base] = len(elements)
-                        elements.append(prod)
-                        new.append(prod)
-                        if len(elements) > bound:
-                            raise BoundExceeded(
-                                f"closure exceeded {bound} elements"
-                            )
+        new = []
+        for i in frontier:
+            j = 0
+            while j < len(elements):
+                record(i, j)
+                record(j, i)
+                j += 1
         frontier = new
 
-    table = [
-        [index[(x * y).base] for y in elements]
-        for x in elements
-    ]
-    monoid = FiniteMonoid(table)
+    monoid = FiniteMonoid(rows)
     return AnnMonoid(tuple(elements), index, monoid)

@@ -82,7 +82,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer literal over the int limit
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
 
 

@@ -458,10 +458,13 @@ class Monoid:
     pool: tuple = ()
 
 
+def _symbols(w: Union[Word, IWord]) -> tuple[tuple[str, bool], ...]:
+    """The (letter, starred) symbols of a plain or involutory word."""
+    return w.symbols if isinstance(w, IWord) else tuple((ch, False) for ch in w.letters)
+
+
 def evaluate(w: Union[Word, IWord], subst, monoid: Monoid):
-    symbols = w.symbols if isinstance(w, IWord) else tuple(
-        (ch, False) for ch in w.letters
-    )
+    symbols = _symbols(w)
     if not symbols:
         if monoid.one is None:
             raise EmptyWord(f"{monoid.name} has no designated identity")
@@ -501,6 +504,49 @@ def _identity_letters(identity: Identity) -> list[str]:
     return sorted(set(letters(identity.lhs) + letters(identity.rhs)), key=_letter_key)
 
 
+def _side_evaluator(w: Union[Word, IWord], letters: list[str], monoid: Monoid):
+    """One side of an identity compiled to a function of the letter values
+    (in the order of letters) that equals evaluate(w, subst, monoid) and
+    raises as evaluate does, when it is called.  A monoid from
+    monoid_from_table multiplies through its table rows."""
+    symbols = _symbols(w)
+    if not symbols:
+        def constant(values):
+            if monoid.one is None:
+                raise EmptyWord(f"{monoid.name} has no designated identity")
+            return monoid.one
+        return constant
+    star = monoid.star
+    if star is None and any(starred for _, starred in symbols):
+        def unstarrable(values):
+            raise NoInvolution(f"{monoid.name} has no involution")
+        return unstarrable
+    slot = {ch: i for i, ch in enumerate(letters)}
+    # Starred letters read the stars of their values, appended after the
+    # values themselves.
+    starred = sorted({slot[ch] for ch, s in symbols if s})
+    code = [len(letters) + starred.index(slot[ch]) if s else slot[ch] for ch, s in symbols]
+    head, tail = code[0], code[1:]
+    mul = monoid.mul
+    rows = None
+    if getattr(mul, "__func__", None) is am.FiniteMonoid.mul:
+        rows = mul.__self__.table
+
+    def run(values):
+        if starred:
+            values = [*values, *[star(values[i]) for i in starred]]
+        acc = values[head]
+        if rows is not None:
+            for i in tail:
+                acc = rows[acc][values[i]]
+        else:
+            for i in tail:
+                acc = mul(acc, values[i])
+        return acc
+
+    return run
+
+
 def check_identity(
     identity: Identity,
     monoid: Monoid,
@@ -515,13 +561,12 @@ def check_identity(
     """
     letters = _identity_letters(identity)
     k = len(letters)
+    lhs = _side_evaluator(identity.lhs, letters, monoid)
+    rhs = _side_evaluator(identity.rhs, letters, monoid)
 
     def try_subst(values) -> Optional[Verdict]:
-        subst = dict(zip(letters, values))
-        lv = evaluate(identity.lhs, subst, monoid)
-        rv = evaluate(identity.rhs, subst, monoid)
-        if lv != rv:
-            return Verdict("fails", "substitution witness", subst)
+        if lhs(values) != rhs(values):
+            return Verdict("fails", "substitution witness", dict(zip(letters, values)))
         return None
 
     domain = monoid.elements

@@ -10,7 +10,9 @@ Schemas:
 Every number must be a JSON integer, every side "in" or "out", "regular" a
 JSON boolean, and "genus" and "spectrum" JSON objects with canonical ASCII
 keys: "in<i>"/"out<i>" with no leading zeros, and genera in shortest
-decimal form ("0", "3", "-2").  Anything else raises ParseError.
+decimal form ("0", "3", "-2").  Anything else raises ParseError.  An Ann
+or Annd base must be the shadow of an affine diagram (see
+annular.make_ann), else UnmatchedPoint or CrossingError.
 
 CATEGORIES holds one Category row per category, and the CLI, the benchmark
 and the law tests know the families only through it: adding a family is
@@ -44,6 +46,7 @@ from .annular import (
     compose_affine,
     compose_ann,
     make_affine,
+    make_ann,
     make_pair,
     make_triple,
     project_to_ann,
@@ -276,7 +279,7 @@ def _enc_ann(x: AnnularPartition) -> dict:
 
 
 def _read_deformed_ann(d: dict, regular: bool) -> DeformedAnnular:
-    shadow = AnnularPartition(partition_from_json(d))
+    shadow = make_ann(partition_from_json(d))
     k = _int(d.get("k", 0), "k")
     if not regular and k < 0:
         raise NegativeLabel("negative circle count in non-regular value")
@@ -372,7 +375,7 @@ CATEGORIES: dict[str, Category] = {
         annular.sigma_affine, annular.rho_affine, annular.star_triple, {},
     ),
     "Ann": Category(
-        "Ann", lambda d, regular: AnnularPartition(partition_from_json(d)), _enc_ann,
+        "Ann", lambda d, regular: make_ann(partition_from_json(d)), _enc_ann,
         _table_compose(compose_ann, _dead_blocks), (True,), True,
         lambda rng, m, n, regular: project_to_ann(sampling.random_affine(rng, m)),
         annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {},

@@ -20,7 +20,7 @@ from diagcat import (
     sigma_affine,
     zeta,
 )
-from diagcat.annular import IN, OUT
+from diagcat.annular import IN, OUT, _fundamental_slots
 from diagcat.errors import (
     CrossingError,
     NegativeLabel,
@@ -140,3 +140,99 @@ def test_rank_one_idempotent_census():
         if d.rank == 1 and compose_affine(d, d).product == d
     ]
     assert len(idems) == 9
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, True, "1", None])
+@pytest.mark.parametrize("position", ["index", "offset", "pindex"])
+def test_make_affine_rejects_non_integer_numbers(position, bad):
+    def build(index=1, offset=0, pindex=1):
+        return make_affine(1, 1, {("in", index): (offset, "out", pindex), ("out", 1): (0, "in", 1)})
+
+    assert build() == affine_identity(1)
+    with pytest.raises(RangeError):
+        build(**{position: bad})
+
+
+def _enumerate_affine_reference(m, n, max_offset):
+    """enumerate_affine before branch pruning: every matching with every
+    choice of offsets, filtered through make_affine."""
+    slots = _fundamental_slots(m, n)
+    offsets = range(-max_offset, max_offset + 1)
+
+    def rec(table):
+        free = [s for s in slots if s not in table]
+        if not free:
+            try:
+                yield make_affine(m, n, dict(table))
+            except CrossingError:
+                pass
+            return
+        p = free[0]
+        for q in free[1:]:
+            for t in offsets:
+                table[p] = (t, q[0], q[1])
+                table[q] = (-t, p[0], p[1])
+                yield from rec(table)
+                del table[p], table[q]
+
+    yield from rec({})
+
+
+# The reference sends every candidate through make_affine, which makes it
+# too slow to run on every shape at every offset bound in the tests: with
+# eight points and offsets up to 2 there are 590 625 candidates.  Shapes
+# with up to four points run at offsets up to 2, six points at offsets up
+# to 1 and, for the square shape, 2, and eight points at offset 0.
+ENUMERATIONS = (
+    [(m, total - m, 2) for total in (0, 2, 4) for m in range(total + 1)]
+    + [(m, 6 - m, 2 if m == 3 else 1) for m in range(7)]
+    + [(m, 8 - m, 0) for m in range(9)]
+)
+
+
+@pytest.mark.parametrize("m, n, max_offset", ENUMERATIONS)
+def test_enumerate_affine_matches_the_unpruned_filter(m, n, max_offset):
+    reference = list(_enumerate_affine_reference(m, n, max_offset))
+    assert list(enumerate_affine(m, n, max_offset)) == reference
+    # Offsets run in increasing order, so a smaller bound keeps the order.
+    for k in range(max_offset):
+        kept = [d for d in reference if all(abs(q.offset) <= k for q in d.partner)]
+        assert list(enumerate_affine(m, n, k)) == kept
+
+
+def _build_ann_monoid_reference(n):
+    """build_ann_monoid before closure reuse: the closure forms both
+    products of every frontier element with every element, then the
+    table forms all n^2 products again."""
+    gens = [project_to_ann(affine_identity(n))]
+    if n >= 1:
+        gens += [project_to_ann(zeta(n)), project_to_ann(sigma_affine(zeta(n)))]
+    if n >= 2:
+        gens += [project_to_ann(cup_cap(n, i)) for i in range(1, n + 1)]
+    elements, index = [], {}
+    for g in gens:
+        if g.base not in index:
+            index[g.base] = len(elements)
+            elements.append(g)
+    frontier = list(elements)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in elements:
+                for prod in (x * y, y * x):
+                    if prod.base not in index:
+                        index[prod.base] = len(elements)
+                        elements.append(prod)
+                        new.append(prod)
+        frontier = new
+    table = [[index[(x * y).base] for y in elements] for x in elements]
+    return elements, index, table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_build_ann_monoid_matches_the_unshared_closure(n):
+    elements, index, table = _build_ann_monoid_reference(n)
+    got = build_ann_monoid(n)
+    assert list(got.elements) == elements
+    assert list(got.index.items()) == list(index.items())
+    assert got.monoid.table == tuple(map(tuple, table))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -34,7 +35,13 @@ from diagcat.auxmonoids import (
     je_pair,
     je_s,
 )
-from diagcat.errors import InstanceMismatch, NotAssociative, NotClosed
+from diagcat.errors import (
+    BadInvolution,
+    InstanceMismatch,
+    NoIdentity,
+    NotAssociative,
+    NotClosed,
+)
 
 
 def test_circle_forest_rendering():
@@ -144,3 +151,101 @@ def test_finite_monoid_rejects_bad_tables():
         FiniteMonoid([[0, 1], [1, 7]])
     with pytest.raises(NotAssociative):
         FiniteMonoid([[0, 1, 2], [1, 2, 1], [2, 0, 0]])
+
+
+def test_finite_monoid_rejects_non_integer_entries():
+    with pytest.raises(NotClosed):
+        FiniteMonoid([[0, 1], [1, 0.5]])
+    with pytest.raises(BadInvolution):
+        FiniteMonoid([[0, 1], [1, 0]], star=[0, 1.0])
+
+
+# Z/3 under addition, with negation as its star.
+Z3 = [[(x + y) % 3 for y in range(3)] for x in range(3)]
+
+
+def test_finite_monoid_needs_an_identity():
+    with pytest.raises(NoIdentity):
+        FiniteMonoid([[0, 0], [0, 0]])
+    with pytest.raises(NoIdentity):
+        FiniteMonoid([])
+
+
+@pytest.mark.parametrize("star, message", [
+    ([0, 2], "star map is not a self-map of the table"),
+    ([0, 1, 3], "star map is not a self-map of the table"),
+    ([1, 2, 0], "star is not involutive at 0"),
+])
+def test_finite_monoid_star_errors(star, message):
+    assert FiniteMonoid(Z3, star=[0, 2, 1]).star == (0, 2, 1)
+    with pytest.raises(BadInvolution, match=message):
+        FiniteMonoid(Z3, star=star)
+
+
+def test_finite_monoid_star_must_reverse_products():
+    # The two-element left-zero band with an identity adjoined: 0 is the
+    # identity and xy = x for x, y in {1, 2}.  The identity map reverses
+    # no product of two distinct band elements.
+    table = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
+    with pytest.raises(BadInvolution, match=r"not an anti-automorphism at \(1,2\)"):
+        FiniteMonoid(table, star=[0, 1, 2])
+
+
+def test_finite_monoid_names_the_first_non_associative_triple():
+    # 0 is the identity; 1 * 1 = 2 and every other product of 1, 2 is 1.
+    # Triples with a 0 and (1 1) 1 = 1 (1 1) = 1 pass, so the first failure
+    # in x, y, z order is (1 1) 2 = 2 2 = 1 against 1 (1 2) = 1 1 = 2.
+    with pytest.raises(NotAssociative, match=r"^\(11\)2 != 1\(12\)$"):
+        FiniteMonoid([[0, 1, 2], [1, 2, 1], [2, 1, 1]])
+
+
+def _finite_monoid_reference(table, star=None):
+    """The error FiniteMonoid raised before its checks used numpy: the
+    same checks as loops over x, y, z; None when the table passes."""
+    n = len(table)
+    for row in table:
+        if len(row) != n or any(not 0 <= v < n for v in row):
+            return NotClosed, "table is not a square over its own indices"
+    if not any(all(table[e][x] == x == table[x][e] for x in range(n)) for e in range(n)):
+        return NoIdentity, "table has no identity element"
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return NotAssociative, f"({x}{y}){z} != {x}({y}{z})"
+    if star is not None:
+        if len(star) != n or any(not 0 <= v < n for v in star):
+            return BadInvolution, "star map is not a self-map of the table"
+        for x in range(n):
+            if star[star[x]] != x:
+                return BadInvolution, f"star is not involutive at {x}"
+            for y in range(n):
+                if star[table[x][y]] != table[star[y]][star[x]]:
+                    return BadInvolution, f"star is not an anti-automorphism at ({x},{y})"
+    return None
+
+
+def test_finite_monoid_errors_match_the_loop_checks():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        # Mostly tables with an identity at a random index, so that the
+        # associativity and star checks are reached.
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.9:
+            e = rng.randrange(n)
+            for x in range(n):
+                table[e][x] = table[x][e] = x
+        star = None
+        if rng.random() < 0.5:
+            star = [rng.randrange(n) for _ in range(n)]
+        expected = _finite_monoid_reference(table, star)
+        try:
+            FiniteMonoid(table, star=star)
+            got = None
+        except (NotClosed, NoIdentity, NotAssociative, BadInvolution) as exc:
+            got = type(exc), str(exc)
+        assert got == expected, (table, star)
+        outcomes.add(None if got is None else got[0])
+    assert outcomes == {None, NoIdentity, NotAssociative, BadInvolution}

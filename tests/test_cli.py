@@ -68,6 +68,20 @@ def test_compose_validation_failure_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size, blocks", [
+    (2, [["in1", "in2", "out1"], ["out2"]]),  # not a matching
+    (3, [["in1", "out3"], ["in2", "out2"], ["in3", "out1"]]),  # reversed strings
+])
+def test_compose_non_shadow_ann_exits_3(tmp_path, capsys, size, blocks):
+    def vertex(v):
+        return {"side": v[:-1], "index": int(v[-1])}
+
+    obj = {"m": size, "n": size, "blocks": [[vertex(v) for v in b] for b in blocks]}
+    path = _write(tmp_path, "ann.json", obj)
+    assert main(["compose", "Ann", path, path]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("spectrum", [1]), ("genus", "in1"), ("side", "up")])
 def test_compose_malformed_value_exits_2(tmp_path, capsys, field, value):
     if field == "side":
@@ -86,6 +100,13 @@ def test_compose_bad_json_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["compose", "P", str(path), str(path)]) == 2
     capsys.readouterr()
+
+
+def test_compose_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"m": 1, "n": 1, "blocks": [[{"side": "in", "index": 1%s}]]}' % ("0" * 5000))
+    assert main(["compose", "P", str(path), str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_compose_round_trips_its_own_output(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -31,7 +33,17 @@ from diagcat.errors import (
     NotInteriorFactor,
     ParseError,
 )
-from diagcat.identities import star_mix_words, zimin_sorted_pair
+from diagcat.annular import build_ann_monoid
+from diagcat.identities import (
+    Monoid,
+    _identity_letters,
+    Verdict,
+    monoid_from_table,
+    monoid_REES,
+    monoid_SDP,
+    star_mix_words,
+    zimin_sorted_pair,
+)
 from diagcat.sampling import random_word
 
 
@@ -201,3 +213,104 @@ def test_registry_contents():
         assert name in IDENTITY_REGISTRY
     with pytest.raises(ParseError):
         identity_by_name("no-such-identity")
+
+
+def _check_identity_reference(identity, monoid, budget, seed):
+    """check_identity before its sides were compiled: every substitution
+    goes through evaluate."""
+    letters = _identity_letters(identity)
+    k = len(letters)
+
+    def try_subst(values):
+        subst = dict(zip(letters, values))
+        if evaluate(identity.lhs, subst, monoid) != evaluate(identity.rhs, subst, monoid):
+            return Verdict("fails", "substitution witness", subst)
+        return None
+
+    domain = monoid.elements
+    if domain is not None and len(domain) ** k <= budget:
+        for values in itertools.product(domain, repeat=k):
+            bad = try_subst(values)
+            if bad:
+                return bad
+        return Verdict("holds", f"exhausted {len(domain)}^{k} substitutions")
+    pool = tuple(monoid.pool) or (domain or ())
+    if not pool:
+        return Verdict("unknown", "no witness pool")
+    spent = 0
+    if len(pool) ** k <= budget:
+        for values in itertools.product(pool, repeat=k):
+            bad = try_subst(values)
+            if bad:
+                return bad
+            spent += 1
+    rng = random.Random(seed)
+    while spent < budget:
+        bad = try_subst([rng.choice(pool) for _ in range(k)])
+        if bad:
+            return bad
+        spent += 1
+    return Verdict("unknown", f"no witness within budget {budget}")
+
+
+def _interned(monoid):
+    """The monoid with every product and star interned and each product
+    cached by the identities of its factors, so that the two searches
+    compared below share their arithmetic.  Every value a search
+    multiplies is a pool element or an interned value, all kept alive
+    here, so no id is reused while the cache holds it."""
+    values, products = {}, {}
+
+    def intern(v):
+        return values.setdefault(v, v)
+
+    def mul(x, y):
+        key = id(x), id(y)
+        if key not in products:
+            products[key] = intern(monoid.mul(x, y))
+        return products[key]
+
+    star = None if monoid.star is None else (lambda x: intern(monoid.star(x)))
+    return dataclasses.replace(monoid, mul=mul, star=star)
+
+
+def _outcome(search, identity, monoid, budget, seed):
+    try:
+        return search(identity, monoid, budget, seed)
+    except (EmptyWord, NoInvolution) as exc:
+        return type(exc), str(exc)
+
+
+# M, N and rees are the slowest monoids to search, so they are compared at
+# seed 0 only and the other monoids at seeds 0-2.
+ORACLE_MONOIDS = {
+    "M": (lambda: _interned(monoid_M()), [0]),
+    "N": (lambda: _interned(monoid_N()), [0]),
+    "A21": (lambda: _interned(monoid_A21()), [0, 1, 2]),
+    "sdp": (lambda: _interned(monoid_SDP()), [0, 1, 2]),
+    "rees": (lambda: _interned(monoid_REES()), [0]),
+    "ann3": (lambda: monoid_from_table(build_ann_monoid(3).monoid, "ann3"), [0, 1, 2]),
+    "ann4": (lambda: monoid_from_table(build_ann_monoid(4).monoid, "ann4"), [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_MONOIDS)
+def test_check_identity_matches_the_evaluate_search(name):
+    make, seeds = ORACLE_MONOIDS[name]
+    monoid = make()
+    for identity in IDENTITY_REGISTRY.values():
+        for seed in seeds:
+            assert _outcome(check_identity, identity, monoid, 4000, seed) == _outcome(
+                _check_identity_reference, identity, monoid, 4000, seed
+            ), (name, str(identity), seed)
+
+
+def test_check_identity_raises_only_when_it_evaluates():
+    empty_side = parse_identity("x=1")
+    starred = IDENTITY_REGISTRY["star-sandwich"]
+    no_unit = Monoid(name="no-unit", mul=lambda p, q: p, pool=(0, 1))
+    for identity, error in ((empty_side, EmptyWord), (starred, NoInvolution)):
+        with pytest.raises(error):
+            check_identity(identity, no_unit, budget=10)
+        nothing = dataclasses.replace(no_unit, pool=())
+        assert check_identity(identity, nothing, budget=10).status == "unknown"

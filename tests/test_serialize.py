@@ -4,17 +4,20 @@ import sys
 import pytest
 
 from diagcat import CATEGORIES, decode, encode
+from diagcat.serialize import partition_to_json
 from diagcat.annular import (
     AffineDiagram,
     compose_affine,
+    enumerate_affine,
+    project_to_ann,
     compose_ann,
     compose_deformed_ann,
     compose_pair,
     compose_triple,
 )
 from diagcat.cobordisms import Spectrum, compose_cobordism, compose_deformed, compose_labeled
-from diagcat.errors import NegativeLabel, ParseError
-from diagcat.partitions import Partition, compose
+from diagcat.errors import CrossingError, NegativeLabel, ParseError, UnmatchedPoint
+from diagcat.partitions import Partition, compose, enumerate_partitions, make_partition
 
 
 def test_decode_rejects_garbage():
@@ -156,6 +159,46 @@ def test_non_regular_deformed_shadows_have_non_negative_counters():
     assert decode("Annd", {**_cup(), "k": -1, "regular": True}).k == -1
     with pytest.raises(NegativeLabel):
         decode("Annd", {**_cup(), "k": -1})
+
+
+def _matchings(points):
+    """Every perfect matching of the points, as a list of pairs."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, other in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1 :]):
+            yield [(first, other)] + tail
+
+
+# Every shape with up to six points and the square shape with eight, whose
+# 105 pair partitions hold 40 shadows; the other eight-point shapes would
+# double the test's time.
+SHADOW_SHAPES = [(m, total - m) for total in (0, 2, 4, 6) for m in range(total + 1)] + [(4, 4)]
+
+
+def test_shadow_decoders_accept_exactly_the_shadows_of_affine_diagrams():
+    for m, n in SHADOW_SHAPES:
+        shadows = {project_to_ann(d).base for d in enumerate_affine(m, n, 1)}
+        points = [("in", i) for i in range(1, m + 1)] + [("out", j) for j in range(1, n + 1)]
+        for pairs in _matchings(points):
+            p = make_partition(m, n, pairs)
+            for name in ("Ann", "Annd"):
+                if p in shadows:
+                    assert _bare(decode(name, partition_to_json(p))) == p
+                else:
+                    with pytest.raises(CrossingError):
+                        decode(name, partition_to_json(p))
+
+
+@pytest.mark.parametrize("name", ["Ann", "Annd"])
+def test_shadow_decoders_need_two_point_blocks(name):
+    for m, n in [(1, 0), (1, 1), (2, 1), (2, 2), (3, 1)]:
+        for p in enumerate_partitions(m, n):
+            if any(len(b) != 2 for b in p.blocks):
+                with pytest.raises(UnmatchedPoint):
+                    decode(name, partition_to_json(p))
 
 
 PUBLIC_COMPOSE = {
