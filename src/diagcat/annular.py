@@ -49,6 +49,7 @@ from .partitions import (
     CompositionResult,
     Partition,
     Vertex,
+    _coerce_side,
     compose as compose_partition,
     make_partition,
     reflect,
@@ -71,8 +72,6 @@ __all__ = [
     "make_pair",
     "make_triple",
     "compose_decorated",
-    "compose_pair",
-    "compose_triple",
     "star_pair",
     "star_triple",
     "sigma_affine",
@@ -82,7 +81,6 @@ __all__ = [
     "project_to_ann",
     "make_ann",
     "compose_ann",
-    "compose_deformed_ann",
     "star_deformed_ann",
     "shift_gap",
     "enumerate_affine",
@@ -176,29 +174,27 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
 
     partners maps each window point to its partner; accepted forms are a
     mapping {(side, index): (offset, side, index)} or an iterable of such
-    pairs, with sides given as "in"/"out" strings or the IN/OUT constants.
-    Indices and offsets must be ints; a bool, float, string or None raises
-    RangeError.
+    pairs, with sides given as "in"/"out" strings or the IN/OUT constants;
+    any other side, a bool included, raises RangeError.  Indices and
+    offsets must be ints; a bool, float, string or None raises RangeError.
     """
     if m < 0 or n < 0:
         raise RangeError("shape must be non-negative")
     if (m + n) % 2:
         raise ParityError(f"[{m}]~>[{n}] admits no perfect matching")
-    side_of = {"in": IN, "out": OUT, IN: IN, OUT: OUT}
     table: dict[tuple[int, int], APoint] = {}
     items = partners.items() if hasattr(partners, "items") else partners
     for key, value in items:
         side, index = key
         offset, pside, pindex = value
-        if side not in side_of or pside not in side_of:
-            raise RangeError(f"unknown side in {key!r} -> {value!r}")
+        side, pside = _coerce_side(side), _coerce_side(pside)
         for number in (index, offset, pindex):
             if isinstance(number, bool) or not isinstance(number, int):
                 raise RangeError(f"{number!r} in {key!r} -> {value!r} is not an integer")
-        slot = (side_of[side], index)
+        slot = (side, index)
         if slot in table:
             raise UnmatchedPoint(f"duplicate partner for {slot}")
-        table[slot] = APoint(offset, side_of[pside], pindex)
+        table[slot] = APoint(offset, pside, pindex)
 
     slots = _fundamental_slots(m, n)
     for slot in slots:
@@ -428,14 +424,6 @@ def compose_decorated(x, y):
     return AffinePair(res.product, k, x.regular), res
 
 
-def compose_pair(x: AffinePair, y: AffinePair) -> AffinePair:
-    return compose_decorated(x, y)[0]
-
-
-def compose_triple(x: AffineTriple, y: AffineTriple) -> AffineTriple:
-    return compose_decorated(x, y)[0]
-
-
 def star_pair(x: AffinePair) -> AffinePair:
     """Inverse-like star with x x* x == x on the regular extension."""
     if not x.regular:
@@ -587,10 +575,6 @@ def compose_ann(
     composition makes."""
     res = compose_partition(x.base, y.base)
     return AnnularPartition(res.product), res
-
-
-def compose_deformed_ann(x: DeformedAnnular, y: DeformedAnnular) -> DeformedAnnular:
-    return compose_decorated(x, y)[0]
 
 
 def star_deformed_ann(x: DeformedAnnular) -> DeformedAnnular:

@@ -51,8 +51,6 @@ __all__ = [
     "make_cobordism",
     "increment",
     "compose_decorated",
-    "compose_deformed",
-    "compose_labeled",
     "compose_cobordism",
     "star_deformed",
     "star_labeled",
@@ -217,15 +215,6 @@ def compose_decorated(x, y):
     if not x.regular:
         assert not spectrum.min_genus_negative()
     return Cobordism(res.product, live, spectrum, x.regular), res
-
-
-def compose_deformed(x: DeformedPartition, y: DeformedPartition) -> DeformedPartition:
-    return compose_decorated(x, y)[0]
-
-
-def compose_labeled(x: LabeledPartition, y: LabeledPartition) -> LabeledPartition:
-    """Compose label-decorated partitions, discarding dead-block labels."""
-    return compose_decorated(x, y)[0]
 
 
 def compose_cobordism(x: Cobordism, y: Cobordism) -> Cobordism:

@@ -162,22 +162,34 @@ class Partition:
         return len(set(self.labels[:m]).intersection(self.labels[m:]))
 
 
+def _coerce_side(side) -> int:
+    """IN or OUT for a side given as "in"/"out" or IN/OUT.  A bool, though
+    True == OUT, or an unhashable value raises RangeError like any other
+    unknown side."""
+    if not isinstance(side, bool):
+        try:
+            return _SIDE_NAMES[side]
+        except (KeyError, TypeError):
+            pass
+    raise RangeError(f"unknown side {side!r}")
+
+
 def _coerce_vertex(v) -> tuple[int, int]:
     side, index = v
-    if side not in _SIDE_NAMES:
-        raise RangeError(f"unknown side {side!r}")
+    side = _coerce_side(side)
     if isinstance(index, bool) or not isinstance(index, int):
         raise RangeError(f"vertex index {index!r} is not an integer")
-    return _SIDE_NAMES[side], index
+    return side, index
 
 
 def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
     """Build a validated (m, n)-partition from raw block data.
 
     Each vertex is a Vertex or a (side, index) pair with side "in"/"out"
-    (or IN/OUT) and an int index.  Raises RangeError for unknown sides,
-    non-integer or out-of-range indices, OverlapError for repeated
-    vertices, and CoverageError for empty blocks or missing vertices.
+    (or IN/OUT) and an int index.  Raises RangeError for unknown sides (a
+    bool included) and non-integer or out-of-range indices, OverlapError
+    for repeated vertices, and CoverageError for empty blocks or missing
+    vertices.
     """
     if m < 0 or n < 0:
         raise RangeError("shape must be non-negative")

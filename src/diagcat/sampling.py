@@ -56,47 +56,30 @@ def random_partition(rng: random.Random, m: int, n: int) -> Partition:
 
 
 def random_deformed(
-    rng: random.Random,
-    m: int,
-    n: int,
-    lo: int = -2,
-    hi: int = 2,
-    regular: bool = False,
+    rng: random.Random, m: int, n: int, regular: bool = False
 ) -> DeformedPartition:
     base = random_partition(rng, m, n)
-    shift = rng.randint(lo if regular else max(lo, 0), hi)
+    shift = rng.randint(-2 if regular else 0, 2)
     return DeformedPartition(base, shift, regular)
 
 
-def _random_labels(rng, base, lo, hi):
-    return {blk: rng.randint(lo, hi) for blk in base.blocks}
-
-
-def random_spectrum(
-    rng: random.Random,
-    support: int = 3,
-    max_count: int = 2,
-    lo: int = 0,
-    hi: int = 4,
-) -> Spectrum:
-    genera = rng.sample(range(lo, hi + 1), min(support, hi - lo + 1))
-    return Spectrum({g: rng.randint(1, max_count) for g in genera[:support]})
+def random_spectrum(rng: random.Random, support: int = 3) -> Spectrum:
+    """Up to support distinct genera in 0-4, each with count 1 or 2."""
+    genera = rng.sample(range(5), min(support, 5))
+    return Spectrum({g: rng.randint(1, 2) for g in genera})
 
 
 def random_cobordism(
     rng: random.Random,
     m: int,
     n: int,
-    lo: int = -2,
-    hi: int = 2,
     regular: bool = False,
     spectrum_support: int = 2,
 ) -> Cobordism:
     base = random_partition(rng, m, n)
-    if not regular:
-        lo = max(lo, 0)
-    spectrum = random_spectrum(rng, rng.randint(0, spectrum_support), lo=max(lo, 0))
-    return make_cobordism(base, _random_labels(rng, base, lo, hi), spectrum, regular)
+    spectrum = random_spectrum(rng, rng.randint(0, spectrum_support))
+    labels = {blk: rng.randint(-2 if regular else 0, 2) for blk in base.blocks}
+    return make_cobordism(base, labels, spectrum, regular)
 
 
 def random_affine(
@@ -114,29 +97,20 @@ def random_affine(
     return out
 
 
-def random_pair(
-    rng: random.Random, n: int, max_k: int = 3, regular: bool = False
-) -> AffinePair:
+def random_pair(rng: random.Random, n: int, regular: bool = False) -> AffinePair:
     skel = random_affine(rng, n)
-    lo = -max_k if regular else 0
-    k = 0 if skel.rank > 0 else rng.randint(lo, max_k)
+    k = 0 if skel.rank > 0 else rng.randint(-3 if regular else 0, 3)
     return make_pair(skel, k, regular)
 
 
-def random_triple(
-    rng: random.Random, n: int, max_k: int = 3, regular: bool = False
-) -> AffineTriple:
+def random_triple(rng: random.Random, n: int, regular: bool = False) -> AffineTriple:
     skel = random_affine(rng, n)
-    lo = -max_k if regular else 0
-    k = 0 if skel.rank > 0 else rng.randint(lo, max_k)
-    return make_triple(skel, k, rng.randint(lo, max_k), regular)
+    lo = -3 if regular else 0
+    k = 0 if skel.rank > 0 else rng.randint(lo, 3)
+    return make_triple(skel, k, rng.randint(lo, 3), regular)
 
 
-def random_word(
-    rng: random.Random,
-    letters: str = "abc",
-    max_len: int = 7,
-    min_len: int = 1,
-) -> Word:
-    length = rng.randint(min_len, max_len)
-    return Word(tuple(rng.choice(letters) for _ in range(length)))
+def random_word(rng: random.Random, max_len: int = 7) -> Word:
+    """A word of 1 to max_len letters over abc."""
+    length = rng.randint(1, max_len)
+    return Word(tuple(rng.choice("abc") for _ in range(length)))

@@ -14,11 +14,11 @@ decimal form ("0", "3", "-2").  Anything else raises ParseError.  An Ann
 or Annd base must be the shadow of an affine diagram (see
 annular.make_ann), else UnmatchedPoint or CrossingError.
 
-CATEGORIES holds one Category row per category, and the CLI, the benchmark
-and the law tests know the families only through it: adding a family is
-one row plus its codec.  X holds non-regular values and X-bar regular ones;
-P, aTLe and Ann are regular (their star is total); aTL, aTLd and Annd take
-both.
+CATEGORIES holds one Category row per category, and the CLI, the benchmark,
+the acceptance suite's sampled law checks and the law tests know the
+families only through it: adding a family is one row plus its codec.  X
+holds non-regular values and X-bar regular ones; P, aTLe and Ann are
+regular (their star is total); aTL, aTLd and Annd take both.
 """
 
 from __future__ import annotations

@@ -13,6 +13,11 @@ assignment at once.  They run through the production label merge and
 star, with the constant-slot row as the label 1.  Each symbolic
 composition is spot checked against the real composition on sampled
 assignments.
+
+The sampled family laws (involution-laws, regular-star-laws and the random
+half of circle-counting) know the families only through the rows of
+serialize.CATEGORIES: each row's sampler, composer, involutions, star and
+quotient maps.
 """
 
 from __future__ import annotations
@@ -28,20 +33,14 @@ import numpy as np
 
 from .annular import (
     AffineDiagram,
-    DeformedAnnular,
     affine_identity,
     affine_power,
     build_ann_monoid,
     compose_affine,
-    compose_deformed_ann,
-    compose_pair,
-    compose_triple,
     cup_cap,
     enumerate_affine,
     lambda_pow,
     make_affine,
-    make_pair,
-    make_triple,
     project_to_ann,
     rho_affine,
     shift_gap,
@@ -70,19 +69,12 @@ from .cobordisms import (
     LabeledPartition,
     Spectrum,
     compose_cobordism,
-    compose_deformed,
-    compose_labeled,
     _merge_labels,
     _star_genus,
     fiber_product_oracle,
     make_cobordism,
     rho,
     sigma,
-    star_cobordism,
-    star_deformed,
-    star_labeled,
-    to_deformed,
-    to_labeled,
 )
 from .errors import CrossingError, DiagcatError
 from .identities import (
@@ -119,13 +111,11 @@ from .partitions import (
 from .sampling import (
     random_affine,
     random_cobordism,
-    random_deformed,
-    random_pair,
     random_partition,
     random_spectrum,
-    random_triple,
     random_word,
 )
+from .serialize import CATEGORIES, Category
 
 
 class CheckFailed(AssertionError):
@@ -147,6 +137,39 @@ def _parts(m: int, n: int) -> tuple[Partition, ...]:
 @lru_cache(maxsize=None)
 def _part_index(m: int, n: int) -> dict:
     return {p: i for i, p in enumerate(_parts(m, n))}
+
+
+def _mul(row: Category, x, y):
+    return row.compose(x, y)[0]
+
+
+def _check_involutions(row: Category, x, y) -> None:
+    """The row's sigma and rho square to the identity on x, reverse the
+    product x y, and commute at x with each of the row's quotient maps."""
+    xy = _mul(row, x, y)
+    for name in ("sigma", "rho"):
+        inv = getattr(row, name)
+        ix = inv(x)
+        _require(inv(ix) == x, lambda: f"{row.name}: {name} fails to square away on {x!r}")
+        _require(
+            inv(xy) == _mul(row, inv(y), ix),
+            lambda: f"{row.name}: {name} fails to reverse on {x!r}, {y!r}",
+        )
+        for target, q in row.quotients.items():
+            _require(
+                q(ix) == getattr(CATEGORIES[target], name)(q(x)),
+                lambda: f"{row.name} -> {target} does not commute with {name} at {x!r}",
+            )
+
+
+def _check_star(row: Category, x) -> None:
+    """x** == x, x x* x == x and x* x x* == x* for the row's star."""
+    xs = row.star(x)
+    _require(row.star(xs) == x, lambda: f"{row.name}: x** != x for {x!r}")
+    _require(_mul(row, _mul(row, x, xs), x) == x, lambda: f"{row.name}: x x* x != x for {x!r}")
+    _require(
+        _mul(row, _mul(row, xs, x), xs) == xs, lambda: f"{row.name}: x* x x* != x* for {x!r}"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -346,32 +369,13 @@ def check_cobordism_assoc(rng: random.Random, full: bool) -> str:
 
 
 def check_regular_star_laws(rng: random.Random, full: bool) -> str:
+    rows = (CATEGORIES["Pd-bar"], CATEGORIES["Cob-bar"])
     count = 0
     for _ in range(10_000):
         m, n = rng.randint(0, 3), rng.randint(0, 3)
-        x = random_deformed(rng, m, n, regular=True)
-        xs = star_deformed(x)
-        _require(star_deformed(xs) == x, lambda: f"x** != x for {x!r}")
-        _require(
-            compose_deformed(compose_deformed(x, xs), x) == x,
-            lambda: f"x x* x != x for {x!r}",
-        )
-        _require(
-            compose_deformed(compose_deformed(xs, x), xs) == xs,
-            lambda: f"x* x x* != x* for {x!r}",
-        )
-        y = random_cobordism(rng, m, n, regular=True)
-        ys = star_cobordism(y)
-        _require(star_cobordism(ys) == y, lambda: f"y** != y for {y!r}")
-        _require(
-            compose_cobordism(compose_cobordism(y, ys), y) == y,
-            lambda: f"y y* y != y for {y!r}",
-        )
-        _require(
-            compose_cobordism(compose_cobordism(ys, y), ys) == ys,
-            lambda: f"y* y y* != y* for {y!r}",
-        )
-        count += 2
+        for row in rows:
+            _check_star(row, row.sample(rng, m, n, True))
+            count += 1
     return (
         f"{count} random regular elements over shapes <= [3]~>[3], split "
         f"between deformed partitions and full labeled values; all three "
@@ -385,6 +389,7 @@ def check_regular_star_laws(rng: random.Random, full: bool) -> str:
 
 def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
     parts = _parts(2, 2)
+    labeled, deformed = CATEGORIES["Cob0-bar"], CATEGORIES["Pd-bar"]
 
     # the genus-labeled star reverses every product
     for a, b in itertools.product(parts, repeat=2):
@@ -409,9 +414,9 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
         )
         x = LabeledPartition(a, tuple(int(v) for v in assign[:na]), True)
         y = LabeledPartition(b, tuple(int(v) for v in assign[na:-1]), True)
-        lhs = star_labeled(compose_labeled(x, y))
+        lhs = labeled.star(_mul(labeled, x, y))
         _require(
-            lhs == compose_labeled(star_labeled(y), star_labeled(x)),
+            lhs == _mul(labeled, labeled.star(y), labeled.star(x)),
             lambda: f"(xy)* != y* x* numerically at {x!r}, {y!r}",
         )
         _require(
@@ -431,8 +436,8 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
         for s, t in itertools.product((-2, 0, 2), repeat=2):
             x = DeformedPartition(a, s, True)
             y = DeformedPartition(b, t, True)
-            lhs = star_deformed(compose_deformed(x, y))
-            rhs = compose_deformed(star_deformed(y), star_deformed(x))
+            lhs = deformed.star(_mul(deformed, x, y))
+            rhs = _mul(deformed, deformed.star(y), deformed.star(x))
             verdicts.add(lhs == rhs)
         _require(
             len(verdicts) == 1,
@@ -738,32 +743,20 @@ def check_circle_counting(rng: random.Random, full: bool) -> str:
     )
 
     randoms = 0
-    for _ in range(5000):
-        n = rng.randint(1, 3)
-        x, y, z = (random_pair(rng, n) for _ in range(3))
-        left = compose_pair(compose_pair(x, y), z)
-        _require(
-            left == compose_pair(x, compose_pair(y, z)),
-            lambda: f"wrap-counting composition not associative at {x!r}, {y!r}, {z!r}",
-        )
-        _require(
-            left.skeleton.rank == 0 or left.k == 0,
-            lambda: f"positive rank with nonzero wrap count: {left!r}",
-        )
-        randoms += 1
-    for _ in range(5000):
-        n = rng.randint(1, 3)
-        x, y, z = (random_triple(rng, n) for _ in range(3))
-        left = compose_triple(compose_triple(x, y), z)
-        _require(
-            left == compose_triple(x, compose_triple(y, z)),
-            lambda: f"two-counter composition not associative at {x!r}, {y!r}, {z!r}",
-        )
-        _require(
-            left.skeleton.rank == 0 or left.k == 0,
-            lambda: f"positive rank with nonzero wrap count: {left!r}",
-        )
-        randoms += 1
+    for row in (CATEGORIES["aTL"], CATEGORIES["aTLd"]):
+        for _ in range(5000):
+            n = rng.randint(1, 3)
+            x, y, z = (row.sample(rng, n, n, False) for _ in range(3))
+            left = _mul(row, _mul(row, x, y), z)
+            _require(
+                left == _mul(row, x, _mul(row, y, z)),
+                lambda: f"{row.name} composition not associative at {x!r}, {y!r}, {z!r}",
+            )
+            _require(
+                left.skeleton.rank == 0 or left.k == 0,
+                lambda: f"positive rank with nonzero wrap count: {left!r}",
+            )
+            randoms += 1
     return (
         f"cup-cap self-composition gives b0=1, bw=0 and the wrap element "
         f"gives bw=1; {randoms} random associativity cases; wrap counts "
@@ -1105,102 +1098,29 @@ def check_rees_witnesses(rng: random.Random, full: bool) -> str:
 
 
 def check_involution_laws(rng: random.Random, full: bool) -> str:
+    rows = [row for row in CATEGORIES.values() if True in row.regularities]
+    strips = [row for row in rows if not row.square]
+    squares = [row for row in rows if row.square]
     checks = 0
     for _ in range(5000):
         m, n, r = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
-        for inv in (sigma, rho):
-            p, q = random_partition(rng, m, n), random_partition(rng, n, r)
-            _require(inv(inv(p)) == p, lambda: f"involution fails to square away on {p!r}")
-            _require(
-                inv(compose(p, q).product) == compose(inv(q), inv(p)).product,
-                lambda: f"involution fails to reverse on {p!r}, {q!r}",
-            )
-            x = random_deformed(rng, m, n, regular=True)
-            y = random_deformed(rng, n, r, regular=True)
-            _require(inv(inv(x)) == x, lambda: f"involution fails to square away on {x!r}")
-            _require(
-                inv(compose_deformed(x, y)) == compose_deformed(inv(y), inv(x)),
-                lambda: f"involution fails to reverse on {x!r}, {y!r}",
-            )
-            lx = random_cobordism(rng, m, n, regular=True)
-            ly = random_cobordism(rng, n, r, regular=True)
-            _require(inv(inv(lx)) == lx, lambda: f"involution fails to square away on {lx!r}")
-            _require(
-                inv(compose_cobordism(lx, ly))
-                == compose_cobordism(inv(ly), inv(lx)),
-                lambda: f"involution fails to reverse on {lx!r}, {ly!r}",
-            )
-            _require(
-                to_labeled(inv(lx)) == inv(to_labeled(lx))
-                and to_deformed(inv(lx)) == inv(to_deformed(lx)),
-                lambda: f"forgetting labels breaks the involution on {lx!r}",
-            )
-            kx, ky = to_labeled(lx), to_labeled(ly)
-            _require(
-                inv(compose_labeled(kx, ky)) == compose_labeled(inv(ky), inv(kx)),
-                lambda: f"involution fails to reverse on {kx!r}, {ky!r}",
-            )
+        for row in strips:
+            _check_involutions(row, row.sample(rng, m, n, True), row.sample(rng, n, r, True))
         checks += 1
 
-    pools: dict[int, list[AffineDiagram]] = {
-        n: [
-            random_affine(rng, n, steps=rng.randint(0, 5))
-            for _ in range(500)
-        ]
+    # fresh affine samples cost about twice the laws, so draw pools once
+    pools = {
+        (row.name, n): [row.sample(rng, n, n, True) for _ in range(500)]
+        for row in squares
         for n in (1, 2, 3)
     }
     for _ in range(5000):
         n = rng.randint(1, 3)
-        a, b = rng.choice(pools[n]), rng.choice(pools[n])
-        for inv in (sigma_affine, rho_affine):
-            _require(inv(inv(a)) == a, lambda: f"involution fails to square away on {a!r}")
-            _require(
-                inv(compose_affine(a, b).product)
-                == compose_affine(inv(b), inv(a)).product,
-                lambda: f"involution fails to reverse on {a!r}, {b!r}",
-            )
-            _require(
-                project_to_ann(inv(a)) == inv(project_to_ann(a)),
-                lambda: f"shadow map breaks the involution on {a!r}",
-            )
-        # the reflection is also the regular star of the circle-free family
-        _require(
-            compose_affine(
-                compose_affine(a, sigma_affine(a)).product, a
-            ).product
-            == a,
-            lambda: f"x sigma(x) x != x for {a!r}",
-        )
-        ka = 0 if a.rank > 0 else rng.randint(-2, 2)
-        kb = 0 if b.rank > 0 else rng.randint(-2, 2)
-        pa, pb = make_pair(a, ka, True), make_pair(b, kb, True)
-        ta = make_triple(a, ka, rng.randint(-2, 2), True)
-        tb = make_triple(b, kb, rng.randint(-2, 2), True)
-        sa, sb = project_to_ann(a), project_to_ann(b)
-        da = DeformedAnnular(sa, rng.randint(-2, 2), True)
-        db = DeformedAnnular(sb, rng.randint(-2, 2), True)
-        for inv in (sigma_affine, rho_affine):
-            _require(
-                inv(inv(pa)) == pa and inv(inv(ta)) == ta and inv(inv(da)) == da,
-                lambda: f"involution fails to square away on decorated values over {a!r}",
-            )
-            _require(
-                inv(compose_pair(pa, pb)) == compose_pair(inv(pb), inv(pa)),
-                lambda: f"involution fails to reverse on {pa!r}, {pb!r}",
-            )
-            _require(
-                inv(compose_triple(ta, tb)) == compose_triple(inv(tb), inv(ta)),
-                lambda: f"involution fails to reverse on {ta!r}, {tb!r}",
-            )
-            _require(
-                inv(sa * sb) == inv(sb) * inv(sa),
-                lambda: f"involution fails to reverse on {sa!r}, {sb!r}",
-            )
-            _require(
-                inv(compose_deformed_ann(da, db))
-                == compose_deformed_ann(inv(db), inv(da)),
-                lambda: f"involution fails to reverse on {da!r}, {db!r}",
-            )
+        for row in squares:
+            x, y = rng.choice(pools[row.name, n]), rng.choice(pools[row.name, n])
+            _check_involutions(row, x, y)
+            if row.name == "aTLe":
+                _check_star(row, x)  # its star is the reflection
         checks += 1
 
     for x in a21_elements():

@@ -1,17 +1,26 @@
 """Acceptance battery: one test per released criterion.
 
 The suite runs once per session with seed 0; each test asserts its
-criterion's entry passed and surfaces the check's detail on failure.
+criterion's entry passed and surfaces the check's detail on failure, and
+the details must equal the benchmark's seed-0 reference.  The suite's
+shared law helpers are also tested on their own, against broken rows.
 Set DIAGCAT_FULL=1 to extend the idempotency sweep one size higher.
 """
 
+import json
 import os
+import random
+from pathlib import Path
 
 import pytest
 
-from diagcat.suite import run_suite
+from diagcat import CATEGORIES
+from diagcat.cobordisms import DeformedPartition
+from diagcat.partitions import make_partition
+from diagcat.suite import CheckFailed, _check_involutions, _check_star, run_suite
 
 FULL = os.environ.get("DIAGCAT_FULL") == "1"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +102,53 @@ def test_every_criterion_has_one_entry(report):
     assert len(report.results) == 16
     assert len({r.check for r in report.results}) == 16
     assert report.skipped == 0
+
+
+@pytest.mark.skipif(FULL, reason="the full run sweeps idempotent-structure one size further")
+def test_details_match_the_benchmark_reference(report):
+    expected = json.loads(REFERENCE.read_text())["suite"]["details"]["0"]
+    assert {r.check: r.detail for r in report.results} == expected
+
+
+def _pairs(row, regular, count=20):
+    """Composable pairs drawn through the row's sampler."""
+    rng = random.Random(row.name)
+    pairs = []
+    for _ in range(count):
+        l, m, n = [rng.randint(1, 3)] * 3 if row.square else [rng.randint(0, 3) for _ in "lmn"]
+        pairs.append((row.sample(rng, l, m, regular), row.sample(rng, m, n, regular)))
+    return pairs
+
+
+def test_law_helpers_pass_every_row():
+    for row in CATEGORIES.values():
+        for regular in row.regularities:
+            for x, y in _pairs(row, regular):
+                _check_involutions(row, x, y)
+                if regular:
+                    _check_star(row, x)
+
+
+def test_involution_helper_catches_a_broken_sigma():
+    row = CATEGORIES["aTL"]._replace(sigma=lambda x: x)
+    with pytest.raises(CheckFailed, match="sigma fails to reverse"):
+        for x, y in _pairs(row, False):
+            _check_involutions(row, x, y)
+
+
+def test_involution_helper_catches_a_quotient_that_misses_rho():
+    # sigma fixes this value and rho moves it, so the constant map to it
+    # commutes with sigma only
+    base = make_partition(2, 2, [[("in", 1), ("out", 1)], [("in", 2)], [("out", 2)]])
+    c = DeformedPartition(base, 0, True)
+    row = CATEGORIES["Cob-bar"]._replace(quotients={"Pd-bar": lambda x: c})
+    with pytest.raises(CheckFailed, match="does not commute with rho"):
+        for x, y in _pairs(row, True):
+            _check_involutions(row, x, y)
+
+
+def test_star_helper_catches_a_wrong_star():
+    row = CATEGORIES["Pd-bar"]._replace(star=CATEGORIES["Pd-bar"].sigma)
+    with pytest.raises(CheckFailed):
+        for x, _ in _pairs(row, True):
+            _check_star(row, x)

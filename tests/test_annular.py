@@ -7,8 +7,6 @@ from diagcat import (
     affine_power,
     build_ann_monoid,
     compose_affine,
-    compose_pair,
-    compose_triple,
     cup_cap,
     enumerate_affine,
     lambda_pow,
@@ -20,7 +18,7 @@ from diagcat import (
     sigma_affine,
     zeta,
 )
-from diagcat.annular import IN, OUT, _fundamental_slots
+from diagcat.annular import IN, OUT, _fundamental_slots, compose_decorated
 from diagcat.errors import (
     CrossingError,
     NegativeLabel,
@@ -107,7 +105,7 @@ def test_shadow_collapses_exactly_the_shift():
 def test_pair_wrap_counter():
     wrap = compose_affine(cup_cap(2, 1), cup_cap(2, 2)).product
     p = make_pair(wrap, 2, False)
-    q = compose_pair(p, p)
+    q = compose_decorated(p, p)[0]
     assert q.k == 5  # 2 + 2 + one new wrap circle
     with pytest.raises(RangeError):
         make_pair(zeta(2), 1, False)  # positive rank forces k = 0
@@ -118,7 +116,7 @@ def test_pair_wrap_counter():
 def test_triple_counts_contractible_circles():
     cc = cup_cap(2, 1)
     t = make_triple(cc, 0, 0, False)
-    r = compose_triple(t, t)
+    r = compose_decorated(t, t)[0]
     assert r.k0 == 1 and r.k == 0 and r.skeleton == cc
 
 
@@ -147,6 +145,17 @@ def test_rank_one_idempotent_census():
 def test_make_affine_rejects_non_integer_numbers(position, bad):
     def build(index=1, offset=0, pindex=1):
         return make_affine(1, 1, {("in", index): (offset, "out", pindex), ("out", 1): (0, "in", 1)})
+
+    assert build() == affine_identity(1)
+    with pytest.raises(RangeError):
+        build(**{position: bad})
+
+
+@pytest.mark.parametrize("bad", [False, True, ["in"]])
+@pytest.mark.parametrize("position", ["side", "pside"])
+def test_make_affine_rejects_boolean_and_unhashable_sides(position, bad):
+    def build(side="in", pside="out"):
+        return make_affine(1, 1, [((side, 1), (0, pside, 1)), (("out", 1), (0, "in", 1))])
 
     assert build() == affine_identity(1)
     with pytest.raises(RangeError):

@@ -6,7 +6,6 @@ from diagcat import (
     Cobordism,
     Spectrum,
     compose_cobordism,
-    compose_labeled,
     fiber_product_oracle,
     identity_partition,
     make_cobordism,
@@ -17,6 +16,7 @@ from diagcat import (
     vin,
     vout,
 )
+from diagcat.cobordisms import compose_decorated
 from diagcat.errors import BaseMismatch, NegativeLabel
 from diagcat.sampling import random_cobordism
 
@@ -59,9 +59,9 @@ def test_labeled_star_reverses_products():
         m, k, n = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
         x = to_labeled(random_cobordism(rng, m, k, regular=True))
         y = to_labeled(random_cobordism(rng, k, n, regular=True))
-        assert star_labeled(compose_labeled(x, y)) == compose_labeled(
+        assert star_labeled(compose_decorated(x, y)[0]) == compose_decorated(
             star_labeled(y), star_labeled(x)
-        )
+        )[0]
 
 
 def test_fiber_oracle_matches_iteration():

@@ -39,6 +39,16 @@ def test_make_partition_rejects_non_integer_indices(index):
         make_partition(1, 1, [[("in", 1), ("out", index)]])
 
 
+@pytest.mark.parametrize("side", [False, True, ["in"]])
+@pytest.mark.parametrize("position", [0, 1])
+def test_make_partition_rejects_boolean_and_unhashable_sides(position, side):
+    vertices = [("in", 1), ("out", 1)]
+    assert make_partition(1, 1, [vertices]) == identity_partition(1)
+    vertices[position] = (side, 1)
+    with pytest.raises(RangeError):
+        make_partition(1, 1, [vertices])
+
+
 @pytest.mark.parametrize(
     "m, n, count",
     [(0, 0, 1), (1, 0, 1), (1, 1, 2), (2, 2, 15), (2, 3, 52), (3, 3, 203)],

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from diagcat import CATEGORIES, decode, encode
+from diagcat import CATEGORIES, annular, cobordisms, decode, encode
 from diagcat.serialize import partition_to_json
 from diagcat.annular import (
     AffineDiagram,
@@ -11,11 +11,8 @@ from diagcat.annular import (
     enumerate_affine,
     project_to_ann,
     compose_ann,
-    compose_deformed_ann,
-    compose_pair,
-    compose_triple,
 )
-from diagcat.cobordisms import Spectrum, compose_cobordism, compose_deformed, compose_labeled
+from diagcat.cobordisms import Spectrum, compose_cobordism
 from diagcat.errors import CrossingError, NegativeLabel, ParseError, UnmatchedPoint
 from diagcat.partitions import Partition, compose, enumerate_partitions, make_partition
 
@@ -201,19 +198,23 @@ def test_shadow_decoders_need_two_point_blocks(name):
                     decode(name, partition_to_json(p))
 
 
+def _product(compose_with_diagnostics):
+    return lambda x, y: compose_with_diagnostics(x, y)[0]
+
+
 PUBLIC_COMPOSE = {
     "P": lambda x, y: compose(x, y).product,
-    "Pd": compose_deformed,
-    "Pd-bar": compose_deformed,
-    "Cob0": compose_labeled,
-    "Cob0-bar": compose_labeled,
+    "Pd": _product(cobordisms.compose_decorated),
+    "Pd-bar": _product(cobordisms.compose_decorated),
+    "Cob0": _product(cobordisms.compose_decorated),
+    "Cob0-bar": _product(cobordisms.compose_decorated),
     "Cob": compose_cobordism,
     "Cob-bar": compose_cobordism,
     "aTLe": lambda x, y: compose_affine(x, y).product,
-    "aTL": compose_pair,
-    "aTLd": compose_triple,
+    "aTL": _product(annular.compose_decorated),
+    "aTLd": _product(annular.compose_decorated),
     "Ann": lambda x, y: compose_ann(x, y)[0],
-    "Annd": compose_deformed_ann,
+    "Annd": _product(annular.compose_decorated),
 }
 
 
