@@ -72,8 +72,7 @@ __all__ = [
     "make_pair",
     "make_triple",
     "compose_decorated",
-    "star_pair",
-    "star_triple",
+    "star_decorated",
     "sigma_affine",
     "rho_affine",
     "AnnularPartition",
@@ -81,7 +80,6 @@ __all__ = [
     "project_to_ann",
     "make_ann",
     "compose_ann",
-    "star_deformed_ann",
     "shift_gap",
     "enumerate_affine",
     "build_ann_monoid",
@@ -133,9 +131,8 @@ class AffineDiagram:
         return self._hash
 
     def __repr__(self) -> str:
-        pts = [APoint(0, IN, i + 1) for i in range(self.m)]
-        pts += [APoint(0, OUT, j + 1) for j in range(self.n)]
-        body = ", ".join(f"{p!r}->{q!r}" for p, q in zip(pts, self.partner))
+        slots = _fundamental_slots(self.m, self.n)
+        body = ", ".join(f"{APoint(0, *p)!r}->{q!r}" for p, q in zip(slots, self.partner))
         return f"AffineDiagram({self.m}->{self.n}: {body})"
 
     def __mul__(self, other: "AffineDiagram") -> "AffineDiagram":
@@ -166,6 +163,8 @@ class AffineDiagram:
 
 
 def _fundamental_slots(m: int, n: int) -> list[tuple[int, int]]:
+    """The (side, index) window points in the order of a partner tuple:
+    in1..inm, then out1..outn."""
     return [(IN, i) for i in range(1, m + 1)] + [(OUT, j) for j in range(1, n + 1)]
 
 
@@ -221,13 +220,30 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
     return diagram
 
 
-def _check_crossings(d: AffineDiagram, window: int | None = None) -> None:
-    """Reject crossing strings; checks all shifts within the offset window."""
-    reps = d.strings()
-    if window is None:
-        window = max((abs(q.offset) for q in d.partner), default=0) + 1
+def _check_crossings(d: AffineDiagram) -> None:
+    """Reject crossing strings.
+
+    Shifting the whole bottom row by -r, where r is the offset of the first
+    through string, preserves the order behind the test and so preserves
+    crossings; it subtracts r from every top-to-bottom offset and adds it
+    to every bottom-to-top one.  After that no offset may reach 2: a cup or
+    cap of offset t with |t| >= 2 holds one end of its own unit shift but
+    not the other, and of two through strings whose offsets differ by at
+    least 2, the one with the larger offset crosses the other shifted by
+    +1.  The remaining strings are compared at every relative shift within
+    their offset window.
+    """
+    r = next((q.offset for q in d.partner[: d.m] if q.side == OUT), 0)
+    if r:
+        d = AffineDiagram(d.m, d.n, tuple(
+            q.shifted(-r if i < d.m else r) if (i < d.m) != (q.side == IN) else q
+            for i, q in enumerate(d.partner)
+        ))
+    window = max((abs(q.offset) for q in d.partner), default=0) + 1
+    if window > 2:
+        raise CrossingError("strings cross")
     shifted = []
-    for rep in reps:
+    for rep in d.strings():
         for t in range(-window, window + 1):
             a, b = rep[0].shifted(t), rep[1].shifted(t)
             ka, kb = _order_key(a), _order_key(b)
@@ -424,25 +440,23 @@ def compose_decorated(x, y):
     return AffinePair(res.product, k, x.regular), res
 
 
-def star_pair(x: AffinePair) -> AffinePair:
-    """Inverse-like star with x x* x == x on the regular extension."""
+def star_decorated(x):
+    """Inverse-like star with x x* x == x on regular wrap pairs, two-counter
+    triples and deformed shadows: reflect x, then replace each counter c
+    with -c minus the circles (dead blocks, for a shadow) that x x' and
+    x' x make, x' being the reflection."""
     if not x.regular:
         raise NotRegular("star needs a regular value")
-    s = sigma_affine(x.skeleton)
-    fwd = compose_affine(x.skeleton, s)
-    bwd = compose_affine(s, x.skeleton)
-    return AffinePair(s, -x.k - fwd.bw - bwd.bw, True)
-
-
-def star_triple(x: AffineTriple) -> AffineTriple:
-    if not x.regular:
-        raise NotRegular("star needs a regular value")
-    s = sigma_affine(x.skeleton)
-    fwd = compose_affine(x.skeleton, s)
-    bwd = compose_affine(s, x.skeleton)
-    return AffineTriple(
-        s, -x.k - fwd.bw - bwd.bw, -x.k0 - fwd.b0 - bwd.b0, True
-    )
+    s = sigma_affine(x)
+    if isinstance(x, DeformedAnnular):
+        fwd, bwd = compose_ann(x.base, s.base)[1], compose_ann(s.base, x.base)[1]
+        return s._replace(k=-x.k - fwd.b - bwd.b)
+    fwd = compose_affine(x.skeleton, s.skeleton)
+    bwd = compose_affine(s.skeleton, x.skeleton)
+    s = s._replace(k=-x.k - fwd.bw - bwd.bw)
+    if isinstance(x, AffineTriple):
+        s = s._replace(k0=-x.k0 - fwd.b0 - bwd.b0)
+    return s
 
 
 def _reflect_diagram(x: AffineDiagram) -> AffineDiagram:
@@ -521,9 +535,8 @@ class DeformedAnnular(NamedTuple):
 def project_to_ann(a: AffineDiagram) -> AnnularPartition:
     """Forget offsets: each string becomes a two-element block."""
     blocks = set()
-    for i, q in enumerate(a.partner):
-        side, index = (IN, i + 1) if i < a.m else (OUT, i - a.m + 1)
-        blocks.add(frozenset({Vertex(side, index), Vertex(q.side, q.index)}))
+    for slot, q in zip(_fundamental_slots(a.m, a.n), a.partner):
+        blocks.add(frozenset({Vertex(*slot), Vertex(q.side, q.index)}))
     return AnnularPartition(make_partition(a.m, a.n, [sorted(b) for b in blocks]))
 
 
@@ -575,15 +588,6 @@ def compose_ann(
     composition makes."""
     res = compose_partition(x.base, y.base)
     return AnnularPartition(res.product), res
-
-
-def star_deformed_ann(x: DeformedAnnular) -> DeformedAnnular:
-    if not x.regular:
-        raise NotRegular("star needs a regular value")
-    s = AnnularPartition(reflect(x.base.base))
-    fwd = compose_ann(x.base, s)[1].b
-    bwd = compose_ann(s, x.base)[1].b
-    return DeformedAnnular(s, -x.k - fwd - bwd, True)
 
 
 def shift_gap(x: AffineDiagram, y: AffineDiagram):

@@ -111,14 +111,6 @@ class CircleForest:
         """One new circle drawn around the whole forest."""
         return CircleForest((self.trees,))
 
-    @property
-    def size(self) -> int:
-        return sum(_tree_size(t) for t in self.trees)
-
-    @property
-    def depth(self) -> int:
-        return max((_tree_depth(t) for t in self.trees), default=0)
-
     def indecomposables(self) -> tuple["CircleForest", ...]:
         """The single-tree summands, with multiplicity."""
         return tuple(CircleForest((t,)) for t in self.trees)
@@ -142,7 +134,6 @@ class JEInstance:
     """One (L, R, S, actions) package; elements carry their instance."""
 
     name: str
-    s_one: object
     s_mul: Callable
     left_act: Callable   # (s, l) -> l'
     right_act: Callable  # (r, s) -> r'
@@ -152,7 +143,6 @@ class JEInstance:
 
 JE_INT = JEInstance(
     name="additive-integers",
-    s_one=0,
     s_mul=lambda a, b: a + b,
     left_act=lambda s, l: s + l,
     right_act=lambda r, s: r + s,
@@ -162,7 +152,6 @@ JE_INT = JEInstance(
 
 JE_NAT = JEInstance(
     name="additive-naturals",
-    s_one=0,
     s_mul=lambda a, b: a + b,
     left_act=lambda s, l: s + l,
     right_act=lambda r, s: r + s,
@@ -172,7 +161,6 @@ JE_NAT = JEInstance(
 
 JE_PARITY = JEInstance(
     name="parity-on-two-points",
-    s_one=0,
     s_mul=lambda a, b: a + b,
     left_act=lambda s, l: (s + l) % 2,
     right_act=lambda r, s: (r + s) % 2,
@@ -366,9 +354,9 @@ class FiniteMonoid:
     first failure in x, y, z order.
     """
 
-    __slots__ = ("table", "one", "star", "labels")
+    __slots__ = ("table", "one", "star")
 
-    def __init__(self, table, star=None, labels=None):
+    def __init__(self, table, star=None):
         # Imported on first use: importing numpy before identities,
         # serialize and suite are compiled raises the peak RSS of
         # `import diagcat` by about 1.6 MB when no bytecode is cached.
@@ -414,7 +402,6 @@ class FiniteMonoid:
         self.table = table
         self.one = one
         self.star = star
-        self.labels = tuple(labels) if labels is not None else None
 
     @property
     def size(self) -> int:
@@ -422,12 +409,6 @@ class FiniteMonoid:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def power(self, i: int, t: int) -> int:
-        out = self.one
-        for _ in range(t):
-            out = self.table[out][i]
-        return out
 
     def idempotents(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if self.table[i][i] == i)

@@ -128,13 +128,6 @@ class IWord:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def star(self) -> "IWord":
-        return IWord(tuple((ch, not s) for ch, s in reversed(self.symbols)))
-
-    def plain(self) -> Word:
-        """Forget the stars."""
-        return Word(tuple(ch for ch, _ in self.symbols))
-
     def __str__(self) -> str:
         return "1" if not self.symbols else "".join(
             ch + ("*" if s else "") for ch, s in self.symbols
@@ -496,12 +489,8 @@ class Verdict:
 
 
 def _identity_letters(identity: Identity) -> list[str]:
-    def letters(side):
-        if isinstance(side, IWord):
-            return [ch for ch, _ in side.symbols]
-        return list(side.letters)
-
-    return sorted(set(letters(identity.lhs) + letters(identity.rhs)), key=_letter_key)
+    symbols = _symbols(identity.lhs) + _symbols(identity.rhs)
+    return sorted({ch for ch, _ in symbols}, key=_letter_key)
 
 
 def _side_evaluator(w: Union[Word, IWord], letters: list[str], monoid: Monoid):
@@ -555,69 +544,53 @@ def check_identity(
 ) -> Verdict:
     """Search substitutions for a counterexample.
 
-    Finite monoids (elements given) are checked exhaustively when the
-    substitution count fits the budget, yielding holds or fails; otherwise
-    the witness pool is swept and then sampled, yielding fails or unknown.
+    A finite monoid (elements given) whose substitutions fit the budget is
+    checked exhaustively, yielding holds or fails.  Otherwise the search
+    runs over the witness pool (the elements when there is none): all of
+    its substitutions when they fit the budget, else budget seeded draws,
+    yielding fails or unknown.  The sides are deterministic, so a pool
+    once enumerated is not drawn from again.
     """
     letters = _identity_letters(identity)
     k = len(letters)
     lhs = _side_evaluator(identity.lhs, letters, monoid)
     rhs = _side_evaluator(identity.rhs, letters, monoid)
 
-    def try_subst(values) -> Optional[Verdict]:
-        if lhs(values) != rhs(values):
-            return Verdict("fails", "substitution witness", dict(zip(letters, values)))
-        return None
-
-    domain = monoid.elements
-    if domain is not None and len(domain) ** k <= budget:
-        for values in itertools.product(domain, repeat=k):
-            bad = try_subst(values)
-            if bad:
-                return bad
-        return Verdict("holds", f"exhausted {len(domain)}^{k} substitutions")
-
-    pool = tuple(monoid.pool) or (domain or ())
-    if not pool:
-        return Verdict("unknown", "no witness pool")
-    spent = 0
-    if len(pool) ** k <= budget:
-        for values in itertools.product(pool, repeat=k):
-            bad = try_subst(values)
-            if bad:
-                return bad
-            spent += 1
-    rng = random.Random(seed)
-    while spent < budget:
-        bad = try_subst([rng.choice(pool) for _ in range(k)])
-        if bad:
-            return bad
-        spent += 1
+    values = monoid.elements
+    exhaustive = values is not None and len(values) ** k <= budget
+    if not exhaustive:
+        values = tuple(monoid.pool) or (values or ())
+        if not values:
+            return Verdict("unknown", "no witness pool")
+    if len(values) ** k <= budget:
+        substitutions = itertools.product(values, repeat=k)
+    else:
+        rng = random.Random(seed)
+        substitutions = ([rng.choice(values) for _ in range(k)] for _ in range(budget))
+    for subst in substitutions:
+        if lhs(subst) != rhs(subst):
+            return Verdict("fails", "substitution witness", dict(zip(letters, subst)))
+    if exhaustive:
+        return Verdict("holds", f"exhausted {len(values)}^{k} substitutions")
     return Verdict("unknown", f"no witness within budget {budget}")
 
 
 # -- registry ----------------------------------------------------------------
 
-def _ident(lhs: str, rhs: str, mode: str = "monoid") -> Identity:
-    if "*" in lhs or "*" in rhs:
-        return Identity(parse_iword(lhs), parse_iword(rhs), mode)
-    return Identity(parse_word(lhs), parse_word(rhs), mode)
-
-
 IDENTITY_REGISTRY: dict[str, Identity] = {
     # swap an interior xy when the frame re-enters y then closes with x
-    "interior-swap-nested": _ident("xtyuxyvywx", "xtyuyxvywx"),
+    "interior-swap-nested": parse_identity("xtyuxyvywx = xtyuyxvywx"),
     # swap an interior xy when the frame re-enters x then closes with y
-    "interior-swap-crossed": _ident("xtyuxyvxwy", "xtyuyxvxwy"),
+    "interior-swap-crossed": parse_identity("xtyuxyvxwy = xtyuyxvxwy"),
     # move a square of x across material between its extreme occurrences
-    "cube-transport": _ident("x3yx", "xyx3"),
+    "cube-transport": parse_identity("x3yx = xyx3"),
     # the depth-3 self-embedding word against its letter shuffle
-    "zimin3-shuffle": _ident("abacaba", "acababa"),
+    "zimin3-shuffle": parse_identity("abacaba = acababa"),
     # candidate compression of the depth-4 word; registered, not assumed
-    "zimin4-compression": _ident("abacabadabacaba", "abacbaadabacaba"),
-    "commutation": _ident("xy", "yx"),
+    "zimin4-compression": parse_identity("abacabadabacaba = abacbaadabacaba"),
+    "commutation": parse_identity("xy = yx"),
     # the inverse-like law that collapses involutory Zimin chains
-    "star-sandwich": _ident("x", "xx*x"),
+    "star-sandwich": parse_identity("x = xx*x"),
 }
 
 

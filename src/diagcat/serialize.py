@@ -43,6 +43,7 @@ from .annular import (
     AffineTriple,
     AnnularPartition,
     DeformedAnnular,
+    _fundamental_slots,
     compose_affine,
     compose_ann,
     make_affine,
@@ -161,9 +162,7 @@ def _genus_from_json(base: Partition, d: dict):
 
 def affine_to_json(a: AffineDiagram) -> dict:
     partners = []
-    slots = [(IN, i) for i in range(1, a.m + 1)]
-    slots += [(OUT, j) for j in range(1, a.n + 1)]
-    for (side, index), q in zip(slots, a.partner):
+    for (side, index), q in zip(_fundamental_slots(a.m, a.n), a.partner):
         partners.append(
             {
                 "from": {"side": _SIDE_NAME[side], "index": index},
@@ -366,13 +365,13 @@ CATEGORIES: dict[str, Category] = {
         "aTL", _read_pair, _enc_pair, _table_compose(annular.compose_decorated, _circles),
         (False, True), True,
         lambda rng, m, n, regular: sampling.random_pair(rng, m, regular=regular),
-        annular.sigma_affine, annular.rho_affine, annular.star_pair, {},
+        annular.sigma_affine, annular.rho_affine, annular.star_decorated, {},
     ),
     "aTLd": Category(
         "aTLd", _read_triple, _enc_triple, _table_compose(annular.compose_decorated, _circles),
         (False, True), True,
         lambda rng, m, n, regular: sampling.random_triple(rng, m, regular=regular),
-        annular.sigma_affine, annular.rho_affine, annular.star_triple, {},
+        annular.sigma_affine, annular.rho_affine, annular.star_decorated, {},
     ),
     "Ann": Category(
         "Ann", lambda d, regular: make_ann(partition_from_json(d)), _enc_ann,
@@ -384,7 +383,7 @@ CATEGORIES: dict[str, Category] = {
         "Annd", _read_deformed_ann, _enc_deformed_ann,
         _table_compose(annular.compose_decorated, _dead_blocks), (False, True), True,
         _sample_deformed_shadow,
-        annular.sigma_affine, annular.rho_affine, annular.star_deformed_ann, {},
+        annular.sigma_affine, annular.rho_affine, annular.star_decorated, {},
     ),
 }
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .annular import (
     AffineDiagram,
+    _fundamental_slots,
     affine_identity,
     affine_power,
     build_ann_monoid,
@@ -613,14 +614,7 @@ def check_a2_morphism(rng: random.Random, full: bool) -> str:
 
 
 def _raw_partners(d: AffineDiagram) -> dict:
-    table = {}
-    for i in range(1, d.m + 1):
-        q = d.partner_of(IN, i)
-        table[(IN, i)] = (q.offset, q.side, q.index)
-    for j in range(1, d.n + 1):
-        q = d.partner_of(OUT, j)
-        table[(OUT, j)] = (q.offset, q.side, q.index)
-    return table
+    return dict(zip(_fundamental_slots(d.m, d.n), d.partner))
 
 
 def _side_strings(d: AffineDiagram, side: int) -> set:

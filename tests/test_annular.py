@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import pytest
 
@@ -18,7 +20,15 @@ from diagcat import (
     sigma_affine,
     zeta,
 )
-from diagcat.annular import IN, OUT, _fundamental_slots, compose_decorated
+from diagcat.annular import (
+    IN,
+    OUT,
+    AffineDiagram,
+    APoint,
+    _fundamental_slots,
+    _order_key,
+    compose_decorated,
+)
 from diagcat.errors import (
     CrossingError,
     NegativeLabel,
@@ -27,6 +37,7 @@ from diagcat.errors import (
     UnmatchedPoint,
 )
 from diagcat.sampling import random_affine
+from diagcat.serialize import CATEGORIES
 
 
 def test_generators_have_expected_shapes():
@@ -162,19 +173,16 @@ def test_make_affine_rejects_boolean_and_unhashable_sides(position, bad):
         build(**{position: bad})
 
 
-def _enumerate_affine_reference(m, n, max_offset):
-    """enumerate_affine before branch pruning: every matching with every
-    choice of offsets, filtered through make_affine."""
+def _candidate_tables(m, n, max_offset):
+    """Every involutive partner table on the window: each matching of the
+    window points with each choice of offsets within max_offset."""
     slots = _fundamental_slots(m, n)
     offsets = range(-max_offset, max_offset + 1)
 
     def rec(table):
         free = [s for s in slots if s not in table]
         if not free:
-            try:
-                yield make_affine(m, n, dict(table))
-            except CrossingError:
-                pass
+            yield dict(table)
             return
         p = free[0]
         for q in free[1:]:
@@ -185,6 +193,16 @@ def _enumerate_affine_reference(m, n, max_offset):
                 del table[p], table[q]
 
     yield from rec({})
+
+
+def _enumerate_affine_reference(m, n, max_offset):
+    """enumerate_affine before branch pruning: every candidate table
+    filtered through make_affine."""
+    for table in _candidate_tables(m, n, max_offset):
+        try:
+            yield make_affine(m, n, table)
+        except CrossingError:
+            pass
 
 
 # The reference sends every candidate through make_affine, which makes it
@@ -245,3 +263,69 @@ def test_build_ann_monoid_matches_the_unshared_closure(n):
     assert list(got.elements) == elements
     assert list(got.index.items()) == list(index.items())
     assert got.monoid.table == tuple(map(tuple, table))
+
+
+def _crossing_free_reference(m, n, table) -> bool:
+    """make_affine's crossing test before twist normalisation: compare
+    every pair of strings at every shift within the largest offset + 1."""
+    d = AffineDiagram(m, n, tuple(APoint(*table[s]) for s in _fundamental_slots(m, n)))
+    window = max((abs(q.offset) for q in d.partner), default=0) + 1
+    shifted = []
+    for rep in d.strings():
+        for t in range(-window, window + 1):
+            ka, kb = _order_key(rep[0].shifted(t)), _order_key(rep[1].shifted(t))
+            shifted.append((min(ka, kb), max(ka, kb)))
+    return not any(
+        (x < y < x1) != (x < y1 < x1)
+        for (x, x1), (y, y1) in itertools.combinations(shifted, 2)
+    )
+
+
+def _accepts(m, n, table) -> bool:
+    try:
+        make_affine(m, n, table)
+    except CrossingError:
+        return False
+    return True
+
+
+# Every candidate table with up to six points: offsets up to 3 with up to
+# four points and up to 2 with six, 13 881 tables in all.
+CROSSING_SHAPES = [(m, total - m) for total in (2, 4, 6) for m in range(total + 1)]
+
+
+@pytest.mark.parametrize("m, n", CROSSING_SHAPES)
+def test_make_affine_crossings_match_the_windowed_check(m, n):
+    for table in _candidate_tables(m, n, 3 if m + n <= 4 else 2):
+        assert _accepts(m, n, table) == _crossing_free_reference(m, n, table), table
+
+
+def test_make_affine_crossings_match_the_windowed_check_on_twisted_diagrams():
+    rng = random.Random(0)
+    for _ in range(1500):
+        width = rng.randint(1, 5)
+        d = compose_affine(lambda_pow(width, rng.randint(-6, 6)), random_affine(rng, width)).product
+        table = dict(zip(_fundamental_slots(width, width), map(tuple, d.partner)))
+        # Move one string by one unit, which makes most diagrams cross.
+        slot = rng.choice(sorted(table))
+        t, side, index = table[slot]
+        t += rng.choice((-1, 1))
+        table[slot], table[(side, index)] = (t, side, index), (-t, *slot)
+        assert _accepts(width, width, table) == _crossing_free_reference(width, width, table), table
+
+
+def test_make_affine_decides_huge_offsets_at_once():
+    big = 10**9
+    twist = lambda_pow(1, big)
+    cup = {(IN, 1): (big, IN, 2), (IN, 2): (-big, IN, 1)}
+    cup_json = {"m": 2, "n": 0, "partners": [
+        {"from": {"side": "in", "index": 1}, "to": {"offset": big, "side": "in", "index": 2}},
+        {"from": {"side": "in", "index": 2}, "to": {"offset": -big, "side": "in", "index": 1}},
+    ]}
+    start = time.perf_counter()
+    assert make_affine(1, 1, dict(zip(_fundamental_slots(1, 1), twist.partner))) == twist
+    with pytest.raises(CrossingError):
+        make_affine(2, 0, cup)
+    with pytest.raises(CrossingError):
+        CATEGORIES["aTLe"].decode(cup_json)
+    assert time.perf_counter() - start < 0.1

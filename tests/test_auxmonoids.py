@@ -137,7 +137,7 @@ def test_finite_monoid_from_table():
     els = a21_elements()
     index = {x: i for i, x in enumerate(els)}
     table = [[index[a21_mul(x, y)] for y in els] for x in els]
-    fm = FiniteMonoid(table, labels=[str(x) for x in els])
+    fm = FiniteMonoid(table)
     assert fm.size == 6
     assert fm.one == index[A2_ONE]
     assert fm.units() == (fm.one,)

@@ -314,3 +314,37 @@ def test_check_identity_raises_only_when_it_evaluates():
             check_identity(identity, no_unit, budget=10)
         nothing = dataclasses.replace(no_unit, pool=())
         assert check_identity(identity, nothing, budget=10).status == "unknown"
+
+
+def test_an_exhausted_pool_is_not_redrawn():
+    rees = monoid_REES()
+    calls = 0
+
+    def mul(x, y):
+        nonlocal calls
+        calls += 1
+        return rees.mul(x, y)
+
+    identity = IDENTITY_REGISTRY["cube-transport"]
+    verdict = check_identity(identity, dataclasses.replace(rees, mul=mul), 4000, 0)
+    assert verdict == _check_identity_reference(identity, rees, 4000, 0)
+    # 6^2 substitutions, each with four products per side.
+    assert calls <= 36 * 8
+
+
+@pytest.mark.parametrize("budget", [0, 1, 4000])
+def test_empty_elements_and_pools_match_the_evaluate_search(budget):
+    first = lambda p, q: p
+    monoids = (
+        Monoid(name="empty", mul=first, one=0, star=abs, elements=()),
+        Monoid(name="no-pool", mul=first, one=0, star=abs),
+    )
+    for monoid in monoids:
+        for identity in (*IDENTITY_REGISTRY.values(), parse_identity("1=1")):
+            assert _outcome(check_identity, identity, monoid, budget, 0) == _outcome(
+                _check_identity_reference, identity, monoid, budget, 0
+            ), (monoid.name, str(identity), budget)
+    assert str(check_identity(parse_identity("xy=yx"), monoids[0])) == (
+        "holds (exhausted 0^2 substitutions)"
+    )
+    assert str(check_identity(parse_identity("xy=yx"), monoids[1])) == "unknown (no witness pool)"
