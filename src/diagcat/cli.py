@@ -114,6 +114,8 @@ def _resolve_identity(text: str) -> Identity:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.budget < 0:
+        raise ParseError("--budget must be non-negative")
     identity = _resolve_identity(args.identity)
     if args.monoid not in _MONOIDS:
         names = ", ".join(_MONOIDS)

@@ -8,7 +8,11 @@ symbols with a star.  The engine revolves around two complete invariants:
   representation;
 * all sections balanced mod 2 (plus balancedness): equivalent to equality
   of canonical forms, computed here as the lexicographically least word
-  with the same section-parity data.
+  with the same section-parity data.  A greedy walk builds it letter by
+  letter: it takes the least letter after which the rest can still be
+  completed, which depends only on the letters placed and the remaining
+  counts; that search is memoised and bounded (BoundExceeded past the
+  bound, never reached by words of 16 letters or fewer).
 
 The canonical form is deliberately not the classical "reduce exponents
 except in the leftmost block" construction: that construction distinguishes
@@ -18,6 +22,9 @@ than the decision procedure it is meant to mirror.
 
 A generic substitution checker runs identities against finite tables
 exhaustively and against infinite monoids over seeded witness pools.
+
+Parsed words hold at most MAX_WORD_SYMBOLS symbols; a longer one raises
+BoundExceeded before its repeats are expanded.
 """
 
 from __future__ import annotations
@@ -27,10 +34,10 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
+    BoundExceeded,
     EmptyWord,
     MissingLetter,
     NoInvolution,
@@ -44,6 +51,7 @@ __all__ = [
     "Word",
     "IWord",
     "Identity",
+    "MAX_WORD_SYMBOLS",
     "parse_word",
     "parse_iword",
     "parse_identity",
@@ -137,6 +145,9 @@ class IWord:
         return f"IWord({self})"
 
 
+MAX_WORD_SYMBOLS = 1_000_000
+
+
 def _parse_symbols(text: str) -> list[tuple[str, bool]]:
     text = text.strip()
     if text == "1":
@@ -148,10 +159,17 @@ def _parse_symbols(text: str) -> list[tuple[str, bool]]:
         if not m:
             raise ParseError(f"bad word syntax at {text[pos:]!r}")
         ch, digits, star = m.groups()
-        count = int(digits) if digits else 1
-        if count < 1:
+        digits = digits.lstrip("0") if digits else "1"
+        if not digits:
             raise ParseError(f"zero repeat in {m.group(0)!r}")
-        out.extend([(ch, bool(star))] * count)
+        # A repeat with more digits than the limit is over it; int() and
+        # the expansion below are only reached for counts that fit.
+        if (
+            len(digits) > len(str(MAX_WORD_SYMBOLS))
+            or len(out) + int(digits) > MAX_WORD_SYMBOLS
+        ):
+            raise BoundExceeded(f"word longer than {MAX_WORD_SYMBOLS} symbols")
+        out.extend([(ch, bool(star))] * int(digits))
         pos = m.end()
     return out
 
@@ -295,53 +313,136 @@ def normal_form(w: Word) -> Word:
     return ExtremeRep(rep.e, tuple(_sorted_word(b) for b in rep.blocks)).reassemble()
 
 
-def _section_data(letters: tuple[str, ...]):
-    """The complete invariant behind the parity criterion: occurrence
-    counts plus content-and-parity of every left and right section."""
-    counts = Counter(letters)
-
-    def side_sig(seg):
-        c = Counter(seg)
-        return tuple(sorted((y, c[y] % 2) for y in c))
-
-    per_letter = []
-    for x in sorted(counts):
-        fi = letters.index(x)
-        li = len(letters) - 1 - letters[::-1].index(x)
-        per_letter.append(
-            (x, side_sig(letters[:fi]), side_sig(letters[li + 1 :]))
-        )
-    return (tuple(sorted(counts.items())), tuple(per_letter))
+def _event_signatures(word: list[int]) -> dict[int, tuple[int, int]]:
+    """For each letter index of word, the (support, parity) bitmasks of the
+    prefix before its first occurrence; fed the reversed word, of the
+    suffix after its last occurrence."""
+    sig: dict[int, tuple[int, int]] = {}
+    support = parity = 0
+    for i in word:
+        sig.setdefault(i, (support, parity))
+        support |= 1 << i
+        parity ^= 1 << i
+    return sig
 
 
-def _multiset_perms(counts: dict[str, int], length: int):
-    """Distinct arrangements in lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-    for ch in sorted(counts, key=_letter_key):
-        if counts[ch]:
-            counts[ch] -= 1
-            for rest in _multiset_perms(counts, length - 1):
-                yield (ch,) + rest
-            counts[ch] += 1
+def _canonical_letters(letters: tuple[str, ...], bound: int) -> tuple[str, ...]:
+    alphabet = sorted(set(letters), key=_letter_key)
+    k = len(alphabet)
+    index = {ch: i for i, ch in enumerate(alphabet)}
+    word = [index[ch] for ch in letters]
+    first = _event_signatures(word)
+    last = _event_signatures(word[::-1])
+    counts = [0] * k
+    for i in word:
+        counts[i] += 1
+    count_parity = sum((c & 1) << x for x, c in enumerate(counts))
+    # A remainder holds at most 2k events (first and last occurrences), so
+    # 2k + 1 gaps between them.  Of more than 2k + 1 copies of a letter that
+    # are not events two share a gap, and removing that pair (or doubling a
+    # copy) changes no section's content or parity; so a remaining count
+    # above `top` may be capped to top - 1 or top by parity.
+    top = 2 * k + 3
+
+    def cap(c: int) -> int:
+        return c if c <= top else top - 1 + (c & 1)
+
+    width = top.bit_length()
+    shifts = [width * x for x in range(k)]
+    field = (1 << width) - 1
+    full = (1 << k) - 1
+
+    # A state is (placed: mask of the letters placed at least once, rest:
+    # the capped remaining counts packed in `width`-bit fields, support:
+    # mask of the letters remaining, parity: mask of the odd remaining
+    # counts); its key is rest and placed packed into one int.
+    def moves(state):
+        """(letter, next state) for each letter whose placement next meets
+        the prefix signature of a first occurrence and the suffix
+        signature of a last one."""
+        placed, rest, support, parity = state
+        prefix = (placed, count_parity ^ parity)
+        for x in range(k):
+            bit = 1 << x
+            if not support & bit or (not placed & bit and prefix != first[x]):
+                continue
+            after = rest - (1 << shifts[x])
+            left = support
+            if not after >> shifts[x] & field:
+                left ^= bit
+                if (left, parity ^ bit) != last[x]:
+                    continue
+            yield x, (placed | bit, after, left, parity ^ bit)
+
+    memo = {full: True}  # key -> whether the remaining letters can follow
+
+    def completable(state) -> bool:
+        """Depth-first search in letter order; a state whose moves all fail
+        is recorded False, and on reaching a True state every state on
+        the stack is recorded True."""
+        key = state[1] << k | state[0]
+        if key in memo:
+            return memo[key]
+        stack = [(key, moves(state))]
+        while stack:
+            key, branches = stack[-1]
+            for _, child in branches:
+                child_key = child[1] << k | child[0]
+                if child_key not in memo:
+                    if len(memo) + len(stack) >= bound:
+                        raise BoundExceeded(
+                            f"canonical form search exceeded {bound} states"
+                        )
+                    stack.append((child_key, moves(child)))
+                    break
+                if memo[child_key]:
+                    memo.update((key, True) for key, _ in stack)
+                    return True
+            else:
+                memo[key] = False
+                stack.pop()
+        return False
+
+    remaining = counts[:]
+    state = (0, sum(cap(c) << s for c, s in zip(counts, shifts)), full, count_parity)
+    out = []
+    for _ in word:
+        for x, child in moves(state):
+            if remaining[x] > top:
+                # moves() lowered the capped count by one; re-cap the real one.
+                placed, rest, support, parity = child
+                rest += (cap(remaining[x] - 1) - cap(remaining[x]) + 1) << shifts[x]
+                child = (placed, rest, support, parity)
+            if completable(child):
+                break
+        else:
+            raise AssertionError("unreachable: w itself completes every prefix taken")
+        out.append(alphabet[x])
+        remaining[x] -= 1
+        state = child
+    return tuple(out)
 
 
-@lru_cache(maxsize=65536)
-def _canonical_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
-    target = _section_data(letters)
-    counts = dict(Counter(letters))
-    for cand in _multiset_perms(counts, len(letters)):
-        if _section_data(cand) == target:
-            return cand
-    raise AssertionError("unreachable: the word itself matches its data")
+def canonical_form(w: Word, bound: int = 100_000) -> Word:
+    """Lexicographically least word sharing w's section parities.
 
-
-def canonical_form(w: Word) -> Word:
-    """Lexicographically least word sharing w's section parities."""
+    A greedy walk places, at each step, the least letter after which the
+    rest of the word can still be completed.  Placing a letter for the
+    first time must meet its prefix signature (the letters placed so far
+    and their parities), and placing its last copy its suffix signature
+    (the letters remaining and their parities), so whether a remainder
+    can be completed depends on the set of letters placed and the
+    remaining counts alone; it is searched depth first and memoised on
+    that key, with counts above 2k + 3 (k distinct letters) capped to
+    2k + 2 or 2k + 3 by parity, which changes no answer.  The key takes
+    at most prod(c + 1) values over the letter counts c, so at most
+    2^len(w); BoundExceeded is raised once the search would hold more
+    than bound keys, which no word of 16 letters or fewer reaches at the
+    default.
+    """
     if not w.letters:
         raise EmptyWord("the empty word has no canonical form")
-    return Word(_canonical_letters(w.letters))
+    return Word(_canonical_letters(w.letters, bound))
 
 
 def holds_in_M(u: Word, v: Word) -> bool:
@@ -549,8 +650,11 @@ def check_identity(
     runs over the witness pool (the elements when there is none): all of
     its substitutions when they fit the budget, else budget seeded draws,
     yielding fails or unknown.  The sides are deterministic, so a pool
-    once enumerated is not drawn from again.
+    once enumerated is not drawn from again.  The budget must be a
+    non-negative int (RangeError otherwise).
     """
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise RangeError(f"budget must be a non-negative int, not {budget!r}")
     letters = _identity_letters(identity)
     k = len(letters)
     lhs = _side_evaluator(identity.lhs, letters, monoid)

@@ -24,6 +24,18 @@ def test_normalform_worked_example(capsys):
     ]
 
 
+def test_normalform_canonical_on_a_long_word(capsys):
+    assert main(["normalform", "--canonical", "abcdefgabcdefgacegbdfa3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "word: abcdefgabcdefgacegbdfa3"
+    assert out[-1].startswith("canonical form: ")
+
+
+def test_normalform_rejects_an_overlong_word(capsys):
+    assert main(["normalform", "x2000000"]) == 3
+    assert "longer than 1000000 symbols" in capsys.readouterr().err
+
+
 def test_compose_identity_with_identity(tmp_path, capsys):
     enc = CATEGORIES["P"].encode
     path = _write(tmp_path, "id.json", enc(identity_partition(2)))
@@ -132,6 +144,13 @@ def test_check_search_is_deterministic(capsys):
     assert "seed: 0" in first and "fails" in first
     assert main(["check", "commutation", "A21", "--search"]) == 1
     assert capsys.readouterr().out == first
+
+
+def test_check_rejects_a_negative_budget(capsys):
+    assert main(["check", "cube-transport", "rees", "--budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget must be non-negative" in captured.err
 
 
 def test_check_unknown_monoid_exits_2(capsys):

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -27,14 +29,17 @@ from diagcat import (
     zimin,
 )
 from diagcat.errors import (
+    BoundExceeded,
     EmptyWord,
     MissingLetter,
     NoInvolution,
     NotInteriorFactor,
     ParseError,
+    RangeError,
 )
 from diagcat.annular import build_ann_monoid
 from diagcat.identities import (
+    MAX_WORD_SYMBOLS,
     Monoid,
     _identity_letters,
     Verdict,
@@ -147,6 +152,119 @@ def test_canonical_form_reorders_up_to_parity():
     assert str(c) == "x3yxytz2xyz3"
 
 
+def test_word_length_is_bounded_before_expansion():
+    assert len(parse_word(f"x{MAX_WORD_SYMBOLS - 1}y")) == MAX_WORD_SYMBOLS
+    with pytest.raises(BoundExceeded):
+        parse_word(f"x{MAX_WORD_SYMBOLS // 2}y{MAX_WORD_SYMBOLS // 2 + 1}")
+    tracemalloc.start()
+    try:
+        # The last count has more digits than int() reads by default.
+        for text in (f"x{MAX_WORD_SYMBOLS + 1}", f"x{2 * MAX_WORD_SYMBOLS}", "yx" + "9" * 5000):
+            with pytest.raises(BoundExceeded):
+                parse_word(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert str(parse_word("x007y")) == "x7y"
+    with pytest.raises(ParseError):
+        parse_word("x000")
+
+
+# -- the canonical form against a brute-force oracle --------------------------
+
+def _section_data(letters):
+    """Occurrence counts plus the content-and-parity of the prefix before
+    each letter's first occurrence and of the suffix after its last: the
+    data the parity criterion compares."""
+    counts = Counter(letters)
+
+    def side_sig(seg):
+        c = Counter(seg)
+        return tuple(sorted((y, c[y] % 2) for y in c))
+
+    per_letter = []
+    for x in sorted(counts):
+        fi = letters.index(x)
+        li = len(letters) - 1 - letters[::-1].index(x)
+        per_letter.append((x, side_sig(letters[:fi]), side_sig(letters[li + 1 :])))
+    return (tuple(sorted(counts.items())), tuple(per_letter))
+
+
+def _multiset_perms(counts, length):
+    """Distinct arrangements in lexicographic order."""
+    if length == 0:
+        yield ()
+        return
+    for ch in sorted(counts):
+        if counts[ch]:
+            counts[ch] -= 1
+            for rest in _multiset_perms(counts, length - 1):
+                yield (ch,) + rest
+            counts[ch] += 1
+
+
+def _canonical_reference(letters):
+    """The first arrangement of letters, in lexicographic order, with the
+    section data of letters."""
+    target = _section_data(letters)
+    for cand in _multiset_perms(Counter(letters), len(letters)):
+        if _section_data(cand) == target:
+            return cand
+
+
+@pytest.mark.parametrize("alphabet, longest", [("xyz", 6), ("wxyz", 5)])
+def test_canonical_form_matches_the_brute_force(alphabet, longest):
+    for n in range(1, longest + 1):
+        for letters in itertools.product(alphabet, repeat=n):
+            assert canonical_form(Word(letters)).letters == _canonical_reference(letters)
+
+
+def test_canonical_form_matches_the_brute_force_on_capped_counts():
+    # The search caps remaining counts above 2k + 3 (k distinct letters):
+    # counts of 8 or more over two letters, of 10 or more over three.
+    words = [
+        letters
+        for n in range(9, 11)
+        for letters in itertools.product("xy", repeat=n)
+        if max(Counter(letters).values()) >= 8
+    ]
+    for i, j in itertools.permutations(range(12), 2):
+        letters = ["x"] * 12
+        letters[i], letters[j] = "y", "z"
+        words.append(tuple(letters))
+    words += [("x",) * n for n in (1, 4, 5, 6, 11)]
+    for letters in words:
+        assert canonical_form(Word(letters)).letters == _canonical_reference(letters)
+
+
+def test_canonical_form_invariants_on_long_random_words():
+    rng = random.Random(8)
+    for _ in range(200):
+        alphabet = "abcdefgh"[: rng.randint(2, 8)]
+        w = Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(12, 30))))
+        cf = canonical_form(w)
+        assert _section_data(cf.letters) == _section_data(w.letters)
+        assert holds_in_N(w, cf)
+        assert cf.letters <= w.letters
+        assert canonical_form(cf) == cf
+
+
+def test_canonical_form_bound():
+    rng = random.Random(1)
+    for copies in (1, 2):
+        letters = list("abcdefghijklmnop"[: 16 // copies] * copies)
+        rng.shuffle(letters)
+        sixteen = Word(tuple(letters))
+        assert _section_data(canonical_form(sixteen).letters) == _section_data(letters)
+    letters = [ch for ch in "abcde" for _ in range(40)]
+    random.Random(1).shuffle(letters)
+    long_word = Word(tuple(letters))
+    with pytest.raises(BoundExceeded):
+        canonical_form(long_word, bound=1_000)
+    assert _section_data(canonical_form(long_word).letters) == _section_data(letters)
+
+
 def test_evaluate_and_errors():
     m = monoid_A21()
     aba = parse_word("aba")
@@ -169,6 +287,12 @@ def test_check_identity_verdicts_are_deterministic():
     assert {str(w) for w in v.witness.values()} == {"(0,0)", "(0,1)"}
     again = check_identity(IDENTITY_REGISTRY["commutation"], monoid_A21())
     assert again == v
+
+
+@pytest.mark.parametrize("budget", [-1, -5, True, False, 2.0, "10", None])
+def test_check_identity_rejects_a_bad_budget(budget):
+    with pytest.raises(RangeError):
+        check_identity(IDENTITY_REGISTRY["commutation"], monoid_A21(), budget=budget)
 
 
 def test_check_identity_exhausts_small_monoids():
