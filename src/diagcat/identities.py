@@ -11,8 +11,9 @@ symbols with a star.  The engine revolves around two complete invariants:
   with the same section-parity data.  A greedy walk builds it letter by
   letter: it takes the least letter after which the rest can still be
   completed, which depends only on the letters placed and the remaining
-  counts; that search is memoised and bounded (BoundExceeded past the
-  bound, never reached by words of 16 letters or fewer).
+  counts; that search is memoised and bounded (BoundExceeded past
+  MAX_CANONICAL_STATES keys, never reached by words of 16 letters or
+  fewer).
 
 The canonical form is deliberately not the classical "reduce exponents
 except in the leftmost block" construction: that construction distinguishes
@@ -52,6 +53,7 @@ __all__ = [
     "IWord",
     "Identity",
     "MAX_WORD_SYMBOLS",
+    "MAX_CANONICAL_STATES",
     "parse_word",
     "parse_iword",
     "parse_identity",
@@ -87,7 +89,7 @@ __all__ = [
 ]
 
 
-_TOKEN = re.compile(r"([a-z])(\d*)(\*?)")
+_TOKEN = re.compile(r"([a-z])(\d*)(\*?)", re.ASCII)
 
 
 def _letter_key(name: str):
@@ -146,6 +148,8 @@ class IWord:
 
 
 MAX_WORD_SYMBOLS = 1_000_000
+# Keys the canonical-form search may hold before it raises BoundExceeded.
+MAX_CANONICAL_STATES = 100_000
 
 
 def _parse_symbols(text: str) -> list[tuple[str, bool]]:
@@ -160,16 +164,16 @@ def _parse_symbols(text: str) -> list[tuple[str, bool]]:
             raise ParseError(f"bad word syntax at {text[pos:]!r}")
         ch, digits, star = m.groups()
         digits = digits.lstrip("0") if digits else "1"
-        if not digits:
-            raise ParseError(f"zero repeat in {m.group(0)!r}")
         # A repeat with more digits than the limit is over it; int() and
         # the expansion below are only reached for counts that fit.
-        if (
-            len(digits) > len(str(MAX_WORD_SYMBOLS))
-            or len(out) + int(digits) > MAX_WORD_SYMBOLS
-        ):
+        if len(digits) > len(str(MAX_WORD_SYMBOLS)):
             raise BoundExceeded(f"word longer than {MAX_WORD_SYMBOLS} symbols")
-        out.extend([(ch, bool(star))] * int(digits))
+        count = int(digits) if digits else 0
+        if count < 1:
+            raise ParseError(f"zero repeat in {m.group(0)!r}")
+        if len(out) + count > MAX_WORD_SYMBOLS:
+            raise BoundExceeded(f"word longer than {MAX_WORD_SYMBOLS} symbols")
+        out.extend([(ch, bool(star))] * count)
         pos = m.end()
     return out
 
@@ -326,7 +330,7 @@ def _event_signatures(word: list[int]) -> dict[int, tuple[int, int]]:
     return sig
 
 
-def _canonical_letters(letters: tuple[str, ...], bound: int) -> tuple[str, ...]:
+def _canonical_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
     alphabet = sorted(set(letters), key=_letter_key)
     k = len(alphabet)
     index = {ch: i for i, ch in enumerate(alphabet)}
@@ -389,9 +393,10 @@ def _canonical_letters(letters: tuple[str, ...], bound: int) -> tuple[str, ...]:
             for _, child in branches:
                 child_key = child[1] << k | child[0]
                 if child_key not in memo:
-                    if len(memo) + len(stack) >= bound:
+                    if len(memo) + len(stack) >= MAX_CANONICAL_STATES:
                         raise BoundExceeded(
-                            f"canonical form search exceeded {bound} states"
+                            "canonical form search exceeded "
+                            f"{MAX_CANONICAL_STATES} states"
                         )
                     stack.append((child_key, moves(child)))
                     break
@@ -423,7 +428,7 @@ def _canonical_letters(letters: tuple[str, ...], bound: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def canonical_form(w: Word, bound: int = 100_000) -> Word:
+def canonical_form(w: Word) -> Word:
     """Lexicographically least word sharing w's section parities.
 
     A greedy walk places, at each step, the least letter after which the
@@ -437,12 +442,12 @@ def canonical_form(w: Word, bound: int = 100_000) -> Word:
     2k + 2 or 2k + 3 by parity, which changes no answer.  The key takes
     at most prod(c + 1) values over the letter counts c, so at most
     2^len(w); BoundExceeded is raised once the search would hold more
-    than bound keys, which no word of 16 letters or fewer reaches at the
-    default.
+    than MAX_CANONICAL_STATES keys, which no word of 16 letters or fewer
+    reaches.
     """
     if not w.letters:
         raise EmptyWord("the empty word has no canonical form")
-    return Word(_canonical_letters(w.letters, bound))
+    return Word(_canonical_letters(w.letters))
 
 
 def holds_in_M(u: Word, v: Word) -> bool:

@@ -37,7 +37,9 @@ from diagcat.errors import (
     ParseError,
     RangeError,
 )
+from diagcat import identities
 from diagcat.annular import build_ann_monoid
+from diagcat.suite import _n_key
 from diagcat.identities import (
     MAX_WORD_SYMBOLS,
     Monoid,
@@ -167,28 +169,19 @@ def test_word_length_is_bounded_before_expansion():
         tracemalloc.stop()
     assert peak < 100_000
     assert str(parse_word("x007y")) == "x7y"
-    with pytest.raises(ParseError):
-        parse_word("x000")
+    for text in ("x000", "x\u0660y", "x\uff10", "x\u0663"):
+        with pytest.raises(ParseError):
+            parse_word(text)
 
 
 # -- the canonical form against a brute-force oracle --------------------------
 
 def _section_data(letters):
-    """Occurrence counts plus the content-and-parity of the prefix before
-    each letter's first occurrence and of the suffix after its last: the
-    data the parity criterion compares."""
-    counts = Counter(letters)
-
-    def side_sig(seg):
-        c = Counter(seg)
-        return tuple(sorted((y, c[y] % 2) for y in c))
-
-    per_letter = []
-    for x in sorted(counts):
-        fi = letters.index(x)
-        li = len(letters) - 1 - letters[::-1].index(x)
-        per_letter.append((x, side_sig(letters[:fi]), side_sig(letters[li + 1 :])))
-    return (tuple(sorted(counts.items())), tuple(per_letter))
+    """Occurrence counts plus the content-and-parity of each letter's left
+    and right sections: the data the parity criterion compares, read
+    through left_section/right_section rather than the search's own
+    signatures."""
+    return _n_key(Word(tuple(letters)))
 
 
 def _multiset_perms(counts, length):
@@ -250,7 +243,7 @@ def test_canonical_form_invariants_on_long_random_words():
         assert canonical_form(cf) == cf
 
 
-def test_canonical_form_bound():
+def test_canonical_form_bound(monkeypatch):
     rng = random.Random(1)
     for copies in (1, 2):
         letters = list("abcdefghijklmnop"[: 16 // copies] * copies)
@@ -260,8 +253,10 @@ def test_canonical_form_bound():
     letters = [ch for ch in "abcde" for _ in range(40)]
     random.Random(1).shuffle(letters)
     long_word = Word(tuple(letters))
-    with pytest.raises(BoundExceeded):
-        canonical_form(long_word, bound=1_000)
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "MAX_CANONICAL_STATES", 1_000)
+        with pytest.raises(BoundExceeded):
+            canonical_form(long_word)
     assert _section_data(canonical_form(long_word).letters) == _section_data(letters)
 
 
