@@ -50,6 +50,7 @@ from .partitions import (
     Partition,
     Vertex,
     _coerce_side,
+    _require_int,
     compose as compose_partition,
     make_partition,
     reflect,
@@ -84,6 +85,8 @@ __all__ = [
     "enumerate_affine",
     "build_ann_monoid",
     "AnnMonoid",
+    "MAX_AFFINE_POINTS",
+    "MAX_ANN_ELEMENTS",
 ]
 
 
@@ -401,6 +404,7 @@ class AffineTriple(NamedTuple):
 
 
 def _check_circle_count(skeleton: AffineDiagram, k: int, regular: bool, what: str) -> None:
+    _require_int(k, what)
     if skeleton.rank > 0 and k != 0:
         raise RangeError(f"{what} must be 0 alongside a transversal string")
     if not regular and k < 0:
@@ -416,7 +420,7 @@ def make_triple(
     skeleton: AffineDiagram, k: int, k0: int, regular: bool = False
 ) -> AffineTriple:
     _check_circle_count(skeleton, k, regular, "wrap count")
-    if not regular and k0 < 0:
+    if not regular and _require_int(k0, "circle count") < 0:
         raise NegativeLabel("negative circle count in non-regular value")
     return AffineTriple(skeleton, k, k0, regular)
 
@@ -619,7 +623,10 @@ def _crosses(s: tuple[APoint, APoint], r: tuple[APoint, APoint]) -> bool:
     return (x < y < x1) != (x < y1 < x1)
 
 
-def enumerate_affine(m: int, n: int, max_offset: int, bound: int = 10):
+MAX_AFFINE_POINTS = 10
+
+
+def enumerate_affine(m: int, n: int, max_offset: int):
     """Yield every valid affine diagram with partner offsets within
     [-max_offset, max_offset].
 
@@ -628,10 +635,11 @@ def enumerate_affine(m: int, n: int, max_offset: int, bound: int = 10):
     already placed.  The order is shift-invariant and a string from offset
     0 to offset t spans the offsets between them, so two strings with
     offsets t and u can only cross at relative shifts d with
-    |d| <= |t| + |u|; those are the shifts tried.
+    |d| <= |t| + |u|; those are the shifts tried.  A window of more than
+    MAX_AFFINE_POINTS points raises BoundExceeded.
     """
-    if m + n > bound:
-        raise BoundExceeded(f"window of {m + n} points exceeds bound {bound}")
+    if m + n > MAX_AFFINE_POINTS:
+        raise BoundExceeded(f"window of {m + n} points exceeds bound {MAX_AFFINE_POINTS}")
     if (m + n) % 2:
         return
     slots = _fundamental_slots(m, n)
@@ -681,9 +689,13 @@ class AnnMonoid(NamedTuple):
     monoid: object  # FiniteMonoid; typed loosely to avoid an import cycle
 
 
-def build_ann_monoid(n: int, bound: int = 2000) -> AnnMonoid:
+MAX_ANN_ELEMENTS = 2000  # build_ann_monoid(6) has 625 elements
+
+
+def build_ann_monoid(n: int) -> AnnMonoid:
     """Close the shadows of the rotation and the cup-caps under
-    composition and package the result as a finite monoid."""
+    composition and package the result as a finite monoid; a closure past
+    MAX_ANN_ELEMENTS elements raises BoundExceeded."""
     from .auxmonoids import FiniteMonoid
 
     gens = [project_to_ann(affine_identity(n))]
@@ -718,8 +730,8 @@ def build_ann_monoid(n: int, bound: int = 2000) -> AnnMonoid:
         if k is None:
             k = add(prod)
             new.append(k)
-            if len(elements) > bound:
-                raise BoundExceeded(f"closure exceeded {bound} elements")
+            if len(elements) > MAX_ANN_ELEMENTS:
+                raise BoundExceeded(f"closure exceeded {MAX_ANN_ELEMENTS} elements")
         if j >= len(row):
             row.extend([-1] * (j + 1 - len(row)))
         row[j] = k

@@ -364,9 +364,9 @@ class FiniteMonoid:
 
         def indices(values, shape: tuple, error: Exception):
             """values as an intp array of this shape, or error unless they
-            form one with every entry an integer in range(n)."""
+            form one with every entry an integer (not a bool) in range(n)."""
             a = np.array(values)
-            if a.shape != shape or a.dtype.kind not in "biu" or ((a < 0) | (a >= n)).any():
+            if a.shape != shape or a.dtype.kind not in "iu" or ((a < 0) | (a >= n)).any():
                 raise error
             return a.astype(np.intp, copy=False)
 

@@ -120,14 +120,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.monoid not in _MONOIDS:
         names = ", ".join(_MONOIDS)
         raise UnknownMonoid(f"unknown monoid {args.monoid!r} (choose from {names})")
-    use_criterion = args.criterion or (
-        args.monoid in ("M", "N") and not args.search
-    )
     print(f"identity: {identity}")
     print(f"monoid: {args.monoid}")
-    if use_criterion:
-        if args.monoid not in ("M", "N"):
-            raise ParseError("--criterion only applies to the monoids M and N")
+    if args.monoid in ("M", "N") and not args.search:
         if identity.involutory:
             raise ParseError("the structural criteria take plain words")
         decide = holds_in_M if args.monoid == "M" else holds_in_N
@@ -202,7 +197,7 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
 def _cmd_suite(args: argparse.Namespace) -> int:
     if not args.json:
         print(f"seed: {args.seed}")
-    report = run_suite(seed=args.seed, filter=args.filter, full=args.full)
+    report = run_suite(seed=args.seed, filter=args.filter)
     if args.json:
         json.dump(report.to_json(), sys.stdout, indent=2)
         print()
@@ -232,17 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="test an identity in a monoid")
     p.add_argument("identity", help="registered name or inline u=v text")
     p.add_argument("monoid", help="one of " + ", ".join(_MONOIDS))
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--criterion",
-        action="store_true",
-        help="use the structural criterion (M and N only; their default)",
-    )
-    mode.add_argument(
-        "--search",
-        action="store_true",
-        help="search substitutions for a counterexample (default elsewhere)",
-    )
+    p.add_argument("--search", action="store_true",
+                   help="search substitutions for a counterexample, also in M and N")
     p.add_argument("--budget", type=int, default=200_000,
                    help="substitution budget for the search")
     p.add_argument("--seed", type=int, default=0, help="search seed")
@@ -264,8 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="only run checks whose id contains this substring")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.add_argument("--seed", type=int, default=0, help="suite seed")
-    p.add_argument("--full", action="store_true",
-                   help="include the slower wide sweeps")
     p.set_defaults(fn=_cmd_suite)
     return parser
 

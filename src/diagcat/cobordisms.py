@@ -34,6 +34,7 @@ from .partitions import (
     CompositionResult,
     MergeInfo,
     Partition,
+    _require_int,
     block_stats,
     compose,
     is_idempotent_structurally,
@@ -64,7 +65,7 @@ __all__ = [
 
 
 class Spectrum:
-    """Finitely supported multiset of labels, canonically trimmed."""
+    """Finitely supported multiset of int labels, canonically trimmed."""
 
     __slots__ = ("pairs",)
 
@@ -72,8 +73,9 @@ class Spectrum:
         counts: dict[int, int] = {}
         items = data.items() if isinstance(data, Mapping) else data
         for genus, count in items:
-            if count:
-                counts[int(genus)] = counts.get(int(genus), 0) + int(count)
+            genus = _require_int(genus, "spectrum label")
+            if _require_int(count, "spectrum count"):
+                counts[genus] = counts.get(genus, 0) + count
         self.pairs = tuple(sorted((g, c) for g, c in counts.items() if c))
 
     def __eq__(self, other) -> bool:
@@ -131,7 +133,7 @@ def _coerce_genus(base: Partition, genus) -> tuple[int, ...]:
         table = {}
         for key, value in genus.items():
             block = tuple(sorted(key))
-            table[block] = int(value)
+            table[block] = _require_int(value, "genus label")
         out = []
         for block in base.blocks:
             if block not in table:
@@ -140,7 +142,7 @@ def _coerce_genus(base: Partition, genus) -> tuple[int, ...]:
         if len(table) != len(base.blocks):
             raise BaseMismatch("labels for unknown blocks")
         return tuple(out)
-    genus = tuple(int(g) for g in genus)
+    genus = tuple(_require_int(g, "genus label") for g in genus)
     if len(genus) != len(base.blocks):
         raise BaseMismatch(
             f"{len(genus)} labels for {len(base.blocks)} blocks"

@@ -87,7 +87,7 @@ class NegativeLabel(DiagcatError):
 
 
 class BoundExceeded(DiagcatError):
-    """An enumeration request exceeds the configured size bound."""
+    """An enumeration or search request exceeds a fixed size bound."""
 
 
 # -- affine / annular diagrams ----------------------------------------------
@@ -137,7 +137,7 @@ class BadInvolution(DiagcatError):
 # -- words and identities ----------------------------------------------------
 
 class EmptyWord(DiagcatError):
-    """A semigroup-mode operation received the empty word."""
+    """The empty word met an operation that needs a letter or an identity."""
 
 
 class NotInteriorFactor(DiagcatError):

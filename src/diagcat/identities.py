@@ -92,11 +92,6 @@ __all__ = [
 _TOKEN = re.compile(r"([a-z])(\d*)(\*?)", re.ASCII)
 
 
-def _letter_key(name: str):
-    m = re.fullmatch(r"([a-z]+)(\d*)", name)
-    return (m.group(1), int(m.group(2) or 0))
-
-
 @dataclass(frozen=True)
 class Word:
     """Plain word; letters are single characters a..z."""
@@ -150,6 +145,8 @@ class IWord:
 MAX_WORD_SYMBOLS = 1_000_000
 # Keys the canonical-form search may hold before it raises BoundExceeded.
 MAX_CANONICAL_STATES = 100_000
+# Swaps sort_to_normal may make before it gives up.
+_SORT_GUARD = 100_000
 
 
 def _parse_symbols(text: str) -> list[tuple[str, bool]]:
@@ -194,13 +191,10 @@ def parse_iword(text: str) -> IWord:
 class Identity:
     lhs: Union[Word, IWord]
     rhs: Union[Word, IWord]
-    mode: str = "monoid"  # or "semigroup"
 
     def __post_init__(self):
         if isinstance(self.lhs, IWord) != isinstance(self.rhs, IWord):
             raise ParseError("both sides must share a flavor")
-        if self.mode == "semigroup" and (len(self.lhs) == 0 or len(self.rhs) == 0):
-            raise EmptyWord("semigroup identities need non-empty sides")
 
     @property
     def involutory(self) -> bool:
@@ -210,13 +204,13 @@ class Identity:
         return f"{self.lhs} = {self.rhs}"
 
 
-def parse_identity(text: str, mode: str = "monoid") -> Identity:
+def parse_identity(text: str) -> Identity:
     if text.count("=") != 1:
         raise ParseError("an identity needs exactly one '='")
     left, right = text.split("=")
     if "*" in text:
-        return Identity(parse_iword(left), parse_iword(right), mode)
-    return Identity(parse_word(left), parse_word(right), mode)
+        return Identity(parse_iword(left), parse_iword(right))
+    return Identity(parse_word(left), parse_word(right))
 
 
 def zimin(k: int) -> Word:
@@ -308,7 +302,7 @@ def extreme_rep(w: Word) -> ExtremeRep:
 
 
 def _sorted_word(w: Word) -> Word:
-    return Word(tuple(sorted(w.letters, key=_letter_key)))
+    return Word(tuple(sorted(w.letters)))
 
 
 def normal_form(w: Word) -> Word:
@@ -331,7 +325,7 @@ def _event_signatures(word: list[int]) -> dict[int, tuple[int, int]]:
 
 
 def _canonical_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
-    alphabet = sorted(set(letters), key=_letter_key)
+    alphabet = sorted(set(letters))
     k = len(alphabet)
     index = {ch: i for i, ch in enumerate(alphabet)}
     word = [index[ch] for ch in letters]
@@ -493,7 +487,7 @@ def sort_step(w: Word, pos: int) -> SortStep:
     if not 0 <= pos < len(w.letters) - 1:
         raise NotInteriorFactor(f"no adjacent pair at position {pos}")
     big, small = w.letters[pos], w.letters[pos + 1]
-    if _letter_key(big) <= _letter_key(small):
+    if big <= small:
         raise NotInteriorFactor(f"{big}{small} is not a descending pair")
     marks = set(_extreme_positions(w))
     if pos in marks or pos + 1 in marks:
@@ -519,17 +513,17 @@ def sort_step(w: Word, pos: int) -> SortStep:
     return SortStep(Word(tuple(swapped)), rule, direction)
 
 
-def sort_to_normal(w: Word, guard: int = 100_000) -> tuple[Word, int]:
+def sort_to_normal(w: Word) -> tuple[Word, int]:
     """Apply sort_step at the leftmost descending interior pair until
     none remains; returns the result and the number of steps."""
     steps = 0
-    for _ in range(guard):
+    for _ in range(_SORT_GUARD):
         marks = set(_extreme_positions(w))
         target = None
         for i in range(len(w.letters) - 1):
             if i in marks or i + 1 in marks:
                 continue
-            if _letter_key(w.letters[i]) > _letter_key(w.letters[i + 1]):
+            if w.letters[i] > w.letters[i + 1]:
                 target = i
                 break
         if target is None:
@@ -596,7 +590,7 @@ class Verdict:
 
 def _identity_letters(identity: Identity) -> list[str]:
     symbols = _symbols(identity.lhs) + _symbols(identity.rhs)
-    return sorted({ch for ch, _ in symbols}, key=_letter_key)
+    return sorted({ch for ch, _ in symbols})
 
 
 def _side_evaluator(w: Union[Word, IWord], letters: list[str], monoid: Monoid):
@@ -730,9 +724,9 @@ def star_mix_words(t: int) -> list[IWord]:
 
 # -- ready-made monoid contexts ---------------------------------------------
 
-def monoid_M(bound: int = 2) -> Monoid:
+def monoid_M() -> Monoid:
     """Ideal extension of the integer-pair band by additive integers."""
-    rng = range(-bound, bound + 1)
+    rng = range(-2, 3)
     pool = [am.je_s(am.JE_INT, s) for s in rng]
     pool += [am.je_pair(am.JE_INT, l, r) for l in rng for r in rng]
     return Monoid(

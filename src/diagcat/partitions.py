@@ -64,6 +64,7 @@ __all__ = [
     "IdempotentDecomposition",
     "is_idempotent_structurally",
     "enumerate_partitions",
+    "MAX_PARTITION_VERTICES",
 ]
 
 IN = 0
@@ -174,12 +175,16 @@ def _coerce_side(side) -> int:
     raise RangeError(f"unknown side {side!r}")
 
 
+def _require_int(value, what: str) -> int:
+    """value if it is an int; a bool, float, string or None raises RangeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise RangeError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def _coerce_vertex(v) -> tuple[int, int]:
     side, index = v
-    side = _coerce_side(side)
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise RangeError(f"vertex index {index!r} is not an integer")
-    return side, index
+    return _coerce_side(side), _require_int(index, "vertex index")
 
 
 def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
@@ -465,12 +470,15 @@ def is_idempotent_structurally(e: Partition):
     return IdempotentDecomposition(witness)
 
 
-def enumerate_partitions(m: int, n: int, bound: int = 8):
-    """Yield every (m, n)-partition; the ground set may hold at most bound
-    vertices (raise the bound explicitly for larger runs)."""
+MAX_PARTITION_VERTICES = 8  # 4 140 partitions; each further vertex multiplies that by 5+
+
+
+def enumerate_partitions(m: int, n: int):
+    """Yield every (m, n)-partition; a ground set of more than
+    MAX_PARTITION_VERTICES vertices raises BoundExceeded."""
     size = m + n
-    if size > bound:
-        raise BoundExceeded(f"ground set of {size} exceeds bound {bound}")
+    if size > MAX_PARTITION_VERTICES:
+        raise BoundExceeded(f"ground set of {size} exceeds bound {MAX_PARTITION_VERTICES}")
     if size == 0:
         yield Partition(m, n, (), 0)
         return

@@ -195,7 +195,7 @@ def _pair_table(a: int, b: int, c: int):
     return prod, dead
 
 
-def check_partition_axioms(rng: random.Random, full: bool) -> str:
+def check_partition_axioms(rng: random.Random) -> str:
     sizes = range(4)
     tables = {key: _pair_table(*key) for key in itertools.product(sizes, repeat=3)}
 
@@ -246,7 +246,7 @@ def check_partition_axioms(rng: random.Random, full: bool) -> str:
 # 2. the reflection star laws on plain partitions
 
 
-def check_reflect_star_laws(rng: random.Random, full: bool) -> str:
+def check_reflect_star_laws(rng: random.Random) -> str:
     singles = pairs = 0
     for n in (2, 3):
         parts = _parts(n, n)
@@ -286,7 +286,7 @@ def _rows_key(rows) -> list:
     return sorted(tuple(int(v) for v in row) for row in rows)
 
 
-def check_cobordism_assoc(rng: random.Random, full: bool) -> str:
+def check_cobordism_assoc(rng: random.Random) -> str:
     parts = _parts(2, 2)
     cache: dict = {}
 
@@ -369,7 +369,7 @@ def check_cobordism_assoc(rng: random.Random, full: bool) -> str:
 # 4. the sandwich laws of the regular stars
 
 
-def check_regular_star_laws(rng: random.Random, full: bool) -> str:
+def check_regular_star_laws(rng: random.Random) -> str:
     rows = (CATEGORIES["Pd-bar"], CATEGORIES["Cob-bar"])
     count = 0
     for _ in range(10_000):
@@ -388,7 +388,7 @@ def check_regular_star_laws(rng: random.Random, full: bool) -> str:
 # 5. when the labeled stars reverse products
 
 
-def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
+def check_labeled_antiautomorphism(rng: random.Random) -> str:
     parts = _parts(2, 2)
     labeled, deformed = CATEGORIES["Cob0-bar"], CATEGORIES["Pd-bar"]
 
@@ -473,8 +473,8 @@ def check_labeled_antiautomorphism(rng: random.Random, full: bool) -> str:
 # 6. structural idempotency
 
 
-def check_idempotent_structure(rng: random.Random, full: bool) -> str:
-    sizes = (0, 1, 2, 3) + ((4,) if full else ())
+def check_idempotent_structure(rng: random.Random) -> str:
+    sizes = (0, 1, 2, 3)
     total = idem = 0
     for n in sizes:
         for e in _parts(n, n):
@@ -492,7 +492,7 @@ def check_idempotent_structure(rng: random.Random, full: bool) -> str:
                 )
             total += 1
     return (
-        f"{total} square partitions over n in {tuple(sizes)}: structural "
+        f"{total} square partitions over n in {sizes}: structural "
         f"verdicts all match e*e; {idem} idempotents found"
     )
 
@@ -519,7 +519,7 @@ def _random_fiber_element(rng: random.Random, e: Partition, regular: bool) -> Co
     return make_cobordism(e, labels, spectrum, regular)
 
 
-def check_fiber_oracle(rng: random.Random, full: bool) -> str:
+def check_fiber_oracle(rng: random.Random) -> str:
     bases = _irreducible_idempotent_bases()
     _require(
         len(bases) == 69,
@@ -560,7 +560,7 @@ def check_fiber_oracle(rng: random.Random, full: bool) -> str:
 # 8. collapsing genus pairs onto the five-element band with zero
 
 
-def check_a2_morphism(rng: random.Random, full: bool) -> str:
+def check_a2_morphism(rng: random.Random) -> str:
     els = a21_elements()
     for x, y in itertools.product(els, repeat=2):
         z = a21_mul(x, y)
@@ -635,7 +635,7 @@ _CROSSING_EXAMPLES = (
 )
 
 
-def check_affine_validation(rng: random.Random, full: bool) -> str:
+def check_affine_validation(rng: random.Random) -> str:
     accepted = 0
     for n in range(1, 6):
         generators = [zeta(n), lambda_pow(n), affine_identity(n)]
@@ -723,7 +723,7 @@ def check_affine_validation(rng: random.Random, full: bool) -> str:
 # 10. circle bookkeeping
 
 
-def check_circle_counting(rng: random.Random, full: bool) -> str:
+def check_circle_counting(rng: random.Random) -> str:
     cc1, cc2 = cup_cap(2, 1), cup_cap(2, 2)
     r = compose_affine(cc1, cc1)
     _require(
@@ -762,7 +762,7 @@ def check_circle_counting(rng: random.Random, full: bool) -> str:
 # 11. the width-3 shadow monoid
 
 
-def check_ann3_structure(rng: random.Random, full: bool) -> str:
+def check_ann3_structure(rng: random.Random) -> str:
     annm = build_ann_monoid(3)
     els, fm = annm.elements, annm.monoid
     _require(len(els) == 12, lambda: f"expected 12 elements, found {len(els)}")
@@ -810,7 +810,7 @@ def check_ann3_structure(rng: random.Random, full: bool) -> str:
 # 12. a mirror pair generating an infinite cyclic twist
 
 
-def check_wrap_idempotent_search(rng: random.Random, full: bool) -> str:
+def check_wrap_idempotent_search(rng: random.Random) -> str:
     idems = [
         d
         for d in enumerate_affine(3, 3, 2)
@@ -893,7 +893,7 @@ def _n_key(w: Word):
     return (tuple(sorted(counts.items())), tuple(sections))
 
 
-def check_word_engine(rng: random.Random, full: bool) -> str:
+def check_word_engine(rng: random.Random) -> str:
     w = parse_word("x3yxytz4xyz")
     rep = extreme_rep(w)
     _require(str(rep.e) == "xytzxyz", lambda: f"extreme word moved: {rep.e}")
@@ -1013,7 +1013,7 @@ _FOREST_GENERATORS = (
 )
 
 
-def check_shift_monoid_zimin(rng: random.Random, full: bool) -> str:
+def check_shift_monoid_zimin(rng: random.Random) -> str:
     sdp = monoid_SDP()
     for k in range(1, 6):
         z = zimin(k)
@@ -1052,7 +1052,7 @@ def check_shift_monoid_zimin(rng: random.Random, full: bool) -> str:
 # 15. the two-sided nesting witnesses
 
 
-def check_rees_witnesses(rng: random.Random, full: bool) -> str:
+def check_rees_witnesses(rng: random.Random) -> str:
     x0 = ReesL2Element(CF_EMPTY, CF_EMPTY, CF_EMPTY)
     acc = x0
     for t in range(2, 9):
@@ -1092,7 +1092,7 @@ def check_rees_witnesses(rng: random.Random, full: bool) -> str:
 # 16. the two involutions across every family
 
 
-def check_involution_laws(rng: random.Random, full: bool) -> str:
+def check_involution_laws(rng: random.Random) -> str:
     rows = [row for row in CATEGORIES.values() if True in row.regularities]
     strips = [row for row in rows if not row.square]
     squares = [row for row in rows if row.square]
@@ -1153,7 +1153,6 @@ class CheckResult(NamedTuple):
 class Report(NamedTuple):
     schema: str
     seed: int
-    full: bool
     results: tuple[CheckResult, ...]
 
     @property
@@ -1179,7 +1178,6 @@ class Report(NamedTuple):
         return {
             "schema": self.schema,
             "seed": self.seed,
-            "full": self.full,
             "passed": self.passed,
             "failed": self.failed,
             "skipped": self.skipped,
@@ -1197,9 +1195,7 @@ class Report(NamedTuple):
         }
 
 
-Check = Callable[[random.Random, bool], str]
-
-CHECKS: tuple[tuple[str, str, Check], ...] = (
+CHECKS: tuple[tuple[str, str, Callable[[random.Random], str]], ...] = (
     ("partition-axioms", "partition-composition", check_partition_axioms),
     ("reflect-star-laws", "reflection-star", check_reflect_star_laws),
     ("cobordism-assoc", "labeled-associativity", check_cobordism_assoc),
@@ -1221,7 +1217,7 @@ CHECKS: tuple[tuple[str, str, Check], ...] = (
 CHECK_NAMES = tuple(name for name, _, _ in CHECKS)
 
 
-def run_suite(seed: int = 0, filter: str | None = None, full: bool = False) -> Report:
+def run_suite(seed: int = 0, filter: str | None = None) -> Report:
     """Run the battery; filter selects checks by substring match but still
     emits a skip entry for the others, so every criterion appears once."""
     results = []
@@ -1231,7 +1227,7 @@ def run_suite(seed: int = 0, filter: str | None = None, full: bool = False) -> R
             continue
         start = time.perf_counter()
         try:
-            detail = fn(random.Random(seed * 1_000_003 + index), full)
+            detail = fn(random.Random(seed * 1_000_003 + index))
             status = "pass"
         except CheckFailed as exc:
             status, detail = "fail", str(exc)
@@ -1242,4 +1238,4 @@ def run_suite(seed: int = 0, filter: str | None = None, full: bool = False) -> R
         results.append(
             CheckResult(name, anchor, status, detail, time.perf_counter() - start)
         )
-    return Report("report_v1", seed, full, tuple(results))
+    return Report("report_v1", seed, tuple(results))

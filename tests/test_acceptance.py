@@ -4,11 +4,9 @@ The suite runs once per session with seed 0; each test asserts its
 criterion's entry passed and surfaces the check's detail on failure, and
 the details must equal the benchmark's seed-0 reference.  The suite's
 shared law helpers are also tested on their own, against broken rows.
-Set DIAGCAT_FULL=1 to extend the idempotency sweep one size higher.
 """
 
 import json
-import os
 import random
 from pathlib import Path
 
@@ -19,13 +17,12 @@ from diagcat.cobordisms import DeformedPartition
 from diagcat.partitions import make_partition
 from diagcat.suite import CheckFailed, _check_involutions, _check_star, run_suite
 
-FULL = os.environ.get("DIAGCAT_FULL") == "1"
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_suite(seed=0, full=FULL)
+    return run_suite(seed=0)
 
 
 def _entry(report, check):
@@ -104,7 +101,6 @@ def test_every_criterion_has_one_entry(report):
     assert report.skipped == 0
 
 
-@pytest.mark.skipif(FULL, reason="the full run sweeps idempotent-structure one size further")
 def test_details_match_the_benchmark_reference(report):
     expected = json.loads(REFERENCE.read_text())["suite"]["details"]["0"]
     assert {r.check: r.detail for r in report.results} == expected

@@ -20,6 +20,7 @@ from diagcat import (
     sigma_affine,
     zeta,
 )
+from diagcat import annular
 from diagcat.annular import (
     IN,
     OUT,
@@ -30,6 +31,7 @@ from diagcat.annular import (
     compose_decorated,
 )
 from diagcat.errors import (
+    BoundExceeded,
     CrossingError,
     NegativeLabel,
     RangeError,
@@ -124,11 +126,33 @@ def test_pair_wrap_counter():
         make_pair(wrap, -1, False)  # negative count needs the regular tower
 
 
+@pytest.mark.parametrize("count", [1.5, True, "1", None])
+def test_circle_counts_must_be_integers(count):
+    wrap = compose_affine(cup_cap(2, 1), cup_cap(2, 2)).product
+    for make in (
+        lambda: make_pair(wrap, count),
+        lambda: make_triple(wrap, count, 0),
+        lambda: make_triple(wrap, 0, count),
+    ):
+        with pytest.raises(RangeError, match="is not an integer"):
+            make()
+
+
 def test_triple_counts_contractible_circles():
     cc = cup_cap(2, 1)
     t = make_triple(cc, 0, 0, False)
     r = compose_decorated(t, t)[0]
     assert r.k0 == 1 and r.k == 0 and r.skeleton == cc
+
+
+def test_enumeration_and_closure_bounds(monkeypatch):
+    with pytest.raises(BoundExceeded, match="window of 12 points exceeds bound 10"):
+        next(enumerate_affine(6, 6, 1))
+    monkeypatch.setattr(annular, "MAX_ANN_ELEMENTS", 12)
+    assert build_ann_monoid(3).monoid.size == 12
+    monkeypatch.setattr(annular, "MAX_ANN_ELEMENTS", 11)
+    with pytest.raises(BoundExceeded, match="closure exceeded 11 elements"):
+        build_ann_monoid(3)
 
 
 def test_ann3_monoid_structure():

@@ -156,8 +156,12 @@ def test_finite_monoid_rejects_bad_tables():
 def test_finite_monoid_rejects_non_integer_entries():
     with pytest.raises(NotClosed):
         FiniteMonoid([[0, 1], [1, 0.5]])
+    with pytest.raises(NotClosed):
+        FiniteMonoid([[False, True], [True, False]])
     with pytest.raises(BadInvolution):
         FiniteMonoid([[0, 1], [1, 0]], star=[0, 1.0])
+    with pytest.raises(BadInvolution):
+        FiniteMonoid([[0, 1], [1, 0]], star=[False, True])
 
 
 # Z/3 under addition, with negation as its star.

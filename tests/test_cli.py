@@ -172,6 +172,13 @@ def test_idempotents_p_census(capsys):
     assert "12 idempotents among 15" in out.err
 
 
+def test_idempotents_past_the_enumeration_bound_exit_3(capsys):
+    assert main(["idempotents", "5", "P"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds bound 8" in captured.err
+
+
 def test_idempotents_rejects_unknown_category(capsys):
     assert main(["idempotents", "2", "Vec"]) == 2
     capsys.readouterr()
@@ -182,6 +189,7 @@ def test_suite_filter_and_json(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["schema"] == "report_v1"
     assert report["seed"] == 0
+    assert "full" not in report
     assert len(report["entries"]) == 16
     assert report["passed"] == 1 and report["skipped"] == 15
     by_check = {e["check"]: e for e in report["entries"]}
@@ -196,7 +204,13 @@ def test_suite_text_mode_prints_seed(capsys):
     assert "[PASS] rees-witnesses" in out
 
 
-@pytest.mark.parametrize("args", [["compose", "P"], ["nope"], []])
+@pytest.mark.parametrize("args", [
+    ["compose", "P"],
+    ["nope"],
+    [],
+    ["suite", "--full"],
+    ["check", "commutation", "M", "--criterion"],
+])
 def test_usage_errors_exit_2(args):
     with pytest.raises(SystemExit) as exc:
         main(args)

@@ -17,7 +17,7 @@ from diagcat import (
     vout,
 )
 from diagcat.cobordisms import compose_decorated
-from diagcat.errors import BaseMismatch, NegativeLabel
+from diagcat.errors import BaseMismatch, NegativeLabel, RangeError
 from diagcat.sampling import random_cobordism
 
 H = make_partition(2, 2, [[vin(1), vin(2)], [vout(1), vout(2)]])
@@ -41,6 +41,27 @@ def test_make_cobordism_validates():
         make_cobordism(H, (0, 0), {1: -1}, False)
     # the regular tower allows both
     make_cobordism(H, (-1, 0), {1: -1}, True)
+
+
+E = identity_partition(1)
+
+
+@pytest.mark.parametrize("genus, spectrum", [
+    ((1.9,), ()),
+    ((True,), ()),
+    (("2",), ()),
+    ({E.blocks[0]: 1.5}, ()),
+    ((0,), {1.5: 1}),
+    ((0,), {1: 2.5}),
+    ((0,), {"1": 1}),
+    ((0,), {True: 1}),
+    ((0,), {1: True}),
+    ((0,), [(1, 0.0)]),
+])
+def test_make_cobordism_rejects_non_integer_labels(genus, spectrum):
+    assert make_cobordism(E, (1,), {1: 1}).genus == (1,)
+    with pytest.raises(RangeError, match="is not an integer"):
+        make_cobordism(E, genus, spectrum)
 
 
 def test_compose_merges_labels_and_spectra():

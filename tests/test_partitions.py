@@ -14,8 +14,8 @@ from diagcat import (
     vout,
 )
 from diagcat.cobordisms import increment
-from diagcat.errors import CoverageError, OverlapError, RangeError
-from diagcat.partitions import MergeInfo
+from diagcat.errors import BoundExceeded, CoverageError, OverlapError, RangeError
+from diagcat.partitions import MAX_PARTITION_VERTICES, MergeInfo
 
 
 # the hourglass: both sides collapsed, nothing transversal
@@ -59,6 +59,13 @@ def test_enumerate_counts(m, n, count):
     assert len(set(parts)) == count
 
 
+def test_enumerate_bound():
+    assert MAX_PARTITION_VERTICES == 8
+    assert sum(1 for _ in enumerate_partitions(4, 4)) == 4140
+    with pytest.raises(BoundExceeded, match="ground set of 9 exceeds bound 8"):
+        next(enumerate_partitions(5, 4))
+
+
 def test_identity_is_neutral():
     for p in enumerate_partitions(2, 3):
         assert compose(identity_partition(2), p).product == p
@@ -100,15 +107,16 @@ def test_block_stats_on_hourglass():
     assert st.lb == 1 and st.rb == 1
 
 
-@pytest.mark.parametrize("n, idem", [(0, 1), (1, 2), (2, 12), (3, 114)])
+@pytest.mark.parametrize("n, idem", [(0, 1), (1, 2), (2, 12), (3, 114), (4, 1512)])
 def test_idempotent_census(n, idem):
     found = [e for e in enumerate_partitions(n, n) if is_idempotent_structurally(e)]
     assert len(found) == idem
 
 
 def test_structural_verdict_matches_squaring():
-    for e in enumerate_partitions(2, 2):
-        assert bool(is_idempotent_structurally(e)) == (compose(e, e).product == e)
+    for n in range(5):
+        for e in enumerate_partitions(n, n):
+            assert bool(is_idempotent_structurally(e)) == (compose(e, e).product == e)
 
 
 def test_idempotent_witness_ranks():
