@@ -43,6 +43,7 @@ from .errors import (
     UnmatchedPoint,
     BoundExceeded,
 )
+from .auxmonoids import FiniteMonoid
 from .partitions import (
     IN,
     OUT,
@@ -50,7 +51,9 @@ from .partitions import (
     Partition,
     Vertex,
     _coerce_side,
+    _ground,
     _require_int,
+    _require_shape,
     compose as compose_partition,
     make_partition,
     reflect,
@@ -134,8 +137,9 @@ class AffineDiagram:
         return self._hash
 
     def __repr__(self) -> str:
-        slots = _fundamental_slots(self.m, self.n)
-        body = ", ".join(f"{APoint(0, *p)!r}->{q!r}" for p, q in zip(slots, self.partner))
+        body = ", ".join(
+            f"{APoint(0, *p)!r}->{q!r}" for p, q in zip(_ground(self.m, self.n), self.partner)
+        )
         return f"AffineDiagram({self.m}->{self.n}: {body})"
 
     def __mul__(self, other: "AffineDiagram") -> "AffineDiagram":
@@ -154,8 +158,7 @@ class AffineDiagram:
         """One representative per string orbit, lowest endpoint at offset 0."""
         seen = set()
         out = []
-        for i, q in enumerate(self.partner):
-            side, index = (IN, i + 1) if i < self.m else (OUT, i - self.m + 1)
+        for (side, index), q in zip(_ground(self.m, self.n), self.partner):
             p = APoint(0, side, index)
             shift = -min(0, q.offset)
             rep = tuple(sorted((p.shifted(shift), q.shifted(shift))))
@@ -165,23 +168,17 @@ class AffineDiagram:
         return out
 
 
-def _fundamental_slots(m: int, n: int) -> list[tuple[int, int]]:
-    """The (side, index) window points in the order of a partner tuple:
-    in1..inm, then out1..outn."""
-    return [(IN, i) for i in range(1, m + 1)] + [(OUT, j) for j in range(1, n + 1)]
-
-
 def make_affine(m: int, n: int, partners) -> AffineDiagram:
     """Build a validated affine diagram.
 
     partners maps each window point to its partner; accepted forms are a
     mapping {(side, index): (offset, side, index)} or an iterable of such
     pairs, with sides given as "in"/"out" strings or the IN/OUT constants;
-    any other side, a bool included, raises RangeError.  Indices and
-    offsets must be ints; a bool, float, string or None raises RangeError.
+    any other side, a bool included, raises RangeError.  The shape,
+    indices and offsets must be ints; a bool, float, string or None raises
+    RangeError, as does a negative shape.
     """
-    if m < 0 or n < 0:
-        raise RangeError("shape must be non-negative")
+    _require_shape(m, n)
     if (m + n) % 2:
         raise ParityError(f"[{m}]~>[{n}] admits no perfect matching")
     table: dict[tuple[int, int], APoint] = {}
@@ -198,10 +195,11 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
             raise UnmatchedPoint(f"duplicate partner for {slot}")
         table[slot] = APoint(offset, pside, pindex)
 
-    slots = _fundamental_slots(m, n)
+    # Messages name window points as (side, index) pairs, as the duplicate check does.
+    slots = _ground(m, n)
     for slot in slots:
         if slot not in table:
-            raise UnmatchedPoint(f"no partner for {slot}")
+            raise UnmatchedPoint(f"no partner for {tuple(slot)}")
         q = table[slot]
         hi = m if q.side == IN else n
         if not 1 <= q.index <= hi:
@@ -213,10 +211,10 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
     for slot in slots:
         q = table[slot]
         if (q.side, q.index) == slot:
-            raise NotInvolutive(f"{slot} partnered with its own orbit")
+            raise NotInvolutive(f"{tuple(slot)} partnered with its own orbit")
         back = table[(q.side, q.index)]
         if (back.side, back.index) != slot or back.offset != -q.offset:
-            raise NotInvolutive(f"partner map not self-inverse at {slot}")
+            raise NotInvolutive(f"partner map not self-inverse at {tuple(slot)}")
 
     diagram = AffineDiagram(m, n, tuple(table[s] for s in slots))
     _check_crossings(diagram)
@@ -259,17 +257,12 @@ def _check_crossings(d: AffineDiagram) -> None:
 
 
 def affine_identity(n: int) -> AffineDiagram:
-    return AffineDiagram(
-        n,
-        n,
-        tuple(APoint(0, OUT, i) for i in range(1, n + 1))
-        + tuple(APoint(0, IN, i) for i in range(1, n + 1)),
-    )
+    return lambda_pow(n, 0)
 
 
 def zeta(n: int) -> AffineDiagram:
     """The unit rotation: top k joins bottom k+1, wrapping at the seam."""
-    if n < 1:
+    if _require_int(n, "shape") < 1:
         raise RangeError("zeta needs n >= 1")
     tops = [
         APoint(0, OUT, k + 1) if k < n else APoint(1, OUT, 1) for k in range(1, n + 1)
@@ -282,6 +275,8 @@ def zeta(n: int) -> AffineDiagram:
 
 def lambda_pow(n: int, r: int = 1) -> AffineDiagram:
     """The central full twist to the r-th power: (t, k) -> (t + r, k)."""
+    _require_shape(n, n)
+    _require_int(r, "twist power")
     return AffineDiagram(
         n,
         n,
@@ -292,7 +287,7 @@ def lambda_pow(n: int, r: int = 1) -> AffineDiagram:
 
 def cup_cap(n: int, i: int) -> AffineDiagram:
     """Adjacent cup-cap joining i with i+1 (indices mod n) on both rows."""
-    if n < 2 or not 1 <= i <= n:
+    if _require_int(n, "shape") < 2 or not 1 <= _require_int(i, "cup position") <= n:
         raise RangeError("cup_cap needs n >= 2 and 1 <= i <= n")
     j = i + 1 if i < n else 1
     wrap = 1 if i == n else 0
@@ -345,9 +340,7 @@ def compose_affine(a: AffineDiagram, b: AffineDiagram) -> AffineComposition:
                 via_a = True
         raise AssertionError("string trace did not terminate")
 
-    partner = [follow(IN, i) for i in range(1, a.m + 1)]
-    partner += [follow(OUT, j) for j in range(1, b.n + 1)]
-    product = AffineDiagram(a.m, b.n, tuple(partner))
+    product = AffineDiagram(a.m, b.n, tuple([follow(*v) for v in _ground(a.m, b.n)]))
 
     b0 = bw = 0
     assigned: set[int] = set(visited)
@@ -463,32 +456,23 @@ def star_decorated(x):
     return s
 
 
+_FLIP = {IN: OUT, OUT: IN}
+
+
 def _reflect_diagram(x: AffineDiagram) -> AffineDiagram:
-    flip = {IN: OUT, OUT: IN}
-    new = [
-        APoint(q.offset, flip[q.side], q.index)
-        for q in x.partner[x.m :] + x.partner[: x.m]
-    ]
-    return AffineDiagram(x.n, x.m, tuple(new))
+    """Swap the window's halves, as reflect_tracked() does, and flip partner rows."""
+    return AffineDiagram(x.n, x.m, tuple(
+        APoint(q.offset, _FLIP[q.side], q.index) for q in x.partner[x.m :] + x.partner[: x.m]
+    ))
 
 
 def _rotate_diagram(x: AffineDiagram) -> AffineDiagram:
-    new = []
-    # New top row has x.n indices; new top (0, k) is the image of the
-    # old bottom point (0, n + 1 - k), and so on.
-    for k in range(1, x.n + 1):
-        q = x.partner_of(OUT, x.n + 1 - k)
-        if q.side == IN:
-            new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
-        else:
-            new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
-    for k in range(1, x.m + 1):
-        q = x.partner_of(IN, x.m + 1 - k)
-        if q.side == IN:
-            new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
-        else:
-            new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
-    return AffineDiagram(x.n, x.m, tuple(new))
+    """Reverse the window, as rotate_tracked() does, and negate, flip and
+    mirror each partner's offset, row and index."""
+    size = {IN: x.m, OUT: x.n}
+    return AffineDiagram(x.n, x.m, tuple(
+        APoint(-q.offset, _FLIP[q.side], size[q.side] + 1 - q.index) for q in reversed(x.partner)
+    ))
 
 
 def _mirror(x, diagram_map, partition_map):
@@ -538,9 +522,7 @@ class DeformedAnnular(NamedTuple):
 
 def project_to_ann(a: AffineDiagram) -> AnnularPartition:
     """Forget offsets: each string becomes a two-element block."""
-    blocks = set()
-    for slot, q in zip(_fundamental_slots(a.m, a.n), a.partner):
-        blocks.add(frozenset({Vertex(*slot), Vertex(q.side, q.index)}))
+    blocks = {frozenset({v, Vertex(q.side, q.index)}) for v, q in zip(_ground(a.m, a.n), a.partner)}
     return AnnularPartition(make_partition(a.m, a.n, [sorted(b) for b in blocks]))
 
 
@@ -638,11 +620,13 @@ def enumerate_affine(m: int, n: int, max_offset: int):
     |d| <= |t| + |u|; those are the shifts tried.  A window of more than
     MAX_AFFINE_POINTS points raises BoundExceeded.
     """
+    _require_shape(m, n)
+    _require_int(max_offset, "offset bound")
     if m + n > MAX_AFFINE_POINTS:
         raise BoundExceeded(f"window of {m + n} points exceeds bound {MAX_AFFINE_POINTS}")
     if (m + n) % 2:
         return
-    slots = _fundamental_slots(m, n)
+    slots = _ground(m, n)
     offsets = range(-max_offset, max_offset + 1)
 
     def crosses_placed(new, placed) -> bool:
@@ -686,7 +670,7 @@ class AnnMonoid(NamedTuple):
 
     elements: tuple[AnnularPartition, ...]
     index: dict
-    monoid: object  # FiniteMonoid; typed loosely to avoid an import cycle
+    monoid: FiniteMonoid
 
 
 MAX_ANN_ELEMENTS = 2000  # build_ann_monoid(6) has 625 elements
@@ -696,8 +680,6 @@ def build_ann_monoid(n: int) -> AnnMonoid:
     """Close the shadows of the rotation and the cup-caps under
     composition and package the result as a finite monoid; a closure past
     MAX_ANN_ELEMENTS elements raises BoundExceeded."""
-    from .auxmonoids import FiniteMonoid
-
     gens = [project_to_ann(affine_identity(n))]
     if n >= 1:
         z = zeta(n)

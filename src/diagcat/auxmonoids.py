@@ -14,7 +14,8 @@ band.  A validated multiplication table type covers the finite cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
+from typing import Optional
 
 from .errors import (
     BadInvolution,
@@ -25,7 +26,7 @@ from .errors import (
     RangeError,
 )
 from .cobordisms import Cobordism, make_cobordism
-from .partitions import make_partition, vin, vout
+from .partitions import _require_int, make_partition, vin, vout
 
 __all__ = [
     "CircleForest",
@@ -35,7 +36,6 @@ __all__ = [
     "JEInstance",
     "JEElement",
     "JE_INT",
-    "JE_NAT",
     "JE_PARITY",
     "je_s",
     "je_pair",
@@ -131,42 +131,16 @@ def cf_times(x: CircleForest, m: int) -> CircleForest:
 
 @dataclass(frozen=True, eq=False)
 class JEInstance:
-    """One (L, R, S, actions) package; elements carry their instance."""
+    """The band of integer pairs (l, r)(l', r') = (l, r') extended by the
+    additive integers, s acting as s(l, r) = (s + l, r) and (l, r)s =
+    (l, r + s); with a modulus, pair coordinates are reduced mod it."""
 
     name: str
-    s_mul: Callable
-    left_act: Callable   # (s, l) -> l'
-    right_act: Callable  # (r, s) -> r'
-    s_check: Callable
-    lr_check: Callable
+    modulus: Optional[int] = None
 
 
-JE_INT = JEInstance(
-    name="additive-integers",
-    s_mul=lambda a, b: a + b,
-    left_act=lambda s, l: s + l,
-    right_act=lambda r, s: r + s,
-    s_check=lambda v: isinstance(v, int),
-    lr_check=lambda v: isinstance(v, int),
-)
-
-JE_NAT = JEInstance(
-    name="additive-naturals",
-    s_mul=lambda a, b: a + b,
-    left_act=lambda s, l: s + l,
-    right_act=lambda r, s: r + s,
-    s_check=lambda v: isinstance(v, int) and v >= 0,
-    lr_check=lambda v: isinstance(v, int) and v >= 0,
-)
-
-JE_PARITY = JEInstance(
-    name="parity-on-two-points",
-    s_mul=lambda a, b: a + b,
-    left_act=lambda s, l: (s + l) % 2,
-    right_act=lambda r, s: (r + s) % 2,
-    s_check=lambda v: isinstance(v, int),
-    lr_check=lambda v: v in (0, 1),
-)
+JE_INT = JEInstance("additive-integers")
+JE_PARITY = JEInstance("parity-on-two-points", 2)
 
 
 @dataclass(frozen=True)
@@ -182,14 +156,17 @@ class JEElement:
 
 
 def je_s(instance: JEInstance, s) -> JEElement:
-    if not instance.s_check(s):
-        raise RangeError(f"{s!r} is not a scalar of {instance.name}")
-    return JEElement(instance, "s", (s,))
+    """The scalar s, any int; a bool or non-int raises RangeError."""
+    return JEElement(instance, "s", (_require_int(s, "scalar"),))
 
 
 def je_pair(instance: JEInstance, l, r) -> JEElement:
-    if not (instance.lr_check(l) and instance.lr_check(r)):
-        raise RangeError(f"({l!r},{r!r}) is not a pair of {instance.name}")
+    """The pair (l, r) of ints, reduced mod the instance's modulus if it
+    has one; anything else raises RangeError."""
+    for v in (l, r):
+        _require_int(v, "pair coordinate")
+        if instance.modulus is not None and not 0 <= v < instance.modulus:
+            raise RangeError(f"({l!r},{r!r}) is not a pair of {instance.name}")
     return JEElement(instance, "pair", (l, r))
 
 
@@ -200,14 +177,18 @@ def je_mul(x: JEElement, y: JEElement) -> JEElement:
         )
     ins = x.instance
     if x.kind == "s" and y.kind == "s":
-        return JEElement(ins, "s", (ins.s_mul(x.value[0], y.value[0]),))
+        return JEElement(ins, "s", (x.value[0] + y.value[0],))
     if x.kind == "s":
         l, r = y.value
-        return JEElement(ins, "pair", (ins.left_act(x.value[0], l), r))
-    if y.kind == "s":
+        l += x.value[0]
+    elif y.kind == "s":
         l, r = x.value
-        return JEElement(ins, "pair", (l, ins.right_act(r, y.value[0])))
-    return JEElement(ins, "pair", (x.value[0], y.value[1]))
+        r += y.value[0]
+    else:
+        return JEElement(ins, "pair", (x.value[0], y.value[1]))
+    if ins.modulus is not None:
+        l, r = l % ins.modulus, r % ins.modulus
+    return JEElement(ins, "pair", (l, r))
 
 
 # -- the five-element 0-simple semigroup with identity -----------------------
@@ -229,7 +210,7 @@ A2_ZERO = A21Element("zero")
 
 
 def a21_pair(i: int, j: int) -> A21Element:
-    if i not in (0, 1) or j not in (0, 1):
+    if _require_int(i, "pair entry") not in (0, 1) or _require_int(j, "pair entry") not in (0, 1):
         raise RangeError("pair entries must be 0 or 1")
     return A21Element("pair", i, j)
 
@@ -254,12 +235,13 @@ def a21_mul(x: A21Element, y: A21Element) -> A21Element:
         return A2_ZERO
     if (x.j, y.i) == (1, 1):
         return A2_ZERO
-    return a21_pair(x.i, y.j)
+    # Entries of pairs are valid already; a21_pair would check them again.
+    return A21Element("pair", x.i, y.j)
 
 
 def a21_star(x: A21Element) -> A21Element:
     if x.tag == "pair":
-        return a21_pair(x.j, x.i)
+        return A21Element("pair", x.j, x.i)
     return x
 
 
@@ -362,11 +344,14 @@ class FiniteMonoid:
         # `import diagcat` by about 1.6 MB when no bytecode is cached.
         import numpy as np
 
-        def indices(values, shape: tuple, error: Exception):
+        def indices(values, entries, shape: tuple, error: Exception):
             """values as an intp array of this shape, or error unless they
-            form one with every entry an integer (not a bool) in range(n)."""
+            form one with every entry an integer (not a bool) in range(n).
+            np.array turns bools among ints into ints, so the types of the
+            entries, which iterates over them, are read as well."""
             a = np.array(values)
-            if a.shape != shape or a.dtype.kind not in "iu" or ((a < 0) | (a >= n)).any():
+            bad = a.shape != shape or a.dtype.kind not in "iu" or ((a < 0) | (a >= n)).any()
+            if bad or bool in set(map(type, entries)):
                 raise error
             return a.astype(np.intp, copy=False)
 
@@ -374,9 +359,10 @@ class FiniteMonoid:
         n = len(table)
         if not n:
             raise NoIdentity("table has no identity element")
+        not_square = NotClosed("table is not a square over its own indices")
         if any(len(row) != n for row in table):
-            raise NotClosed("table is not a square over its own indices")
-        t = indices(table, (n, n), NotClosed("table is not a square over its own indices"))
+            raise not_square
+        t = indices(table, chain.from_iterable(table), (n, n), not_square)
         ids = np.arange(n)
         unit = np.flatnonzero((t == ids).all(axis=1) & (t.T == ids).all(axis=1))
         if not unit.size:
@@ -389,7 +375,7 @@ class FiniteMonoid:
                 raise NotAssociative(f"({x}{y}){z} != {x}({y}{z})")
         if star is not None:
             star = tuple(star)
-            s = indices(star, (n,), BadInvolution("star map is not a self-map of the table"))
+            s = indices(star, star, (n,), BadInvolution("star map is not a self-map of the table"))
             # anti[x, y]: (xy)* != y* x*
             anti = s[t] != t[np.ix_(s, s)].T
             bad = (s[s] != ids) | anti.any(axis=1)

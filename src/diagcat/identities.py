@@ -47,6 +47,7 @@ from .errors import (
     RangeError,
 )
 from . import auxmonoids as am
+from .partitions import _require_int
 
 __all__ = [
     "Word",
@@ -215,7 +216,7 @@ def parse_identity(text: str) -> Identity:
 
 def zimin(k: int) -> Word:
     """z(1) = a, z(k+1) = z(k) + next letter + z(k)."""
-    if not 1 <= k <= 26:
+    if not 1 <= _require_int(k, "Zimin depth") <= 26:
         raise RangeError("need 1 <= k <= 26")
     letters: tuple[str, ...] = ("a",)
     for i in range(1, k):
@@ -444,29 +445,28 @@ def canonical_form(w: Word) -> Word:
     return Word(_canonical_letters(w.letters))
 
 
-def holds_in_M(u: Word, v: Word) -> bool:
-    """All left and right sections balanced (and the identity itself,
-    which is its own section at any unused letter)."""
+def _sections_agree(u: Word, v: Word, balanced: Callable[[Word, Word], bool]) -> bool:
+    """u and v balanced, and balanced(s, t) for the left sections s, t of
+    u and v at every letter of either, and for their right sections."""
     if not is_balanced(u, v):
         return False
     for x in content(u) | content(v):
-        if not is_balanced(left_section(u, x), left_section(v, x)):
+        if not balanced(left_section(u, x), left_section(v, x)):
             return False
-        if not is_balanced(right_section(x, u), right_section(x, v)):
+        if not balanced(right_section(x, u), right_section(x, v)):
             return False
     return True
+
+
+def holds_in_M(u: Word, v: Word) -> bool:
+    """All left and right sections balanced (and the identity itself,
+    which is its own section at any unused letter)."""
+    return _sections_agree(u, v, is_balanced)
 
 
 def holds_in_N(u: Word, v: Word) -> bool:
     """Balanced, and all sections balanced mod 2."""
-    if not is_balanced(u, v):
-        return False
-    for x in content(u) | content(v):
-        if not is_balanced_mod2(left_section(u, x), left_section(v, x)):
-            return False
-        if not is_balanced_mod2(right_section(x, u), right_section(x, v)):
-            return False
-    return True
+    return _sections_agree(u, v, is_balanced_mod2)
 
 
 # -- the sorting rewriter ----------------------------------------------------
@@ -715,7 +715,7 @@ def star_mix_words(t: int) -> list[IWord]:
     """Involutory one-letter words of length t starting and ending with
     the plain letter and carrying one starred occurrence inside."""
     out = []
-    for i in range(1, t - 1):
+    for i in range(1, _require_int(t, "word length") - 1):
         syms = [("x", False)] * t
         syms[i] = ("x", True)
         out.append(IWord(tuple(syms)))
@@ -724,29 +724,22 @@ def star_mix_words(t: int) -> list[IWord]:
 
 # -- ready-made monoid contexts ---------------------------------------------
 
+def _band_extension(name: str, instance: am.JEInstance, scalars, coordinates) -> Monoid:
+    """The monoid of one band extension, its pool the given scalars, then
+    every pair of the given coordinates."""
+    pool = [am.je_s(instance, s) for s in scalars]
+    pool += [am.je_pair(instance, l, r) for l in coordinates for r in coordinates]
+    return Monoid(name=name, mul=am.je_mul, one=am.je_s(instance, 0), pool=tuple(pool))
+
+
 def monoid_M() -> Monoid:
     """Ideal extension of the integer-pair band by additive integers."""
-    rng = range(-2, 3)
-    pool = [am.je_s(am.JE_INT, s) for s in rng]
-    pool += [am.je_pair(am.JE_INT, l, r) for l in rng for r in rng]
-    return Monoid(
-        name="M",
-        mul=am.je_mul,
-        one=am.je_s(am.JE_INT, 0),
-        pool=tuple(pool),
-    )
+    return _band_extension("M", am.JE_INT, range(-2, 3), range(-2, 3))
 
 
 def monoid_N() -> Monoid:
     """Ideal extension of the two-point band by parity-acting integers."""
-    pool = [am.je_s(am.JE_PARITY, s) for s in (0, 1, 2, 3)]
-    pool += [am.je_pair(am.JE_PARITY, l, r) for l in (0, 1) for r in (0, 1)]
-    return Monoid(
-        name="N",
-        mul=am.je_mul,
-        one=am.je_s(am.JE_PARITY, 0),
-        pool=tuple(pool),
-    )
+    return _band_extension("N", am.JE_PARITY, range(4), range(2))
 
 
 def monoid_A21() -> Monoid:

@@ -182,6 +182,12 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _require_shape(m, n) -> None:
+    """RangeError unless m and n are non-negative ints (not bools)."""
+    if _require_int(m, "shape") < 0 or _require_int(n, "shape") < 0:
+        raise RangeError("shape must be non-negative")
+
+
 def _coerce_vertex(v) -> tuple[int, int]:
     side, index = v
     return _coerce_side(side), _require_int(index, "vertex index")
@@ -191,13 +197,12 @@ def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
     """Build a validated (m, n)-partition from raw block data.
 
     Each vertex is a Vertex or a (side, index) pair with side "in"/"out"
-    (or IN/OUT) and an int index.  Raises RangeError for unknown sides (a
-    bool included) and non-integer or out-of-range indices, OverlapError
-    for repeated vertices, and CoverageError for empty blocks or missing
-    vertices.
+    (or IN/OUT) and an int index.  Raises RangeError for a shape that is
+    no non-negative int, unknown sides (a bool included) and non-integer
+    or out-of-range indices, OverlapError for repeated vertices, and
+    CoverageError for empty blocks or missing vertices.
     """
-    if m < 0 or n < 0:
-        raise RangeError("shape must be non-negative")
+    _require_shape(m, n)
     owner = [-1] * (m + n)
     for b, raw in enumerate(blocks):
         block = [_coerce_vertex(v) for v in raw]
@@ -214,17 +219,14 @@ def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
                 raise OverlapError(f"{Vertex(side, index)!r} appears twice")
             owner[pos] = b
     if -1 in owner:
-        missing = [
-            vin(pos + 1) if pos < m else vout(pos - m + 1)
-            for pos, b in enumerate(owner)
-            if b < 0
-        ]
+        missing = [v for v, b in zip(_ground(m, n), owner) if b < 0]
         raise CoverageError(f"uncovered vertices: {missing}")
     labels, new = _relabel(owner)
     return Partition(m, n, labels, len(new))
 
 
 def identity_partition(n: int) -> Partition:
+    _require_shape(n, n)
     return Partition(n, n, tuple(range(n)) * 2, n)
 
 
@@ -476,6 +478,7 @@ MAX_PARTITION_VERTICES = 8  # 4 140 partitions; each further vertex multiplies t
 def enumerate_partitions(m: int, n: int):
     """Yield every (m, n)-partition; a ground set of more than
     MAX_PARTITION_VERTICES vertices raises BoundExceeded."""
+    _require_shape(m, n)
     size = m + n
     if size > MAX_PARTITION_VERTICES:
         raise BoundExceeded(f"ground set of {size} exceeds bound {MAX_PARTITION_VERTICES}")

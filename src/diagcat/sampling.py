@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .partitions import IN, OUT, Partition, make_partition
+from .partitions import Partition, _ground, make_partition
 from .cobordisms import (
     Cobordism,
     DeformedPartition,
@@ -44,9 +44,8 @@ __all__ = [
 
 def random_partition(rng: random.Random, m: int, n: int) -> Partition:
     """Uniform-ish set partition via sequential block assignment."""
-    points = [(IN, i) for i in range(1, m + 1)] + [(OUT, j) for j in range(1, n + 1)]
     blocks: list[list] = []
-    for p in points:
+    for p in _ground(m, n):
         i = rng.randrange(len(blocks) + 1)
         if i == len(blocks):
             blocks.append([p])

@@ -28,7 +28,7 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import annular, cobordisms, sampling
 from .errors import NegativeLabel, ParseError
-from .partitions import IN, OUT, Partition, Vertex, compose, make_partition, reflect
+from .partitions import IN, OUT, Partition, Vertex, _ground, compose, make_partition, reflect
 from .cobordisms import (
     Cobordism,
     DeformedPartition,
@@ -43,7 +43,6 @@ from .annular import (
     AffineTriple,
     AnnularPartition,
     DeformedAnnular,
-    _fundamental_slots,
     compose_affine,
     compose_ann,
     make_affine,
@@ -162,7 +161,7 @@ def _genus_from_json(base: Partition, d: dict):
 
 def affine_to_json(a: AffineDiagram) -> dict:
     partners = []
-    for (side, index), q in zip(_fundamental_slots(a.m, a.n), a.partner):
+    for (side, index), q in zip(_ground(a.m, a.n), a.partner):
         partners.append(
             {
                 "from": {"side": _SIDE_NAME[side], "index": index},

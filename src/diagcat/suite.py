@@ -33,7 +33,6 @@ import numpy as np
 
 from .annular import (
     AffineDiagram,
-    _fundamental_slots,
     affine_identity,
     affine_power,
     build_ann_monoid,
@@ -103,6 +102,7 @@ from .partitions import (
     IN,
     OUT,
     Partition,
+    _ground,
     block_stats,
     compose,
     enumerate_partitions,
@@ -613,10 +613,6 @@ def check_a2_morphism(rng: random.Random) -> str:
 # 9. affine diagram validation and the twist laws
 
 
-def _raw_partners(d: AffineDiagram) -> dict:
-    return dict(zip(_fundamental_slots(d.m, d.n), d.partner))
-
-
 def _side_strings(d: AffineDiagram, side: int) -> set:
     return {
         pair
@@ -643,7 +639,7 @@ def check_affine_validation(rng: random.Random) -> str:
             generators += [cup_cap(n, i) for i in range(1, n + 1)]
         for d in generators:
             _require(
-                make_affine(d.m, d.n, _raw_partners(d)) == d,
+                make_affine(d.m, d.n, zip(_ground(d.m, d.n), d.partner)) == d,
                 lambda: f"validator rejected or rebuilt {d!r} differently",
             )
             accepted += 1
@@ -862,35 +858,27 @@ def check_wrap_idempotent_search(rng: random.Random) -> str:
 # 13. the word engine
 
 
-def _m_key(w: Word):
+def _section_key(w: Word, reduce: Callable[[int], int]):
+    """The full occurrence counts of w, and for each letter x the letter
+    counts of its left and right sections at x, each passed through reduce."""
+
+    def counted(section: Word):
+        return tuple(sorted((y, reduce(c)) for y, c in Counter(section.letters).items()))
+
     counts = Counter(w.letters)
-    sections = []
-    for x in sorted(counts):
-        sections.append(
-            (
-                x,
-                tuple(sorted(Counter(left_section(w, x).letters).items())),
-                tuple(sorted(Counter(right_section(x, w).letters).items())),
-            )
-        )
-    return (tuple(sorted(counts.items())), tuple(sections))
+    sections = tuple(
+        (x, counted(left_section(w, x)), counted(right_section(x, w))) for x in sorted(counts)
+    )
+    return (tuple(sorted(counts.items())), sections)
+
+
+def _m_key(w: Word):
+    return _section_key(w, lambda c: c)
 
 
 def _n_key(w: Word):
-    # full occurrence counts, but sections only by content and parity
-    counts = Counter(w.letters)
-    sections = []
-    for x in sorted(counts):
-        ls = Counter(left_section(w, x).letters)
-        rs = Counter(right_section(x, w).letters)
-        sections.append(
-            (
-                x,
-                tuple(sorted((y, c % 2) for y, c in ls.items())),
-                tuple(sorted((y, c % 2) for y, c in rs.items())),
-            )
-        )
-    return (tuple(sorted(counts.items())), tuple(sections))
+    # sections only by content and parity
+    return _section_key(w, lambda c: c % 2)
 
 
 def check_word_engine(rng: random.Random) -> str:

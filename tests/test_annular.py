@@ -26,10 +26,11 @@ from diagcat.annular import (
     OUT,
     AffineDiagram,
     APoint,
-    _fundamental_slots,
     _order_key,
     compose_decorated,
+    rho_affine,
 )
+from diagcat.partitions import _ground
 from diagcat.errors import (
     BoundExceeded,
     CrossingError,
@@ -200,7 +201,7 @@ def test_make_affine_rejects_boolean_and_unhashable_sides(position, bad):
 def _candidate_tables(m, n, max_offset):
     """Every involutive partner table on the window: each matching of the
     window points with each choice of offsets within max_offset."""
-    slots = _fundamental_slots(m, n)
+    slots = _ground(m, n)
     offsets = range(-max_offset, max_offset + 1)
 
     def rec(table):
@@ -251,6 +252,48 @@ def test_enumerate_affine_matches_the_unpruned_filter(m, n, max_offset):
         assert list(enumerate_affine(m, n, k)) == kept
 
 
+def _reflect_reference(x):
+    """sigma_affine on a bare diagram before it became a window
+    permutation."""
+    flip = {IN: OUT, OUT: IN}
+    new = [
+        APoint(q.offset, flip[q.side], q.index)
+        for q in x.partner[x.m :] + x.partner[: x.m]
+    ]
+    return AffineDiagram(x.n, x.m, tuple(new))
+
+
+def _rotate_reference(x):
+    """rho_affine on a bare diagram before it became a window permutation."""
+    new = []
+    # New top row has x.n indices; new top (0, k) is the image of the
+    # old bottom point (0, n + 1 - k), and so on.
+    for k in range(1, x.n + 1):
+        q = x.partner_of(OUT, x.n + 1 - k)
+        if q.side == IN:
+            new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
+        else:
+            new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
+    for k in range(1, x.m + 1):
+        q = x.partner_of(IN, x.m + 1 - k)
+        if q.side == IN:
+            new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
+        else:
+            new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
+    return AffineDiagram(x.n, x.m, tuple(new))
+
+
+def test_affine_mirrors_match_the_reference_loops():
+    checked = 0
+    for total in range(0, 9, 2):
+        for m in range(total + 1):
+            for d in enumerate_affine(m, total - m, 2):
+                assert sigma_affine(d) == _reflect_reference(d), d
+                assert rho_affine(d) == _rotate_reference(d), d
+                checked += 1
+    assert checked == 1826
+
+
 def _build_ann_monoid_reference(n):
     """build_ann_monoid before closure reuse: the closure forms both
     products of every frontier element with every element, then the
@@ -292,7 +335,7 @@ def test_build_ann_monoid_matches_the_unshared_closure(n):
 def _crossing_free_reference(m, n, table) -> bool:
     """make_affine's crossing test before twist normalisation: compare
     every pair of strings at every shift within the largest offset + 1."""
-    d = AffineDiagram(m, n, tuple(APoint(*table[s]) for s in _fundamental_slots(m, n)))
+    d = AffineDiagram(m, n, tuple(APoint(*table[s]) for s in _ground(m, n)))
     window = max((abs(q.offset) for q in d.partner), default=0) + 1
     shifted = []
     for rep in d.strings():
@@ -329,7 +372,7 @@ def test_make_affine_crossings_match_the_windowed_check_on_twisted_diagrams():
     for _ in range(1500):
         width = rng.randint(1, 5)
         d = compose_affine(lambda_pow(width, rng.randint(-6, 6)), random_affine(rng, width)).product
-        table = dict(zip(_fundamental_slots(width, width), map(tuple, d.partner)))
+        table = dict(zip(_ground(width, width), map(tuple, d.partner)))
         # Move one string by one unit, which makes most diagrams cross.
         slot = rng.choice(sorted(table))
         t, side, index = table[slot]
@@ -347,7 +390,7 @@ def test_make_affine_decides_huge_offsets_at_once():
         {"from": {"side": "in", "index": 2}, "to": {"offset": -big, "side": "in", "index": 1}},
     ]}
     start = time.perf_counter()
-    assert make_affine(1, 1, dict(zip(_fundamental_slots(1, 1), twist.partner))) == twist
+    assert make_affine(1, 1, dict(zip(_ground(1, 1), twist.partner))) == twist
     with pytest.raises(CrossingError):
         make_affine(2, 0, cup)
     with pytest.raises(CrossingError):

@@ -20,6 +20,8 @@ from diagcat import (
     a21_star,
     compose_cobordism,
     genus_pair,
+    monoid_M,
+    monoid_N,
     rees_mul,
     rees_star,
     sdp_mul,
@@ -28,8 +30,8 @@ from diagcat import (
 )
 from diagcat.auxmonoids import (
     JE_INT,
-    JE_NAT,
     JE_PARITY,
+    JEElement,
     cf_times,
     je_mul,
     je_pair,
@@ -72,7 +74,34 @@ def test_ideal_extension_products():
 def test_ideal_extension_instances_are_separate():
     with pytest.raises(InstanceMismatch):
         je_mul(je_s(JE_INT, 1), je_s(JE_PARITY, 1))
-    assert je_mul(je_s(JE_NAT, 1), je_s(JE_NAT, 2)) == je_s(JE_NAT, 3)
+
+
+# The scalar product and the two actions of each band extension, as the
+# instances held them before they became data.
+JE_REFERENCE = {
+    JE_INT: (lambda a, b: a + b, lambda s, l: s + l, lambda r, s: r + s),
+    JE_PARITY: (lambda a, b: a + b, lambda s, l: (s + l) % 2, lambda r, s: (r + s) % 2),
+}
+
+
+def _je_mul_reference(x, y):
+    s_mul, left_act, right_act = JE_REFERENCE[x.instance]
+    if x.kind == "s" and y.kind == "s":
+        return JEElement(x.instance, "s", (s_mul(x.value[0], y.value[0]),))
+    if x.kind == "s":
+        l, r = y.value
+        return JEElement(x.instance, "pair", (left_act(x.value[0], l), r))
+    if y.kind == "s":
+        l, r = x.value
+        return JEElement(x.instance, "pair", (l, right_act(r, y.value[0])))
+    return JEElement(x.instance, "pair", (x.value[0], y.value[1]))
+
+
+@pytest.mark.parametrize("monoid", [monoid_M, monoid_N])
+def test_je_mul_matches_the_reference_actions(monoid):
+    pool = monoid().pool
+    for x, y in itertools.product(pool, repeat=2):
+        assert je_mul(x, y) == _je_mul_reference(x, y), (x, y)
 
 
 def test_band_with_zero_table():
@@ -158,10 +187,14 @@ def test_finite_monoid_rejects_non_integer_entries():
         FiniteMonoid([[0, 1], [1, 0.5]])
     with pytest.raises(NotClosed):
         FiniteMonoid([[False, True], [True, False]])
+    with pytest.raises(NotClosed):
+        FiniteMonoid([[0, True], [True, 0]])
     with pytest.raises(BadInvolution):
         FiniteMonoid([[0, 1], [1, 0]], star=[0, 1.0])
     with pytest.raises(BadInvolution):
         FiniteMonoid([[0, 1], [1, 0]], star=[False, True])
+    with pytest.raises(BadInvolution):
+        FiniteMonoid([[0, 1], [1, 0]], star=[0, True])
 
 
 # Z/3 under addition, with negation as its star.
