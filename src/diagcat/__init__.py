@@ -38,7 +38,6 @@ from .partitions import (
 )
 from .cobordisms import (
     Cobordism,
-    DeformedPartition,
     LabeledPartition,
     Spectrum,
     compose_cobordism,
@@ -47,17 +46,12 @@ from .cobordisms import (
     rho,
     sigma,
     star_cobordism,
-    star_deformed,
     star_labeled,
-    to_deformed,
     to_labeled,
 )
 from .annular import (
     AffineDiagram,
-    AffinePair,
-    AffineTriple,
     AnnularPartition,
-    DeformedAnnular,
     affine_identity,
     affine_power,
     build_ann_monoid,
@@ -68,8 +62,6 @@ from .annular import (
     lambda_pow,
     make_affine,
     make_ann,
-    make_pair,
-    make_triple,
     project_to_ann,
     rho_affine,
     shift_gap,
@@ -125,7 +117,7 @@ from .identities import (
     sort_to_normal,
     zimin,
 )
-from .serialize import CATEGORIES, decode, encode
+from .serialize import CATEGORIES, Deformed, decode, encode
 from .suite import CHECK_NAMES, Report, run_suite
 
 __version__ = "0.1.0"

@@ -19,15 +19,17 @@ shift 0 components are contractible circles (b0), shift +-1 components
 wrap the annulus once (bw).  A cycle can never pick up more than one unit
 of shift without self-intersection, which compose_affine asserts.
 
-The quotient tower keeps successively less of this data: AffineTriple
-keeps both circle counters, AffinePair only the wrapping one, the bare
-AffineDiagram none, and AnnularPartition also forgets the offsets,
-leaving an ordinary partition arrow.
+The bare AffineDiagram keeps no circle counter, and AnnularPartition
+also forgets the offsets, leaving an ordinary partition arrow.  The
+category table adds the counters back as counter rows (serialize.Deformed):
+aTLd counts both kinds of circle, aTL only the wrapping ones, and Annd
+the dead blocks of the shadow composition.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import (
@@ -36,9 +38,6 @@ from .errors import (
     ParityError,
     RangeError,
     RankZero,
-    RegularityMismatch,
-    NotRegular,
-    NegativeLabel,
     ShapeMismatch,
     UnmatchedPoint,
     BoundExceeded,
@@ -71,16 +70,9 @@ __all__ = [
     "AffineComposition",
     "compose_affine",
     "affine_power",
-    "AffinePair",
-    "AffineTriple",
-    "make_pair",
-    "make_triple",
-    "compose_decorated",
-    "star_decorated",
     "sigma_affine",
     "rho_affine",
     "AnnularPartition",
-    "DeformedAnnular",
     "project_to_ann",
     "make_ann",
     "compose_ann",
@@ -369,91 +361,12 @@ def compose_affine(a: AffineDiagram, b: AffineDiagram) -> AffineComposition:
 
 
 def affine_power(a: AffineDiagram, k: int) -> AffineDiagram:
-    if a.m != a.n or k < 1:
+    if a.m != a.n or _require_int(k, "power") < 1:
         raise ShapeMismatch("powers need a square diagram and k >= 1")
     out = a
     for _ in range(k - 1):
         out = compose_affine(out, a).product
     return out
-
-
-# -- decorated variants ------------------------------------------------------
-
-class AffinePair(NamedTuple):
-    """Diagram plus the count k of wrapping circles."""
-
-    skeleton: AffineDiagram
-    k: int
-    regular: bool = False
-
-
-class AffineTriple(NamedTuple):
-    """Diagram plus wrapping (k) and contractible (k0) circle counts."""
-
-    skeleton: AffineDiagram
-    k: int
-    k0: int
-    regular: bool = False
-
-
-def _check_circle_count(skeleton: AffineDiagram, k: int, regular: bool, what: str) -> None:
-    _require_int(k, what)
-    if skeleton.rank > 0 and k != 0:
-        raise RangeError(f"{what} must be 0 alongside a transversal string")
-    if not regular and k < 0:
-        raise NegativeLabel(f"negative {what} in non-regular value")
-
-
-def make_pair(skeleton: AffineDiagram, k: int, regular: bool = False) -> AffinePair:
-    _check_circle_count(skeleton, k, regular, "wrap count")
-    return AffinePair(skeleton, k, regular)
-
-
-def make_triple(
-    skeleton: AffineDiagram, k: int, k0: int, regular: bool = False
-) -> AffineTriple:
-    _check_circle_count(skeleton, k, regular, "wrap count")
-    if not regular and _require_int(k0, "circle count") < 0:
-        raise NegativeLabel("negative circle count in non-regular value")
-    return AffineTriple(skeleton, k, k0, regular)
-
-
-def compose_decorated(x, y):
-    """Compose two wrap pairs, two-counter triples or deformed shadows of
-    one regularity over a single base composition; returns the product and
-    that composition, an AffineComposition of the skeletons or the
-    CompositionResult of the shadow bases."""
-    if x.regular != y.regular:
-        raise RegularityMismatch("cannot mix regular and non-regular values")
-    if isinstance(x, DeformedAnnular):
-        prod, res = compose_ann(x.base, y.base)
-        return DeformedAnnular(prod, x.k + y.k + res.b, x.regular), res
-    res = compose_affine(x.skeleton, y.skeleton)
-    if res.product.rank > 0:
-        assert res.bw == 0 and x.k == 0 and y.k == 0
-    k = x.k + y.k + res.bw
-    if isinstance(x, AffineTriple):
-        return AffineTriple(res.product, k, x.k0 + y.k0 + res.b0, x.regular), res
-    return AffinePair(res.product, k, x.regular), res
-
-
-def star_decorated(x):
-    """Inverse-like star with x x* x == x on regular wrap pairs, two-counter
-    triples and deformed shadows: reflect x, then replace each counter c
-    with -c minus the circles (dead blocks, for a shadow) that x x' and
-    x' x make, x' being the reflection."""
-    if not x.regular:
-        raise NotRegular("star needs a regular value")
-    s = sigma_affine(x)
-    if isinstance(x, DeformedAnnular):
-        fwd, bwd = compose_ann(x.base, s.base)[1], compose_ann(s.base, x.base)[1]
-        return s._replace(k=-x.k - fwd.b - bwd.b)
-    fwd = compose_affine(x.skeleton, s.skeleton)
-    bwd = compose_affine(s.skeleton, x.skeleton)
-    s = s._replace(k=-x.k - fwd.bw - bwd.bw)
-    if isinstance(x, AffineTriple):
-        s = s._replace(k0=-x.k0 - fwd.b0 - bwd.b0)
-    return s
 
 
 _FLIP = {IN: OUT, OUT: IN}
@@ -477,15 +390,11 @@ def _rotate_diagram(x: AffineDiagram) -> AffineDiagram:
 
 def _mirror(x, diagram_map, partition_map):
     """x under the involution given by its maps on bare diagrams and on
-    shadow bases; the counters k, k0 and the regularity flag stay put."""
+    shadow bases."""
     if isinstance(x, AffineDiagram):
         return diagram_map(x)
-    if isinstance(x, (AffinePair, AffineTriple)):
-        return x._replace(skeleton=diagram_map(x.skeleton))
     if isinstance(x, AnnularPartition):
         return x._replace(base=partition_map(x.base))
-    if isinstance(x, DeformedAnnular):
-        return x._replace(base=_mirror(x.base, diagram_map, partition_map))
     raise TypeError(f"no involution for {type(x).__name__}")
 
 
@@ -497,6 +406,15 @@ def sigma_affine(x):
 def rho_affine(x):
     """Half-turn: reflect rows, negate offsets, reverse both index orders."""
     return _mirror(x, _rotate_diagram, rotate)
+
+
+@lru_cache(maxsize=128)
+def _generators(n: int) -> tuple[AffineDiagram, ...]:
+    """The rotation, its reflection and (from n = 2) the cup-caps at width
+    n: the generators of the affine diagrams [n] ~> [n]."""
+    z = zeta(n)
+    cups = tuple(cup_cap(n, i) for i in range(1, n + 1)) if n >= 2 else ()
+    return (z, sigma_affine(z), *cups)
 
 
 # -- annular quotients -------------------------------------------------------
@@ -512,12 +430,6 @@ class AnnularPartition(NamedTuple):
 
     def __mul__(self, other: "AnnularPartition") -> "AnnularPartition":
         return compose_ann(self, other)[0]
-
-
-class DeformedAnnular(NamedTuple):
-    base: AnnularPartition
-    k: int
-    regular: bool = False
 
 
 def project_to_ann(a: AffineDiagram) -> AnnularPartition:
@@ -680,21 +592,13 @@ def build_ann_monoid(n: int) -> AnnMonoid:
     """Close the shadows of the rotation and the cup-caps under
     composition and package the result as a finite monoid; a closure past
     MAX_ANN_ELEMENTS elements raises BoundExceeded."""
-    gens = [project_to_ann(affine_identity(n))]
-    if n >= 1:
-        z = zeta(n)
-        gens.append(project_to_ann(z))
-        gens.append(project_to_ann(sigma_affine(z)))
-    if n >= 2:
-        for i in range(1, n + 1):
-            gens.append(project_to_ann(cup_cap(n, i)))
+    gens = [affine_identity(n), *(_generators(n) if n >= 1 else ())]
 
     elements: list[AnnularPartition] = []
     index: dict = {}
     # rows[i][j] is the index of elements[i] * elements[j], -1 where that
     # product is not formed yet; rows grow with the closure.
     rows: list[list[int]] = []
-    new: list[int] = []
 
     def add(base: Partition) -> int:
         index[base] = len(elements)
@@ -711,7 +615,6 @@ def build_ann_monoid(n: int) -> AnnMonoid:
         k = index.get(prod)
         if k is None:
             k = add(prod)
-            new.append(k)
             if len(elements) > MAX_ANN_ELEMENTS:
                 raise BoundExceeded(f"closure exceeded {MAX_ANN_ELEMENTS} elements")
         if j >= len(row):
@@ -719,21 +622,19 @@ def build_ann_monoid(n: int) -> AnnMonoid:
         row[j] = k
 
     for g in gens:
-        if g.base not in index:
-            add(g.base)
-    frontier = list(range(len(elements)))
-    # Every pair (i, j) is formed: when i is in the frontier, j runs over
-    # all elements, including those the row itself adds; an element added
-    # later has i among the elements when it is in the frontier.
-    while frontier:
-        new = []
-        for i in frontier:
-            j = 0
-            while j < len(elements):
-                record(i, j)
-                record(j, i)
-                j += 1
-        frontier = new
+        if (base := project_to_ann(g).base) not in index:
+            add(base)
+    # Every pair (i, j) is formed: while i walks the growing element list,
+    # j runs over all elements, including those the row itself adds; an
+    # element added later has i among the elements when it is walked.
+    i = 0
+    while i < len(elements):
+        j = 0
+        while j < len(elements):
+            record(i, j)
+            record(j, i)
+            j += 1
+        i += 1
 
     monoid = FiniteMonoid(rows)
     return AnnMonoid(tuple(elements), index, monoid)

@@ -346,12 +346,12 @@ class FiniteMonoid:
 
         def indices(values, entries, shape: tuple, error: Exception):
             """values as an intp array of this shape, or error unless they
-            form one with every entry an integer (not a bool) in range(n).
-            np.array turns bools among ints into ints, so the types of the
-            entries, which iterates over them, are read as well."""
+            form one with every entry an integer (not a bool or numpy bool)
+            in range(n).  np.array turns bools among ints into ints, so the
+            types of the entries, which iterates over them, are read as well."""
             a = np.array(values)
             bad = a.shape != shape or a.dtype.kind not in "iu" or ((a < 0) | (a >= n)).any()
-            if bad or bool in set(map(type, entries)):
+            if bad or not {bool, np.bool_}.isdisjoint(map(type, entries)):
                 raise error
             return a.astype(np.intp, copy=False)
 

@@ -1,9 +1,7 @@
 """Partition arrows decorated with genus labels and closed-surface spectra.
 
-Three decorated variants share a Partition base:
+Two decorated variants share a Partition base:
 
-* DeformedPartition -- base plus one integer s; composition adds the
-  operands' s values and the dead-block count of the base composition.
 * LabeledPartition -- an integer label on every block; when composition
   merges blocks, the merged class gets the sum of the incoming labels plus
   the increment v - (a + b) + 1 (v middle vertices, a and b merged blocks
@@ -15,6 +13,8 @@ Non-regular values keep every label and spectrum entry non-negative;
 regular values drop the restriction and gain a star with x x* x == x.
 The reflection sigma and the half-turn rho transport labels along the
 block bijection and are involutive anti-automorphisms on all variants.
+Deformed partitions, a base with one integer shift, are a counter row
+of the category table (serialize.Deformed).
 """
 
 from __future__ import annotations
@@ -46,19 +46,16 @@ from .partitions import (
 
 __all__ = [
     "Spectrum",
-    "DeformedPartition",
     "LabeledPartition",
     "Cobordism",
     "make_cobordism",
     "increment",
     "compose_decorated",
     "compose_cobordism",
-    "star_deformed",
     "star_labeled",
     "star_cobordism",
     "sigma",
     "rho",
-    "to_deformed",
     "to_labeled",
     "fiber_product_oracle",
 ]
@@ -107,12 +104,6 @@ class Spectrum:
 
     def min_genus_negative(self) -> bool:
         return any(g < 0 or c < 0 for g, c in self.pairs)
-
-
-class DeformedPartition(NamedTuple):
-    base: Partition
-    s: int
-    regular: bool = False
 
 
 class LabeledPartition(NamedTuple):
@@ -200,14 +191,12 @@ def _merge_labels(res: CompositionResult, g: Sequence, h: Sequence, unit):
 
 
 def compose_decorated(x, y):
-    """Compose two deformed, labeled or cobordism values of one
-    regularity over a single base composition; returns the product and
-    that CompositionResult."""
+    """Compose two labeled or cobordism values of one regularity over a
+    single base composition; returns the product and that
+    CompositionResult."""
     if x.regular != y.regular:
         raise RegularityMismatch("cannot mix regular and non-regular values")
     res = compose(x.base, y.base)
-    if isinstance(x, DeformedPartition):
-        return DeformedPartition(res.product, x.s + y.s + res.b, x.regular), res
     live, dead = _merge_labels(res, x.genus, y.genus, 1)
     if not x.regular:
         assert all(l >= 0 for l in live)
@@ -227,13 +216,6 @@ def compose_cobordism(x: Cobordism, y: Cobordism) -> Cobordism:
 def _require_regular(x) -> None:
     if not x.regular:
         raise NotRegular("star needs a regular value")
-
-
-def star_deformed(x: DeformedPartition) -> DeformedPartition:
-    """Inverse-like star: (a, s)* = (a*, -s - rb(a) - lb(a))."""
-    _require_regular(x)
-    stats = block_stats(x.base)
-    return DeformedPartition(reflect(x.base), -x.s - stats.rb - stats.lb, True)
 
 
 def _star_genus(x: Partition, genus: Sequence, unit) -> tuple[Partition, tuple]:
@@ -265,11 +247,9 @@ def star_cobordism(x: Cobordism) -> Cobordism:
 
 def _mirror(x, tracked):
     """x under the involution whose base map is reflect_tracked or
-    rotate_tracked: labels travel with their blocks, while s, the spectrum
+    rotate_tracked: labels travel with their blocks, while the spectrum
     and the regularity flag stay put."""
     image, moved = tracked(x.base)
-    if isinstance(x, DeformedPartition):
-        return x._replace(base=image)
     genus = [0] * len(x.genus)
     for i, target in moved.items():
         genus[target] = x.genus[i]
@@ -284,11 +264,6 @@ def sigma(x):
 def rho(x):
     """Half-turn; like sigma but composed with the index reversal."""
     return rotate(x) if isinstance(x, Partition) else _mirror(x, rotate_tracked)
-
-
-def to_deformed(x: Cobordism) -> DeformedPartition:
-    """Forget labels; keep the total closed-component count."""
-    return DeformedPartition(x.base, x.spectrum.total(), x.regular)
 
 
 def to_labeled(x: Cobordism) -> LabeledPartition:

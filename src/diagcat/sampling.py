@@ -1,4 +1,6 @@
-"""Seeded random generators for every diagram family.
+"""Seeded random generators for partitions, cobordisms, affine diagrams
+and words; the counter rows of serialize.CATEGORIES draw their counters
+over these.
 
 All samplers take an explicit random.Random so that suite runs are
 replayable from a printed seed.
@@ -10,34 +12,15 @@ import random
 from typing import Optional
 
 from .partitions import Partition, _ground, make_partition
-from .cobordisms import (
-    Cobordism,
-    DeformedPartition,
-    Spectrum,
-    make_cobordism,
-)
-from .annular import (
-    AffineDiagram,
-    AffinePair,
-    AffineTriple,
-    affine_identity,
-    compose_affine,
-    cup_cap,
-    make_pair,
-    make_triple,
-    sigma_affine,
-    zeta,
-)
+from .cobordisms import Cobordism, Spectrum, make_cobordism
+from .annular import AffineDiagram, _generators, affine_identity, compose_affine
 from .identities import Word
 
 __all__ = [
     "random_partition",
-    "random_deformed",
     "random_spectrum",
     "random_cobordism",
     "random_affine",
-    "random_pair",
-    "random_triple",
     "random_word",
 ]
 
@@ -52,14 +35,6 @@ def random_partition(rng: random.Random, m: int, n: int) -> Partition:
         else:
             blocks[i].append(p)
     return make_partition(m, n, blocks)
-
-
-def random_deformed(
-    rng: random.Random, m: int, n: int, regular: bool = False
-) -> DeformedPartition:
-    base = random_partition(rng, m, n)
-    shift = rng.randint(-2 if regular else 0, 2)
-    return DeformedPartition(base, shift, regular)
 
 
 def random_spectrum(rng: random.Random, support: int = 3) -> Spectrum:
@@ -87,26 +62,11 @@ def random_affine(
     """Random product of rotation and cup-cap generators at width n."""
     if steps is None:
         steps = rng.randint(0, 6)
-    gens = [zeta(n), sigma_affine(zeta(n))]
-    if n >= 2:
-        gens += [cup_cap(n, i) for i in range(1, n + 1)]
+    gens = _generators(n)
     out = affine_identity(n)
     for _ in range(steps):
         out = compose_affine(out, rng.choice(gens)).product
     return out
-
-
-def random_pair(rng: random.Random, n: int, regular: bool = False) -> AffinePair:
-    skel = random_affine(rng, n)
-    k = 0 if skel.rank > 0 else rng.randint(-3 if regular else 0, 3)
-    return make_pair(skel, k, regular)
-
-
-def random_triple(rng: random.Random, n: int, regular: bool = False) -> AffineTriple:
-    skel = random_affine(rng, n)
-    lo = -3 if regular else 0
-    k = 0 if skel.rank > 0 else rng.randint(lo, 3)
-    return make_triple(skel, k, rng.randint(lo, 3), regular)
 
 
 def random_word(rng: random.Random, max_len: int = 7) -> Word:

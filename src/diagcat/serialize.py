@@ -19,6 +19,11 @@ the acceptance suite's sampled law checks and the law tests know the
 families only through it: adding a family is one row plus its codec.  X
 holds non-regular values and X-bar regular ones; P, aTLe and Ann are
 regular (their star is total); aTL, aTLd and Annd take both.
+
+The counter rows Pd, Pd-bar, aTL, aTLd and Annd hold Deformed values: a
+value of a base row (P, aTLe or Ann) plus integer counters, each fed by
+one diagnostic of the base composition.  One builder derives each of
+them from its base row and its (field, diagnostic) pairs.
 """
 
 from __future__ import annotations
@@ -27,28 +32,16 @@ import re
 from typing import Callable, Mapping, NamedTuple
 
 from . import annular, cobordisms, sampling
-from .errors import NegativeLabel, ParseError
+from .errors import NegativeLabel, NotRegular, ParseError, RangeError, RegularityMismatch
 from .partitions import IN, OUT, Partition, Vertex, _ground, compose, make_partition, reflect
-from .cobordisms import (
-    Cobordism,
-    DeformedPartition,
-    LabeledPartition,
-    Spectrum,
-    make_cobordism,
-    to_labeled,
-)
+from .cobordisms import Cobordism, LabeledPartition, Spectrum, make_cobordism, to_labeled
 from .annular import (
     AffineDiagram,
-    AffinePair,
-    AffineTriple,
     AnnularPartition,
-    DeformedAnnular,
     compose_affine,
     compose_ann,
     make_affine,
     make_ann,
-    make_pair,
-    make_triple,
     project_to_ann,
 )
 
@@ -63,6 +56,7 @@ __all__ = [
     "decode",
     "CATEGORIES",
     "Category",
+    "Deformed",
 ]
 
 _SIDE_NAME = {IN: "in", OUT: "out"}
@@ -215,18 +209,6 @@ class Category(NamedTuple):
         return self.read(obj, regular)
 
 
-def _read_deformed(d: dict, regular: bool) -> DeformedPartition:
-    p = partition_from_json(d)
-    shift = _int(d.get("shift", 0), "shift")
-    if not regular and shift < 0:
-        raise NegativeLabel("negative shift in non-regular value")
-    return DeformedPartition(p, shift, regular)
-
-
-def _enc_deformed(x: DeformedPartition) -> dict:
-    return {**partition_to_json(x.base), "shift": x.s, "regular": x.regular}
-
-
 def _read_cobordism(d: dict, regular: bool) -> Cobordism:
     p = partition_from_json(d)
     genus = _genus_from_json(p, d.get("genus", {}))
@@ -250,47 +232,8 @@ def _enc_cobordism(x: Cobordism) -> dict:
     return {**_enc_labeled(x), "spectrum": spectrum_to_json(x.spectrum)}
 
 
-def _read_pair(d: dict, regular: bool) -> AffinePair:
-    return make_pair(affine_from_json(d), _int(d.get("k", 0), "k"), regular)
-
-
-def _enc_pair(x: AffinePair) -> dict:
-    return {**affine_to_json(x.skeleton), "k": x.k, "regular": x.regular}
-
-
-def _read_triple(d: dict, regular: bool) -> AffineTriple:
-    k, k0 = _int(d.get("k", 0), "k"), _int(d.get("k0", 0), "k0")
-    return make_triple(affine_from_json(d), k, k0, regular)
-
-
-def _enc_triple(x: AffineTriple) -> dict:
-    return {
-        **affine_to_json(x.skeleton),
-        "k": x.k,
-        "k0": x.k0,
-        "regular": x.regular,
-    }
-
-
 def _enc_ann(x: AnnularPartition) -> dict:
     return {**partition_to_json(x.base), "annular": True}
-
-
-def _read_deformed_ann(d: dict, regular: bool) -> DeformedAnnular:
-    shadow = make_ann(partition_from_json(d))
-    k = _int(d.get("k", 0), "k")
-    if not regular and k < 0:
-        raise NegativeLabel("negative circle count in non-regular value")
-    return DeformedAnnular(shadow, k, regular)
-
-
-def _enc_deformed_ann(x: DeformedAnnular) -> dict:
-    return {**_enc_ann(x.base), "k": x.k, "regular": x.regular}
-
-
-def _sample_deformed_shadow(rng, m, n, regular) -> DeformedAnnular:
-    shadow = project_to_ann(sampling.random_affine(rng, m))
-    return DeformedAnnular(shadow, rng.randint(-3 if regular else 0, 3), regular)
 
 
 def _undecorated(compose_base):
@@ -318,7 +261,7 @@ def _circles(res) -> dict:
 
 
 def _partition_rows(name, read, encode, sample, star, quotients):
-    """Rows X (non-regular values) and X-bar (regular ones) of a decorated
+    """Rows X (non-regular values) and X-bar (regular ones) of a labeled
     family over partitions; a quotient to Y gives X -> Y and X-bar -> Y-bar."""
     compose_ = _table_compose(cobordisms.compose_decorated, _dead_blocks)
     return {
@@ -330,18 +273,98 @@ def _partition_rows(name, read, encode, sample, star, quotients):
     }
 
 
+class Deformed(NamedTuple):
+    """A value of a counter row: a value of the base row and one integer
+    per counter."""
+
+    base: object
+    counts: tuple[int, ...]
+    regular: bool = False
+
+
+def _deformed_row(name, base, counters, regularities=(False, True)) -> Category:
+    """The row of base values with counters: counters pairs each counter's
+    JSON field with the diagnostic of the base composition that feeds it.
+
+    A product's counter is the sum of the operands' plus that diagnostic;
+    the star is the base star with each counter c turned into
+    -c - D(x, x*) - D(x*, x), D being the counter's diagnostic; sigma and
+    rho act on the base.  A non-regular value's counters are non-negative
+    (else NegativeLabel), and a counter fed by wrapping circles (bw) is 0
+    alongside a transversal string (else RangeError).  Samples draw each
+    counter from -3..3 (regular) or 0..3.
+    """
+    fields = tuple(field for field, _ in counters)
+    feeds = tuple(feed for _, feed in counters)
+
+    def read(d: dict, regular: bool) -> Deformed:
+        x = base.read(d, True)
+        counts = tuple([_int(d.get(field, 0), field) for field in fields])
+        for field, feed, c in zip(fields, feeds, counts):
+            if feed == "bw" and c and x.rank > 0:
+                raise RangeError(f"{field} must be 0 alongside a transversal string")
+            if not regular and c < 0:
+                raise NegativeLabel(f"negative {field} in non-regular value")
+        return Deformed(x, counts, regular)
+
+    def encode(x: Deformed) -> dict:
+        return {**base.encode(x.base), **dict(zip(fields, x.counts)), "regular": x.regular}
+
+    def compose_(x: Deformed, y: Deformed):
+        if x.regular != y.regular:
+            raise RegularityMismatch("cannot mix regular and non-regular values")
+        product, diag = base.compose(x.base, y.base)
+        counts = tuple([a + b + diag[feed] for a, b, feed in zip(x.counts, y.counts, feeds)])
+        return Deformed(product, counts, x.regular), diag
+
+    def star(x: Deformed) -> Deformed:
+        if not x.regular:
+            raise NotRegular("star needs a regular value")
+        image = base.star(x.base)
+        fwd, bwd = base.compose(x.base, image)[1], base.compose(image, x.base)[1]
+        counts = tuple([-c - fwd[f] - bwd[f] for c, f in zip(x.counts, feeds)])
+        return Deformed(image, counts, True)
+
+    def sample(rng, m, n, regular) -> Deformed:
+        x = base.sample(rng, m, n, regular)
+        lo = -3 if regular else 0
+        counts = tuple([
+            0 if feed == "bw" and x.rank > 0 else rng.randint(lo, 3) for feed in feeds
+        ])
+        return Deformed(x, counts, regular)
+
+    return Category(
+        name, read, encode, compose_, regularities, base.square, sample,
+        lambda x: x._replace(base=base.sigma(x.base)),
+        lambda x: x._replace(base=base.rho(x.base)),
+        star, {},
+    )
+
+
+_P = Category(
+    "P", lambda d, regular: partition_from_json(d), partition_to_json,
+    _table_compose(_undecorated(compose), _dead_blocks), (True,), False,
+    lambda rng, m, n, regular: sampling.random_partition(rng, m, n),
+    cobordisms.sigma, cobordisms.rho, reflect, {},
+)
+_ATLE = Category(
+    "aTLe", lambda d, regular: affine_from_json(d), affine_to_json,
+    _table_compose(_undecorated(compose_affine), _circles), (True,), True,
+    lambda rng, m, n, regular: sampling.random_affine(rng, m),
+    annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {"Ann": project_to_ann},
+)
+_ANN = Category(
+    "Ann", lambda d, regular: make_ann(partition_from_json(d)), _enc_ann,
+    _table_compose(compose_ann, _dead_blocks), (True,), True,
+    lambda rng, m, n, regular: project_to_ann(sampling.random_affine(rng, m)),
+    annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {},
+)
+_SHIFT = (("shift", "dead_blocks"),)
+
 CATEGORIES: dict[str, Category] = {
-    "P": Category(
-        "P", lambda d, regular: partition_from_json(d), partition_to_json,
-        _table_compose(_undecorated(compose), _dead_blocks), (True,), False,
-        lambda rng, m, n, regular: sampling.random_partition(rng, m, n),
-        cobordisms.sigma, cobordisms.rho, reflect, {},
-    ),
-    **_partition_rows(
-        "Pd", _read_deformed, _enc_deformed,
-        lambda rng, m, n, regular: sampling.random_deformed(rng, m, n, regular=regular),
-        cobordisms.star_deformed, {},
-    ),
+    "P": _P,
+    "Pd": _deformed_row("Pd", _P, _SHIFT, (False,)),
+    "Pd-bar": _deformed_row("Pd-bar", _P, _SHIFT, (True,)),
     **_partition_rows(
         "Cob0", _read_labeled, _enc_labeled,
         lambda rng, m, n, regular: to_labeled(
@@ -352,38 +375,15 @@ CATEGORIES: dict[str, Category] = {
     **_partition_rows(
         "Cob", _read_cobordism, _enc_cobordism,
         lambda rng, m, n, regular: sampling.random_cobordism(rng, m, n, regular=regular),
-        cobordisms.star_cobordism, {"Cob0": to_labeled, "Pd": cobordisms.to_deformed},
+        cobordisms.star_cobordism,
+        # forget the labels, keep the total closed-component count
+        {"Cob0": to_labeled, "Pd": lambda x: Deformed(x.base, (x.spectrum.total(),), x.regular)},
     ),
-    "aTLe": Category(
-        "aTLe", lambda d, regular: affine_from_json(d), affine_to_json,
-        _table_compose(_undecorated(compose_affine), _circles), (True,), True,
-        lambda rng, m, n, regular: sampling.random_affine(rng, m),
-        annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {"Ann": project_to_ann},
-    ),
-    "aTL": Category(
-        "aTL", _read_pair, _enc_pair, _table_compose(annular.compose_decorated, _circles),
-        (False, True), True,
-        lambda rng, m, n, regular: sampling.random_pair(rng, m, regular=regular),
-        annular.sigma_affine, annular.rho_affine, annular.star_decorated, {},
-    ),
-    "aTLd": Category(
-        "aTLd", _read_triple, _enc_triple, _table_compose(annular.compose_decorated, _circles),
-        (False, True), True,
-        lambda rng, m, n, regular: sampling.random_triple(rng, m, regular=regular),
-        annular.sigma_affine, annular.rho_affine, annular.star_decorated, {},
-    ),
-    "Ann": Category(
-        "Ann", lambda d, regular: make_ann(partition_from_json(d)), _enc_ann,
-        _table_compose(compose_ann, _dead_blocks), (True,), True,
-        lambda rng, m, n, regular: project_to_ann(sampling.random_affine(rng, m)),
-        annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {},
-    ),
-    "Annd": Category(
-        "Annd", _read_deformed_ann, _enc_deformed_ann,
-        _table_compose(annular.compose_decorated, _dead_blocks), (False, True), True,
-        _sample_deformed_shadow,
-        annular.sigma_affine, annular.rho_affine, annular.star_decorated, {},
-    ),
+    "aTLe": _ATLE,
+    "aTL": _deformed_row("aTL", _ATLE, (("k", "bw"),)),
+    "aTLd": _deformed_row("aTLd", _ATLE, (("k", "bw"), ("k0", "b0"))),
+    "Ann": _ANN,
+    "Annd": _deformed_row("Annd", _ANN, (("k", "dead_blocks"),)),
 }
 
 

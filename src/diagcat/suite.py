@@ -65,7 +65,6 @@ from .auxmonoids import (
 )
 from .cobordisms import (
     Cobordism,
-    DeformedPartition,
     LabeledPartition,
     Spectrum,
     compose_cobordism,
@@ -116,7 +115,7 @@ from .sampling import (
     random_spectrum,
     random_word,
 )
-from .serialize import CATEGORIES, Category
+from .serialize import CATEGORIES, Category, Deformed
 
 
 class CheckFailed(AssertionError):
@@ -435,8 +434,8 @@ def check_labeled_antiautomorphism(rng: random.Random) -> str:
         cond = sa.rb + sb.lb == 2 * r.b
         verdicts = set()
         for s, t in itertools.product((-2, 0, 2), repeat=2):
-            x = DeformedPartition(a, s, True)
-            y = DeformedPartition(b, t, True)
+            x = Deformed(a, (s,), True)
+            y = Deformed(b, (t,), True)
             lhs = deformed.star(_mul(deformed, x, y))
             rhs = _mul(deformed, deformed.star(y), deformed.star(x))
             verdicts.add(lhs == rhs)
@@ -743,7 +742,7 @@ def check_circle_counting(rng: random.Random) -> str:
                 lambda: f"{row.name} composition not associative at {x!r}, {y!r}, {z!r}",
             )
             _require(
-                left.skeleton.rank == 0 or left.k == 0,
+                left.base.rank == 0 or left.counts[0] == 0,
                 lambda: f"positive rank with nonzero wrap count: {left!r}",
             )
             randoms += 1

@@ -12,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from diagcat import CATEGORIES
-from diagcat.cobordisms import DeformedPartition
+from diagcat import CATEGORIES, Deformed
 from diagcat.partitions import make_partition
 from diagcat.suite import CheckFailed, _check_involutions, _check_star, run_suite
 
@@ -136,7 +135,7 @@ def test_involution_helper_catches_a_quotient_that_misses_rho():
     # sigma fixes this value and rho moves it, so the constant map to it
     # commutes with sigma only
     base = make_partition(2, 2, [[("in", 1), ("out", 1)], [("in", 2)], [("out", 2)]])
-    c = DeformedPartition(base, 0, True)
+    c = Deformed(base, (0,), True)
     row = CATEGORIES["Cob-bar"]._replace(quotients={"Pd-bar": lambda x: c})
     with pytest.raises(CheckFailed, match="does not commute with rho"):
         for x, y in _pairs(row, True):

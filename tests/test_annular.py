@@ -13,8 +13,6 @@ from diagcat import (
     enumerate_affine,
     lambda_pow,
     make_affine,
-    make_pair,
-    make_triple,
     project_to_ann,
     shift_gap,
     sigma_affine,
@@ -27,7 +25,6 @@ from diagcat.annular import (
     AffineDiagram,
     APoint,
     _order_key,
-    compose_decorated,
     rho_affine,
 )
 from diagcat.partitions import _ground
@@ -35,12 +32,13 @@ from diagcat.errors import (
     BoundExceeded,
     CrossingError,
     NegativeLabel,
+    ParseError,
     RangeError,
     RankZero,
     UnmatchedPoint,
 )
 from diagcat.sampling import random_affine
-from diagcat.serialize import CATEGORIES
+from diagcat.serialize import CATEGORIES, affine_to_json
 
 
 def test_generators_have_expected_shapes():
@@ -117,33 +115,31 @@ def test_shadow_collapses_exactly_the_shift():
 
 
 def test_pair_wrap_counter():
+    row = CATEGORIES["aTL"]
     wrap = compose_affine(cup_cap(2, 1), cup_cap(2, 2)).product
-    p = make_pair(wrap, 2, False)
-    q = compose_decorated(p, p)[0]
-    assert q.k == 5  # 2 + 2 + one new wrap circle
+    p = row.decode({**affine_to_json(wrap), "k": 2})
+    q = row.compose(p, p)[0]
+    assert q.counts == (5,)  # 2 + 2 + one new wrap circle
     with pytest.raises(RangeError):
-        make_pair(zeta(2), 1, False)  # positive rank forces k = 0
+        row.decode({**affine_to_json(zeta(2)), "k": 1})  # positive rank forces k = 0
     with pytest.raises(NegativeLabel):
-        make_pair(wrap, -1, False)  # negative count needs the regular tower
+        row.decode({**affine_to_json(wrap), "k": -1})  # negative count needs the regular tower
 
 
 @pytest.mark.parametrize("count", [1.5, True, "1", None])
 def test_circle_counts_must_be_integers(count):
-    wrap = compose_affine(cup_cap(2, 1), cup_cap(2, 2)).product
-    for make in (
-        lambda: make_pair(wrap, count),
-        lambda: make_triple(wrap, count, 0),
-        lambda: make_triple(wrap, 0, count),
-    ):
-        with pytest.raises(RangeError, match="is not an integer"):
-            make()
+    wrap = affine_to_json(compose_affine(cup_cap(2, 1), cup_cap(2, 2)).product)
+    for name, field in (("aTL", "k"), ("aTLd", "k"), ("aTLd", "k0")):
+        with pytest.raises(ParseError, match="must be an integer"):
+            CATEGORIES[name].decode({**wrap, field: count})
 
 
 def test_triple_counts_contractible_circles():
+    row = CATEGORIES["aTLd"]
     cc = cup_cap(2, 1)
-    t = make_triple(cc, 0, 0, False)
-    r = compose_decorated(t, t)[0]
-    assert r.k0 == 1 and r.k == 0 and r.skeleton == cc
+    t = row.decode(affine_to_json(cc))
+    r = row.compose(t, t)[0]
+    assert r.counts == (0, 1) and r.base == cc
 
 
 def test_enumeration_and_closure_bounds(monkeypatch):

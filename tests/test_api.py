@@ -1,3 +1,4 @@
+import doctest
 import importlib
 import os
 import pkgutil
@@ -21,6 +22,12 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", ())
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_docstring_examples_run(name):
+    module = importlib.import_module(f"diagcat.{name}")
+    assert doctest.testmod(module).failed == 0
 
 
 def test_package_imports_cleanly():
@@ -54,6 +61,10 @@ IDENTITY_1_1 = [(("in", 1), (0, "out", 1)), (("out", 1), (0, "in", 1))]
     pytest.param(lambda: diagcat.lambda_pow(1, True), id="lambda_pow(1,True)"),
     pytest.param(lambda: diagcat.lambda_pow(-1), id="lambda_pow(-1)"),
     pytest.param(lambda: diagcat.cup_cap(2, True), id="cup_cap(2,True)"),
+    pytest.param(lambda: diagcat.affine_power(diagcat.zeta(2), True),
+                 id="affine_power(zeta(2),True)"),
+    pytest.param(lambda: diagcat.affine_power(diagcat.zeta(2), 2.0),
+                 id="affine_power(zeta(2),2.0)"),
     pytest.param(lambda: list(diagcat.enumerate_affine(1, 1, True)),
                  id="enumerate_affine(1,1,True)"),
     pytest.param(lambda: diagcat.a21_pair(True, 0), id="a21_pair(True,0)"),

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from diagcat import (
@@ -189,12 +190,16 @@ def test_finite_monoid_rejects_non_integer_entries():
         FiniteMonoid([[False, True], [True, False]])
     with pytest.raises(NotClosed):
         FiniteMonoid([[0, True], [True, 0]])
+    with pytest.raises(NotClosed):
+        FiniteMonoid([[0, np.True_], [np.True_, 0]])
     with pytest.raises(BadInvolution):
         FiniteMonoid([[0, 1], [1, 0]], star=[0, 1.0])
     with pytest.raises(BadInvolution):
         FiniteMonoid([[0, 1], [1, 0]], star=[False, True])
     with pytest.raises(BadInvolution):
         FiniteMonoid([[0, 1], [1, 0]], star=[0, True])
+    with pytest.raises(BadInvolution):
+        FiniteMonoid([[0, 1], [1, 0]], star=[0, np.True_])
 
 
 # Z/3 under addition, with negation as its star.

@@ -3,18 +3,33 @@ import sys
 
 import pytest
 
-from diagcat import CATEGORIES, annular, cobordisms, decode, encode
+from diagcat import CATEGORIES, Deformed, cobordisms, decode, encode
 from diagcat.serialize import partition_to_json
 from diagcat.annular import (
     AffineDiagram,
+    AnnularPartition,
     compose_affine,
     enumerate_affine,
     project_to_ann,
     compose_ann,
+    sigma_affine,
 )
 from diagcat.cobordisms import Spectrum, compose_cobordism
-from diagcat.errors import CrossingError, NegativeLabel, ParseError, UnmatchedPoint
-from diagcat.partitions import Partition, compose, enumerate_partitions, make_partition
+from diagcat.errors import (
+    CrossingError,
+    NegativeLabel,
+    ParseError,
+    RegularityMismatch,
+    UnmatchedPoint,
+)
+from diagcat.partitions import (
+    Partition,
+    block_stats,
+    compose,
+    enumerate_partitions,
+    make_partition,
+    reflect,
+)
 
 
 def test_decode_rejects_garbage():
@@ -69,6 +84,7 @@ def test_partition_decoders_reject_non_integer_indices(name, index):
         ("Cob0", "genus"),
         ("Cob", "spectrum"),
         ("aTL", "k"),
+        ("aTLd", "k"),
         ("aTLd", "k0"),
         ("Annd", "k"),
     ],
@@ -153,7 +169,7 @@ def test_affine_decoders_reject_unknown_sides(name, end, side):
 
 
 def test_non_regular_deformed_shadows_have_non_negative_counters():
-    assert decode("Annd", {**_cup(), "k": -1, "regular": True}).k == -1
+    assert decode("Annd", {**_cup(), "k": -1, "regular": True}).counts == (-1,)
     with pytest.raises(NegativeLabel):
         decode("Annd", {**_cup(), "k": -1})
 
@@ -198,30 +214,71 @@ def test_shadow_decoders_need_two_point_blocks(name):
                     decode(name, partition_to_json(p))
 
 
+# The per-family code that the counter rows (Pd, aTL, aTLd, Annd) replaced,
+# kept as oracles for them.
+
+
+def _compose_counters(x, y):
+    """A deformed partition's shift gains the dead blocks, a deformed
+    shadow's count the dead blocks of the shadow composition, an affine
+    value's k the wrapping circles and its k0 the contractible ones."""
+    if isinstance(x.base, Partition):
+        res = compose(x.base, y.base)
+        return Deformed(res.product, (x.counts[0] + y.counts[0] + res.b,), x.regular)
+    if isinstance(x.base, AnnularPartition):
+        product, res = compose_ann(x.base, y.base)
+        return Deformed(product, (x.counts[0] + y.counts[0] + res.b,), x.regular)
+    res = compose_affine(x.base, y.base)
+    if res.product.rank > 0:
+        assert res.bw == 0 and x.counts[0] == 0 and y.counts[0] == 0
+    k = x.counts[0] + y.counts[0] + res.bw
+    if len(x.counts) == 2:
+        return Deformed(res.product, (k, x.counts[1] + y.counts[1] + res.b0), x.regular)
+    return Deformed(res.product, (k,), x.regular)
+
+
+def _star_deformed(x):
+    """(a, s)* = (a*, -s - rb(a) - lb(a))."""
+    stats = block_stats(x.base)
+    return Deformed(reflect(x.base), (-x.counts[0] - stats.rb - stats.lb,), True)
+
+
+def _star_decorated(x):
+    """Reflect, then replace each counter c with -c minus the circles (dead
+    blocks, for a shadow) that x x' and x' x make, x' being the reflection."""
+    s = sigma_affine(x.base)
+    if isinstance(x.base, AnnularPartition):
+        fwd, bwd = compose_ann(x.base, s)[1], compose_ann(s, x.base)[1]
+        return Deformed(s, (-x.counts[0] - fwd.b - bwd.b,), True)
+    fwd, bwd = compose_affine(x.base, s), compose_affine(s, x.base)
+    counts = (-x.counts[0] - fwd.bw - bwd.bw, -x.counts[-1] - fwd.b0 - bwd.b0)
+    return Deformed(s, counts[: len(x.counts)], True)
+
+
 def _product(compose_with_diagnostics):
     return lambda x, y: compose_with_diagnostics(x, y)[0]
 
 
 PUBLIC_COMPOSE = {
     "P": lambda x, y: compose(x, y).product,
-    "Pd": _product(cobordisms.compose_decorated),
-    "Pd-bar": _product(cobordisms.compose_decorated),
+    "Pd": _compose_counters,
+    "Pd-bar": _compose_counters,
     "Cob0": _product(cobordisms.compose_decorated),
     "Cob0-bar": _product(cobordisms.compose_decorated),
     "Cob": compose_cobordism,
     "Cob-bar": compose_cobordism,
     "aTLe": lambda x, y: compose_affine(x, y).product,
-    "aTL": _product(annular.compose_decorated),
-    "aTLd": _product(annular.compose_decorated),
+    "aTL": _compose_counters,
+    "aTLd": _compose_counters,
     "Ann": lambda x, y: compose_ann(x, y)[0],
-    "Annd": _product(annular.compose_decorated),
+    "Annd": _compose_counters,
 }
 
 
 def _bare(x):
     """The partition or affine diagram under a value of any family."""
     while not isinstance(x, (Partition, AffineDiagram)):
-        x = x.skeleton if hasattr(x, "skeleton") else x.base
+        x = x.base
     return x
 
 
@@ -264,3 +321,59 @@ def test_compose_through_category_table():
                 assert diag == {"b0": res.b0, "bw": res.bw}
             assert product == PUBLIC_COMPOSE[name](x, y)
             assert decode(name, encode(name, product)) == product
+
+
+PARTITIONS = [
+    p for total in range(7) for m in range(total + 1) for p in enumerate_partitions(m, total - m)
+]
+AFFINE = [
+    d for total in (0, 2, 4, 6) for m in range(total + 1) for d in enumerate_affine(m, total - m, 2)
+]
+
+
+def _counter_values(rng, name, bases):
+    """One regular value of the row over each base, its counters drawn from
+    -3..3; a wrap count k stays 0 at positive rank."""
+    out = []
+    for base in bases:
+        wraps = name.startswith("aTL") and base.rank > 0
+        width = 2 if name == "aTLd" else 1
+        counts = tuple(0 if wraps and i == 0 else rng.randint(-3, 3) for i in range(width))
+        out.append(Deformed(base, counts, True))
+    return out
+
+
+@pytest.mark.parametrize("name", ["Pd-bar", "aTL", "aTLd", "Annd"])
+def test_counter_rows_match_the_per_family_code(name):
+    """Over every partition (Pd) or every affine diagram or shadow of
+    offsets up to 2 (the others) on at most six points: the star of each
+    value, and its product with five drawn composable values (Pd) or with
+    every composable one (the others)."""
+    row = CATEGORIES[name]
+    rng = random.Random(name)
+    if name == "Pd-bar":
+        bases = PARTITIONS
+    elif name == "Annd":
+        bases = list(dict.fromkeys(project_to_ann(d) for d in AFFINE))
+    else:
+        bases = AFFINE
+    oracle_star = _star_deformed if name == "Pd-bar" else _star_decorated
+    values = _counter_values(rng, name, bases)
+    by_top = {}
+    for y in values:
+        by_top.setdefault(_bare(y).m, []).append(y)
+    for x in values:
+        assert row.star(x) == oracle_star(x)
+        partners = by_top.get(_bare(x).n, [])
+        if name == "Pd-bar":
+            partners = rng.sample(partners, min(5, len(partners)))
+        for y in partners:
+            assert row.compose(x, y)[0] == _compose_counters(x, y)
+
+
+@pytest.mark.parametrize("name", ["aTL", "aTLd", "Annd"])
+def test_counter_rows_do_not_mix_regularities(name):
+    row = CATEGORIES[name]
+    x = row.decode(_cup())
+    with pytest.raises(RegularityMismatch):
+        row.compose(x, x._replace(regular=True))
