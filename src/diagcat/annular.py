@@ -585,56 +585,82 @@ class AnnMonoid(NamedTuple):
     monoid: FiniteMonoid
 
 
-MAX_ANN_ELEMENTS = 2000  # build_ann_monoid(6) has 625 elements
+# build_ann_monoid(6) has 625 elements; n = 7, with 2 800, stops here.
+# There FiniteMonoid's O(size^3) associativity check, not the closure,
+# would be the cost.
+MAX_ANN_ELEMENTS = 2000
 
 
 def build_ann_monoid(n: int) -> AnnMonoid:
     """Close the shadows of the rotation and the cup-caps under
     composition and package the result as a finite monoid; a closure past
-    MAX_ANN_ELEMENTS elements raises BoundExceeded."""
+    MAX_ANN_ELEMENTS elements raises BoundExceeded before any table is
+    built.
+
+    The closure is Froidure and Pin's: each element is composed with the
+    generators only, and each new product is recorded with its parent
+    and generator.  The table's column of p*g is then R_g applied to the
+    column of p, where R_g is right multiplication by g, one numpy gather
+    per element.  The elements are numbered in the order of the pairwise
+    closure (i walks the element list while j runs over it, forming
+    elements[i] * elements[j] and then elements[j] * elements[i]), which
+    is replayed by table lookups.
+    """
+    import numpy as np
+
     gens = [affine_identity(n), *(_generators(n) if n >= 1 else ())]
-
-    elements: list[AnnularPartition] = []
-    index: dict = {}
-    # rows[i][j] is the index of elements[i] * elements[j], -1 where that
-    # product is not formed yet; rows grow with the closure.
-    rows: list[list[int]] = []
-
-    def add(base: Partition) -> int:
-        index[base] = len(elements)
-        elements.append(AnnularPartition(base))
-        rows.append([])
-        return index[base]
-
-    def record(i: int, j: int) -> None:
-        """Form elements[i] * elements[j] unless it is known already."""
-        row = rows[i]
-        if j < len(row) and row[j] >= 0:
-            return
-        prod = compose_partition(elements[i].base, elements[j].base).product
-        k = index.get(prod)
-        if k is None:
-            k = add(prod)
-            if len(elements) > MAX_ANN_ELEMENTS:
-                raise BoundExceeded(f"closure exceeded {MAX_ANN_ELEMENTS} elements")
-        if j >= len(row):
-            row.extend([-1] * (j + 1 - len(row)))
-        row[j] = k
-
+    bases: list[Partition] = []
+    found: dict = {}
     for g in gens:
-        if (base := project_to_ann(g).base) not in index:
-            add(base)
-    # Every pair (i, j) is formed: while i walks the growing element list,
-    # j runs over all elements, including those the row itself adds; an
-    # element added later has i among the elements when it is walked.
+        if (base := project_to_ann(g).base) not in found:
+            found[base] = len(bases)
+            bases.append(base)
+    ngens = len(bases)
+    right: list[list[int]] = []  # right[p][g]: the index of bases[p] * bases[g]
+    parents: list[tuple[int, int]] = []  # (p, g) of each element past the generators
+    p = 0
+    while p < len(bases):
+        row = []
+        for g in range(ngens):
+            prod = compose_partition(bases[p], bases[g]).product
+            k = found.get(prod)
+            if k is None:
+                if len(bases) >= MAX_ANN_ELEMENTS:
+                    raise BoundExceeded(f"closure exceeded {MAX_ANN_ELEMENTS} elements")
+                k = found[prod] = len(bases)
+                bases.append(prod)
+                parents.append((p, g))
+            row.append(k)
+        right.append(row)
+        p += 1
+
+    size = len(bases)
+    by_gen = np.array(right, dtype=np.intp).T  # by_gen[g] is R_g
+    columns = np.empty((size, size), dtype=np.intp)
+    columns[:ngens] = by_gen
+    for q, (p, g) in enumerate(parents, ngens):
+        columns[q] = by_gen[g][columns[p]]
+    rows = columns.T.tolist()  # rows[x][y]: the index of bases[x] * bases[y]
+
+    # The pairwise walk finds nothing new once every element is numbered,
+    # so it stops there.
+    order = list(range(ngens))  # closure position -> index in bases
+    position = order + [-1] * (size - ngens)
     i = 0
-    while i < len(elements):
+    while len(order) < size:
+        x = order[i]
         j = 0
-        while j < len(elements):
-            record(i, j)
-            record(j, i)
+        while j < len(order) and len(order) < size:
+            y = order[j]
+            for k in (rows[x][y], rows[y][x]):
+                if position[k] < 0:
+                    position[k] = len(order)
+                    order.append(k)
             j += 1
         i += 1
 
-    monoid = FiniteMonoid(rows)
-    return AnnMonoid(tuple(elements), index, monoid)
+    perm = np.array(order, dtype=np.intp)
+    table = np.array(position, dtype=np.intp)[columns.T[np.ix_(perm, perm)]]
+    elements = tuple(AnnularPartition(bases[k]) for k in order)
+    index = {bases[k]: i for i, k in enumerate(order)}
+    return AnnMonoid(elements, index, FiniteMonoid(table.tolist()))

@@ -194,7 +194,7 @@ class Category(NamedTuple):
     encode: Callable  # value -> JSON object
     compose: Callable  # (x, y) -> (product, dead blocks or circles b0/bw made)
     regularities: tuple[bool, ...]  # flags its values take; a missing one means the first
-    square: bool  # every value is [n] ~> [n]
+    square: bool  # sample draws only [n] ~> [n]; decode and compose take any shape
     sample: Callable  # (rng, m, n, regular) -> random value [m] ~> [n]
     sigma: Callable  # reflection, an involutive anti-automorphism
     rho: Callable  # half-turn, an involutive anti-automorphism

@@ -319,7 +319,7 @@ def _build_ann_monoid_reference(n):
     return elements, index, table
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_build_ann_monoid_matches_the_unshared_closure(n):
     elements, index, table = _build_ann_monoid_reference(n)
     got = build_ann_monoid(n)

@@ -37,6 +37,7 @@ from diagcat.errors import (
     ParseError,
     RangeError,
 )
+from diagcat import auxmonoids as am
 from diagcat import identities
 from diagcat.annular import build_ann_monoid
 from diagcat.suite import _n_key
@@ -400,6 +401,16 @@ def _outcome(search, identity, monoid, budget, seed):
         return type(exc), str(exc)
 
 
+def _a21_table():
+    """A21 as a FiniteMonoid: its table and its star as indices of
+    a21_elements()."""
+    elements = am.a21_elements()
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[am.a21_mul(x, y)] for y in elements] for x in elements]
+    star = [index[am.a21_star(x)] for x in elements]
+    return monoid_from_table(am.FiniteMonoid(table, star), "A21-table")
+
+
 # M, N and rees are the slowest monoids to search, so they are compared at
 # seed 0 only and the other monoids at seeds 0-2.
 ORACLE_MONOIDS = {
@@ -410,7 +421,18 @@ ORACLE_MONOIDS = {
     "rees": (lambda: _interned(monoid_REES()), [0]),
     "ann3": (lambda: monoid_from_table(build_ann_monoid(3).monoid, "ann3"), [0, 1, 2]),
     "ann4": (lambda: monoid_from_table(build_ann_monoid(4).monoid, "ann4"), [0, 1, 2]),
+    "A21-table": (_a21_table, [0, 1, 2]),
 }
+TABLE_MONOIDS = ("ann3", "ann4", "A21-table")
+
+
+def _assert_same_outcome(name, identity, monoid, budget, seed):
+    got = _outcome(check_identity, identity, monoid, budget, seed)
+    assert got == _outcome(_check_identity_reference, identity, monoid, budget, seed), (
+        name, str(identity), budget, seed
+    )
+    if name in TABLE_MONOIDS and isinstance(got, Verdict) and got.witness:
+        assert all(type(v) is int for v in got.witness.values()), got
 
 
 @pytest.mark.parametrize("name", ORACLE_MONOIDS)
@@ -419,9 +441,27 @@ def test_check_identity_matches_the_evaluate_search(name):
     monoid = make()
     for identity in IDENTITY_REGISTRY.values():
         for seed in seeds:
-            assert _outcome(check_identity, identity, monoid, 4000, seed) == _outcome(
-                _check_identity_reference, identity, monoid, 4000, seed
-            ), (name, str(identity), seed)
+            _assert_same_outcome(name, identity, monoid, 4000, seed)
+
+
+@pytest.mark.parametrize("name", ["ann3", "A21-table"])
+def test_check_identity_matches_the_evaluate_search_in_every_mode(name):
+    """Over tables, each identity with at most 25 000 substitutions at
+    budgets that leave no substitution, all but one (drawn), all of them
+    (exhaustive), and 1 000."""
+    monoid = ORACLE_MONOIDS[name][0]()
+    for identity in IDENTITY_REGISTRY.values():
+        total = len(monoid.elements) ** len(_identity_letters(identity))
+        if total > 25_000:
+            continue
+        for budget in sorted({0, total - 1, total, 1000}):
+            _assert_same_outcome(name, identity, monoid, budget, 1)
+
+
+def test_check_identity_matches_the_evaluate_search_at_the_full_budget():
+    monoid = ORACLE_MONOIDS["ann3"][0]()
+    identity = IDENTITY_REGISTRY["interior-swap-nested"]
+    _assert_same_outcome("ann3", identity, monoid, 200_000, 0)
 
 
 def test_check_identity_raises_only_when_it_evaluates():

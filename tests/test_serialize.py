@@ -205,6 +205,26 @@ def test_shadow_decoders_accept_exactly_the_shadows_of_affine_diagrams():
                         decode(name, partition_to_json(p))
 
 
+def test_annular_rows_take_values_of_any_shape():
+    """square only chooses the shapes the rows sample: each annular row
+    decodes, round-trips and composes a [0] ~> [2] cup."""
+    cup = make_partition(0, 2, [[("out", 1), ("out", 2)]])
+    affine_cup = {"m": 0, "n": 2, "partners": [
+        {"from": {"side": "out", "index": 1}, "to": {"offset": 0, "side": "out", "index": 2}},
+        {"from": {"side": "out", "index": 2}, "to": {"offset": 0, "side": "out", "index": 1}},
+    ]}
+    rows = [name for name, row in CATEGORIES.items() if row.square]
+    assert rows == ["aTLe", "aTL", "aTLd", "Ann", "Annd"]
+    for name in rows:
+        row = CATEGORIES[name]
+        x = decode(name, partition_to_json(cup) if name.startswith("Ann") else affine_cup)
+        bare = _bare(x)
+        assert (project_to_ann(bare).base if isinstance(bare, AffineDiagram) else bare) == cup
+        assert decode(name, encode(name, x)) == x
+        product = row.compose(x, row.sigma(x))[0]
+        assert (_bare(product).m, _bare(product).n) == (0, 0), name
+
+
 @pytest.mark.parametrize("name", ["Ann", "Annd"])
 def test_shadow_decoders_need_two_point_blocks(name):
     for m, n in [(1, 0), (1, 1), (2, 1), (2, 2), (3, 1)]:
