@@ -3,8 +3,11 @@
 An affine diagram [m] ~> [n] is a perfect matching of Z x {1..m} (top row)
 with Z x {1..n} (bottom row) that is invariant under the unit shift
 (t, k) -> (t+1, k) and non-crossing when drawn in the strip.  It is stored
-by the partner of each point in the offset-0 window: partner entries are
-APoint(offset, side, index) triples.
+by the partner of each point in the offset-0 window, as a Partition stores
+one label per vertex: the window points are numbered 0..m+n-1 in the
+order of partitions._ground (top row, then bottom row), and two int
+tuples give, for each window slot j, the slot partner[j] of its partner
+and the offset[j] of the copy of the window that partner lies in.
 
 The linear order behind the non-crossing test runs through the bottom row
 in reverse lexicographic order, then the top row in lexicographic order;
@@ -51,6 +54,7 @@ from .partitions import (
     Vertex,
     _coerce_side,
     _ground,
+    _points,
     _require_int,
     _require_shape,
     compose as compose_partition,
@@ -60,7 +64,6 @@ from .partitions import (
 )
 
 __all__ = [
-    "APoint",
     "AffineDiagram",
     "make_affine",
     "affine_identity",
@@ -85,78 +88,62 @@ __all__ = [
 ]
 
 
-class APoint(NamedTuple):
-    """A marked point (offset, side, index) of the doubly infinite strip."""
-
-    offset: int
-    side: int
-    index: int
-
-    def shifted(self, t: int) -> "APoint":
-        return APoint(self.offset + t, self.side, self.index)
-
-    def __repr__(self) -> str:
-        return f"({self.offset},{'in' if self.side == IN else 'out'}{self.index})"
-
-
-def _order_key(p: APoint):
-    """Total order: bottom row in reverse lex below the whole top row."""
-    if p.side == OUT:
-        return (0, -p.offset, -p.index)
-    return (1, p.offset, p.index)
+def _order_key(slot: int, offset: int, m: int):
+    """Total order on the points of a diagram with m top points: the bottom
+    row in reverse lex below the whole top row."""
+    if slot >= m:
+        return (0, -offset, -slot)
+    return (1, offset, slot)
 
 
 class AffineDiagram:
-    """Validated shift-invariant non-crossing matching, window storage."""
+    """Validated shift-invariant non-crossing matching: window slot j is
+    matched with slot partner[j] of the copy offset[j] units along."""
 
-    __slots__ = ("m", "n", "partner", "_hash")
+    __slots__ = ("m", "n", "partner", "offset", "_hash")
 
-    def __init__(self, m: int, n: int, partner: tuple[APoint, ...]):
+    def __init__(self, m: int, n: int, partner: tuple[int, ...], offset: tuple[int, ...]):
         self.m = m
         self.n = n
         self.partner = partner
-        self._hash = hash((m, n, partner))
+        self.offset = offset
+        self._hash = hash((m, partner, offset))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AffineDiagram)
             and self.m == other.m
-            and self.n == other.n
             and self.partner == other.partner
+            and self.offset == other.offset
         )
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
+        g = _ground(self.m, self.n)
         body = ", ".join(
-            f"{APoint(0, *p)!r}->{q!r}" for p, q in zip(_ground(self.m, self.n), self.partner)
+            f"(0,{v!r})->({t},{g[p]!r})" for v, p, t in zip(g, self.partner, self.offset)
         )
         return f"AffineDiagram({self.m}->{self.n}: {body})"
 
     def __mul__(self, other: "AffineDiagram") -> "AffineDiagram":
         return compose_affine(self, other).product
 
-    def partner_of(self, side: int, index: int, offset: int = 0) -> APoint:
-        slot = index - 1 if side == IN else self.m + index - 1
-        return self.partner[slot].shifted(offset)
-
     @property
     def rank(self) -> int:
         """Number of transversal strings per period."""
-        return sum(1 for p in self.partner[: self.m] if p.side == OUT)
+        return sum(p >= self.m for p in self.partner[: self.m])
 
-    def strings(self) -> list[tuple[APoint, APoint]]:
-        """One representative per string orbit, lowest endpoint at offset 0."""
-        seen = set()
+    def strings(self) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+        """One representative per string orbit, lowest endpoint at offset 0,
+        as sorted (offset, side, index) endpoints in window order."""
+        g = _ground(self.m, self.n)
         out = []
-        for (side, index), q in zip(_ground(self.m, self.n), self.partner):
-            p = APoint(0, side, index)
-            shift = -min(0, q.offset)
-            rep = tuple(sorted((p.shifted(shift), q.shifted(shift))))
-            if rep not in seen:
-                seen.add(rep)
-                out.append(rep)
+        for j, (p, t) in enumerate(zip(self.partner, self.offset)):
+            if j < p:
+                low = max(0, -t)
+                out.append(tuple(sorted(((low, *g[j]), (low + t, *g[p])))))
         return out
 
 
@@ -168,12 +155,14 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
     pairs, with sides given as "in"/"out" strings or the IN/OUT constants;
     any other side, a bool included, raises RangeError.  The shape,
     indices and offsets must be ints; a bool, float, string or None raises
-    RangeError, as does a negative shape.
+    RangeError, as does a negative shape.  Fewer partners than window
+    points raise UnmatchedPoint before anything of the window's size is
+    built.
     """
     _require_shape(m, n)
     if (m + n) % 2:
         raise ParityError(f"[{m}]~>[{n}] admits no perfect matching")
-    table: dict[tuple[int, int], APoint] = {}
+    table: dict[tuple[int, int], tuple[int, int, int]] = {}
     items = partners.items() if hasattr(partners, "items") else partners
     for key, value in items:
         side, index = key
@@ -185,35 +174,36 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
         slot = (side, index)
         if slot in table:
             raise UnmatchedPoint(f"duplicate partner for {slot}")
-        table[slot] = APoint(offset, pside, pindex)
+        table[slot] = (offset, pside, pindex)
 
-    # Messages name window points as (side, index) pairs, as the duplicate check does.
-    slots = _ground(m, n)
-    for slot in slots:
+    # Messages name window points as (side, index) pairs, as the duplicate
+    # check does.  The window is walked point by point, so a shape larger
+    # than the table stops at its first missing point.
+    partner, offset = [], []
+    for slot in _points(m, n):
         if slot not in table:
             raise UnmatchedPoint(f"no partner for {tuple(slot)}")
-        q = table[slot]
-        hi = m if q.side == IN else n
-        if not 1 <= q.index <= hi:
-            raise RangeError(f"partner {q!r} out of range")
+        t, side, index = table[slot]
+        if not 1 <= index <= (m if side == IN else n):
+            raise RangeError(f"partner ({t},{Vertex(side, index)!r}) out of range")
+        partner.append(index - 1 if side == IN else m + index - 1)
+        offset.append(t)
+    slots = _ground(m, n)
     if len(table) != m + n:
         extra = [s for s in table if s not in set(slots)]
         raise UnmatchedPoint(f"partners for unknown points: {extra}")
 
-    for slot in slots:
-        q = table[slot]
-        if (q.side, q.index) == slot:
-            raise NotInvolutive(f"{tuple(slot)} partnered with its own orbit")
-        back = table[(q.side, q.index)]
-        if (back.side, back.index) != slot or back.offset != -q.offset:
-            raise NotInvolutive(f"partner map not self-inverse at {tuple(slot)}")
+    for j, (p, t) in enumerate(zip(partner, offset)):
+        if p == j:
+            raise NotInvolutive(f"{tuple(slots[j])} partnered with its own orbit")
+        if partner[p] != j or offset[p] != -t:
+            raise NotInvolutive(f"partner map not self-inverse at {tuple(slots[j])}")
 
-    diagram = AffineDiagram(m, n, tuple(table[s] for s in slots))
-    _check_crossings(diagram)
-    return diagram
+    _check_crossings(m, partner, offset)
+    return AffineDiagram(m, n, tuple(partner), tuple(offset))
 
 
-def _check_crossings(d: AffineDiagram) -> None:
+def _check_crossings(m: int, partner, offset) -> None:
     """Reject crossing strings.
 
     Shifting the whole bottom row by -r, where r is the offset of the first
@@ -226,25 +216,24 @@ def _check_crossings(d: AffineDiagram) -> None:
     +1.  The remaining strings are compared at every relative shift within
     their offset window.
     """
-    r = next((q.offset for q in d.partner[: d.m] if q.side == OUT), 0)
+    r = next((offset[j] for j in range(m) if partner[j] >= m), 0)
     if r:
-        d = AffineDiagram(d.m, d.n, tuple(
-            q.shifted(-r if i < d.m else r) if (i < d.m) != (q.side == IN) else q
-            for i, q in enumerate(d.partner)
-        ))
-    window = max((abs(q.offset) for q in d.partner), default=0) + 1
+        offset = [
+            (t - r if j < m else t + r) if (j < m) != (p < m) else t
+            for j, (p, t) in enumerate(zip(partner, offset))
+        ]
+    window = max(map(abs, offset), default=0) + 1
     if window > 2:
         raise CrossingError("strings cross")
     shifted = []
-    for rep in d.strings():
-        for t in range(-window, window + 1):
-            a, b = rep[0].shifted(t), rep[1].shifted(t)
-            ka, kb = _order_key(a), _order_key(b)
-            shifted.append((min(ka, kb), max(ka, kb)))
+    for j, (p, t) in enumerate(zip(partner, offset)):
+        if j < p:
+            low = max(0, -t)  # the string's lower end at offset 0
+            for d in range(low - window, low + window + 1):
+                ka, kb = _order_key(j, d, m), _order_key(p, t + d, m)
+                shifted.append((min(ka, kb), max(ka, kb)))
     for (x, x1), (y, y1) in itertools.combinations(shifted, 2):
-        inside_y = x < y < x1
-        inside_y1 = x < y1 < x1
-        if inside_y != inside_y1:
+        if (x < y < x1) != (x < y1 < x1):
             raise CrossingError("strings cross")
 
 
@@ -256,40 +245,31 @@ def zeta(n: int) -> AffineDiagram:
     """The unit rotation: top k joins bottom k+1, wrapping at the seam."""
     if _require_int(n, "shape") < 1:
         raise RangeError("zeta needs n >= 1")
-    tops = [
-        APoint(0, OUT, k + 1) if k < n else APoint(1, OUT, 1) for k in range(1, n + 1)
-    ]
-    bottoms = [
-        APoint(0, IN, k - 1) if k > 1 else APoint(-1, IN, n) for k in range(1, n + 1)
-    ]
-    return AffineDiagram(n, n, tuple(tops) + tuple(bottoms))
+    flat = (0,) * (n - 1)
+    return AffineDiagram(
+        n, n, (*range(n + 1, 2 * n), n, n - 1, *range(n - 1)), flat + (1, -1) + flat
+    )
 
 
 def lambda_pow(n: int, r: int = 1) -> AffineDiagram:
     """The central full twist to the r-th power: (t, k) -> (t + r, k)."""
     _require_shape(n, n)
     _require_int(r, "twist power")
-    return AffineDiagram(
-        n,
-        n,
-        tuple(APoint(r, OUT, k) for k in range(1, n + 1))
-        + tuple(APoint(-r, IN, k) for k in range(1, n + 1)),
-    )
+    return AffineDiagram(n, n, (*range(n, 2 * n), *range(n)), (r,) * n + (-r,) * n)
 
 
 def cup_cap(n: int, i: int) -> AffineDiagram:
     """Adjacent cup-cap joining i with i+1 (indices mod n) on both rows."""
     if _require_int(n, "shape") < 2 or not 1 <= _require_int(i, "cup position") <= n:
         raise RangeError("cup_cap needs n >= 2 and 1 <= i <= n")
-    j = i + 1 if i < n else 1
+    j = i % n  # the slot of top point i + 1; i - 1 is that of top point i
     wrap = 1 if i == n else 0
-    tops = [APoint(0, OUT, k) for k in range(1, n + 1)]
-    bottoms = [APoint(0, IN, k) for k in range(1, n + 1)]
-    tops[i - 1] = APoint(wrap, IN, j)
-    tops[j - 1] = APoint(-wrap, IN, i)
-    bottoms[i - 1] = APoint(wrap, OUT, j)
-    bottoms[j - 1] = APoint(-wrap, OUT, i)
-    return AffineDiagram(n, n, tuple(tops) + tuple(bottoms))
+    partner = [*range(n, 2 * n), *range(n)]
+    offset = [0] * (2 * n)
+    for a, b in ((i - 1, j), (n + i - 1, n + j)):
+        partner[a], partner[b] = b, a
+        offset[a], offset[b] = wrap, -wrap
+    return AffineDiagram(n, n, tuple(partner), tuple(offset))
 
 
 class AffineComposition(NamedTuple):
@@ -302,61 +282,51 @@ _TRACE_GUARD = 100_000
 
 
 def compose_affine(a: AffineDiagram, b: AffineDiagram) -> AffineComposition:
-    """Glue a's bottom row to b's top row and trace the strings."""
+    """Glue a's bottom row to b's top row and trace the strings.
+
+    The two windows are laid side by side, b's slots after a's, so that
+    middle point k is both a's slot top + k and b's slot top + mid + k.  A
+    string alternates between partner links and these glued pairs, and
+    its offset is the sum of the offsets of its links."""
     if a.n != b.m:
         raise ShapeMismatch(
             f"cannot compose [{a.m}]~>[{a.n}] with [{b.m}]~>[{b.n}]"
         )
-    mid = a.n
-    visited: set[int] = set()
+    top, mid = a.m, a.n
+    hi = top + 2 * mid  # slots top..hi-1 are the middle slots of both windows
+    partner = a.partner + tuple([p + top + mid for p in b.partner])
+    offset = a.offset + b.offset
+    seen = [False] * mid
 
-    def follow(start_side: int, index: int) -> APoint:
-        if start_side == IN:
-            t, side, k = a.partner_of(IN, index)
-            via_a = True
-        else:
-            t, side, k = b.partner_of(OUT, index)
-            via_a = False
+    def trace(start: int) -> tuple[int, int]:
+        """The outer slot that the string from start reaches, or start
+        itself when the path closes up, and the offset picked up."""
+        x, t = start, 0
         for _ in range(_TRACE_GUARD):
-            if via_a:
-                if side == IN:
-                    return APoint(t, IN, k)
-                visited.add(k)
-                t, side, k = b.partner_of(IN, k, t)
-                via_a = False
-            else:
-                if side == OUT:
-                    return APoint(t, OUT, k)
-                visited.add(k)
-                t, side, k = a.partner_of(OUT, k, t)
-                via_a = True
+            t += offset[x]
+            x = partner[x]
+            if not top <= x < hi:
+                return x, t
+            k = (x - top) % mid
+            seen[k] = True
+            x = top + k + (mid if x < top + mid else 0)
+            if x == start:
+                return x, t
         raise AssertionError("string trace did not terminate")
 
-    product = AffineDiagram(a.m, b.n, tuple([follow(*v) for v in _ground(a.m, b.n)]))
-
+    ends = [trace(x) for x in (*range(top), *range(hi, hi + b.n))]
+    slots = tuple([x if x < top else x - 2 * mid for x, _ in ends])
+    product = AffineDiagram(top, b.n, slots, tuple([t for _, t in ends]))
     b0 = bw = 0
-    assigned: set[int] = set(visited)
-    for k0 in range(1, mid + 1):
-        if k0 in assigned:
-            continue
-        t, k, parity = 0, k0, 0
-        for _ in range(_TRACE_GUARD):
-            assigned.add(k)
-            if parity == 0:
-                t, side, k = b.partner_of(IN, k, t)
+    for k in range(mid):
+        if not seen[k]:
+            x, t = trace(top + mid + k)
+            assert x == top + mid + k, "cycle left the middle row"
+            assert abs(t) <= 1, "middle cycle wraps more than once"
+            if t == 0:
+                b0 += 1
             else:
-                t, side, k = a.partner_of(OUT, k, t)
-            assert side == (IN if parity == 0 else OUT), "cycle left the middle row"
-            parity ^= 1
-            if parity == 0 and k == k0:
-                break
-        else:
-            raise AssertionError("middle cycle did not close")
-        assert abs(t) <= 1, "middle cycle wraps more than once"
-        if t == 0:
-            b0 += 1
-        else:
-            bw += 1
+                bw += 1
     return AffineComposition(product, b0, bw)
 
 
@@ -369,23 +339,20 @@ def affine_power(a: AffineDiagram, k: int) -> AffineDiagram:
     return out
 
 
-_FLIP = {IN: OUT, OUT: IN}
-
-
 def _reflect_diagram(x: AffineDiagram) -> AffineDiagram:
-    """Swap the window's halves, as reflect_tracked() does, and flip partner rows."""
-    return AffineDiagram(x.n, x.m, tuple(
-        APoint(q.offset, _FLIP[q.side], q.index) for q in x.partner[x.m :] + x.partner[: x.m]
-    ))
+    """Swap the window's halves, as reflect_tracked() does: top slot j
+    becomes slot n + j and bottom slot m + k becomes slot k."""
+    m, n = x.m, x.n
+    moved = tuple(p - m if p >= m else p + n for p in x.partner)
+    return AffineDiagram(n, m, moved[m:] + moved[:m], x.offset[m:] + x.offset[:m])
 
 
 def _rotate_diagram(x: AffineDiagram) -> AffineDiagram:
-    """Reverse the window, as rotate_tracked() does, and negate, flip and
-    mirror each partner's offset, row and index."""
-    size = {IN: x.m, OUT: x.n}
-    return AffineDiagram(x.n, x.m, tuple(
-        APoint(-q.offset, _FLIP[q.side], size[q.side] + 1 - q.index) for q in reversed(x.partner)
-    ))
+    """Reverse the window, as rotate_tracked() does, and negate the
+    offsets."""
+    last = x.m + x.n - 1
+    moved = tuple(last - p for p in reversed(x.partner))
+    return AffineDiagram(x.n, x.m, moved, tuple(-t for t in reversed(x.offset)))
 
 
 def _mirror(x, diagram_map, partition_map):
@@ -434,8 +401,9 @@ class AnnularPartition(NamedTuple):
 
 def project_to_ann(a: AffineDiagram) -> AnnularPartition:
     """Forget offsets: each string becomes a two-element block."""
-    blocks = {frozenset({v, Vertex(q.side, q.index)}) for v, q in zip(_ground(a.m, a.n), a.partner)}
-    return AnnularPartition(make_partition(a.m, a.n, [sorted(b) for b in blocks]))
+    g = _ground(a.m, a.n)
+    pairs = [(g[j], g[p]) for j, p in enumerate(a.partner) if j < p]
+    return AnnularPartition(make_partition(a.m, a.n, pairs))
 
 
 def make_ann(base: Partition) -> AnnularPartition:
@@ -500,20 +468,21 @@ def shift_gap(x: AffineDiagram, y: AffineDiagram):
         raise RankZero("shift gap needs a transversal string")
     if project_to_ann(x) != project_to_ann(y):
         return None
-    for i in range(x.m):
-        if x.partner[i].side == OUT:
-            q = y.partner[i].offset - x.partner[i].offset
+    for j in range(x.m):
+        if x.partner[j] >= x.m:
+            q = y.offset[j] - x.offset[j]
             break
     if compose_affine(lambda_pow(x.m, q), x).product != y:
         return None
     return q
 
 
-def _crosses(s: tuple[APoint, APoint], r: tuple[APoint, APoint]) -> bool:
-    """Whether two strings, given by their endpoints, cross in the order
-    behind the non-crossing test."""
-    x, x1 = sorted(map(_order_key, s))
-    y, y1 = map(_order_key, r)
+def _crosses(s, r, d: int, m: int) -> bool:
+    """Whether string s crosses string r shifted by d, in the order behind
+    the non-crossing test; a string (p, q, t) of a diagram with m top
+    points joins window slot p at offset 0 to slot q at offset t."""
+    x, x1 = sorted((_order_key(s[0], 0, m), _order_key(s[1], s[2], m)))
+    y, y1 = _order_key(r[0], d, m), _order_key(r[1], r[2] + d, m)
     return (x < y < x1) != (x < y1 < x1)
 
 
@@ -538,43 +507,37 @@ def enumerate_affine(m: int, n: int, max_offset: int):
         raise BoundExceeded(f"window of {m + n} points exceeds bound {MAX_AFFINE_POINTS}")
     if (m + n) % 2:
         return
-    slots = _ground(m, n)
+    size = m + n
     offsets = range(-max_offset, max_offset + 1)
+    partner = [-1] * size
+    offset = [0] * size
 
-    def crosses_placed(new, placed) -> bool:
-        """Whether new, a string from offset 0, crosses a shift of itself
-        or of a placed string."""
-        p, q = new
-        t = abs(q.offset)
-        for d in range(1, 2 * t + 1):
-            if _crosses(new, (p.shifted(d), q.shifted(d))):
-                return True
-        for a, b in placed:
-            reach = t + abs(b.offset)
-            for d in range(-reach, reach + 1):
-                if _crosses(new, (a.shifted(d), b.shifted(d))):
-                    return True
-        return False
+    def crosses_placed(new) -> bool:
+        """Whether new crosses a shift of itself or of a placed string."""
+        t = abs(new[2])
+        placed = [(j, k, offset[j]) for j, k in enumerate(partner) if j < k]
+        return any(_crosses(new, new, d, m) for d in range(1, 2 * t + 1)) or any(
+            _crosses(new, s, d, m)
+            for s in placed
+            for d in range(-t - abs(s[2]), t + abs(s[2]) + 1)
+        )
 
-    def rec(table: dict, placed: list):
-        free = [s for s in slots if s not in table]
+    def rec():
+        free = [j for j in range(size) if partner[j] < 0]
         if not free:
-            yield make_affine(m, n, dict(table))
+            yield AffineDiagram(m, n, tuple(partner), tuple(offset))
             return
         p = free[0]
         for q in free[1:]:
             for t in offsets:
-                string = (APoint(0, *p), APoint(t, *q))
-                if crosses_placed(string, placed):
+                if crosses_placed((p, q, t)):
                     continue
-                table[p] = (t, q[0], q[1])
-                table[q] = (-t, p[0], p[1])
-                placed.append(string)
-                yield from rec(table, placed)
-                placed.pop()
-                del table[p], table[q]
+                partner[p], partner[q] = q, p
+                offset[p], offset[q] = t, -t
+                yield from rec()
+                partner[p] = partner[q] = -1
 
-    yield from rec({}, [])
+    yield from rec()
 
 
 class AnnMonoid(NamedTuple):
@@ -595,6 +558,7 @@ def build_ann_monoid(n: int) -> AnnMonoid:
     """Close the shadows of the rotation and the cup-caps under
     composition and package the result as a finite monoid; a closure past
     MAX_ANN_ELEMENTS elements raises BoundExceeded before any table is
+    built, and one whose generators alone pass it before any generator is
     built.
 
     The closure is Froidure and Pin's: each element is composed with the
@@ -608,6 +572,10 @@ def build_ann_monoid(n: int) -> AnnMonoid:
     """
     import numpy as np
 
+    _require_shape(n, n)
+    # From n = 3 on, the n + 3 generator shadows are distinct.
+    if n >= 3 and n + 3 > MAX_ANN_ELEMENTS:
+        raise BoundExceeded(f"closure exceeded {MAX_ANN_ELEMENTS} elements")
     gens = [affine_identity(n), *(_generators(n) if n >= 1 else ())]
     bases: list[Partition] = []
     found: dict = {}

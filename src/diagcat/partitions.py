@@ -32,7 +32,8 @@ True
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     BoundExceeded,
@@ -91,10 +92,17 @@ def vout(j: int) -> Vertex:
     return Vertex(OUT, j)
 
 
+def _points(m: int, n: int) -> Iterator[Vertex]:
+    """The vertices of shape [m] ~> [n] in canonical order, one at a time,
+    so that a caller can stop before a huge shape is built."""
+    yield from map(vin, range(1, m + 1))
+    yield from map(vout, range(1, n + 1))
+
+
 @lru_cache(maxsize=128)
 def _ground(m: int, n: int) -> tuple[Vertex, ...]:
     """The vertices of shape [m] ~> [n] in canonical order."""
-    return tuple(vin(i) for i in range(1, m + 1)) + tuple(vout(j) for j in range(1, n + 1))
+    return tuple(_points(m, n))
 
 
 def _relabel(seq) -> tuple[tuple[int, ...], dict[int, int]]:
@@ -200,10 +208,12 @@ def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
     (or IN/OUT) and an int index.  Raises RangeError for a shape that is
     no non-negative int, unknown sides (a bool included) and non-integer
     or out-of-range indices, OverlapError for repeated vertices, and
-    CoverageError for empty blocks or missing vertices.
+    CoverageError for empty blocks or missing vertices; the message names
+    the first three missing vertices, and nothing of the shape's size is
+    built before the blocks are found to cover it.
     """
     _require_shape(m, n)
-    owner = [-1] * (m + n)
+    owner: dict[int, int] = {}  # position in canonical order -> block
     for b, raw in enumerate(blocks):
         block = [_coerce_vertex(v) for v in raw]
         if not block:
@@ -215,13 +225,15 @@ def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
                 pos, hi = m + index - 1, n
             if not 1 <= index <= hi:
                 raise RangeError(f"{Vertex(side, index)!r} out of range for shape [{m}]~>[{n}]")
-            if owner[pos] >= 0:
+            if pos in owner:
                 raise OverlapError(f"{Vertex(side, index)!r} appears twice")
             owner[pos] = b
-    if -1 in owner:
-        missing = [v for v, b in zip(_ground(m, n), owner) if b < 0]
-        raise CoverageError(f"uncovered vertices: {missing}")
-    labels, new = _relabel(owner)
+    if len(owner) < m + n:
+        missing = list(islice((v for pos, v in enumerate(_points(m, n)) if pos not in owner), 3))
+        more = m + n - len(owner) - len(missing)
+        tail = f" and {more} more" if more else ""
+        raise CoverageError(f"uncovered vertices: {missing}{tail}")
+    labels, new = _relabel([owner[pos] for pos in range(m + n)])
     return Partition(m, n, labels, len(new))
 
 

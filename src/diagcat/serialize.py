@@ -154,18 +154,14 @@ def _genus_from_json(base: Partition, d: dict):
 
 
 def affine_to_json(a: AffineDiagram) -> dict:
-    partners = []
-    for (side, index), q in zip(_ground(a.m, a.n), a.partner):
-        partners.append(
-            {
-                "from": {"side": _SIDE_NAME[side], "index": index},
-                "to": {
-                    "offset": q.offset,
-                    "side": _SIDE_NAME[q.side],
-                    "index": q.index,
-                },
-            }
-        )
+    g = _ground(a.m, a.n)
+    partners = [
+        {
+            "from": {"side": _SIDE_NAME[v.side], "index": v.index},
+            "to": {"offset": t, "side": _SIDE_NAME[g[p].side], "index": g[p].index},
+        }
+        for v, p, t in zip(g, a.partner, a.offset)
+    ]
     return {"m": a.m, "n": a.n, "partners": partners}
 
 

@@ -616,7 +616,7 @@ def _side_strings(d: AffineDiagram, side: int) -> set:
     return {
         pair
         for pair in d.strings()
-        if pair[0].side == side and pair[1].side == side
+        if all(end[1] == side for end in pair)  # ends are (offset, side, index)
     }
 
 
@@ -637,8 +637,10 @@ def check_affine_validation(rng: random.Random) -> str:
         if n >= 2:
             generators += [cup_cap(n, i) for i in range(1, n + 1)]
         for d in generators:
+            g = _ground(d.m, d.n)
+            table = {v: (t, *g[p]) for v, p, t in zip(g, d.partner, d.offset)}
             _require(
-                make_affine(d.m, d.n, zip(_ground(d.m, d.n), d.partner)) == d,
+                make_affine(d.m, d.n, table) == d,
                 lambda: f"validator rejected or rebuilt {d!r} differently",
             )
             accepted += 1
@@ -672,11 +674,10 @@ def check_affine_validation(rng: random.Random) -> str:
             and _side_strings(left, OUT) == _side_strings(a, OUT),
             lambda: f"full shift changed the side strings of {a!r}",
         )
-        for idx in range(1, a.m + 1):
-            q = a.partner_of(IN, idx)
-            if q.side == OUT:
+        for j in range(a.m):
+            if a.partner[j] >= a.m:
                 _require(
-                    left.partner_of(IN, idx) == q.shifted(r),
+                    left.partner[j] == a.partner[j] and left.offset[j] == a.offset[j] + r,
                     lambda: f"transversal offset did not shift by {r} on {a!r}",
                 )
         slid += 1

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -22,9 +23,7 @@ from diagcat import annular
 from diagcat.annular import (
     IN,
     OUT,
-    AffineDiagram,
-    APoint,
-    _order_key,
+    _generators,
     rho_affine,
 )
 from diagcat.partitions import _ground
@@ -39,6 +38,221 @@ from diagcat.errors import (
 )
 from diagcat.sampling import random_affine
 from diagcat.serialize import CATEGORIES, affine_to_json
+
+
+# -- the point-object code that the slot and offset tuples replaced ----------
+#
+# An affine diagram used to be stored as one APoint(offset, side, index) per
+# window point, and composition traced strings through APoint objects.  That
+# code is kept here as the oracle of the int tuples.
+
+
+class APoint(NamedTuple):
+    """A marked point (offset, side, index) of the doubly infinite strip."""
+
+    offset: int
+    side: int
+    index: int
+
+    def shifted(self, t: int) -> "APoint":
+        return APoint(self.offset + t, self.side, self.index)
+
+    def __repr__(self) -> str:
+        return f"({self.offset},{'in' if self.side == IN else 'out'}{self.index})"
+
+
+def _order_key(p: APoint):
+    """Total order: bottom row in reverse lex below the whole top row."""
+    if p.side == OUT:
+        return (0, -p.offset, -p.index)
+    return (1, p.offset, p.index)
+
+
+class PointDiagram(NamedTuple):
+    """A window of APoint partners, as AffineDiagram stored it."""
+
+    m: int
+    n: int
+    partner: tuple
+
+    def partner_of(self, side: int, index: int, offset: int = 0) -> APoint:
+        slot = index - 1 if side == IN else self.m + index - 1
+        return self.partner[slot].shifted(offset)
+
+    def __repr__(self) -> str:
+        body = ", ".join(
+            f"{APoint(0, *p)!r}->{q!r}" for p, q in zip(_ground(self.m, self.n), self.partner)
+        )
+        return f"AffineDiagram({self.m}->{self.n}: {body})"
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for p in self.partner[: self.m] if p.side == OUT)
+
+    def strings(self):
+        seen = set()
+        out = []
+        for (side, index), q in zip(_ground(self.m, self.n), self.partner):
+            p = APoint(0, side, index)
+            shift = -min(0, q.offset)
+            rep = tuple(sorted((p.shifted(shift), q.shifted(shift))))
+            if rep not in seen:
+                seen.add(rep)
+                out.append(rep)
+        return out
+
+    def to_json(self) -> dict:
+        names = {IN: "in", OUT: "out"}
+        return {"m": self.m, "n": self.n, "partners": [
+            {
+                "from": {"side": names[side], "index": index},
+                "to": {"offset": q.offset, "side": names[q.side], "index": q.index},
+            }
+            for (side, index), q in zip(_ground(self.m, self.n), self.partner)
+        ]}
+
+
+def _points_of(d) -> PointDiagram:
+    """The APoint window of an AffineDiagram."""
+    g = _ground(d.m, d.n)
+    return PointDiagram(d.m, d.n, tuple(APoint(t, *g[p]) for p, t in zip(d.partner, d.offset)))
+
+
+def _from_table(m, n, table) -> PointDiagram:
+    """The APoint window of a {(side, index): (offset, side, index)} table."""
+    return PointDiagram(m, n, tuple(APoint(*table[s]) for s in _ground(m, n)))
+
+
+def _point_zeta(n):
+    tops = [APoint(0, OUT, k + 1) if k < n else APoint(1, OUT, 1) for k in range(1, n + 1)]
+    bottoms = [APoint(0, IN, k - 1) if k > 1 else APoint(-1, IN, n) for k in range(1, n + 1)]
+    return PointDiagram(n, n, tuple(tops) + tuple(bottoms))
+
+
+def _point_lambda(n, r=1):
+    return PointDiagram(n, n, tuple(APoint(r, OUT, k) for k in range(1, n + 1))
+                        + tuple(APoint(-r, IN, k) for k in range(1, n + 1)))
+
+
+def _point_cup_cap(n, i):
+    j = i + 1 if i < n else 1
+    wrap = 1 if i == n else 0
+    tops = [APoint(0, OUT, k) for k in range(1, n + 1)]
+    bottoms = [APoint(0, IN, k) for k in range(1, n + 1)]
+    tops[i - 1] = APoint(wrap, IN, j)
+    tops[j - 1] = APoint(-wrap, IN, i)
+    bottoms[i - 1] = APoint(wrap, OUT, j)
+    bottoms[j - 1] = APoint(-wrap, OUT, i)
+    return PointDiagram(n, n, tuple(tops) + tuple(bottoms))
+
+
+def _point_compose(a: PointDiagram, b: PointDiagram):
+    """compose_affine on APoint windows: (product, b0, bw)."""
+    visited = set()
+
+    def follow(start_side, index):
+        if start_side == IN:
+            t, side, k = a.partner_of(IN, index)
+            via_a = True
+        else:
+            t, side, k = b.partner_of(OUT, index)
+            via_a = False
+        for _ in range(100_000):
+            if via_a:
+                if side == IN:
+                    return APoint(t, IN, k)
+                visited.add(k)
+                t, side, k = b.partner_of(IN, k, t)
+                via_a = False
+            else:
+                if side == OUT:
+                    return APoint(t, OUT, k)
+                visited.add(k)
+                t, side, k = a.partner_of(OUT, k, t)
+                via_a = True
+        raise AssertionError("string trace did not terminate")
+
+    product = PointDiagram(a.m, b.n, tuple([follow(*v) for v in _ground(a.m, b.n)]))
+    b0 = bw = 0
+    assigned = set(visited)
+    for k0 in range(1, a.n + 1):
+        if k0 in assigned:
+            continue
+        t, k, parity = 0, k0, 0
+        while True:
+            assigned.add(k)
+            if parity == 0:
+                t, side, k = b.partner_of(IN, k, t)
+            else:
+                t, side, k = a.partner_of(OUT, k, t)
+            assert side == (IN if parity == 0 else OUT)
+            parity ^= 1
+            if parity == 0 and k == k0:
+                break
+        assert abs(t) <= 1
+        if t == 0:
+            b0 += 1
+        else:
+            bw += 1
+    return product, b0, bw
+
+
+def _point_crossing_free(d: PointDiagram) -> bool:
+    """make_affine's crossing test on an APoint window: take off the first
+    through string's twist, reject any offset of 2 or more, then compare
+    every pair of strings at every shift within the offset window."""
+    r = next((q.offset for q in d.partner[: d.m] if q.side == OUT), 0)
+    if r:
+        d = PointDiagram(d.m, d.n, tuple(
+            q.shifted(-r if i < d.m else r) if (i < d.m) != (q.side == IN) else q
+            for i, q in enumerate(d.partner)
+        ))
+    window = max((abs(q.offset) for q in d.partner), default=0) + 1
+    if window > 2:
+        return False
+    return _windowed_crossing_free(d, window)
+
+
+def _windowed_crossing_free(d: PointDiagram, window: int) -> bool:
+    shifted = []
+    for rep in d.strings():
+        for t in range(-window, window + 1):
+            ka, kb = _order_key(rep[0].shifted(t)), _order_key(rep[1].shifted(t))
+            shifted.append((min(ka, kb), max(ka, kb)))
+    return not any(
+        (x < y < x1) != (x < y1 < x1)
+        for (x, x1), (y, y1) in itertools.combinations(shifted, 2)
+    )
+
+
+def _point_generators(w):
+    """The identity, the full twist, the rotation, its reflection and the
+    cup-caps at width w, as APoint windows."""
+    if w == 0:
+        return [_point_lambda(0, 0)]
+    z = _point_zeta(w)
+    return [_point_lambda(w, 0), _point_lambda(w), z, _reflect_reference(z)] + [
+        _point_cup_cap(w, i) for i in range(1, w + 1) if w >= 2
+    ]
+
+
+def _generators_of_width(w):
+    """The diagrams of _point_generators(w)."""
+    return [affine_identity(w)] + ([lambda_pow(w), *_generators(w)] if w else [])
+
+
+def _table_of(d) -> dict:
+    """make_affine's input for d: each window point's (offset, side, index)
+    partner."""
+    return {v: tuple(q) for v, q in zip(_ground(d.m, d.n), _points_of(d).partner)}
+
+
+def _assert_same_as_points(d, old: PointDiagram):
+    assert _points_of(d) == old
+    assert repr(d) == repr(old)
+    assert affine_to_json(d) == old.to_json()
+    assert d.strings() == old.strings()
+    assert d.rank == old.rank
 
 
 def test_generators_have_expected_shapes():
@@ -152,6 +366,13 @@ def test_enumeration_and_closure_bounds(monkeypatch):
         build_ann_monoid(3)
 
 
+def test_closure_bound_checks_the_generators_before_building_them(monkeypatch):
+    monkeypatch.setattr(annular, "MAX_ANN_ELEMENTS", 5)
+    monkeypatch.setattr(annular, "_generators", None)  # building one would fail
+    with pytest.raises(BoundExceeded, match="closure exceeded 5 elements"):
+        build_ann_monoid(3)
+
+
 def test_ann3_monoid_structure():
     annm = build_ann_monoid(3)
     fm = annm.monoid
@@ -244,23 +465,22 @@ def test_enumerate_affine_matches_the_unpruned_filter(m, n, max_offset):
     assert list(enumerate_affine(m, n, max_offset)) == reference
     # Offsets run in increasing order, so a smaller bound keeps the order.
     for k in range(max_offset):
-        kept = [d for d in reference if all(abs(q.offset) <= k for q in d.partner)]
+        kept = [d for d in reference if all(abs(t) <= k for t in d.offset)]
         assert list(enumerate_affine(m, n, k)) == kept
 
 
-def _reflect_reference(x):
-    """sigma_affine on a bare diagram before it became a window
-    permutation."""
+def _reflect_reference(x: PointDiagram) -> PointDiagram:
+    """sigma_affine on an APoint window: swap the halves, flip the rows."""
     flip = {IN: OUT, OUT: IN}
     new = [
         APoint(q.offset, flip[q.side], q.index)
         for q in x.partner[x.m :] + x.partner[: x.m]
     ]
-    return AffineDiagram(x.n, x.m, tuple(new))
+    return PointDiagram(x.n, x.m, tuple(new))
 
 
-def _rotate_reference(x):
-    """rho_affine on a bare diagram before it became a window permutation."""
+def _rotate_reference(x: PointDiagram) -> PointDiagram:
+    """rho_affine on an APoint window, point by point."""
     new = []
     # New top row has x.n indices; new top (0, k) is the image of the
     # old bottom point (0, n + 1 - k), and so on.
@@ -276,7 +496,7 @@ def _rotate_reference(x):
             new.append(APoint(-q.offset, OUT, x.m + 1 - q.index))
         else:
             new.append(APoint(-q.offset, IN, x.n + 1 - q.index))
-    return AffineDiagram(x.n, x.m, tuple(new))
+    return PointDiagram(x.n, x.m, tuple(new))
 
 
 def test_affine_mirrors_match_the_reference_loops():
@@ -284,8 +504,9 @@ def test_affine_mirrors_match_the_reference_loops():
     for total in range(0, 9, 2):
         for m in range(total + 1):
             for d in enumerate_affine(m, total - m, 2):
-                assert sigma_affine(d) == _reflect_reference(d), d
-                assert rho_affine(d) == _rotate_reference(d), d
+                old = _points_of(d)
+                assert _points_of(sigma_affine(d)) == _reflect_reference(old), d
+                assert _points_of(rho_affine(d)) == _rotate_reference(old), d
                 checked += 1
     assert checked == 1826
 
@@ -331,17 +552,8 @@ def test_build_ann_monoid_matches_the_unshared_closure(n):
 def _crossing_free_reference(m, n, table) -> bool:
     """make_affine's crossing test before twist normalisation: compare
     every pair of strings at every shift within the largest offset + 1."""
-    d = AffineDiagram(m, n, tuple(APoint(*table[s]) for s in _ground(m, n)))
-    window = max((abs(q.offset) for q in d.partner), default=0) + 1
-    shifted = []
-    for rep in d.strings():
-        for t in range(-window, window + 1):
-            ka, kb = _order_key(rep[0].shifted(t)), _order_key(rep[1].shifted(t))
-            shifted.append((min(ka, kb), max(ka, kb)))
-    return not any(
-        (x < y < x1) != (x < y1 < x1)
-        for (x, x1), (y, y1) in itertools.combinations(shifted, 2)
-    )
+    d = _from_table(m, n, table)
+    return _windowed_crossing_free(d, max((abs(q.offset) for q in d.partner), default=0) + 1)
 
 
 def _accepts(m, n, table) -> bool:
@@ -363,17 +575,25 @@ def test_make_affine_crossings_match_the_windowed_check(m, n):
         assert _accepts(m, n, table) == _crossing_free_reference(m, n, table), table
 
 
-def test_make_affine_crossings_match_the_windowed_check_on_twisted_diagrams():
+def _twisted_diagrams():
+    """1 500 random diagrams behind a random full twist, each with its
+    factors and a copy of its table in which one string moved by one unit,
+    which makes most of them cross."""
     rng = random.Random(0)
     for _ in range(1500):
         width = rng.randint(1, 5)
-        d = compose_affine(lambda_pow(width, rng.randint(-6, 6)), random_affine(rng, width)).product
-        table = dict(zip(_ground(width, width), map(tuple, d.partner)))
-        # Move one string by one unit, which makes most diagrams cross.
+        twist, body = lambda_pow(width, rng.randint(-6, 6)), random_affine(rng, width)
+        d = compose_affine(twist, body).product
+        table = _table_of(d)
         slot = rng.choice(sorted(table))
         t, side, index = table[slot]
         t += rng.choice((-1, 1))
         table[slot], table[(side, index)] = (t, side, index), (-t, *slot)
+        yield width, twist, body, table
+
+
+def test_make_affine_crossings_match_the_windowed_check_on_twisted_diagrams():
+    for width, _, _, table in _twisted_diagrams():
         assert _accepts(width, width, table) == _crossing_free_reference(width, width, table), table
 
 
@@ -386,9 +606,60 @@ def test_make_affine_decides_huge_offsets_at_once():
         {"from": {"side": "in", "index": 2}, "to": {"offset": -big, "side": "in", "index": 1}},
     ]}
     start = time.perf_counter()
-    assert make_affine(1, 1, dict(zip(_ground(1, 1), twist.partner))) == twist
+    assert make_affine(1, 1, _table_of(twist)) == twist
     with pytest.raises(CrossingError):
         make_affine(2, 0, cup)
     with pytest.raises(CrossingError):
         CATEGORIES["aTLe"].decode(cup_json)
     assert time.perf_counter() - start < 0.1
+
+
+def test_int_tuples_match_the_point_code_on_every_small_diagram():
+    """Every diagram with at most eight points and offsets up to 2,
+    composed on either side with each generator of its width: products,
+    circle counts, reprs, JSON and strings as the APoint code made them."""
+    gens = {w: list(zip(_generators_of_width(w), _point_generators(w), strict=True)) for w in range(9)}
+    for pairs in gens.values():
+        for g, old in pairs:
+            _assert_same_as_points(g, old)
+    composed, products = 0, {}
+    for total in range(0, 9, 2):
+        for m in range(total + 1):
+            n = total - m
+            for d in enumerate_affine(m, n, 2):
+                old = _points_of(d)
+                _assert_same_as_points(d, old)
+                assert make_affine(m, n, _table_of(d)) == d
+                pairs = [(d, old, g, og) for g, og in gens[n]]
+                pairs += [(g, og, d, old) for g, og in gens[m]]
+                for x, ox, y, oy in pairs:
+                    got = compose_affine(x, y)
+                    product, b0, bw = _point_compose(ox, oy)
+                    assert _points_of(got.product) == product, (x, y)
+                    assert (got.b0, got.bw) == (b0, bw), (x, y)
+                    products[got.product] = product
+                    composed += 1
+    # repr, JSON and strings depend on the product alone
+    for d, old in products.items():
+        _assert_same_as_points(d, old)
+    assert composed == 27262
+
+
+def test_int_tuples_match_the_point_code_on_twisted_diagrams():
+    """The twisted random diagrams: their products, and the crossing
+    verdict and validated value of their one-unit perturbations."""
+    for width, twist, body, table in _twisted_diagrams():
+        got = compose_affine(twist, body)
+        product, b0, bw = _point_compose(_points_of(twist), _points_of(body))
+        _assert_same_as_points(got.product, product)
+        assert (got.b0, got.bw) == (b0, bw)
+        old = _from_table(width, width, table)
+        assert _accepts(width, width, table) == _point_crossing_free(old), table
+        if _point_crossing_free(old):
+            _assert_same_as_points(make_affine(width, width, table), old)
+
+
+@pytest.mark.parametrize("m, n", [(m, 4 - m) for m in range(5)] + [(3, 3)])
+def test_enumerate_affine_yields_only_valid_diagrams_at_larger_offsets(m, n):
+    for d in enumerate_affine(m, n, 3):
+        assert make_affine(m, n, _table_of(d)) == d

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -121,6 +122,29 @@ def test_compose_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def _one_point(category, m):
+    """A value of shape [m] ~> [0] that lists one point (two for aTLe)."""
+    if category == "P":
+        return {"m": m, "n": 0, "blocks": [[{"side": "in", "index": 1}]]}
+    return {"m": m, "n": 0, "partners": [
+        {"from": {"side": "in", "index": 1}, "to": {"offset": 0, "side": "in", "index": 2}},
+        {"from": {"side": "in", "index": 2}, "to": {"offset": 0, "side": "in", "index": 1}},
+    ]}
+
+
+@pytest.mark.parametrize("category", ["P", "aTLe"])
+@pytest.mark.parametrize("m", [10**30, 3_000_000])
+def test_compose_rejects_a_shape_larger_than_its_entries_at_once(tmp_path, capsys, category, m):
+    path = _write(tmp_path, "huge.json", _one_point(category, m))
+    start = time.perf_counter()
+    assert main(["compose", category, path, path]) == 3
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err.startswith("error: uncovered vertices: [in2, in3, in4] and " if category == "P"
+                          else "error: no partner for (0, 3)")
+    assert len(err) < 1000
+
+
 def test_compose_round_trips_its_own_output(tmp_path, capsys):
     enc = CATEGORIES["aTLe"].encode
     path = _write(tmp_path, "z.json", enc(zeta(3)))
@@ -177,6 +201,15 @@ def test_idempotents_past_the_enumeration_bound_exit_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds bound 8" in captured.err
+
+
+def test_idempotents_of_too_many_ann_generators_exit_3_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["idempotents", "1000000", "Ann"]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "closure exceeded 2000 elements" in captured.err
 
 
 def test_idempotents_rejects_unknown_category(capsys):
