@@ -54,11 +54,11 @@ from .partitions import (
     Vertex,
     _coerce_side,
     _ground,
+    _moved,
     _points,
     _require_int,
     _require_shape,
     compose as compose_partition,
-    make_partition,
     reflect,
     rotate,
 )
@@ -331,11 +331,14 @@ def compose_affine(a: AffineDiagram, b: AffineDiagram) -> AffineComposition:
 
 
 def affine_power(a: AffineDiagram, k: int) -> AffineDiagram:
+    """a composed with itself k times, by repeated squaring."""
     if a.m != a.n or _require_int(k, "power") < 1:
         raise ShapeMismatch("powers need a square diagram and k >= 1")
     out = a
-    for _ in range(k - 1):
-        out = compose_affine(out, a).product
+    for bit in bin(k)[3:]:  # the binary digits of k after the leading 1
+        out = compose_affine(out, out).product
+        if bit == "1":
+            out = compose_affine(out, a).product
     return out
 
 
@@ -401,9 +404,7 @@ class AnnularPartition(NamedTuple):
 
 def project_to_ann(a: AffineDiagram) -> AnnularPartition:
     """Forget offsets: each string becomes a two-element block."""
-    g = _ground(a.m, a.n)
-    pairs = [(g[j], g[p]) for j, p in enumerate(a.partner) if j < p]
-    return AnnularPartition(make_partition(a.m, a.n, pairs))
+    return AnnularPartition(_moved(a.m, a.n, [min(j, p) for j, p in enumerate(a.partner)])[0])
 
 
 def make_ann(base: Partition) -> AnnularPartition:
@@ -558,8 +559,8 @@ def build_ann_monoid(n: int) -> AnnMonoid:
     """Close the shadows of the rotation and the cup-caps under
     composition and package the result as a finite monoid; a closure past
     MAX_ANN_ELEMENTS elements raises BoundExceeded before any table is
-    built, and one whose generators alone pass it before any generator is
-    built.
+    built, and an n whose generator shadows and two-cup products alone
+    pass it raises before any generator is built.
 
     The closure is Froidure and Pin's: each element is composed with the
     generators only, and each new product is recorded with its parent
@@ -573,8 +574,9 @@ def build_ann_monoid(n: int) -> AnnMonoid:
     import numpy as np
 
     _require_shape(n, n)
-    # From n = 3 on, the n + 3 generator shadows are distinct.
-    if n >= 3 and n + 3 > MAX_ANN_ELEMENTS:
+    # From n = 3 on, the closure holds the n + 3 generator shadows and the
+    # n(n - 3)/2 products of two cup-caps at non-adjacent positions, all distinct.
+    if n >= 3 and n + 3 + n * (n - 3) // 2 > MAX_ANN_ELEMENTS:
         raise BoundExceeded(f"closure exceeded {MAX_ANN_ELEMENTS} elements")
     gens = [affine_identity(n), *(_generators(n) if n >= 1 else ())]
     bases: list[Partition] = []

@@ -28,6 +28,7 @@ from .errors import (
     NotIdempotent,
     NotIrreducible,
     NotRegular,
+    RangeError,
     RegularityMismatch,
 )
 from .partitions import (
@@ -119,37 +120,19 @@ class Cobordism(NamedTuple):
     regular: bool = False
 
 
-def _coerce_genus(base: Partition, genus) -> tuple[int, ...]:
-    if isinstance(genus, Mapping):
-        table = {}
-        for key, value in genus.items():
-            block = tuple(sorted(key))
-            table[block] = _require_int(value, "genus label")
-        out = []
-        for block in base.blocks:
-            if block not in table:
-                raise BaseMismatch(f"no label for block {block!r}")
-            out.append(table[block])
-        if len(table) != len(base.blocks):
-            raise BaseMismatch("labels for unknown blocks")
-        return tuple(out)
-    genus = tuple(_require_int(g, "genus label") for g in genus)
-    if len(genus) != len(base.blocks):
-        raise BaseMismatch(
-            f"{len(genus)} labels for {len(base.blocks)} blocks"
-        )
-    return genus
-
-
 def make_cobordism(
     base: Partition,
-    genus,
+    genus: Sequence[int],
     spectrum: Union[Spectrum, Mapping[int, int]] = (),
     regular: bool = False,
 ) -> Cobordism:
-    """Validated constructor; genus may be a block-keyed mapping or a
-    sequence aligned with base.blocks."""
-    g = _coerce_genus(base, genus)
+    """Validated constructor; genus holds one int label per block of base,
+    in block order, and a mapping in its place raises RangeError."""
+    if isinstance(genus, Mapping):
+        raise RangeError("genus must be a label sequence, not a mapping")
+    g = tuple(_require_int(x, "genus label") for x in genus)
+    if len(g) != base.nblocks:
+        raise BaseMismatch(f"{len(g)} labels for {base.nblocks} blocks")
     s = spectrum if isinstance(spectrum, Spectrum) else Spectrum(spectrum)
     if not regular:
         if any(x < 0 for x in g):
@@ -309,7 +292,7 @@ def fiber_product_oracle(e: Partition, xs: Sequence[Cobordism]) -> Cobordism:
     for x in xs:
         spectrum = spectrum + x.spectrum
 
-    genus = [0] * len(e.blocks)
+    genus = [0] * e.nblocks
     for i in left:
         genus[i] = xs[0].genus[i]
     for j in right:

@@ -9,11 +9,12 @@ A Partition stores its block structure as one integer label per vertex,
 in canonical vertex order, numbered as a restricted-growth string: the
 first vertex has label 0 and every vertex either repeats a label already
 seen or takes the next unused one.  Equal partitions therefore have equal
-label tuples.  Label i is block i of ``Partition.blocks``, the blocks as
-tuples of Vertex sorted by least vertex; ``blocks`` is derived from the
-labels on first access.  The label encoding is private to this module:
-everything outside it builds partitions with make_partition() and reads
-them through ``blocks``, block_stats() and the functions below.
+label tuples; label i names block i.  Outside this module, make_partition()
+builds partitions from outside data and _moved() from a grouping of the
+slots of a value already valid; code reads them through ``nblocks`` and
+block_stats() (only annular.make_ann walks the labels), and ``blocks``,
+the blocks as Vertex tuples derived on first access, serves only the
+reprs and serialize's partition and genus codecs.
 
 Composition of alpha: [l] ~> [m] with beta: [m] ~> [n] stacks the two
 partitions on a three-layer vertex set (alpha's incoming layer, the shared
@@ -389,6 +390,7 @@ def block_stats(p: Partition) -> PartitionStats:
 
 
 def _moved(m: int, n: int, seq) -> tuple[Partition, dict[int, int]]:
+    """The partition with slot j in group seq[j], and the group -> block map."""
     labels, new = _relabel(seq)
     return Partition(m, n, labels, len(new)), new
 
@@ -439,11 +441,16 @@ def is_idempotent_structurally(e: Partition):
     every block stays inside one component, and each restriction has rank
     at most 1.  Returns None otherwise.  The result is truthy exactly when
     e * e == e.
+
+    The join is a union-find over the two parts of each block: index i
+    joins the incoming part of block top[i] with the outgoing part of
+    block bottom[i].
     """
     if e.m != e.n:
         raise ShapeMismatch("idempotency needs a square shape")
-    n = e.n
-    parent = list(range(n + 1))
+    n, nb = e.n, e.nblocks
+    top, bottom = e.labels[:n], e.labels[n:]
+    parent = list(range(2 * nb))  # block b's incoming part is b, its outgoing part nb + b
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -451,37 +458,18 @@ def is_idempotent_structurally(e: Partition):
             x = parent[x]
         return x
 
-    # Join of the two induced partitions of [n]: indices meeting in a block
-    # on the incoming side, or on the outgoing side, are connected.
-    for block in e.blocks:
-        ins = [v.index for v in block if v.side == IN]
-        outs = [v.index for v in block if v.side == OUT]
-        for group in (ins, outs):
-            for i in group[1:]:
-                parent[find(i)] = find(group[0])
-
-    # Every block must stay inside a single component.
-    for block in e.blocks:
-        roots = {find(v.index) for v in block}
-        if len(roots) > 1:
+    for b, c in zip(top, bottom):
+        parent[find(nb + c)] = find(b)
+    rank = [0] * (2 * nb)  # transversal blocks per component root
+    for b in set(top).intersection(bottom):
+        root = find(b)
+        if root != find(nb + b) or rank[root]:
             return None
-
-    components: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        components.setdefault(find(i), []).append(i)
-
-    witness = []
-    for indices in sorted(components.values()):
-        index_set = set(indices)
-        rank = 0
-        for block in e.blocks:
-            if block[0].index in index_set or block[-1].index in index_set:
-                if any(v.side == IN for v in block) and any(v.side == OUT for v in block):
-                    rank += 1
-        if rank > 1:
-            return None
-        witness.append((tuple(indices), rank))
-    return IdempotentDecomposition(witness)
+        rank[root] = 1
+    components: dict[int, list[int]] = {}  # by least index
+    for i, b in enumerate(top, 1):
+        components.setdefault(find(b), []).append(i)
+    return IdempotentDecomposition((tuple(c), rank[r]) for r, c in components.items())
 
 
 MAX_PARTITION_VERTICES = 8  # 4 140 partitions; each further vertex multiplies that by 5+

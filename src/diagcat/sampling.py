@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .partitions import Partition, _ground, make_partition
+from .partitions import Partition, _moved, _require_shape
 from .cobordisms import Cobordism, Spectrum, make_cobordism
 from .annular import AffineDiagram, _generators, affine_identity, compose_affine
 from .identities import Word
@@ -27,14 +27,12 @@ __all__ = [
 
 def random_partition(rng: random.Random, m: int, n: int) -> Partition:
     """Uniform-ish set partition via sequential block assignment."""
-    blocks: list[list] = []
-    for p in _ground(m, n):
-        i = rng.randrange(len(blocks) + 1)
-        if i == len(blocks):
-            blocks.append([p])
-        else:
-            blocks[i].append(p)
-    return make_partition(m, n, blocks)
+    _require_shape(m, n)
+    groups, opened = [], 0
+    for _ in range(m + n):
+        groups.append(rng.randrange(opened + 1))
+        opened = max(opened, groups[-1] + 1)
+    return _moved(m, n, groups)[0]
 
 
 def random_spectrum(rng: random.Random, support: int = 3) -> Spectrum:
@@ -52,7 +50,7 @@ def random_cobordism(
 ) -> Cobordism:
     base = random_partition(rng, m, n)
     spectrum = random_spectrum(rng, rng.randint(0, spectrum_support))
-    labels = {blk: rng.randint(-2 if regular else 0, 2) for blk in base.blocks}
+    labels = [rng.randint(-2 if regular else 0, 2) for _ in range(base.nblocks)]
     return make_cobordism(base, labels, spectrum, regular)
 
 

@@ -383,11 +383,15 @@ CATEGORIES: dict[str, Category] = {
 }
 
 
+def _row(category: str) -> Category:
+    if category not in CATEGORIES:
+        raise ParseError(f"unknown category {category!r}")
+    return CATEGORIES[category]
+
+
 def encode(category: str, value) -> dict:
-    return CATEGORIES[category].encode(value)
+    return _row(category).encode(value)
 
 
 def decode(category: str, obj: dict):
-    if category not in CATEGORIES:
-        raise ParseError(f"unknown category {category!r}")
-    return CATEGORIES[category].decode(obj)
+    return _row(category).decode(obj)

@@ -297,7 +297,7 @@ def check_cobordism_assoc(rng: random.Random) -> str:
 
     triples = 0
     for a, b, c in itertools.product(parts, repeat=3):
-        na, nb, nc = len(a.blocks), len(b.blocks), len(c.blocks)
+        na, nb, nc = a.nblocks, b.nblocks, c.nblocks
         width = na + nb + nc + 1
         rows_a = np.eye(na, width, 0, dtype=np.int64)
         rows_b = np.eye(nb, width, na, dtype=np.int64)
@@ -393,7 +393,7 @@ def check_labeled_antiautomorphism(rng: random.Random) -> str:
 
     # the genus-labeled star reverses every product
     for a, b in itertools.product(parts, repeat=2):
-        na, nb = len(a.blocks), len(b.blocks)
+        na, nb = a.nblocks, b.nblocks
         width = na + nb + 1
         rows_a = np.eye(na, width, 0, dtype=np.int64)
         rows_b = np.eye(nb, width, na, dtype=np.int64)
@@ -513,7 +513,7 @@ def _irreducible_idempotent_bases() -> tuple[Partition, ...]:
 
 def _random_fiber_element(rng: random.Random, e: Partition, regular: bool) -> Cobordism:
     lo, hi = (-2, 2) if regular else (0, 3)
-    labels = tuple(rng.randint(lo, hi) for _ in e.blocks)
+    labels = tuple(rng.randint(lo, hi) for _ in range(e.nblocks))
     spectrum = random_spectrum(rng, support=rng.randint(0, 2))
     return make_cobordism(e, labels, spectrum, regular)
 

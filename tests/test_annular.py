@@ -26,7 +26,7 @@ from diagcat.annular import (
     _generators,
     rho_affine,
 )
-from diagcat.partitions import _ground
+from diagcat.partitions import _ground, make_partition
 from diagcat.errors import (
     BoundExceeded,
     CrossingError,
@@ -268,6 +268,21 @@ def test_rotation_power_is_full_shift(n):
     assert affine_power(zeta(n), n) == lambda_pow(n)
 
 
+def test_affine_power_squares_its_way_to_huge_exponents():
+    start = time.perf_counter()
+    assert affine_power(zeta(3), 3 * 10**15) == lambda_pow(3, 10**15)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_affine_power_matches_the_iterated_product(n):
+    for a in (affine_identity(n), lambda_pow(n), *_generators(n)):
+        out = a
+        for k in range(1, 13):
+            assert affine_power(a, k) == out, (a, k)
+            out = compose_affine(out, a).product
+
+
 def test_full_shift_slides_across_everything():
     rng = random.Random(0)
     for _ in range(100):
@@ -371,6 +386,38 @@ def test_closure_bound_checks_the_generators_before_building_them(monkeypatch):
     monkeypatch.setattr(annular, "_generators", None)  # building one would fail
     with pytest.raises(BoundExceeded, match="closure exceeded 5 elements"):
         build_ann_monoid(3)
+
+
+def _two_cup_count(n):
+    """The n + 3 generator shadows and the shadows of the products of two
+    cup-caps at positions not cyclically adjacent, counted as a set."""
+    shadows = {project_to_ann(g) for g in (affine_identity(n), *_generators(n))}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        if j - i not in (1, n - 1):
+            shadows.add(project_to_ann(compose_affine(cup_cap(n, i), cup_cap(n, j)).product))
+    return len(shadows)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_closure_bound_counts_distinct_two_cup_products(n):
+    assert _two_cup_count(n) == n + 3 + n * (n - 3) // 2
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_closure_bound_fires_exactly_at_the_counted_elements(monkeypatch, n):
+    count = n + 3 + n * (n - 3) // 2
+    monkeypatch.setattr(annular, "_generators", None)  # building one would fail
+    monkeypatch.setattr(annular, "MAX_ANN_ELEMENTS", count - 1)
+    with pytest.raises(BoundExceeded, match=f"closure exceeded {count - 1} elements"):
+        build_ann_monoid(n)
+    monkeypatch.setattr(annular, "MAX_ANN_ELEMENTS", count)
+    with pytest.raises(TypeError):  # past the guard, on to the generators
+        build_ann_monoid(n)
+
+
+def test_closure_sizes_up_to_width_six():
+    sizes = [build_ann_monoid(n).monoid.size for n in range(7)]
+    assert sizes == [1, 1, 3, 12, 40, 180, 625]
 
 
 def test_ann3_monoid_structure():
@@ -663,3 +710,21 @@ def test_int_tuples_match_the_point_code_on_twisted_diagrams():
 def test_enumerate_affine_yields_only_valid_diagrams_at_larger_offsets(m, n):
     for d in enumerate_affine(m, n, 3):
         assert make_affine(m, n, _table_of(d)) == d
+
+
+def _project_to_ann_reference(a):
+    """project_to_ann as it built the shadow from Vertex pairs through
+    make_partition."""
+    g = _ground(a.m, a.n)
+    pairs = [(g[j], g[p]) for j, p in enumerate(a.partner) if j < p]
+    return annular.AnnularPartition(make_partition(a.m, a.n, pairs))
+
+
+def test_project_to_ann_matches_the_vertex_pairs():
+    checked = 0
+    for total in range(0, 9, 2):
+        for m in range(total + 1):
+            for d in enumerate_affine(m, total - m, 2):
+                assert project_to_ann(d) == _project_to_ann_reference(d), d
+                checked += 1
+    assert checked == 1826

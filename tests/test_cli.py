@@ -212,6 +212,14 @@ def test_idempotents_of_too_many_ann_generators_exit_3_at_once(capsys):
     assert "closure exceeded 2000 elements" in captured.err
 
 
+@pytest.mark.parametrize("n", ["64", "1000", "1997"])
+def test_idempotents_past_the_counted_closure_exit_3_at_once(capsys, n):
+    start = time.perf_counter()
+    assert main(["idempotents", n, "Ann"]) == 3
+    assert time.perf_counter() - start < 1
+    assert "closure exceeded 2000 elements" in capsys.readouterr().err
+
+
 def test_idempotents_rejects_unknown_category(capsys):
     assert main(["idempotents", "2", "Vec"]) == 2
     capsys.readouterr()

@@ -50,7 +50,7 @@ E = identity_partition(1)
     ((1.9,), ()),
     ((True,), ()),
     (("2",), ()),
-    ({E.blocks[0]: 1.5}, ()),
+    ((None,), ()),
     ((0,), {1.5: 1}),
     ((0,), {1: 2.5}),
     ((0,), {"1": 1}),
@@ -62,6 +62,12 @@ def test_make_cobordism_rejects_non_integer_labels(genus, spectrum):
     assert make_cobordism(E, (1,), {1: 1}).genus == (1,)
     with pytest.raises(RangeError, match="is not an integer"):
         make_cobordism(E, genus, spectrum)
+
+
+@pytest.mark.parametrize("genus", [{E.blocks[0]: 1}, {E.blocks[0]: 1.5}, {0: 1}, {}])
+def test_make_cobordism_rejects_a_genus_mapping(genus):
+    with pytest.raises(RangeError, match="not a mapping"):
+        make_cobordism(E, genus)
 
 
 def test_compose_merges_labels_and_spectra():

@@ -10,6 +10,7 @@ from diagcat import (
     IN,
     OUT,
     enumerate_partitions,
+    is_idempotent_structurally,
     make_partition,
     reflect,
     rho,
@@ -19,8 +20,8 @@ from diagcat import (
     vout,
 )
 from diagcat.cobordisms import Cobordism, LabeledPartition, Spectrum
-from diagcat.partitions import MergeInfo, compose, rotate
-from diagcat.sampling import random_partition
+from diagcat.partitions import MergeInfo, _ground, compose, rotate
+from diagcat.sampling import random_cobordism, random_partition, random_spectrum
 
 
 def join_oracle(alpha, beta):
@@ -168,3 +169,92 @@ def test_involutions_and_star_carry_labels():
         assert star_cobordism(Cobordism(p, genus, spectrum, True)) == Cobordism(
             image, tuple(starred), Spectrum({2: -1, 1: -sides}), True
         )
+
+
+# -- the Vertex-block code that the label versions replaced ------------------
+
+
+def idempotent_oracle(e):
+    """is_idempotent_structurally as it ran on the blocks' Vertex tuples."""
+    n = e.n
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for block in e.blocks:
+        ins = [v.index for v in block if v.side == IN]
+        outs = [v.index for v in block if v.side == OUT]
+        for group in (ins, outs):
+            for i in group[1:]:
+                parent[find(i)] = find(group[0])
+    for block in e.blocks:
+        if len({find(v.index) for v in block}) > 1:
+            return None
+    components = {}
+    for i in range(1, n + 1):
+        components.setdefault(find(i), []).append(i)
+    witness = []
+    for indices in sorted(components.values()):
+        index_set = set(indices)
+        rank = 0
+        for block in e.blocks:
+            if block[0].index in index_set or block[-1].index in index_set:
+                if any(v.side == IN for v in block) and any(v.side == OUT for v in block):
+                    rank += 1
+        if rank > 1:
+            return None
+        witness.append((tuple(indices), rank))
+    return tuple(witness)
+
+
+def random_partition_oracle(rng, m, n):
+    """random_partition as it grew Vertex blocks and validated them."""
+    blocks = []
+    for p in _ground(m, n):
+        i = rng.randrange(len(blocks) + 1)
+        if i == len(blocks):
+            blocks.append([p])
+        else:
+            blocks[i].append(p)
+    return make_partition(m, n, blocks)
+
+
+def random_cobordism_oracle(rng, m, n, regular):
+    """random_cobordism as it drew one label per block into a block-keyed
+    mapping, read back in block order."""
+    base = random_partition_oracle(rng, m, n)
+    spectrum = random_spectrum(rng, rng.randint(0, 2))
+    labels = {blk: rng.randint(-2 if regular else 0, 2) for blk in base.blocks}
+    return Cobordism(base, tuple(labels[blk] for blk in base.blocks), spectrum, regular)
+
+
+def test_structural_idempotency_matches_the_vertex_walk():
+    square = 0
+    for n in range(5):
+        for e in enumerate_partitions(n, n):
+            witness = is_idempotent_structurally(e)
+            assert (witness and tuple(witness)) == idempotent_oracle(e)
+            square += 1
+    assert square == 4361
+    rng = random.Random(11)
+    for _ in range(2000):
+        n = rng.randint(5, 7)
+        e = random_partition(rng, n, n)
+        witness = is_idempotent_structurally(e)
+        assert (witness and tuple(witness)) == idempotent_oracle(e)
+
+
+def test_samplers_draw_what_the_vertex_blocks_drew():
+    for seed in range(1000):
+        new, old = random.Random(seed), random.Random(seed)
+        m, n = new.randint(0, 4), new.randint(0, 4)
+        old.randint(0, 4), old.randint(0, 4)
+        p = random_partition(new, m, n)
+        assert p == random_partition_oracle(old, m, n)
+        regular = seed % 2 == 1
+        assert random_cobordism(new, m, n, regular) == random_cobordism_oracle(old, m, n, regular)
+        assert new.getstate() == old.getstate()

@@ -44,6 +44,11 @@ def test_decode_rejects_garbage():
             decode(name, [])
 
 
+def test_encode_rejects_an_unknown_category():
+    with pytest.raises(ParseError, match="unknown category 'nope'"):
+        encode("nope", make_partition(0, 0, []))
+
+
 def _cup(index=1, offset=0):
     """A [1] ~> [1] object that every category decodes: one block
     {in1 out1} for the partition families, in1 partnered with out1 for
