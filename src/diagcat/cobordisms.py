@@ -33,7 +33,6 @@ from .errors import (
 )
 from .partitions import (
     CompositionResult,
-    MergeInfo,
     Partition,
     _require_int,
     block_stats,
@@ -50,7 +49,6 @@ __all__ = [
     "LabeledPartition",
     "Cobordism",
     "make_cobordism",
-    "increment",
     "compose_decorated",
     "compose_cobordism",
     "star_labeled",
@@ -68,13 +66,23 @@ class Spectrum:
     __slots__ = ("pairs",)
 
     def __init__(self, data: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        counts: dict[int, int] = {}
         items = data.items() if isinstance(data, Mapping) else data
+        self.pairs = Spectrum._of(
+            (_require_int(genus, "spectrum label"), _require_int(count, "spectrum count"))
+            for genus, count in items
+        ).pairs
+
+    @classmethod
+    def _of(cls, items: Iterable[tuple[int, int]]) -> "Spectrum":
+        """The spectrum of (label, count) pairs whose ints are already
+        checked: counts summed per label, zero counts dropped."""
+        counts: dict[int, int] = {}
         for genus, count in items:
-            genus = _require_int(genus, "spectrum label")
-            if _require_int(count, "spectrum count"):
+            if count:
                 counts[genus] = counts.get(genus, 0) + count
-        self.pairs = tuple(sorted((g, c) for g, c in counts.items() if c))
+        spectrum = object.__new__(cls)
+        spectrum.pairs = tuple(sorted((g, c) for g, c in counts.items() if c))
+        return spectrum
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Spectrum) and self.pairs == other.pairs
@@ -95,10 +103,10 @@ class Spectrum:
         return 0
 
     def __add__(self, other: "Spectrum") -> "Spectrum":
-        return Spectrum(list(self.pairs) + list(other.pairs))
+        return Spectrum._of(self.pairs + other.pairs)
 
     def negate(self) -> "Spectrum":
-        return Spectrum((g, -c) for g, c in self.pairs)
+        return Spectrum._of((g, -c) for g, c in self.pairs)
 
     def total(self) -> int:
         return sum(c for _, c in self.pairs)
@@ -142,50 +150,46 @@ def make_cobordism(
     return Cobordism(base, g, s, regular)
 
 
-def increment(v: int, a: int, b: int) -> int:
-    """Label increment of a merged class: v - (a + b) + 1."""
-    assert v >= 0 and a >= 1 and b >= 1
-    return v - (a + b) + 1
+def _merge_labels(alpha: Partition, res: CompositionResult, g: Sequence, h: Sequence, unit):
+    """Labels of the product blocks and of the dead classes, in order, for
+    res = compose(alpha, beta) with labels g on alpha's blocks and h on
+    beta's.
 
-
-def _merge_labels(res: CompositionResult, g: Sequence, h: Sequence, unit):
-    """Labels of the product blocks and of the dead blocks, in order.
-
+    Each class of res.classes sums the labels of its factor blocks, plus
+    the increment v - (a + b) + 1 when it touches the middle layer in v
+    vertices, a and b being its blocks from either side; a class that
+    does not touch the middle is one block, for which the count is 0.
     Labels are any additive values with ``unit`` the label 1: ints with
     unit 1, or coefficient rows with the constant-slot row as unit."""
-
-    def merged(info: MergeInfo):
-        a, b, v = len(info.alpha_blocks), len(info.beta_blocks), len(info.middle)
-        return (
-            sum(g[i] for i in info.alpha_blocks)
-            + sum(h[j] for j in info.beta_blocks)
-            + increment(v, a, b) * unit
-        )
-
-    live = []
-    for origin in res.origins:
-        if isinstance(origin, MergeInfo):
-            live.append(merged(origin))
-        elif origin[0] == "alpha":
-            live.append(g[origin[1]])
-        else:
-            live.append(h[origin[1]])
-    return tuple(live), [merged(info) for info in res.dead_blocks]
+    classes = res.classes
+    increment = [1] * (res.product.nblocks + res.b)
+    for c in classes:
+        increment[c] -= 1
+    for x in alpha.labels[alpha.m :]:
+        increment[classes[x]] += 1
+    sums = [k * unit for k in increment]
+    for c, label in zip(classes, (*g, *h)):
+        sums[c] = sums[c] + label
+    live = res.product.nblocks
+    return tuple(sums[:live]), sums[live:]
 
 
 def compose_decorated(x, y):
-    """Compose two labeled or cobordism values of one regularity over a
+    """Compose two labeled or two cobordism values of one regularity over a
     single base composition; returns the product and that
-    CompositionResult."""
+    CompositionResult.  Mixing a labeled value with a cobordism raises
+    BaseMismatch."""
+    if type(x) is not type(y):
+        raise BaseMismatch(f"cannot compose a {type(x).__name__} with a {type(y).__name__}")
     if x.regular != y.regular:
         raise RegularityMismatch("cannot mix regular and non-regular values")
     res = compose(x.base, y.base)
-    live, dead = _merge_labels(res, x.genus, y.genus, 1)
+    live, dead = _merge_labels(x.base, res, x.genus, y.genus, 1)
     if not x.regular:
         assert all(l >= 0 for l in live)
     if isinstance(x, LabeledPartition):
         return LabeledPartition(res.product, live, x.regular), res
-    spectrum = Spectrum(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
+    spectrum = Spectrum._of(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
     if not x.regular:
         assert not spectrum.min_genus_negative()
     return Cobordism(res.product, live, spectrum, x.regular), res

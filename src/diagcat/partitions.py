@@ -21,9 +21,9 @@ partitions on a three-layer vertex set (alpha's incoming layer, the shared
 middle layer, beta's outgoing layer), takes the join of the two equivalence
 relations, and restricts the result to the outer layers.  Classes that fall
 entirely inside the middle layer are *dead*: the product forgets them, but
-their count b(alpha, beta) and the record of which blocks merged into each
-class drive the label bookkeeping of the decorated variants, so compose()
-returns them alongside the product.
+their count b(alpha, beta) and the class of every factor block drive the
+label bookkeeping of the decorated variants, so compose() returns them
+alongside the product.
 
 >>> a = make_partition(2, 2, [[("in", 1), ("out", 1)], [("in", 2), ("out", 2)]])
 >>> compose(a, a).product == a
@@ -54,7 +54,6 @@ __all__ = [
     "make_partition",
     "identity_partition",
     "CompositionResult",
-    "MergeInfo",
     "compose",
     "BlockStats",
     "PartitionStats",
@@ -243,36 +242,19 @@ def identity_partition(n: int) -> Partition:
     return Partition(n, n, tuple(range(n)) * 2, n)
 
 
-class MergeInfo(NamedTuple):
-    """How one class of a composition was assembled.
-
-    alpha_blocks / beta_blocks index into the factors' block lists; middle
-    holds the middle-layer indices the class touches.  The label increment
-    of a merged class is v - (a + b) + 1 with v = len(middle).
-    """
-
-    alpha_blocks: tuple[int, ...]
-    beta_blocks: tuple[int, ...]
-    middle: tuple[int, ...]
-
-
 class CompositionResult(NamedTuple):
-    """Product partition plus the merge bookkeeping of one composition.
+    """Product partition, dead-class count and class map of one composition.
 
-    origins is aligned with product.blocks: each entry is either
-    ("alpha", i) / ("beta", j) for an untouched factor block, or a MergeInfo
-    for a class that involves middle vertices.  dead_blocks lists the
-    classes that lie entirely in the middle layer, ordered by their least
-    middle index; len(dead_blocks) is b(alpha, beta).
+    classes[i] is the class of alpha's block i and classes[na + j] that of
+    beta's block j (na = alpha.nblocks).  A class that reaches an outer
+    vertex is numbered by its product block; the dead classes follow as
+    product.nblocks, product.nblocks + 1, ... in the order of their least
+    middle vertex.  b is b(alpha, beta), the number of dead classes.
     """
 
     product: Partition
-    origins: tuple
-    dead_blocks: tuple[MergeInfo, ...]
-
-    @property
-    def b(self) -> int:
-        return len(self.dead_blocks)
+    b: int
+    classes: tuple[int, ...]
 
 
 def compose(alpha: Partition, beta: Partition) -> CompositionResult:
@@ -287,8 +269,9 @@ def compose(alpha: Partition, beta: Partition) -> CompositionResult:
     # 0..na-1 and beta's as na..na+nb-1, joined through each middle
     # vertex.  The larger root always goes under the smaller one, so
     # parent[x] <= x throughout and the root of every class is its least
-    # block.
+    # block; roots counts the classes.
     parent = list(range(na + nb))
+    roots = na + nb
     for k in range(mid):
         x = la[lo + k]
         while parent[x] != x:
@@ -300,46 +283,29 @@ def compose(alpha: Partition, beta: Partition) -> CompositionResult:
             y = parent[y]
         if x < y:
             parent[y] = x
+            roots -= 1
         elif y < x:
             parent[x] = y
+            roots -= 1
     # One ascending pass resolves every block to its root.
     for x in range(na + nb):
         parent[x] = parent[parent[x]]
 
     # Product labels: outer vertices in canonical order, each class
-    # numbered by its first appearance.
+    # numbered by its first appearance.  A class that no outer vertex
+    # reaches touches the middle (a block without middle vertices has an
+    # outer one), so numbering the middle vertices next numbers the dead
+    # classes by their least middle vertex.
     new: dict[int, int] = {}
     number = new.setdefault
     labels = [number(parent[x], len(new)) for x in la[:lo]]
     labels += [number(parent[na + y], len(new)) for y in lb[mid:]]
-
-    # Classes through the middle layer, in order of their least middle
-    # vertex; every other class is a single untouched factor block.
-    merged: dict[int, tuple[list[int], list[int], list[int]]] = {}
-    for k in range(mid):
-        root = parent[la[lo + k]]
-        parts = merged.get(root)
-        if parts is None:
-            parts = merged[root] = ([], [], [])
-        parts[2].append(k + 1)
-    for i in range(na):
-        parts = merged.get(parent[i])
-        if parts is not None:
-            parts[0].append(i)
-    for j in range(nb):
-        parts = merged.get(parent[na + j])
-        if parts is not None:
-            parts[1].append(j)
-    info = {
-        root: MergeInfo(tuple(a), tuple(b), tuple(v)) for root, (a, b, v) in merged.items()
-    }
-
-    origins = tuple(
-        info[root] if root in info else ("alpha", root) if root < na else ("beta", root - na)
-        for root in new
-    )
-    dead = tuple(mi for root, mi in info.items() if root not in new)
-    return CompositionResult(Partition(lo, beta.n, tuple(labels), len(new)), origins, dead)
+    live = len(new)
+    if roots > live:
+        for x in la[lo:]:
+            number(parent[x], len(new))
+    product = Partition(lo, beta.n, tuple(labels), live)
+    return CompositionResult(product, roots - live, tuple(map(new.__getitem__, parent)))
 
 
 class BlockStats(NamedTuple):

@@ -305,15 +305,15 @@ def check_cobordism_assoc(rng: random.Random) -> str:
         one = np.eye(1, width, width - 1, dtype=np.int64)[0]
 
         r_ab = traced(a, b)
-        live_ab, dead_ab = _merge_labels(r_ab, rows_a, rows_b, one)
+        live_ab, dead_ab = _merge_labels(a, r_ab, rows_a, rows_b, one)
         r_ab_c = traced(r_ab.product, c)
-        live_l, dead_l = _merge_labels(r_ab_c, live_ab, rows_c, one)
+        live_l, dead_l = _merge_labels(r_ab.product, r_ab_c, live_ab, rows_c, one)
         dead_l += dead_ab
 
         r_bc = traced(b, c)
-        live_bc, dead_bc = _merge_labels(r_bc, rows_b, rows_c, one)
+        live_bc, dead_bc = _merge_labels(b, r_bc, rows_b, rows_c, one)
         r_a_bc = traced(a, r_bc.product)
-        live_r, dead_r = _merge_labels(r_a_bc, rows_a, live_bc, one)
+        live_r, dead_r = _merge_labels(a, r_a_bc, rows_a, live_bc, one)
         dead_r += dead_bc
 
         _require(
@@ -399,12 +399,12 @@ def check_labeled_antiautomorphism(rng: random.Random) -> str:
         rows_b = np.eye(nb, width, na, dtype=np.int64)
         one = np.eye(1, width, width - 1, dtype=np.int64)[0]
         r_ab = compose(a, b)
-        live, _ = _merge_labels(r_ab, rows_a, rows_b, one)
+        live, _ = _merge_labels(a, r_ab, rows_a, rows_b, one)
         star_base, star_rows = _star_genus(r_ab.product, live, one)
         b_base, b_rows = _star_genus(b, rows_b, one)
         a_base, a_rows = _star_genus(a, rows_a, one)
         r_rev = compose(b_base, a_base)
-        live_rev, _ = _merge_labels(r_rev, b_rows, a_rows, one)
+        live_rev, _ = _merge_labels(b_base, r_rev, b_rows, a_rows, one)
         _require(
             star_base == r_rev.product and np.array_equal(star_rows, live_rev),
             lambda: f"(xy)* != y* x* symbolically over bases {a!r}, {b!r}",

@@ -2,6 +2,7 @@ import doctest
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,13 @@ def test_package_imports_cleanly():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md (Library example)", "exec"), {})
 
 
 IDENTITY_1_1 = [(("in", 1), (0, "out", 1)), (("out", 1), (0, "in", 1))]

@@ -16,9 +16,9 @@ from diagcat import (
     vin,
     vout,
 )
-from diagcat.cobordisms import compose_decorated
+from diagcat.cobordisms import _merge_labels, compose_decorated
 from diagcat.errors import BaseMismatch, NegativeLabel, RangeError
-from diagcat.sampling import random_cobordism
+from diagcat.sampling import random_cobordism, random_spectrum
 
 H = make_partition(2, 2, [[vin(1), vin(2)], [vout(1), vout(2)]])
 
@@ -30,6 +30,36 @@ def test_spectrum_basics():
     assert s.negate() == Spectrum({0: -2, 3: -1})
     assert s.total() == 3
     assert not Spectrum({1: 0}).pairs  # zero counts are dropped
+
+
+def test_unchecked_sums_match_the_validated_constructor():
+    rng = random.Random(9)
+    for _ in range(500):
+        s, t = random_spectrum(rng, rng.randint(0, 5)), random_spectrum(rng, rng.randint(0, 5))
+        total = s + t
+        assert total.pairs == Spectrum(list(s.pairs) + list(t.pairs)).pairs
+        assert not total.min_genus_negative()
+        assert s.negate().pairs == Spectrum((g, -c) for g, c in s.pairs).pairs
+        assert (s + s.negate()).pairs == ()
+    for _ in range(500):
+        m, k, n = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        regular = rng.random() < 0.5
+        x = random_cobordism(rng, m, k, regular, spectrum_support=3)
+        y = random_cobordism(rng, k, n, regular, spectrum_support=3)
+        product, res = compose_decorated(x, y)
+        _, dead = _merge_labels(x.base, res, x.genus, y.genus, 1)
+        expected = Spectrum([*x.spectrum.pairs, *y.spectrum.pairs, *((d, 1) for d in dead)])
+        assert product.spectrum.pairs == expected.pairs
+        assert regular or not product.spectrum.min_genus_negative()
+
+
+def test_compose_decorated_rejects_mixed_operand_types():
+    cobordism = make_cobordism(H, (1, 2), {3: 1})
+    labeled = to_labeled(cobordism)
+    with pytest.raises(BaseMismatch):
+        compose_decorated(labeled, cobordism)
+    with pytest.raises(BaseMismatch):
+        compose_decorated(cobordism, labeled)
 
 
 def test_make_cobordism_validates():

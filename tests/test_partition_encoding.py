@@ -3,7 +3,9 @@ set-based reference implementations that know nothing of the labels."""
 
 import itertools
 import random
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from diagcat import (
@@ -19,15 +21,25 @@ from diagcat import (
     vin,
     vout,
 )
-from diagcat.cobordisms import Cobordism, LabeledPartition, Spectrum
-from diagcat.partitions import MergeInfo, _ground, compose, rotate
+from diagcat.cobordisms import Cobordism, LabeledPartition, Spectrum, _merge_labels
+from diagcat.partitions import _ground, compose, rotate
 from diagcat.sampling import random_cobordism, random_partition, random_spectrum
+
+
+class Merge(NamedTuple):
+    """A class of the join that touches the middle layer: the factor blocks
+    it merges and the middle indices it visits."""
+
+    alpha_blocks: tuple[int, ...]
+    beta_blocks: tuple[int, ...]
+    middle: tuple[int, ...]
 
 
 def join_oracle(alpha, beta):
     """Compose by merging vertex sets on three layers until no two
-    classes share a point; returns (product, origins, dead_blocks) in the
-    shape of CompositionResult."""
+    classes share a point; returns the product, the origin of each
+    product block (("alpha", i) or ("beta", j) for an untouched factor
+    block, else a Merge) and the dead classes by least middle index."""
     pieces = []
     for i, block in enumerate(alpha.blocks):
         points = {("top", v.index) if v.side == IN else ("mid", v.index) for v in block}
@@ -48,7 +60,7 @@ def join_oracle(alpha, beta):
         classes = rest + [(points, tags)]
 
     def info(points, tags):
-        return MergeInfo(
+        return Merge(
             tuple(sorted(i for side, i in tags if side == "alpha")),
             tuple(sorted(j for side, j in tags if side == "beta")),
             tuple(sorted(k for layer, k in points if layer == "mid")),
@@ -71,13 +83,46 @@ def join_oracle(alpha, beta):
     return product, origins, tuple(sorted(dead, key=lambda d: d.middle))
 
 
+def symbolic_rows(na, nb):
+    """One unit row per factor block, alpha's then beta's, and the constant
+    row, as the suite's cobordism-assoc check builds them."""
+    width = na + nb + 1
+    return np.eye(na, width, 0, dtype=np.int64), np.eye(nb, width, na, dtype=np.int64), np.eye(
+        1, width, width - 1, dtype=np.int64
+    )[0]
+
+
+def oracle_row(origin, rows_a, rows_b, one):
+    """The label of a class from the oracle: the sum of its blocks' rows,
+    plus v - (a + b) + 1 constants for a class through the middle."""
+    if not isinstance(origin, Merge):
+        side, i = origin
+        return (rows_a if side == "alpha" else rows_b)[i]
+    a, b, v = origin
+    return (
+        sum(rows_a[i] for i in a)
+        + sum(rows_b[j] for j in b)
+        + (len(v) - (len(a) + len(b)) + 1) * one
+    )
+
+
 def assert_matches_oracle(x, y):
     r = compose(x, y)
     product, origins, dead = join_oracle(x, y)
     assert r.product == product
     assert r.product.blocks == product.blocks
-    assert r.origins == origins
-    assert r.dead_blocks == dead
+    assert r.b == len(dead)
+    for c, origin in enumerate(origins + dead):
+        if isinstance(origin, Merge):
+            members = [*origin.alpha_blocks, *(x.nblocks + j for j in origin.beta_blocks)]
+        else:
+            members = [origin[1] if origin[0] == "alpha" else x.nblocks + origin[1]]
+        assert [i for i, k in enumerate(r.classes) if k == c] == members
+    rows_a, rows_b, one = symbolic_rows(x.nblocks, y.nblocks)
+    live_rows, dead_rows = _merge_labels(x, r, rows_a, rows_b, one)
+    expected = [oracle_row(o, rows_a, rows_b, one).tolist() for o in origins + dead]
+    assert [row.tolist() for row in (*live_rows, *dead_rows)] == expected
+    assert len(live_rows) == len(origins)
 
 
 def assert_labels_match_blocks(p):

@@ -13,9 +13,9 @@ from diagcat import (
     vin,
     vout,
 )
-from diagcat.cobordisms import increment
+from diagcat.cobordisms import _merge_labels
 from diagcat.errors import BoundExceeded, CoverageError, OverlapError, RangeError
-from diagcat.partitions import MAX_PARTITION_VERTICES, MergeInfo
+from diagcat.partitions import MAX_PARTITION_VERTICES
 
 
 # the hourglass: both sides collapsed, nothing transversal
@@ -76,21 +76,32 @@ def test_compose_counts_dead_blocks():
     r = compose(H, H)
     assert r.product == H
     assert r.b == 1
-    assert len(r.dead_blocks) == 1
-    assert isinstance(r.dead_blocks[0], MergeInfo)
+    # H's outgoing block and the second H's incoming block close off
+    assert r.classes == (0, 2, 2, 1)
 
 
-def test_compose_origins_cover_product():
+def test_compose_class_map_covers_factor_blocks():
     r = compose(H, identity_partition(2))
     assert isinstance(r, CompositionResult)
-    assert len(r.origins) == len(r.product.blocks)
+    assert len(r.classes) == H.nblocks + identity_partition(2).nblocks
+    assert set(r.classes) == set(range(r.product.nblocks + r.b))
 
 
 def test_increment_counts_components():
-    # a merged class visiting v middle points out of a + b blocks
-    assert increment(1, 1, 1) == 0
-    assert increment(2, 1, 1) == 1
-    assert increment(2, 2, 1) == 0
+    # a merged class visiting v middle points out of a + b blocks gets
+    # v - (a + b) + 1 on top of its blocks' labels
+    def merged(alpha, beta):
+        r = compose(alpha, beta)
+        live, dead = _merge_labels(alpha, r, [0] * alpha.nblocks, [0] * beta.nblocks, 1)
+        return (*live, *dead)
+
+    one_point = identity_partition(1)
+    fan_out = make_partition(1, 2, [[vin(1), vout(1), vout(2)]])
+    fan_in = make_partition(2, 1, [[vin(1), vin(2), vout(1)]])
+    cap = make_partition(2, 0, [[vin(1), vin(2)]])
+    assert merged(one_point, one_point) == (0,)  # v, a, b = 1, 1, 1
+    assert merged(fan_out, fan_in) == (1,)  # 2, 1, 1
+    assert merged(identity_partition(2), cap) == (0,)  # 2, 2, 1
 
 
 def test_reflect_swaps_sides():
