@@ -118,6 +118,17 @@ from .identities import (
     zimin,
 )
 from .serialize import CATEGORIES, Deformed, decode, encode
-from .suite import CHECK_NAMES, Report, run_suite
 
 __version__ = "0.1.0"
+
+# The suite imports numpy, which nothing else needs at import time, so its
+# names load on first use (PEP 562).
+_SUITE_NAMES = ("CHECK_NAMES", "Report", "run_suite")
+
+
+def __getattr__(name: str):
+    if name in _SUITE_NAMES:
+        from . import suite
+
+        return getattr(suite, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

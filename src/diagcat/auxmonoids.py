@@ -25,8 +25,8 @@ from .errors import (
     NotClosed,
     RangeError,
 )
-from .cobordisms import Cobordism, make_cobordism
-from .partitions import _require_int, make_partition, vin, vout
+from .cobordisms import Cobordism, LabeledPartition, make_cobordism
+from .partitions import _require_int, identity_partition, make_partition, vin, vout
 
 __all__ = [
     "CircleForest",
@@ -40,6 +40,7 @@ __all__ = [
     "je_s",
     "je_pair",
     "je_mul",
+    "je_to_labeled",
     "A21Element",
     "A2_ONE",
     "A2_ZERO",
@@ -450,6 +451,21 @@ def a2_image(x: Cobordism) -> A21Element:
     blocks meet; that is the zero case of the five-element table.
     """
     i, s, j = genus_pair_parts(x)
-    if s[2] > 0:
+    if s.count(2) > 0:
         return A2_ZERO
     return a21_pair(i, j)
+
+
+def je_to_labeled(x: JEElement) -> LabeledPartition:
+    """Embed M (the band extension over JE_INT) into the regular labeled
+    partitions [1] ~> [1]: the scalar k goes to the identity base with
+    label k, the pair (l, r) to SINGLETON_BASE with labels (l, r).  Under
+    compose_decorated this is an injective homomorphism: a pair times a
+    pair closes the middle block, whose label the labeled row drops.  (The
+    cobordism row would deposit it in the spectrum, so M does not embed
+    there this way.)  A value of another instance raises InstanceMismatch."""
+    if x.instance is not JE_INT:
+        raise InstanceMismatch(f"only {JE_INT.name} embeds, not {x.instance.name}")
+    if x.kind == "s":
+        return LabeledPartition(identity_partition(1), x.value, True)
+    return LabeledPartition(SINGLETON_BASE, x.value, True)

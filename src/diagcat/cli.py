@@ -13,65 +13,25 @@ by validation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import serialize
 from .annular import build_ann_monoid, compose_affine, enumerate_affine
-from .cobordisms import compose_cobordism, make_cobordism, sigma
 from .errors import DiagcatError, ParseError, ShapeMismatch, UnknownMonoid
 from .identities import (
     IDENTITY_REGISTRY,
+    MONOIDS,
     Identity,
-    Monoid,
     canonical_form,
     check_identity,
     extreme_rep,
-    holds_in_M,
-    holds_in_N,
-    monoid_A21,
-    monoid_M,
-    monoid_N,
-    monoid_REES,
-    monoid_SDP,
-    monoid_from_table,
     normal_form,
     parse_identity,
     parse_word,
 )
-from .partitions import (
-    enumerate_partitions,
-    identity_partition,
-    is_idempotent_structurally,
-)
-from .suite import run_suite
-
-
-def _monoid_fiber() -> Monoid:
-    """Search context inside the composition fiber over the one-string
-    identity base: single-block values with a genus label and a spectrum."""
-    e = identity_partition(1)
-    pool = [make_cobordism(e, (g,), spectrum, True)
-            for g in (-1, 0, 1)
-            for spectrum in ((), ((0, 1),), ((1, 1),))]
-    return Monoid(
-        name="fiber",
-        mul=compose_cobordism,
-        one=make_cobordism(e, (0,), (), True),
-        star=sigma,
-        pool=tuple(pool),
-    )
-
-
-_MONOIDS = {
-    "M": monoid_M,
-    "N": monoid_N,
-    "A21": monoid_A21,
-    "sdp": monoid_SDP,
-    "rees": monoid_REES,
-    "ann3": lambda: monoid_from_table(build_ann_monoid(3).monoid, "ann3"),
-    "fiber": _monoid_fiber,
-}
+from .partitions import enumerate_partitions, is_idempotent_structurally
 
 
 def _load_json(path: str):
@@ -117,22 +77,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.budget < 0:
         raise ParseError("--budget must be non-negative")
     identity = _resolve_identity(args.identity)
-    if args.monoid not in _MONOIDS:
-        names = ", ".join(_MONOIDS)
+    if args.monoid not in MONOIDS:
+        names = ", ".join(MONOIDS)
         raise UnknownMonoid(f"unknown monoid {args.monoid!r} (choose from {names})")
+    monoid = MONOIDS[args.monoid]()
+    if args.search:
+        monoid = dataclasses.replace(monoid, decide=None)
     print(f"identity: {identity}")
     print(f"monoid: {args.monoid}")
-    if args.monoid in ("M", "N") and not args.search:
-        if identity.involutory:
-            raise ParseError("the structural criteria take plain words")
-        decide = holds_in_M if args.monoid == "M" else holds_in_N
-        ok = decide(identity.lhs, identity.rhs)
-        print(f"verdict: {'holds' if ok else 'fails'} (structural criterion)")
-        return 0 if ok else 1
-    print(f"seed: {args.seed}")
-    verdict = check_identity(
-        identity, _MONOIDS[args.monoid](), budget=args.budget, seed=args.seed
-    )
+    if monoid.decide is None:
+        print(f"seed: {args.seed}")
+    verdict = check_identity(identity, monoid, budget=args.budget, seed=args.seed)
     print(f"verdict: {verdict}")
     return 1 if verdict.status == "fails" else 0
 
@@ -195,6 +150,9 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    # Imported here: the suite loads numpy, which no other command needs.
+    from .suite import run_suite
+
     if not args.json:
         print(f"seed: {args.seed}")
     report = run_suite(seed=args.seed, filter=args.filter)
@@ -226,9 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="test an identity in a monoid")
     p.add_argument("identity", help="registered name or inline u=v text")
-    p.add_argument("monoid", help="one of " + ", ".join(_MONOIDS))
+    p.add_argument("monoid", help="one of " + ", ".join(MONOIDS))
     p.add_argument("--search", action="store_true",
-                   help="search substitutions for a counterexample, also in M and N")
+                   help="search substitutions for a counterexample instead of "
+                        "deciding by structural criterion (M and N)")
     p.add_argument("--budget", type=int, default=200_000,
                    help="substitution budget for the search")
     p.add_argument("--seed", type=int, default=0, help="search seed")

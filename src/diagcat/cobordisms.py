@@ -61,12 +61,27 @@ __all__ = [
 
 
 class Spectrum:
-    """Finitely supported multiset of int labels, canonically trimmed."""
+    """Finitely supported multiset of int labels, canonically trimmed.
+
+    Built from another Spectrum, a mapping from label to count, or an
+    iterable of (label, count) int pairs; anything else raises RangeError.
+    It is not a container: count(genus) reads one label's count."""
 
     __slots__ = ("pairs",)
 
-    def __init__(self, data: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
+    def __init__(
+        self, data: Union["Spectrum", Mapping[int, int], Iterable[tuple[int, int]]] = ()
+    ):
+        if isinstance(data, Spectrum):
+            self.pairs = data.pairs
+            return
         items = data.items() if isinstance(data, Mapping) else data
+        try:
+            items = [(genus, count) for genus, count in items]
+        except (TypeError, ValueError) as exc:
+            raise RangeError(
+                f"a spectrum takes a mapping or (label, count) pairs, not {data!r}"
+            ) from exc
         self.pairs = Spectrum._of(
             (_require_int(genus, "spectrum label"), _require_int(count, "spectrum count"))
             for genus, count in items
@@ -96,7 +111,8 @@ class Spectrum:
     def __bool__(self) -> bool:
         return bool(self.pairs)
 
-    def __getitem__(self, genus: int) -> int:
+    def count(self, genus: int) -> int:
+        """The count of the label genus; 0 when it is absent."""
         for g, c in self.pairs:
             if g == genus:
                 return c

@@ -23,6 +23,10 @@ than the decision procedure it is meant to mirror.
 
 A generic substitution checker runs identities against finite tables
 exhaustively and against infinite monoids over seeded witness pools.
+The band extensions M and N carry their criteria (balanced sections, and
+sections balanced mod 2) as exact deciders, which the checker returns in
+place of a search: "holds", or "fails" with a witness built from the
+first condition broken.  MONOIDS names every ready-made monoid context.
 
 Parsed words hold at most MAX_WORD_SYMBOLS symbols; a longer one raises
 BoundExceeded before its repeats are expanded.
@@ -30,6 +34,7 @@ BoundExceeded before its repeats are expanded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -47,7 +52,9 @@ from .errors import (
     RangeError,
 )
 from . import auxmonoids as am
-from .partitions import _require_int
+from .annular import build_ann_monoid
+from .cobordisms import compose_cobordism, make_cobordism, sigma
+from .partitions import _require_int, identity_partition
 
 __all__ = [
     "Word",
@@ -60,8 +67,6 @@ __all__ = [
     "parse_identity",
     "zimin",
     "content",
-    "is_balanced",
-    "is_balanced_mod2",
     "left_section",
     "right_section",
     "ExtremeRep",
@@ -87,6 +92,7 @@ __all__ = [
     "monoid_SDP",
     "monoid_REES",
     "monoid_from_table",
+    "MONOIDS",
 ]
 
 
@@ -228,17 +234,6 @@ def zimin(k: int) -> Word:
 
 def content(w: Word) -> frozenset[str]:
     return frozenset(w.letters)
-
-
-def is_balanced(u: Word, v: Word) -> bool:
-    return Counter(u.letters) == Counter(v.letters)
-
-
-def is_balanced_mod2(u: Word, v: Word) -> bool:
-    cu, cv = Counter(u.letters), Counter(v.letters)
-    if set(cu) != set(cv):
-        return False
-    return all(cu[x] % 2 == cv[x] % 2 for x in cu)
 
 
 def left_section(w: Word, x: str) -> Word:
@@ -445,28 +440,43 @@ def canonical_form(w: Word) -> Word:
     return Word(_canonical_letters(w.letters))
 
 
-def _sections_agree(u: Word, v: Word, balanced: Callable[[Word, Word], bool]) -> bool:
-    """u and v balanced, and balanced(s, t) for the left sections s, t of
-    u and v at every letter of either, and for their right sections."""
-    if not is_balanced(u, v):
-        return False
-    for x in content(u) | content(v):
-        if not balanced(left_section(u, x), left_section(v, x)):
-            return False
-        if not balanced(right_section(x, u), right_section(x, v)):
-            return False
-    return True
+def _imbalance(u: Word, v: Word, modulus: Optional[int]):
+    """Where u = v first breaks the section criterion, or None when it
+    holds.  (None, y, False) when the letter y occurs a different number
+    of times in u and v; else (x, y, present) for the first section at a
+    letter x, left before right, in which y's counts differ (modulo
+    `modulus` when one is given: present False) or, agreeing modulo it,
+    are zero on one side only (present True).  Letters go in sorted order."""
+    count_u, count_v = Counter(u.letters), Counter(v.letters)
+    if count_u != count_v:
+        y = min(y for y in count_u.keys() | count_v.keys() if count_u[y] != count_v[y])
+        return None, y, False
+    for x in sorted(count_u):
+        for s, t in (
+            (left_section(u, x), left_section(v, x)),
+            (right_section(x, u), right_section(x, v)),
+        ):
+            cs, ct = Counter(s.letters), Counter(t.letters)
+            if cs == ct:
+                continue
+            for y in sorted(cs.keys() | ct.keys()):
+                diff = cs[y] - ct[y]
+                if diff if modulus is None else diff % modulus:
+                    return x, y, False
+                if (y in cs) != (y in ct):
+                    return x, y, True
+    return None
 
 
 def holds_in_M(u: Word, v: Word) -> bool:
     """All left and right sections balanced (and the identity itself,
     which is its own section at any unused letter)."""
-    return _sections_agree(u, v, is_balanced)
+    return _imbalance(u, v, None) is None
 
 
 def holds_in_N(u: Word, v: Word) -> bool:
     """Balanced, and all sections balanced mod 2."""
-    return _sections_agree(u, v, is_balanced_mod2)
+    return _imbalance(u, v, 2) is None
 
 
 # -- the sorting rewriter ----------------------------------------------------
@@ -540,7 +550,10 @@ class Monoid:
     """Duck-typed multiplication context for evaluate/check_identity.
 
     elements, when given, makes the monoid finite and checks exhaustive;
-    pool is the witness pool used for infinite monoids.
+    pool is the witness pool used for infinite monoids.  decide, when
+    given, is an exact decision procedure that check_identity returns
+    instead of searching; a caller that wants the search strips it with
+    dataclasses.replace(monoid, decide=None).
     """
 
     name: str
@@ -549,6 +562,7 @@ class Monoid:
     star: Optional[Callable] = None
     elements: Optional[tuple] = None
     pool: tuple = ()
+    decide: Optional[Callable[[Identity], "Verdict"]] = None
 
 
 def _symbols(w: Union[Word, IWord]) -> tuple[tuple[str, bool], ...]:
@@ -642,7 +656,8 @@ def check_identity(
     budget: int = 200_000,
     seed: int = 0,
 ) -> Verdict:
-    """Search substitutions for a counterexample.
+    """Decide the identity by the monoid's decide when it has one, else
+    search substitutions for a counterexample.
 
     A finite monoid (elements given) whose substitutions fit the budget is
     checked exhaustively, yielding holds or fails.  Otherwise the search
@@ -654,6 +669,8 @@ def check_identity(
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise RangeError(f"budget must be a non-negative int, not {budget!r}")
+    if monoid.decide is not None:
+        return monoid.decide(identity)
     letters = _identity_letters(identity)
     k = len(letters)
     lhs = _side_evaluator(identity.lhs, letters, monoid)
@@ -724,21 +741,49 @@ def star_mix_words(t: int) -> list[IWord]:
 
 # -- ready-made monoid contexts ---------------------------------------------
 
+def _decide_band(instance: am.JEInstance, identity: Identity) -> Verdict:
+    """The section criterion of a band extension: sections compared modulo
+    the instance's modulus.  A failure comes with the witness built from
+    the first condition broken (see _imbalance): y counted differently
+    gets y = 1; y counted differently in a section at x gets x = (0,0),
+    y = 1; y present in that section on one side only gets x = (0,0),
+    y = (1,1); every other letter gets 0."""
+    if identity.involutory:
+        raise ParseError("the structural criteria take plain words")
+    where = _imbalance(identity.lhs, identity.rhs, instance.modulus)
+    if where is None:
+        return Verdict("holds", "structural criterion")
+    x, y, present = where
+    witness = {ch: am.je_s(instance, 0) for ch in _identity_letters(identity)}
+    if x is not None:
+        witness[x] = am.je_pair(instance, 0, 0)
+    witness[y] = am.je_pair(instance, 1, 1) if present else am.je_s(instance, 1)
+    return Verdict("fails", "structural criterion", witness)
+
+
 def _band_extension(name: str, instance: am.JEInstance, scalars, coordinates) -> Monoid:
     """The monoid of one band extension, its pool the given scalars, then
-    every pair of the given coordinates."""
+    every pair of the given coordinates, decided by its section criterion."""
     pool = [am.je_s(instance, s) for s in scalars]
     pool += [am.je_pair(instance, l, r) for l in coordinates for r in coordinates]
-    return Monoid(name=name, mul=am.je_mul, one=am.je_s(instance, 0), pool=tuple(pool))
+    return Monoid(
+        name=name,
+        mul=am.je_mul,
+        one=am.je_s(instance, 0),
+        pool=tuple(pool),
+        decide=functools.partial(_decide_band, instance),
+    )
 
 
 def monoid_M() -> Monoid:
-    """Ideal extension of the integer-pair band by additive integers."""
+    """Ideal extension of the integer-pair band by additive integers; an
+    identity holds in it exactly when holds_in_M says so."""
     return _band_extension("M", am.JE_INT, range(-2, 3), range(-2, 3))
 
 
 def monoid_N() -> Monoid:
-    """Ideal extension of the two-point band by parity-acting integers."""
+    """Ideal extension of the two-point band by parity-acting integers; an
+    identity holds in it exactly when holds_in_N says so."""
     return _band_extension("N", am.JE_PARITY, range(4), range(2))
 
 
@@ -805,3 +850,31 @@ def monoid_from_table(fm: am.FiniteMonoid, name: str = "table") -> Monoid:
         star=star,
         elements=tuple(range(fm.size)),
     )
+
+
+def _monoid_fiber() -> Monoid:
+    """Search context inside the composition fiber over the one-string
+    identity base: single-block values with a genus label and a spectrum."""
+    e = identity_partition(1)
+    pool = [make_cobordism(e, (g,), spectrum, True)
+            for g in (-1, 0, 1)
+            for spectrum in ((), ((0, 1),), ((1, 1),))]
+    return Monoid(
+        name="fiber",
+        mul=compose_cobordism,
+        one=make_cobordism(e, (0,), (), True),
+        star=sigma,
+        pool=tuple(pool),
+    )
+
+
+# Every named monoid context, by the name the CLI takes.
+MONOIDS: dict[str, Callable[[], Monoid]] = {
+    "M": monoid_M,
+    "N": monoid_N,
+    "A21": monoid_A21,
+    "sdp": monoid_SDP,
+    "rees": monoid_REES,
+    "ann3": lambda: monoid_from_table(build_ann_monoid(3).monoid, "ann3"),
+    "fiber": _monoid_fiber,
+}

@@ -42,6 +42,25 @@ def test_package_imports_cleanly():
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_diagcat_and_a_word_command_load_no_numpy():
+    src = Path(diagcat.__file__).resolve().parents[1]
+    program = (
+        "import sys, diagcat\n"
+        "from diagcat.cli import main\n"
+        "assert main(['normalform', 'x3yx']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from diagcat import CHECK_NAMES, Report, run_suite\n"
+        "assert 'numpy' in sys.modules and len(CHECK_NAMES) == 16\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_readme_library_example_runs():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     section = readme.read_text().split("## Library example", 1)[1]

@@ -37,7 +37,10 @@ from diagcat.auxmonoids import (
     je_mul,
     je_pair,
     je_s,
+    je_to_labeled,
 )
+from diagcat.cobordisms import compose_decorated, make_cobordism
+from diagcat.identities import Identity, Monoid, Word, check_identity, evaluate
 from diagcat.errors import (
     BadInvolution,
     InstanceMismatch,
@@ -103,6 +106,45 @@ def test_je_mul_matches_the_reference_actions(monoid):
     pool = monoid().pool
     for x, y in itertools.product(pool, repeat=2):
         assert je_mul(x, y) == _je_mul_reference(x, y), (x, y)
+
+
+def test_je_to_labeled_is_an_injective_homomorphism_on_the_pool_of_M():
+    pool = monoid_M().pool
+    for x, y in itertools.product(pool, repeat=2):
+        lifted = compose_decorated(je_to_labeled(x), je_to_labeled(y))[0]
+        assert je_to_labeled(je_mul(x, y)) == lifted, (x, y)
+    assert len({je_to_labeled(x) for x in pool}) == len(pool) == 30
+    with pytest.raises(InstanceMismatch):
+        je_to_labeled(je_pair(JE_PARITY, 0, 1))
+
+
+def test_the_cobordism_row_keeps_what_the_labeled_row_drops():
+    """Lifted into cobordisms instead, a pair times a pair closes a
+    component of genus r + l' into the spectrum, so exactly the 25 x 25
+    pair products miss."""
+    pool = monoid_M().pool
+
+    def to_cobordism(x):
+        lp = je_to_labeled(x)
+        return make_cobordism(lp.base, lp.genus, (), True)
+
+    missed = 0
+    for x, y in itertools.product(pool, repeat=2):
+        product = compose_decorated(to_cobordism(x), to_cobordism(y))[0]
+        missed += product != to_cobordism(je_mul(x, y))
+        if x.kind == y.kind == "pair":
+            assert product.spectrum == Spectrum({x.value[1] + y.value[0]: 1})
+    assert missed == 625
+
+
+def test_lifted_decider_witnesses_separate_in_the_labeled_row():
+    m = monoid_M()
+    labeled = Monoid(name="labeled", mul=lambda a, b: compose_decorated(a, b)[0])
+    words = [Word(t) for n in range(1, 5) for t in itertools.product("xyz", repeat=n)]
+    for u, v in itertools.combinations(words, 2):
+        verdict = check_identity(Identity(u, v), m)
+        lifted = {ch: je_to_labeled(x) for ch, x in verdict.witness.items()}
+        assert evaluate(u, lifted, labeled) != evaluate(v, lifted, labeled), (u, v, verdict)
 
 
 def test_band_with_zero_table():

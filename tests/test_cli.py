@@ -159,7 +159,27 @@ def test_check_criterion_modes(capsys):
     assert main(["check", "cube-transport", "N"]) == 0
     assert "holds (structural criterion)" in capsys.readouterr().out
     assert main(["check", "cube-transport", "M"]) == 1
-    assert "fails (structural criterion)" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "identity: x3yx = xyx3",
+        "monoid: M",
+        "verdict: fails (structural criterion; x=1, y=(0,0))",
+    ]
+
+
+def test_check_search_strips_the_decider(capsys):
+    assert main(["check", "cube-transport", "M", "--search"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "seed: 0"
+    assert out[3].startswith("verdict: fails (substitution witness; ")
+    assert main(["check", "interior-swap-nested", "N", "--search", "--budget", "50"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        "seed: 0", "verdict: unknown (no witness within budget 50)"
+    ]
+
+
+def test_check_structural_criteria_take_plain_words(capsys):
+    assert main(["check", "star-sandwich", "N"]) == 2
+    assert "the structural criteria take plain words" in capsys.readouterr().err
 
 
 def test_check_search_is_deterministic(capsys):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,49 @@ def test_spectrum_basics():
     assert s.negate() == Spectrum({0: -2, 3: -1})
     assert s.total() == 3
     assert not Spectrum({1: 0}).pairs  # zero counts are dropped
+
+
+def test_spectrum_counts_and_copies():
+    s = Spectrum({0: 2, 3: 1})
+    assert [s.count(g) for g in (0, 1, 3)] == [2, 0, 1]
+    assert Spectrum(s) == s and Spectrum(s).pairs == s.pairs
+
+
+@pytest.mark.parametrize("data", [5, 2.5, None, [1], [(1, 2, 3)], "ab", b"ab", [("1", 2)]])
+def test_spectrum_rejects_what_is_neither_a_mapping_nor_pairs(data):
+    with pytest.raises(RangeError):
+        Spectrum(data)
+
+
+# Each statement runs in its own interpreter under a timeout, so that a
+# membership test or iteration that never ends fails rather than hangs.
+SPECTRUM_PROTOCOL = [
+    ("7 in Spectrum({1: 1})", "TypeError"),
+    ("list(Spectrum({1: 1}))", "TypeError"),
+    ("Spectrum(Spectrum({1: 1})).count(1)", "1"),
+    ("Spectrum(5)", "RangeError"),
+]
+
+
+@pytest.mark.parametrize("statement, outcome", SPECTRUM_PROTOCOL)
+def test_spectrum_protocol_terminates(statement, outcome):
+    program = (
+        "from diagcat import Spectrum\n"
+        "try:\n"
+        f"    print({statement})\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == outcome
 
 
 def test_unchecked_sums_match_the_validated_constructor():

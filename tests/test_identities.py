@@ -19,7 +19,6 @@ from diagcat import (
     identity_by_name,
     monoid_A21,
     monoid_M,
-    monoid_N,
     normal_form,
     parse_identity,
     parse_iword,
@@ -43,12 +42,12 @@ from diagcat.annular import build_ann_monoid
 from diagcat.suite import _n_key
 from diagcat.identities import (
     MAX_WORD_SYMBOLS,
+    MONOIDS,
     Monoid,
     _identity_letters,
     Verdict,
     monoid_from_table,
     monoid_REES,
-    monoid_SDP,
     star_mix_words,
     zimin_sorted_pair,
 )
@@ -298,7 +297,8 @@ def test_check_identity_exhausts_small_monoids():
 
 
 def test_check_identity_unknown_on_infinite_pool():
-    v = check_identity(IDENTITY_REGISTRY["zimin3-shuffle"], monoid_M(), budget=500)
+    searched = dataclasses.replace(monoid_M(), decide=None)
+    v = check_identity(IDENTITY_REGISTRY["zimin3-shuffle"], searched, budget=500)
     assert v.status in ("unknown", "fails")
     # the one-variable criterion rejects this shuffle, so M must not satisfy it
     ident = IDENTITY_REGISTRY["zimin3-shuffle"]
@@ -391,7 +391,8 @@ def _interned(monoid):
         return products[key]
 
     star = None if monoid.star is None else (lambda x: intern(monoid.star(x)))
-    return dataclasses.replace(monoid, mul=mul, star=star)
+    # The searches are compared, so a monoid's decider is stripped.
+    return dataclasses.replace(monoid, mul=mul, star=star, decide=None)
 
 
 def _outcome(search, identity, monoid, budget, seed):
@@ -411,15 +412,19 @@ def _a21_table():
     return monoid_from_table(am.FiniteMonoid(table, star), "A21-table")
 
 
+def _registered(name):
+    return lambda: _interned(MONOIDS[name]())
+
+
 # M, N and rees are the slowest monoids to search, so they are compared at
 # seed 0 only and the other monoids at seeds 0-2.
 ORACLE_MONOIDS = {
-    "M": (lambda: _interned(monoid_M()), [0]),
-    "N": (lambda: _interned(monoid_N()), [0]),
-    "A21": (lambda: _interned(monoid_A21()), [0, 1, 2]),
-    "sdp": (lambda: _interned(monoid_SDP()), [0, 1, 2]),
-    "rees": (lambda: _interned(monoid_REES()), [0]),
-    "ann3": (lambda: monoid_from_table(build_ann_monoid(3).monoid, "ann3"), [0, 1, 2]),
+    "M": (_registered("M"), [0]),
+    "N": (_registered("N"), [0]),
+    "A21": (_registered("A21"), [0, 1, 2]),
+    "sdp": (_registered("sdp"), [0, 1, 2]),
+    "rees": (_registered("rees"), [0]),
+    "ann3": (MONOIDS["ann3"], [0, 1, 2]),
     "ann4": (lambda: monoid_from_table(build_ann_monoid(4).monoid, "ann4"), [0, 1, 2]),
     "A21-table": (_a21_table, [0, 1, 2]),
 }
@@ -507,3 +512,94 @@ def test_empty_elements_and_pools_match_the_evaluate_search(budget):
         "holds (exhausted 0^2 substitutions)"
     )
     assert str(check_identity(parse_identity("xy=yx"), monoids[1])) == "unknown (no witness pool)"
+
+
+# -- the structural deciders of M and N ----------------------------------------
+
+def _separates(identity, witness, monoid):
+    return evaluate(identity.lhs, witness, monoid) != evaluate(identity.rhs, witness, monoid)
+
+
+@pytest.mark.parametrize("name", ["M", "N"])
+def test_decide_fails_every_pair_of_short_words_with_a_separating_witness(name):
+    """No two distinct words over xyz of length 1-4 are equal in M or N,
+    and each witness separates them through evaluate."""
+    monoid = MONOIDS[name]()
+    words = [Word(t) for n in range(1, 5) for t in itertools.product("xyz", repeat=n)]
+    pairs = 0
+    for u, v in itertools.combinations(words, 2):
+        identity = Identity(u, v)
+        verdict = check_identity(identity, monoid)
+        assert verdict.status == "fails" and verdict.evidence == "structural criterion"
+        assert sorted(verdict.witness) == _identity_letters(identity)
+        assert _separates(identity, verdict.witness, monoid), (str(identity), verdict)
+        pairs += 1
+    assert pairs == 7140
+
+
+# Registry identities and zimin_sorted_pair(1-4): the decided verdict, "x=1"
+# style witness text included, in M and in N.
+PINNED_VERDICTS = {
+    "interior-swap-nested": ("holds (structural criterion)", "holds (structural criterion)"),
+    "interior-swap-crossed": ("holds (structural criterion)", "holds (structural criterion)"),
+    "cube-transport": ("fails (structural criterion; x=1, y=(0,0))",
+                       "holds (structural criterion)"),
+    "zimin3-shuffle": ("fails (structural criterion; a=1, b=(0,0), c=0)",
+                       "fails (structural criterion; a=1, b=(0,0), c=0)"),
+    "zimin4-compression": ("holds (structural criterion)", "holds (structural criterion)"),
+    "commutation": ("fails (structural criterion; x=(0,0), y=1)",
+                    "fails (structural criterion; x=(0,0), y=1)"),
+    "zimin-sorted-1": ("holds (structural criterion)", "holds (structural criterion)"),
+    "zimin-sorted-2": ("fails (structural criterion; a=(0,0), b=1)",
+                       "fails (structural criterion; a=(0,0), b=1)"),
+    "zimin-sorted-3": ("fails (structural criterion; a=(0,0), b=1, c=0)",
+                       "fails (structural criterion; a=(0,0), b=(1,1), c=0)"),
+    "zimin-sorted-4": ("fails (structural criterion; a=(0,0), b=1, c=0, d=0)",
+                       "fails (structural criterion; a=(0,0), b=(1,1), c=0, d=0)"),
+}
+
+
+def test_decide_verdicts_are_pinned_and_no_search_refutes_a_holding_one():
+    plain = {name: ident for name, ident in IDENTITY_REGISTRY.items() if not ident.involutory}
+    plain.update({f"zimin-sorted-{k}": zimin_sorted_pair(k) for k in range(1, 5)})
+    assert sorted(plain) == sorted(PINNED_VERDICTS)
+    for column, name in enumerate(("M", "N")):
+        monoid = MONOIDS[name]()
+        searched = dataclasses.replace(monoid, decide=None)
+        for ident_name, identity in plain.items():
+            verdict = check_identity(identity, monoid)
+            assert str(verdict) == PINNED_VERDICTS[ident_name][column], (name, ident_name)
+            if verdict.status == "fails":
+                assert _separates(identity, verdict.witness, monoid)
+            else:
+                assert check_identity(identity, searched, budget=4000).status != "fails"
+            holds = (holds_in_M if name == "M" else holds_in_N)(identity.lhs, identity.rhs)
+            assert holds == (verdict.status == "holds")
+
+
+@pytest.mark.parametrize("name", ["M", "N"])
+def test_decide_holds_for_each_word_against_its_normal_and_canonical_forms(name):
+    monoid = MONOIDS[name]()
+    rng = random.Random(4)
+    for _ in range(300):
+        w = random_word(rng, max_len=12)
+        assert check_identity(Identity(w, normal_form(w)), monoid).status == "holds"
+        if name == "N":
+            assert check_identity(Identity(w, canonical_form(w)), monoid).status == "holds"
+
+
+def test_decide_takes_plain_words_and_comes_after_the_budget_check():
+    for name in ("M", "N"):
+        with pytest.raises(ParseError, match="the structural criteria take plain words"):
+            check_identity(IDENTITY_REGISTRY["star-sandwich"], MONOIDS[name]())
+        with pytest.raises(RangeError):
+            check_identity(IDENTITY_REGISTRY["commutation"], MONOIDS[name](), budget=-1)
+
+
+def test_check_identity_returns_the_decider_without_evaluating():
+    def no_products(x, y):
+        raise AssertionError("the decider should be used instead")
+
+    verdict = Verdict("holds", "by fiat")
+    monoid = Monoid(name="decided", mul=no_products, pool=(0, 1), decide=lambda ident: verdict)
+    assert check_identity(IDENTITY_REGISTRY["commutation"], monoid) is verdict
