@@ -13,6 +13,9 @@ Non-regular values keep every label and spectrum entry non-negative;
 regular values drop the restriction and gain a star with x x* x == x.
 The reflection sigma and the half-turn rho transport labels along the
 block bijection and are involutive anti-automorphisms on all variants.
+Values over few bases recur under many labels and spectra, so the base
+composition and the block bijections of small bases come from bounded
+memos (partitions.bounded_memo).
 Deformed partitions, a base with one integer shift, are a counter row
 of the category table (serialize.Deformed).
 """
@@ -36,6 +39,7 @@ from .partitions import (
     Partition,
     _require_int,
     block_stats,
+    bounded_memo,
     compose,
     is_idempotent_structurally,
     reflect,
@@ -190,24 +194,29 @@ def _merge_labels(alpha: Partition, res: CompositionResult, g: Sequence, h: Sequ
     return tuple(sums[:live]), sums[live:]
 
 
+_compose_bases = bounded_memo(compose)
+
+
 def compose_decorated(x, y):
     """Compose two labeled or two cobordism values of one regularity over a
     single base composition; returns the product and that
     CompositionResult.  Mixing a labeled value with a cobordism raises
-    BaseMismatch."""
+    BaseMismatch, and a non-regular product with a negative label or
+    spectrum entry, which only operands built without make_cobordism()
+    can give, raises NegativeLabel."""
     if type(x) is not type(y):
         raise BaseMismatch(f"cannot compose a {type(x).__name__} with a {type(y).__name__}")
     if x.regular != y.regular:
         raise RegularityMismatch("cannot mix regular and non-regular values")
-    res = compose(x.base, y.base)
+    res = _compose_bases(x.base, y.base)
     live, dead = _merge_labels(x.base, res, x.genus, y.genus, 1)
-    if not x.regular:
-        assert all(l >= 0 for l in live)
+    if not x.regular and any(l < 0 for l in live):
+        raise NegativeLabel(f"negative genus in non-regular product: {live}")
     if isinstance(x, LabeledPartition):
         return LabeledPartition(res.product, live, x.regular), res
     spectrum = Spectrum._of(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
-    if not x.regular:
-        assert not spectrum.min_genus_negative()
+    if not x.regular and spectrum.min_genus_negative():
+        raise NegativeLabel(f"negative spectrum entry in non-regular product: {spectrum}")
     return Cobordism(res.product, live, spectrum, x.regular), res
 
 
@@ -227,7 +236,7 @@ def _star_genus(x: Partition, genus: Sequence, unit) -> tuple[Partition, tuple]:
     image, moved = reflect_tracked(x)
     per_block = block_stats(x).per_block
     out = [0] * len(genus)
-    for i, target in moved.items():
+    for i, target in enumerate(moved):
         out[target] = -genus[i] + (2 - per_block[i].v) * unit
     return image, tuple(out)
 
@@ -254,7 +263,7 @@ def _mirror(x, tracked):
     and the regularity flag stay put."""
     image, moved = tracked(x.base)
     genus = [0] * len(x.genus)
-    for i, target in moved.items():
+    for i, target in enumerate(moved):
         genus[target] = x.genus[i]
     return x._replace(base=image, genus=tuple(genus))
 

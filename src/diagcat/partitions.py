@@ -10,11 +10,12 @@ in canonical vertex order, numbered as a restricted-growth string: the
 first vertex has label 0 and every vertex either repeats a label already
 seen or takes the next unused one.  Equal partitions therefore have equal
 label tuples; label i names block i.  Outside this module, make_partition()
-builds partitions from outside data and _moved() from a grouping of the
-slots of a value already valid; code reads them through ``nblocks`` and
-block_stats() (only annular.make_ann walks the labels), and ``blocks``,
-the blocks as Vertex tuples derived on first access, serves only the
-reprs and serialize's partition and genus codecs.
+builds partitions from outside data, and sampling.random_partition and
+annular.project_to_ann from labels they number themselves; code reads
+them through ``nblocks`` and block_stats() (only annular.make_ann walks
+the labels), and ``blocks``, the blocks as Vertex tuples derived on
+first access, serves only the reprs and serialize's partition and genus
+codecs.
 
 Composition of alpha: [l] ~> [m] with beta: [m] ~> [n] stacks the two
 partitions on a three-layer vertex set (alpha's incoming layer, the shared
@@ -25,6 +26,9 @@ their count b(alpha, beta) and the class of every factor block drive the
 label bookkeeping of the decorated variants, so compose() returns them
 alongside the product.
 
+bounded_memo() puts a kernel behind a small memo for the callers whose
+values share bases across many calls; compose() itself keeps none.
+
 >>> a = make_partition(2, 2, [[("in", 1), ("out", 1)], [("in", 2), ("out", 2)]])
 >>> compose(a, a).product == a
 True
@@ -32,7 +36,7 @@ True
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
@@ -355,19 +359,54 @@ def block_stats(p: Partition) -> PartitionStats:
     return PartitionStats(tuple(map(BlockStats, iv, ov)), rank, lb, rb)
 
 
-def _moved(m: int, n: int, seq) -> tuple[Partition, dict[int, int]]:
-    """The partition with slot j in group seq[j], and the group -> block map."""
+MAX_PARTITION_VERTICES = 8  # 4 140 partitions; each further vertex multiplies that by 5+
+MEMO_SIZE = 256  # results each bounded memo holds
+
+_MEMOS: list = []  # the lru_cache behind every bounded memo
+
+
+def bounded_memo(kernel):
+    """kernel, a map of one value or a composition of two, behind a memo
+    of its MEMO_SIZE most recent results.
+
+    The memo serves a call only when each operand has at most
+    MAX_PARTITION_VERTICES points and, for a composition, x.n == y.m;
+    every other call, one that raises ShapeMismatch included, runs kernel
+    unmemoised.  A result is stored under its own operands only, and
+    callers share it, so kernel must return immutable values."""
+    cached = lru_cache(maxsize=MEMO_SIZE)(kernel)
+    _MEMOS.append(cached)
+
+    @wraps(kernel)
+    def memoised(x, y=None):
+        if y is None:
+            return cached(x) if x.m + x.n <= MAX_PARTITION_VERTICES else kernel(x)
+        small = x.m + x.n <= MAX_PARTITION_VERTICES and y.m + y.n <= MAX_PARTITION_VERTICES
+        if small and x.n == y.m:
+            return cached(x, y)
+        return kernel(x, y)
+
+    memoised.cache_info = cached.cache_info
+    return memoised
+
+
+def _moved(m: int, n: int, seq) -> tuple[Partition, tuple[int, ...]]:
+    """The partition with slot j in the block of old label seq[j], seq
+    holding every old label, and the block map: the new index of each
+    old block."""
     labels, new = _relabel(seq)
-    return Partition(m, n, labels, len(new)), new
+    return Partition(m, n, labels, len(new)), tuple(map(new.__getitem__, range(len(new))))
 
 
-def reflect_tracked(p: Partition) -> tuple[Partition, dict[int, int]]:
-    """reflect(p) plus the block bijection, mapping the index of each
-    block of p to the index of its image."""
+@bounded_memo
+def reflect_tracked(p: Partition) -> tuple[Partition, tuple[int, ...]]:
+    """reflect(p) plus the block bijection, as the index of the image of
+    each block of p."""
     return _moved(p.n, p.m, p.labels[p.m :] + p.labels[: p.m])
 
 
-def rotate_tracked(p: Partition) -> tuple[Partition, dict[int, int]]:
+@bounded_memo
+def rotate_tracked(p: Partition) -> tuple[Partition, tuple[int, ...]]:
     """rotate(p) plus the block bijection, as in reflect_tracked()."""
     # incoming i goes to outgoing m + 1 - i and outgoing j to incoming
     # n + 1 - j, which reverses the whole vertex order.
@@ -436,9 +475,6 @@ def is_idempotent_structurally(e: Partition):
     for i, b in enumerate(top, 1):
         components.setdefault(find(b), []).append(i)
     return IdempotentDecomposition((tuple(c), rank[r]) for r, c in components.items())
-
-
-MAX_PARTITION_VERTICES = 8  # 4 140 partitions; each further vertex multiplies that by 5+
 
 
 def enumerate_partitions(m: int, n: int):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .partitions import Partition, _moved, _require_shape
+from .partitions import Partition, _require_shape, bounded_memo
 from .cobordisms import Cobordism, Spectrum, make_cobordism
 from .annular import AffineDiagram, _generators, affine_identity, compose_affine
 from .identities import Word
@@ -26,13 +26,15 @@ __all__ = [
 
 
 def random_partition(rng: random.Random, m: int, n: int) -> Partition:
-    """Uniform-ish set partition via sequential block assignment."""
+    """Uniform-ish set partition via sequential block assignment: each
+    vertex joins one of the blocks opened so far or opens the next, so the
+    draws are the restricted-growth labels themselves."""
     _require_shape(m, n)
-    groups, opened = [], 0
+    labels, opened = [], 0
     for _ in range(m + n):
-        groups.append(rng.randrange(opened + 1))
-        opened = max(opened, groups[-1] + 1)
-    return _moved(m, n, groups)[0]
+        labels.append(rng.randrange(opened + 1))
+        opened = max(opened, labels[-1] + 1)
+    return Partition(m, n, tuple(labels), opened)
 
 
 def random_spectrum(rng: random.Random, support: int = 3) -> Spectrum:
@@ -54,6 +56,9 @@ def random_cobordism(
     return make_cobordism(base, labels, spectrum, regular)
 
 
+_step = bounded_memo(compose_affine)  # short walks at small widths revisit their products
+
+
 def random_affine(
     rng: random.Random, n: int, steps: Optional[int] = None
 ) -> AffineDiagram:
@@ -63,7 +68,7 @@ def random_affine(
     gens = _generators(n)
     out = affine_identity(n)
     for _ in range(steps):
-        out = compose_affine(out, rng.choice(gens)).product
+        out = _step(out, rng.choice(gens)).product
     return out
 
 

@@ -23,7 +23,9 @@ regular (their star is total); aTL, aTLd and Annd take both.
 The counter rows Pd, Pd-bar, aTL, aTLd and Annd hold Deformed values: a
 value of a base row (P, aTLe or Ann) plus integer counters, each fed by
 one diagnostic of the base composition.  One builder derives each of
-them from its base row and its (field, diagnostic) pairs.
+them from its base row and its (field, diagnostic) pairs.  Values recur
+under many counters, so the counter rows over one base row compose small
+bases through one shared bounded memo (partitions.bounded_memo).
 """
 
 from __future__ import annotations
@@ -33,7 +35,17 @@ from typing import Callable, Mapping, NamedTuple
 
 from . import annular, cobordisms, sampling
 from .errors import NegativeLabel, NotRegular, ParseError, RangeError, RegularityMismatch
-from .partitions import IN, OUT, Partition, Vertex, _ground, compose, make_partition, reflect
+from .partitions import (
+    IN,
+    OUT,
+    Partition,
+    Vertex,
+    _ground,
+    bounded_memo,
+    compose,
+    make_partition,
+    reflect,
+)
 from .cobordisms import Cobordism, LabeledPartition, Spectrum, make_cobordism, to_labeled
 from .annular import (
     AffineDiagram,
@@ -278,9 +290,10 @@ class Deformed(NamedTuple):
     regular: bool = False
 
 
-def _deformed_row(name, base, counters, regularities=(False, True)) -> Category:
-    """The row of base values with counters: counters pairs each counter's
-    JSON field with the diagnostic of the base composition that feeds it.
+def _deformed_row(name, base, compose_base, counters, regularities=(False, True)) -> Category:
+    """The row of base values with counters: compose_base is base.compose
+    over a bounded memo, and counters pairs each counter's JSON field with
+    the diagnostic of the base composition that feeds it.
 
     A product's counter is the sum of the operands' plus that diagnostic;
     the star is the base star with each counter c turned into
@@ -309,7 +322,7 @@ def _deformed_row(name, base, counters, regularities=(False, True)) -> Category:
     def compose_(x: Deformed, y: Deformed):
         if x.regular != y.regular:
             raise RegularityMismatch("cannot mix regular and non-regular values")
-        product, diag = base.compose(x.base, y.base)
+        product, diag = compose_base(x.base, y.base)
         counts = tuple([a + b + diag[feed] for a, b, feed in zip(x.counts, y.counts, feeds)])
         return Deformed(product, counts, x.regular), diag
 
@@ -317,7 +330,7 @@ def _deformed_row(name, base, counters, regularities=(False, True)) -> Category:
         if not x.regular:
             raise NotRegular("star needs a regular value")
         image = base.star(x.base)
-        fwd, bwd = base.compose(x.base, image)[1], base.compose(image, x.base)[1]
+        fwd, bwd = compose_base(x.base, image)[1], compose_base(image, x.base)[1]
         counts = tuple([-c - fwd[f] - bwd[f] for c, f in zip(x.counts, feeds)])
         return Deformed(image, counts, True)
 
@@ -356,11 +369,16 @@ _ANN = Category(
     annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {},
 )
 _SHIFT = (("shift", "dead_blocks"),)
+# The counter rows over one base row share its memoised composer; over P
+# that memo is also the one behind cobordisms.compose_decorated.
+_P_SHARED = _table_compose(_undecorated(cobordisms._compose_bases), _dead_blocks)
+_ATLE_SHARED = _table_compose(_undecorated(bounded_memo(compose_affine)), _circles)
+_ANN_SHARED = _table_compose(bounded_memo(compose_ann), _dead_blocks)
 
 CATEGORIES: dict[str, Category] = {
     "P": _P,
-    "Pd": _deformed_row("Pd", _P, _SHIFT, (False,)),
-    "Pd-bar": _deformed_row("Pd-bar", _P, _SHIFT, (True,)),
+    "Pd": _deformed_row("Pd", _P, _P_SHARED, _SHIFT, (False,)),
+    "Pd-bar": _deformed_row("Pd-bar", _P, _P_SHARED, _SHIFT, (True,)),
     **_partition_rows(
         "Cob0", _read_labeled, _enc_labeled,
         lambda rng, m, n, regular: to_labeled(
@@ -376,10 +394,10 @@ CATEGORIES: dict[str, Category] = {
         {"Cob0": to_labeled, "Pd": lambda x: Deformed(x.base, (x.spectrum.total(),), x.regular)},
     ),
     "aTLe": _ATLE,
-    "aTL": _deformed_row("aTL", _ATLE, (("k", "bw"),)),
-    "aTLd": _deformed_row("aTLd", _ATLE, (("k", "bw"), ("k0", "b0"))),
+    "aTL": _deformed_row("aTL", _ATLE, _ATLE_SHARED, (("k", "bw"),)),
+    "aTLd": _deformed_row("aTLd", _ATLE, _ATLE_SHARED, (("k", "bw"), ("k0", "b0"))),
     "Ann": _ANN,
-    "Annd": _deformed_row("Annd", _ANN, (("k", "dead_blocks"),)),
+    "Annd": _deformed_row("Annd", _ANN, _ANN_SHARED, (("k", "dead_blocks"),)),
 }
 
 

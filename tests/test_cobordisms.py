@@ -109,6 +109,28 @@ def test_compose_decorated_rejects_mixed_operand_types():
         compose_decorated(cobordism, labeled)
 
 
+def test_compose_decorated_rejects_negative_non_regular_products():
+    """Operands built as bare NamedTuples skip make_cobordism's checks; the
+    product's check holds under python -O as well."""
+    one = identity_partition(1)
+    negative = Cobordism(one, (-1,), Spectrum(), False)
+    zero = Cobordism(one, (0,), Spectrum(), False)
+    for x, y in ((negative, zero), (zero, negative)):
+        with pytest.raises(NegativeLabel, match="negative genus"):
+            compose_decorated(x, y)
+        with pytest.raises(NegativeLabel, match="negative genus"):
+            compose_decorated(to_labeled(x), to_labeled(y))
+    with pytest.raises(NegativeLabel, match="negative spectrum entry"):
+        compose_decorated(Cobordism(one, (0,), Spectrum({2: -1}), False), zero)
+    # H's middle blocks close into one component of label -1 + -1 + 1.
+    with pytest.raises(NegativeLabel, match="negative spectrum entry"):
+        compose_decorated(
+            Cobordism(H, (0, -1), Spectrum(), False), Cobordism(H, (-1, 0), Spectrum(), False)
+        )
+    regular = compose_decorated(negative._replace(regular=True), zero._replace(regular=True))[0]
+    assert regular.genus == (-1,)
+
+
 def test_make_cobordism_validates():
     with pytest.raises(BaseMismatch):
         make_cobordism(H, (1,), (), True)

@@ -22,7 +22,7 @@ from diagcat import (
     vout,
 )
 from diagcat.cobordisms import Cobordism, LabeledPartition, Spectrum, _merge_labels
-from diagcat.partitions import _ground, compose, rotate
+from diagcat.partitions import _ground, _moved, compose, rotate
 from diagcat.sampling import random_cobordism, random_partition, random_spectrum
 
 
@@ -291,6 +291,27 @@ def test_structural_idempotency_matches_the_vertex_walk():
         e = random_partition(rng, n, n)
         witness = is_idempotent_structurally(e)
         assert (witness and tuple(witness)) == idempotent_oracle(e)
+
+
+def random_partition_moved(rng, m, n):
+    """random_partition as it drew groups and renumbered them through
+    partitions._moved()."""
+    groups, opened = [], 0
+    for _ in range(m + n):
+        groups.append(rng.randrange(opened + 1))
+        opened = max(opened, groups[-1] + 1)
+    return _moved(m, n, groups)[0]
+
+
+def test_random_partition_draws_restricted_growth_labels():
+    new, old = random.Random(17), random.Random(17)
+    for _ in range(10_000):
+        m, n = new.randint(0, 4), new.randint(0, 4)
+        old.randint(0, 4), old.randint(0, 4)
+        p = random_partition(new, m, n)
+        q = random_partition_moved(old, m, n)
+        assert (p.m, p.n, p.labels, p.nblocks) == (q.m, q.n, q.labels, q.nblocks)
+        assert new.getstate() == old.getstate()
 
 
 def test_samplers_draw_what_the_vertex_blocks_drew():

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from diagcat import CATEGORIES, Deformed, cobordisms, decode, encode
+from diagcat import CATEGORIES, Deformed, cobordisms, decode, encode, partitions
 from diagcat.serialize import partition_to_json
 from diagcat.annular import (
     AffineDiagram,
@@ -327,6 +327,14 @@ def _base_compositions(fn, *args):
     return out, calls
 
 
+def clear_memos():
+    for memo in partitions._MEMOS:
+        memo.cache_clear()
+
+
+MEMO_FREE = {"P", "aTLe", "Ann"}  # rows that call the plain kernels
+
+
 def test_compose_through_category_table():
     rng = random.Random(9)
     assert set(PUBLIC_COMPOSE) == set(CATEGORIES)
@@ -336,8 +344,14 @@ def test_compose_through_category_table():
             regular = rng.choice(cat.regularities)
             x = cat.sample(rng, l, m, regular)
             y = cat.sample(rng, m, n, regular)
+            clear_memos()
             (product, diag), calls = _base_compositions(cat.compose, x, y)
             assert calls == 1, name
+            # A repeated small call is served by the row's memo, with a
+            # diagnostics dict of its own.
+            (again, fresh), calls = _base_compositions(cat.compose, x, y)
+            assert calls == (name in MEMO_FREE), name
+            assert again == product and fresh == diag and fresh is not diag
             bx, by = _bare(x), _bare(y)
             if isinstance(bx, Partition):
                 assert diag == {"dead_blocks": compose(bx, by).b}
@@ -346,6 +360,11 @@ def test_compose_through_category_table():
                 assert diag == {"b0": res.b0, "bw": res.bw}
             assert product == PUBLIC_COMPOSE[name](x, y)
             assert decode(name, encode(name, product)) == product
+        # Operands of ten points pass the memo by.
+        regular = cat.regularities[-1]
+        x, y = cat.sample(rng, 5, 5, regular), cat.sample(rng, 5, 5, regular)
+        cat.compose(x, y)
+        assert _base_compositions(cat.compose, x, y)[1] == 1, name
 
 
 PARTITIONS = [
