@@ -54,11 +54,10 @@ from .partitions import (
     Vertex,
     _coerce_side,
     _ground,
+    _moved,
     _points,
-    _relabel,
     _require_int,
     _require_shape,
-    bounded_memo,
     compose as compose_partition,
     reflect,
     rotate,
@@ -343,7 +342,6 @@ def affine_power(a: AffineDiagram, k: int) -> AffineDiagram:
     return out
 
 
-@bounded_memo
 def _reflect_diagram(x: AffineDiagram) -> AffineDiagram:
     """Swap the window's halves, as reflect_tracked() does: top slot j
     becomes slot n + j and bottom slot m + k becomes slot k."""
@@ -352,7 +350,6 @@ def _reflect_diagram(x: AffineDiagram) -> AffineDiagram:
     return AffineDiagram(n, m, moved[m:] + moved[:m], x.offset[m:] + x.offset[:m])
 
 
-@bounded_memo
 def _rotate_diagram(x: AffineDiagram) -> AffineDiagram:
     """Reverse the window, as rotate_tracked() does, and negate the
     offsets."""
@@ -398,14 +395,6 @@ class AnnularPartition(NamedTuple):
     base: Partition
 
     @property
-    def m(self) -> int:
-        return self.base.m
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
     def rank(self) -> int:
         return self.base.rank
 
@@ -415,8 +404,7 @@ class AnnularPartition(NamedTuple):
 
 def project_to_ann(a: AffineDiagram) -> AnnularPartition:
     """Forget offsets: each string becomes a two-element block."""
-    labels, new = _relabel([min(j, p) for j, p in enumerate(a.partner)])
-    return AnnularPartition(Partition(a.m, a.n, labels, len(new)))
+    return AnnularPartition(_moved(a.m, a.n, [min(j, p) for j, p in enumerate(a.partner)])[0])
 
 
 def make_ann(base: Partition) -> AnnularPartition:

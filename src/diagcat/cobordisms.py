@@ -14,8 +14,8 @@ regular values drop the restriction and gain a star with x x* x == x.
 The reflection sigma and the half-turn rho transport labels along the
 block bijection and are involutive anti-automorphisms on all variants.
 Values over few bases recur under many labels and spectra, so the base
-composition and the block bijections of small bases come from bounded
-memos (partitions.bounded_memo).
+composition of small bases comes from a bounded memo
+(partitions.bounded_memo).
 Deformed partitions, a base with one integer shift, are a counter row
 of the category table (serialize.Deformed).
 """
@@ -236,7 +236,7 @@ def _star_genus(x: Partition, genus: Sequence, unit) -> tuple[Partition, tuple]:
     image, moved = reflect_tracked(x)
     per_block = block_stats(x).per_block
     out = [0] * len(genus)
-    for i, target in enumerate(moved):
+    for i, target in moved.items():
         out[target] = -genus[i] + (2 - per_block[i].v) * unit
     return image, tuple(out)
 
@@ -263,7 +263,7 @@ def _mirror(x, tracked):
     and the regularity flag stay put."""
     image, moved = tracked(x.base)
     genus = [0] * len(x.genus)
-    for i, target in enumerate(moved):
+    for i, target in moved.items():
         genus[target] = x.genus[i]
     return x._replace(base=image, genus=tuple(genus))
 

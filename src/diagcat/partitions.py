@@ -10,12 +10,12 @@ in canonical vertex order, numbered as a restricted-growth string: the
 first vertex has label 0 and every vertex either repeats a label already
 seen or takes the next unused one.  Equal partitions therefore have equal
 label tuples; label i names block i.  Outside this module, make_partition()
-builds partitions from outside data, and sampling.random_partition and
-annular.project_to_ann from labels they number themselves; code reads
-them through ``nblocks`` and block_stats() (only annular.make_ann walks
-the labels), and ``blocks``, the blocks as Vertex tuples derived on
-first access, serves only the reprs and serialize's partition and genus
-codecs.
+builds partitions from outside data, _moved() from a grouping of the
+slots of a value already valid, and sampling.random_partition from the
+restricted-growth labels it draws; code reads them through ``nblocks``
+and block_stats() (only annular.make_ann walks the labels), and
+``blocks``, the blocks as Vertex tuples derived on first access, serves
+only the reprs and serialize's partition and genus codecs.
 
 Composition of alpha: [l] ~> [m] with beta: [m] ~> [n] stacks the two
 partitions on a three-layer vertex set (alpha's incoming layer, the shared
@@ -27,7 +27,9 @@ label bookkeeping of the decorated variants, so compose() returns them
 alongside the product.
 
 bounded_memo() puts a kernel behind a small memo for the callers whose
-values share bases across many calls; compose() itself keeps none.
+values share bases across many calls; compose() itself keeps none, while
+reflect_tracked() and rotate_tracked(), which the mirrors of decorated
+values call on few bases, keep one each.
 
 >>> a = make_partition(2, 2, [[("in", 1), ("out", 1)], [("in", 2), ("out", 2)]])
 >>> compose(a, a).product == a
@@ -38,7 +40,8 @@ from __future__ import annotations
 
 from functools import lru_cache, wraps
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     BoundExceeded,
@@ -362,51 +365,54 @@ def block_stats(p: Partition) -> PartitionStats:
 MAX_PARTITION_VERTICES = 8  # 4 140 partitions; each further vertex multiplies that by 5+
 MEMO_SIZE = 256  # results each bounded memo holds
 
-_MEMOS: list = []  # the lru_cache behind every bounded memo
+_MEMOS: dict = {}  # kernel -> its bounded memo
 
 
 def bounded_memo(kernel):
     """kernel, a map of one value or a composition of two, behind a memo
-    of its MEMO_SIZE most recent results.
+    of its MEMO_SIZE most recent results; every call for one kernel
+    returns the same memo, so all its callers share it.
 
     The memo serves a call only when each operand has at most
-    MAX_PARTITION_VERTICES points and, for a composition, x.n == y.m;
-    every other call, one that raises ShapeMismatch included, runs kernel
-    unmemoised.  A result is stored under its own operands only, and
-    callers share it, so kernel must return immutable values."""
+    MAX_PARTITION_VERTICES points; larger ones run kernel unmemoised.
+    Two operands are equal only when their shapes are, so a pair whose
+    shapes do not meet misses the memo and raises ShapeMismatch from
+    kernel, which lru_cache never stores.  A result is stored under its
+    own operands only, and callers share it, so kernel must return
+    immutable values."""
+    if kernel in _MEMOS:
+        return _MEMOS[kernel]
     cached = lru_cache(maxsize=MEMO_SIZE)(kernel)
-    _MEMOS.append(cached)
 
     @wraps(kernel)
     def memoised(x, y=None):
-        if y is None:
-            return cached(x) if x.m + x.n <= MAX_PARTITION_VERTICES else kernel(x)
-        small = x.m + x.n <= MAX_PARTITION_VERTICES and y.m + y.n <= MAX_PARTITION_VERTICES
-        if small and x.n == y.m:
-            return cached(x, y)
-        return kernel(x, y)
+        if x.m + x.n <= MAX_PARTITION_VERTICES and (
+            y is None or y.m + y.n <= MAX_PARTITION_VERTICES
+        ):
+            return cached(x) if y is None else cached(x, y)
+        return kernel(x) if y is None else kernel(x, y)
 
-    memoised.cache_info = cached.cache_info
+    memoised.cache_info, memoised.cache_clear = cached.cache_info, cached.cache_clear
+    _MEMOS[kernel] = memoised
     return memoised
 
 
-def _moved(m: int, n: int, seq) -> tuple[Partition, tuple[int, ...]]:
-    """The partition with slot j in the block of old label seq[j], seq
-    holding every old label, and the block map: the new index of each
-    old block."""
+def _moved(m: int, n: int, seq) -> tuple[Partition, Mapping[int, int]]:
+    """The partition with slot j in group seq[j], and the group -> block
+    map, read-only since the tracked mirrors share it from their memo."""
     labels, new = _relabel(seq)
-    return Partition(m, n, labels, len(new)), tuple(map(new.__getitem__, range(len(new))))
+    return Partition(m, n, labels, len(new)), MappingProxyType(new)
 
 
 @bounded_memo
-def reflect_tracked(p: Partition) -> tuple[Partition, tuple[int, ...]]:
-    """reflect(p) plus the block bijection, as the index of the image of
-    each block of p."""
+def reflect_tracked(p: Partition) -> tuple[Partition, Mapping[int, int]]:
+    """reflect(p) plus the block bijection, mapping the index of each
+    block of p to the index of its image."""
     return _moved(p.n, p.m, p.labels[p.m :] + p.labels[: p.m])
 
 
 @bounded_memo
-def rotate_tracked(p: Partition) -> tuple[Partition, tuple[int, ...]]:
+def rotate_tracked(p: Partition) -> tuple[Partition, Mapping[int, int]]:
     """rotate(p) plus the block bijection, as in reflect_tracked()."""
     # incoming i goes to outgoing m + 1 - i and outgoing j to incoming
     # n + 1 - j, which reverses the whole vertex order.

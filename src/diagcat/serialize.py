@@ -24,8 +24,8 @@ The counter rows Pd, Pd-bar, aTL, aTLd and Annd hold Deformed values: a
 value of a base row (P, aTLe or Ann) plus integer counters, each fed by
 one diagnostic of the base composition.  One builder derives each of
 them from its base row and its (field, diagnostic) pairs.  Values recur
-under many counters, so the counter rows over one base row compose small
-bases through one shared bounded memo (partitions.bounded_memo).
+under many counters, so the counter rows compose small bases through the
+bounded memo of their base row's kernel (partitions.bounded_memo).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .annular import (
     AffineDiagram,
     AnnularPartition,
     compose_affine,
-    compose_ann,
     make_affine,
     make_ann,
     project_to_ann,
@@ -244,9 +243,14 @@ def _enc_ann(x: AnnularPartition) -> dict:
     return {**partition_to_json(x.base), "annular": True}
 
 
-def _undecorated(compose_base):
+def _undecorated(kernel):
     """P and aTLe: the product is the base composition's own."""
-    return lambda x, y: ((res := compose_base(x, y)).product, res)
+    return lambda x, y: ((res := kernel(x, y)).product, res)
+
+
+def _shadowed(kernel):
+    """Ann: the product is the shadow of the composition of the bases."""
+    return lambda x, y: (AnnularPartition((res := kernel(x.base, y.base)).product), res)
 
 
 def _table_compose(traced, diagnostics):
@@ -258,6 +262,16 @@ def _table_compose(traced, diagnostics):
         return product, diagnostics(res)
 
     return compose_
+
+
+def _base_composers(lift, kernel, diagnostics):
+    """A base row's table composer over kernel, and the one that the
+    counter rows over it share, over kernel's bounded memo; lift turns a
+    kernel into (x, y) -> (product, base composition)."""
+    return (
+        _table_compose(lift(kernel), diagnostics),
+        _table_compose(lift(bounded_memo(kernel)), diagnostics),
+    )
 
 
 def _dead_blocks(res) -> dict:
@@ -291,9 +305,10 @@ class Deformed(NamedTuple):
 
 
 def _deformed_row(name, base, compose_base, counters, regularities=(False, True)) -> Category:
-    """The row of base values with counters: compose_base is base.compose
-    over a bounded memo, and counters pairs each counter's JSON field with
-    the diagnostic of the base composition that feeds it.
+    """The row of base values with counters: compose_base is the shared
+    composer from _base_composers() beside base.compose, and counters
+    pairs each counter's JSON field with the diagnostic of the base
+    composition that feeds it.
 
     A product's counter is the sum of the operands' plus that diagnostic;
     the star is the base star with each counter c turned into
@@ -350,30 +365,28 @@ def _deformed_row(name, base, compose_base, counters, regularities=(False, True)
     )
 
 
+_P_COMPOSE, _P_SHARED = _base_composers(_undecorated, compose, _dead_blocks)
+_ATLE_COMPOSE, _ATLE_SHARED = _base_composers(_undecorated, compose_affine, _circles)
+_ANN_COMPOSE, _ANN_SHARED = _base_composers(_shadowed, compose, _dead_blocks)
 _P = Category(
     "P", lambda d, regular: partition_from_json(d), partition_to_json,
-    _table_compose(_undecorated(compose), _dead_blocks), (True,), False,
+    _P_COMPOSE, (True,), False,
     lambda rng, m, n, regular: sampling.random_partition(rng, m, n),
     cobordisms.sigma, cobordisms.rho, reflect, {},
 )
 _ATLE = Category(
     "aTLe", lambda d, regular: affine_from_json(d), affine_to_json,
-    _table_compose(_undecorated(compose_affine), _circles), (True,), True,
+    _ATLE_COMPOSE, (True,), True,
     lambda rng, m, n, regular: sampling.random_affine(rng, m),
     annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {"Ann": project_to_ann},
 )
 _ANN = Category(
     "Ann", lambda d, regular: make_ann(partition_from_json(d)), _enc_ann,
-    _table_compose(compose_ann, _dead_blocks), (True,), True,
+    _ANN_COMPOSE, (True,), True,
     lambda rng, m, n, regular: project_to_ann(sampling.random_affine(rng, m)),
     annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {},
 )
 _SHIFT = (("shift", "dead_blocks"),)
-# The counter rows over one base row share its memoised composer; over P
-# that memo is also the one behind cobordisms.compose_decorated.
-_P_SHARED = _table_compose(_undecorated(cobordisms._compose_bases), _dead_blocks)
-_ATLE_SHARED = _table_compose(_undecorated(bounded_memo(compose_affine)), _circles)
-_ANN_SHARED = _table_compose(bounded_memo(compose_ann), _dead_blocks)
 
 CATEGORIES: dict[str, Category] = {
     "P": _P,

@@ -1,5 +1,5 @@
 """The bounded memos behind the decorated compositions, the counter rows,
-the mirrors and the affine sampler's walk."""
+the tracked partition mirrors and the affine sampler's walk."""
 
 import itertools
 import random
@@ -7,13 +7,15 @@ import random
 import pytest
 
 from diagcat import CATEGORIES, annular, cobordisms, partitions
-from diagcat.annular import AffineDiagram, compose_affine, sigma_affine, zeta
+from diagcat.annular import AffineDiagram, compose_affine
 from diagcat.cobordisms import Cobordism, Spectrum, compose_decorated, rho, sigma
 from diagcat.errors import ShapeMismatch
 from diagcat.partitions import (
     MAX_PARTITION_VERTICES,
     MEMO_SIZE,
     Partition,
+    bounded_memo,
+    compose,
     enumerate_partitions,
     reflect_tracked,
     rotate_tracked,
@@ -23,12 +25,12 @@ from diagcat.serialize import Deformed
 
 
 def clear_memos():
-    for memo in partitions._MEMOS:
+    for memo in partitions._MEMOS.values():
         memo.cache_clear()
 
 
 def memo_sizes():
-    return [memo.cache_info().currsize for memo in partitions._MEMOS]
+    return [memo.cache_info().currsize for memo in partitions._MEMOS.values()]
 
 
 def _pool(cat, rng, width, regular):
@@ -60,21 +62,27 @@ def test_memoised_rows_agree_with_fresh_compositions(name):
             assert cat.compose(x, y) == composed
             if regular:
                 assert cat.star(x) == star
-        assert sum(memo.cache_info().hits for memo in partitions._MEMOS) > 0
+        hits = sum(memo.cache_info().hits for memo in partitions._MEMOS.values())
+        # aTLe's compose and star (the affine reflection) reach no memo.
+        assert (hits > 0) == (name != "aTLe"), name
 
 
-def test_mirrors_and_walks_agree_with_their_kernels():
+def test_one_memo_per_kernel_and_mirrors_and_walks_agree_with_their_kernels():
+    assert bounded_memo(compose) is cobordisms._compose_bases
+    assert bounded_memo(compose_affine) is bounded_memo(compose_affine)
+    kernels = {compose, compose_affine, reflect_tracked.__wrapped__, rotate_tracked.__wrapped__}
+    assert set(partitions._MEMOS) == kernels
     rng = random.Random(3)
     for _ in range(500):
         p = random_partition(rng, rng.randint(0, 5), rng.randint(0, 5))
         for tracked in (reflect_tracked, rotate_tracked):
-            assert tracked(p) == tracked.__wrapped__(p)
-            assert isinstance(tracked(p)[1], tuple)
-        d = random_affine(rng, rng.randint(1, 4), steps=3)
-        for mirror in (annular._reflect_diagram, annular._rotate_diagram):
-            assert mirror(d) == mirror.__wrapped__(d)
+            image, moved = tracked(p)
+            assert (image, moved) == tracked.__wrapped__(p)
+            with pytest.raises(TypeError):
+                moved[0] = 0  # shared from the memo, so read-only
     clear_memos()
     walk = [random_affine(random.Random(seed), 3) for seed in range(200)]
+    assert bounded_memo(compose_affine).cache_info().hits > 0
     unmemoised = []
     for seed in range(200):
         r = random.Random(seed)
@@ -115,26 +123,40 @@ def test_a_shape_mismatch_is_raised_past_a_primed_memo():
     cat.compose(Deformed(through, (0,), True), Deformed(through, (0,), True))
     with pytest.raises(ShapeMismatch):
         cat.compose(Deformed(through, (0,), True), Deformed(cup, (0,), True))
-    assert reflect_tracked(p20)[0].m == 0 and reflect_tracked(p02)[0].m == 2
+
+
+def _bare(x):
+    """The partition or affine diagram under a value of any row."""
+    while not isinstance(x, (Partition, AffineDiagram)):
+        x = x.base
+    return x
 
 
 def test_an_involution_does_not_store_its_image():
+    """A mirror stores its result under its operand only, so
+    sigma(sigma(x)) == x computes both sides; a counter row's star stores
+    only its two compositions with x."""
     rng = random.Random(5)
-    for _ in range(100):
-        x = random_cobordism(rng, 1, 3, regular=True)
-        for mirror, tracked in ((sigma, reflect_tracked), (rho, rotate_tracked)):
-            clear_memos()
-            image = mirror(x)
-            misses = tracked.cache_info().misses
-            assert mirror(image) == x
-            assert tracked.cache_info().misses == misses + 1
-    d = zeta(3)
-    clear_memos()
-    image = sigma_affine(d)
-    assert image != d
-    misses = annular._reflect_diagram.cache_info().misses
-    assert sigma_affine(image) == d
-    assert annular._reflect_diagram.cache_info().misses == misses + 1
+    checked = 0
+    for name, cat in CATEGORIES.items():
+        for regular in cat.regularities:
+            x = cat.sample(rng, 2, 2, regular)
+            for mirror in (cat.sigma, cat.rho):
+                clear_memos()
+                image = mirror(x)
+                assert mirror(image) == x
+                hits = sum(memo.cache_info().hits for memo in partitions._MEMOS.values())
+                if _bare(image) != _bare(x):
+                    assert hits == 0, name
+                    checked += sum(memo_sizes()) == 2
+            if regular and isinstance(x, Deformed):
+                clear_memos()
+                image = cat.star(x)
+                a, b = _bare(x), _bare(image)
+                memo = bounded_memo(compose_affine if name.startswith("aTL") else compose)
+                keys = {(a, b), (b, a)}
+                assert memo.cache_info().currsize == len(keys), name
+    assert checked > 0  # the partition rows' mirrors were memoised
 
 
 def _unlabelled(p):

@@ -328,7 +328,7 @@ def _base_compositions(fn, *args):
 
 
 def clear_memos():
-    for memo in partitions._MEMOS:
+    for memo in partitions._MEMOS.values():
         memo.cache_clear()
 
 
