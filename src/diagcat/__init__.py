@@ -56,7 +56,6 @@ from .annular import (
     affine_power,
     build_ann_monoid,
     compose_affine,
-    compose_ann,
     cup_cap,
     enumerate_affine,
     lambda_pow,

@@ -27,6 +27,10 @@ also forgets the offsets, leaving an ordinary partition arrow.  The
 category table adds the counters back as counter rows (serialize.Deformed):
 aTLd counts both kinds of circle, aTL only the wrapping ones, and Annd
 the dead blocks of the shadow composition.
+
+sigma_affine and rho_affine mirror bare diagrams only.  A shadow is
+mirrored through its base by the Ann row of the category table, and
+composed by that row or by AnnularPartition's * operator.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .auxmonoids import FiniteMonoid
 from .partitions import (
     IN,
     OUT,
-    CompositionResult,
     Partition,
     Vertex,
     _coerce_side,
@@ -59,8 +62,6 @@ from .partitions import (
     _require_int,
     _require_shape,
     compose as compose_partition,
-    reflect,
-    rotate,
 )
 
 __all__ = [
@@ -78,7 +79,6 @@ __all__ = [
     "AnnularPartition",
     "project_to_ann",
     "make_ann",
-    "compose_ann",
     "shift_gap",
     "enumerate_affine",
     "build_ann_monoid",
@@ -342,40 +342,21 @@ def affine_power(a: AffineDiagram, k: int) -> AffineDiagram:
     return out
 
 
-def _reflect_diagram(x: AffineDiagram) -> AffineDiagram:
-    """Swap the window's halves, as reflect_tracked() does: top slot j
-    becomes slot n + j and bottom slot m + k becomes slot k."""
+def sigma_affine(x: AffineDiagram) -> AffineDiagram:
+    """Reflection swapping the two rows while keeping offsets: top slot j
+    becomes slot n + j and bottom slot m + k becomes slot k, as in
+    reflect_tracked()."""
     m, n = x.m, x.n
     moved = tuple(p - m if p >= m else p + n for p in x.partner)
     return AffineDiagram(n, m, moved[m:] + moved[:m], x.offset[m:] + x.offset[:m])
 
 
-def _rotate_diagram(x: AffineDiagram) -> AffineDiagram:
-    """Reverse the window, as rotate_tracked() does, and negate the
-    offsets."""
+def rho_affine(x: AffineDiagram) -> AffineDiagram:
+    """Half-turn: reverse the window, as rotate_tracked() does, and negate
+    the offsets."""
     last = x.m + x.n - 1
     moved = tuple(last - p for p in reversed(x.partner))
     return AffineDiagram(x.n, x.m, moved, tuple(-t for t in reversed(x.offset)))
-
-
-def _mirror(x, diagram_map, partition_map):
-    """x under the involution given by its maps on bare diagrams and on
-    shadow bases."""
-    if isinstance(x, AffineDiagram):
-        return diagram_map(x)
-    if isinstance(x, AnnularPartition):
-        return x._replace(base=partition_map(x.base))
-    raise TypeError(f"no involution for {type(x).__name__}")
-
-
-def sigma_affine(x):
-    """Reflection swapping the two rows while keeping offsets."""
-    return _mirror(x, _reflect_diagram, reflect)
-
-
-def rho_affine(x):
-    """Half-turn: reflect rows, negate offsets, reverse both index orders."""
-    return _mirror(x, _rotate_diagram, rotate)
 
 
 @lru_cache(maxsize=128)
@@ -399,7 +380,7 @@ class AnnularPartition(NamedTuple):
         return self.base.rank
 
     def __mul__(self, other: "AnnularPartition") -> "AnnularPartition":
-        return compose_ann(self, other)[0]
+        return AnnularPartition(compose_partition(self.base, other.base).product)
 
 
 def project_to_ann(a: AffineDiagram) -> AnnularPartition:
@@ -445,16 +426,6 @@ def make_ann(base: Partition) -> AnnularPartition:
                 if seen != before and seen - before != len(ends):
                     raise CrossingError(f"a cup of {base!r} separates through strings")
     return AnnularPartition(base)
-
-
-def compose_ann(
-    x: AnnularPartition, y: AnnularPartition
-) -> tuple[AnnularPartition, CompositionResult]:
-    """Compose the shadows; returns the product and the base composition,
-    whose dead-block count equals the total number of circles the affine
-    composition makes."""
-    res = compose_partition(x.base, y.base)
-    return AnnularPartition(res.product), res
 
 
 def shift_gap(x: AffineDiagram, y: AffineDiagram):

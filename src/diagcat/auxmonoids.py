@@ -6,7 +6,8 @@ form a free commutative monoid under disjoint union, generated by the
 single-circle trees, with a unary "enclose" operation.  Next to them live
 generic ideal extensions of rectangular bands, a five-element 0-simple
 semigroup, a semidirect product of forest pairs with parity twisting, a
-triple semigroup whose middle coordinate absorbs encircled sums, and the
+triple semigroup whose middle coordinate absorbs encircled sums (rees_mul
+and rees_star also take its adjoined identity REES_ONE), and the
 genus pairs over the singleton base that collapse onto the five-element
 band.  A validated multiplication table type covers the finite cases.
 """
@@ -32,7 +33,6 @@ __all__ = [
     "CircleForest",
     "CF_EMPTY",
     "CF_CIRCLE",
-    "cf_times",
     "JEInstance",
     "JEElement",
     "JE_INT",
@@ -56,12 +56,9 @@ __all__ = [
     "REES_ONE",
     "rees_mul",
     "rees_star",
-    "rees_mul_1",
-    "rees_star_1",
     "FiniteMonoid",
     "SINGLETON_BASE",
     "genus_pair",
-    "genus_pair_parts",
     "a2_image",
 ]
 
@@ -106,8 +103,6 @@ class CircleForest:
             raise RangeError("forest multiples must be non-negative")
         return CircleForest(self.trees * m)
 
-    __rmul__ = __mul__
-
     def enclose(self) -> "CircleForest":
         """One new circle drawn around the whole forest."""
         return CircleForest((self.trees,))
@@ -122,10 +117,6 @@ class CircleForest:
 
 CF_EMPTY = CircleForest()
 CF_CIRCLE = CF_EMPTY.enclose()
-
-
-def cf_times(x: CircleForest, m: int) -> CircleForest:
-    return x * m
 
 
 # -- ideal extensions of rectangular bands -----------------------------------
@@ -290,15 +281,6 @@ class ReesL2Element:
         return f"({self.left!r}, {self.mid!r}, {self.right!r})"
 
 
-def rees_mul(x: ReesL2Element, y: ReesL2Element) -> ReesL2Element:
-    mid = x.mid + (x.right + y.left).enclose() + y.mid
-    return ReesL2Element(x.left, mid, y.right)
-
-
-def rees_star(x: ReesL2Element) -> ReesL2Element:
-    return ReesL2Element(x.right, x.mid, x.left)
-
-
 class _Adjoined:
     """Formal identity adjoined to a semigroup without one."""
 
@@ -314,16 +296,19 @@ class _Adjoined:
 REES_ONE = _Adjoined("1")
 
 
-def rees_mul_1(x, y):
+def rees_mul(x, y):
+    """The product of two triples, or of a triple with REES_ONE."""
     if x is REES_ONE:
         return y
     if y is REES_ONE:
         return x
-    return rees_mul(x, y)
+    mid = x.mid + (x.right + y.left).enclose() + y.mid
+    return ReesL2Element(x.left, mid, y.right)
 
 
-def rees_star_1(x):
-    return x if x is REES_ONE else rees_star(x)
+def rees_star(x):
+    """The star of a triple; REES_ONE is its own star."""
+    return x if x is REES_ONE else ReesL2Element(x.right, x.mid, x.left)
 
 
 # -- validated finite multiplication tables ----------------------------------
@@ -436,13 +421,6 @@ def genus_pair(i: int, s, j: int) -> Cobordism:
     return make_cobordism(SINGLETON_BASE, (i, j), s)
 
 
-def genus_pair_parts(x: Cobordism):
-    """Invert genus_pair: the (i, s, j) coordinates of such a cobordism."""
-    if x.base != SINGLETON_BASE:
-        raise RangeError("not a value over the singleton base")
-    return x.genus[0], x.spectrum, x.genus[1]
-
-
 def a2_image(x: Cobordism) -> A21Element:
     """Collapse a genus pair: kill everything with a genus-2 closed part.
 
@@ -450,10 +428,11 @@ def a2_image(x: Cobordism) -> A21Element:
     genus-2 closed component appears exactly when two genus-1 boundary
     blocks meet; that is the zero case of the five-element table.
     """
-    i, s, j = genus_pair_parts(x)
-    if s.count(2) > 0:
+    if x.base != SINGLETON_BASE:
+        raise RangeError("not a value over the singleton base")
+    if x.spectrum.count(2) > 0:
         return A2_ZERO
-    return a21_pair(i, j)
+    return a21_pair(*x.genus)
 
 
 def je_to_labeled(x: JEElement) -> LabeledPartition:

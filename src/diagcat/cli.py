@@ -47,10 +47,7 @@ def _load_json(path: str):
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    if args.category not in serialize.CATEGORIES:
-        names = ", ".join(serialize.CATEGORIES)
-        raise ParseError(f"unknown category {args.category!r} (choose from {names})")
-    cat = serialize.CATEGORIES[args.category]
+    cat = serialize._row(args.category)
     if args.left == "-" and args.right == "-":
         raise ParseError("only one operand may come from stdin")
     x = cat.decode(_load_json(args.left))

@@ -12,7 +12,9 @@ Two decorated variants share a Partition base:
 Non-regular values keep every label and spectrum entry non-negative;
 regular values drop the restriction and gain a star with x x* x == x.
 The reflection sigma and the half-turn rho transport labels along the
-block bijection and are involutive anti-automorphisms on all variants.
+block bijection and are involutive anti-automorphisms on both variants;
+they take decorated values only, a bare Partition being mirrored by
+partitions.reflect and partitions.rotate.
 Values over few bases recur under many labels and spectra, so the base
 composition of small bases comes from a bounded memo
 (partitions.bounded_memo).
@@ -42,9 +44,7 @@ from .partitions import (
     bounded_memo,
     compose,
     is_idempotent_structurally,
-    reflect,
     reflect_tracked,
-    rotate,
     rotate_tracked,
 )
 
@@ -265,17 +265,17 @@ def _mirror(x, tracked):
     genus = [0] * len(x.genus)
     for i, target in moved.items():
         genus[target] = x.genus[i]
-    return x._replace(base=image, genus=tuple(genus))
+    return type(x)(image, tuple(genus), *x[2:])
 
 
 def sigma(x):
-    """Side-swapping reflection of a partition or a decorated value."""
-    return reflect(x) if isinstance(x, Partition) else _mirror(x, reflect_tracked)
+    """Side-swapping reflection of a labeled value or a cobordism."""
+    return _mirror(x, reflect_tracked)
 
 
 def rho(x):
     """Half-turn; like sigma but composed with the index reversal."""
-    return rotate(x) if isinstance(x, Partition) else _mirror(x, rotate_tracked)
+    return _mirror(x, rotate_tracked)
 
 
 def to_labeled(x: Cobordism) -> LabeledPartition:

@@ -832,9 +832,9 @@ def monoid_REES() -> Monoid:
     ]
     return Monoid(
         name="rees",
-        mul=am.rees_mul_1,
+        mul=am.rees_mul,
         one=am.REES_ONE,
-        star=am.rees_star_1,
+        star=am.rees_star,
         pool=tuple(pool),
     )
 

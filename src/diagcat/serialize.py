@@ -16,7 +16,9 @@ annular.make_ann), else UnmatchedPoint or CrossingError.
 
 CATEGORIES holds one Category row per category, and the CLI, the benchmark,
 the acceptance suite's sampled law checks and the law tests know the
-families only through it: adding a family is one row plus its codec.  X
+families only through it: adding a family is one row plus its codec.
+The row alone chooses the map for its values, so each sigma, rho and
+star it holds takes one value type.  X
 holds non-regular values and X-bar regular ones; P, aTLe and Ann are
 regular (their star is total); aTL, aTLd and Annd take both.
 
@@ -45,6 +47,7 @@ from .partitions import (
     compose,
     make_partition,
     reflect,
+    rotate,
 )
 from .cobordisms import Cobordism, LabeledPartition, Spectrum, make_cobordism, to_labeled
 from .annular import (
@@ -359,10 +362,15 @@ def _deformed_row(name, base, compose_base, counters, regularities=(False, True)
 
     return Category(
         name, read, encode, compose_, regularities, base.square, sample,
-        lambda x: x._replace(base=base.sigma(x.base)),
-        lambda x: x._replace(base=base.rho(x.base)),
+        lambda x: Deformed(base.sigma(x.base), x.counts, x.regular),
+        lambda x: Deformed(base.rho(x.base), x.counts, x.regular),
         star, {},
     )
+
+
+def _reflect_ann(x: AnnularPartition) -> AnnularPartition:
+    """Ann's sigma and star: the shadow of the reflection."""
+    return AnnularPartition(reflect(x.base))
 
 
 _P_COMPOSE, _P_SHARED = _base_composers(_undecorated, compose, _dead_blocks)
@@ -372,7 +380,7 @@ _P = Category(
     "P", lambda d, regular: partition_from_json(d), partition_to_json,
     _P_COMPOSE, (True,), False,
     lambda rng, m, n, regular: sampling.random_partition(rng, m, n),
-    cobordisms.sigma, cobordisms.rho, reflect, {},
+    reflect, rotate, reflect, {},
 )
 _ATLE = Category(
     "aTLe", lambda d, regular: affine_from_json(d), affine_to_json,
@@ -384,7 +392,7 @@ _ANN = Category(
     "Ann", lambda d, regular: make_ann(partition_from_json(d)), _enc_ann,
     _ANN_COMPOSE, (True,), True,
     lambda rng, m, n, regular: project_to_ann(sampling.random_affine(rng, m)),
-    annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {},
+    _reflect_ann, lambda x: AnnularPartition(rotate(x.base)), _reflect_ann, {},
 )
 _SHIFT = (("shift", "dead_blocks"),)
 
@@ -416,7 +424,8 @@ CATEGORIES: dict[str, Category] = {
 
 def _row(category: str) -> Category:
     if category not in CATEGORIES:
-        raise ParseError(f"unknown category {category!r}")
+        names = ", ".join(CATEGORIES)
+        raise ParseError(f"unknown category {category!r} (choose from {names})")
     return CATEGORIES[category]
 
 

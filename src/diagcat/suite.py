@@ -59,7 +59,6 @@ from .auxmonoids import (
     a21_mul,
     a21_pair,
     a21_star,
-    cf_times,
     genus_pair,
     rees_mul,
 )
@@ -1011,10 +1010,10 @@ def check_shift_monoid_zimin(rng: random.Random) -> str:
             for i, ch in enumerate(letters)
         }
         value = evaluate(z, subst, sdp)
-        left = cf_times(_FOREST_GENERATORS[0], 2 ** (k - 1))
+        left = _FOREST_GENERATORS[0] * 2 ** (k - 1)
         right = CF_EMPTY
         for i in range(1, k):
-            right = right + cf_times(_FOREST_GENERATORS[i], 2 ** (k - 1 - i))
+            right = right + _FOREST_GENERATORS[i] * 2 ** (k - 1 - i)
         _require(
             value == SDPElement(left, right, 2**k - 1),
             lambda: f"closed form missed at k={k}: {value!r}",
@@ -1046,7 +1045,7 @@ def check_rees_witnesses(rng: random.Random) -> str:
     for t in range(2, 9):
         acc = rees_mul(acc, x0)
         _require(
-            acc == ReesL2Element(CF_EMPTY, cf_times(CF_CIRCLE, t - 1), CF_EMPTY),
+            acc == ReesL2Element(CF_EMPTY, CF_CIRCLE * (t - 1), CF_EMPTY),
             lambda: f"(0,0,0)^{t} should be (0, (t-1) bare circles, 0), got {acc!r}",
         )
 

@@ -33,7 +33,7 @@ from diagcat.auxmonoids import (
     JE_INT,
     JE_PARITY,
     JEElement,
-    cf_times,
+    REES_ONE,
     je_mul,
     je_pair,
     je_s,
@@ -55,7 +55,7 @@ def test_circle_forest_rendering():
     assert str(CF_CIRCLE) == "(0)"
     assert str(CF_CIRCLE.enclose()) == "((0))"
     assert str(CF_CIRCLE + CF_CIRCLE.enclose()) == "(0) + ((0))"
-    assert str(cf_times(CF_CIRCLE, 3)) == "(0) + (0) + (0)"
+    assert str(CF_CIRCLE * 3) == "(0) + (0) + (0)"
 
 
 def test_circle_forest_is_commutative_and_cancellative_free():
@@ -203,6 +203,13 @@ def test_rees_products():
     assert rees_star(rees_star(z)) == z
     a = ReesL2Element(CF_CIRCLE, CF_EMPTY, CF_EMPTY)
     assert rees_star(rees_mul(a, z)) == rees_mul(rees_star(z), rees_star(a))
+
+
+def test_rees_one_is_the_identity_and_its_own_star():
+    x = ReesL2Element(CF_CIRCLE, CF_EMPTY, CF_CIRCLE.enclose())
+    assert rees_mul(REES_ONE, x) == x == rees_mul(x, REES_ONE)
+    assert rees_mul(REES_ONE, REES_ONE) is REES_ONE
+    assert rees_star(REES_ONE) is REES_ONE
 
 
 def test_finite_monoid_from_table():

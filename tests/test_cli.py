@@ -115,6 +115,14 @@ def test_compose_bad_json_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compose_unknown_category_exits_2_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["compose", "nope", missing, missing]) == 2
+    err = capsys.readouterr().err
+    assert "unknown category 'nope' (choose from P, Pd, " in err
+    assert "cannot read" not in err
+
+
 def test_compose_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"m": 1, "n": 1, "blocks": [[{"side": "in", "index": 1%s}]]}' % ("0" * 5000))

@@ -11,8 +11,12 @@ import pytest
 
 from diagcat import CATEGORIES, decode, encode
 from diagcat.errors import NotRegular
+from diagcat.partitions import MAX_PARTITION_VERTICES
 
 SAMPLES = 200
+# Triples past the bounded memos: every value has at least 2 * LARGE points.
+LARGE_SAMPLES = 20
+LARGE = MAX_PARTITION_VERTICES // 2 + 1
 
 CASES = [
     pytest.param(name, regular, id=f"{name}-{'regular' if regular else 'nonregular'}")
@@ -29,14 +33,22 @@ QUOTIENTS = [
 
 @functools.cache
 def _triples(name, regular):
-    """Composable triples x, y, z of widths 0-3, or one width 1-3 if square;
-    drawn once and shared by every law of the row."""
+    """Composable triples x, y, z of widths 0-3, or one width 1-3 if square,
+    then LARGE_SAMPLES more of widths LARGE to LARGE + 1, whose compositions
+    and mirrors bypass the bounded memos; drawn once and shared by every
+    law of the row."""
     cat = CATEGORIES[name]
     rng = random.Random(f"{name}/{regular}")
     triples = []
-    for _ in range(SAMPLES):
-        widths = [rng.randint(1, 3)] * 4 if cat.square else [rng.randint(0, 3) for _ in range(4)]
-        triples.append(tuple(cat.sample(rng, m, n, regular) for m, n in zip(widths, widths[1:])))
+    for lo, hi, count in ((0, 3, SAMPLES), (LARGE, LARGE + 1, LARGE_SAMPLES)):
+        for _ in range(count):
+            if cat.square:
+                widths = [rng.randint(max(lo, 1), hi)] * 4
+            else:
+                widths = [rng.randint(lo, hi) for _ in range(4)]
+            triples.append(
+                tuple(cat.sample(rng, m, n, regular) for m, n in zip(widths, widths[1:]))
+            )
     return tuple(triples)
 
 

@@ -11,7 +11,6 @@ from diagcat.annular import (
     compose_affine,
     enumerate_affine,
     project_to_ann,
-    compose_ann,
     sigma_affine,
 )
 from diagcat.cobordisms import Spectrum, compose_cobordism
@@ -251,8 +250,10 @@ def _compose_counters(x, y):
         res = compose(x.base, y.base)
         return Deformed(res.product, (x.counts[0] + y.counts[0] + res.b,), x.regular)
     if isinstance(x.base, AnnularPartition):
-        product, res = compose_ann(x.base, y.base)
-        return Deformed(product, (x.counts[0] + y.counts[0] + res.b,), x.regular)
+        res = compose(x.base.base, y.base.base)
+        return Deformed(
+            AnnularPartition(res.product), (x.counts[0] + y.counts[0] + res.b,), x.regular
+        )
     res = compose_affine(x.base, y.base)
     if res.product.rank > 0:
         assert res.bw == 0 and x.counts[0] == 0 and y.counts[0] == 0
@@ -271,10 +272,11 @@ def _star_deformed(x):
 def _star_decorated(x):
     """Reflect, then replace each counter c with -c minus the circles (dead
     blocks, for a shadow) that x x' and x' x make, x' being the reflection."""
-    s = sigma_affine(x.base)
     if isinstance(x.base, AnnularPartition):
-        fwd, bwd = compose_ann(x.base, s)[1], compose_ann(s, x.base)[1]
-        return Deformed(s, (-x.counts[0] - fwd.b - bwd.b,), True)
+        a, s = x.base.base, reflect(x.base.base)
+        fwd, bwd = compose(a, s), compose(s, a)
+        return Deformed(AnnularPartition(s), (-x.counts[0] - fwd.b - bwd.b,), True)
+    s = sigma_affine(x.base)
     fwd, bwd = compose_affine(x.base, s), compose_affine(s, x.base)
     counts = (-x.counts[0] - fwd.bw - bwd.bw, -x.counts[-1] - fwd.b0 - bwd.b0)
     return Deformed(s, counts[: len(x.counts)], True)
@@ -295,7 +297,7 @@ PUBLIC_COMPOSE = {
     "aTLe": lambda x, y: compose_affine(x, y).product,
     "aTL": _compose_counters,
     "aTLd": _compose_counters,
-    "Ann": lambda x, y: compose_ann(x, y)[0],
+    "Ann": lambda x, y: x * y,
     "Annd": _compose_counters,
 }
 
