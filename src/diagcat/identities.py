@@ -75,7 +75,6 @@ __all__ = [
     "canonical_form",
     "holds_in_M",
     "holds_in_N",
-    "SortStep",
     "sort_step",
     "sort_to_normal",
     "evaluate",
@@ -481,18 +480,11 @@ def holds_in_N(u: Word, v: Word) -> bool:
 
 # -- the sorting rewriter ----------------------------------------------------
 
-class SortStep(NamedTuple):
-    word: Word
-    rule: str        # "interior-swap-nested" or "interior-swap-crossed"
-    direction: str   # "left-to-right" or "right-to-left"
-
-
-def sort_step(w: Word, pos: int) -> SortStep:
+def sort_step(w: Word, pos: int) -> Word:
     """Swap a descending adjacent interior pair at (pos, pos + 1).
 
-    Which of the two basis identities justifies the swap, and in which
-    direction it is read, depends on how the extreme occurrences of the
-    two letters interleave.
+    One of the two interior-swap basis identities justifies the swap,
+    whichever way the extreme occurrences of the two letters interleave.
     """
     if not 0 <= pos < len(w.letters) - 1:
         raise NotInteriorFactor(f"no adjacent pair at position {pos}")
@@ -502,25 +494,9 @@ def sort_step(w: Word, pos: int) -> SortStep:
     marks = set(_extreme_positions(w))
     if pos in marks or pos + 1 in marks:
         raise NotInteriorFactor("the pair touches an extreme occurrence")
-    first_small = w.letters.index(small)
-    first_big = w.letters.index(big)
-    last_small = len(w.letters) - 1 - w.letters[::-1].index(small)
-    last_big = len(w.letters) - 1 - w.letters[::-1].index(big)
-    if first_small < first_big:
-        rule, direction = (
-            ("interior-swap-crossed", "right-to-left")
-            if last_small < last_big
-            else ("interior-swap-nested", "right-to-left")
-        )
-    else:
-        rule, direction = (
-            ("interior-swap-nested", "left-to-right")
-            if last_small < last_big
-            else ("interior-swap-crossed", "left-to-right")
-        )
     swapped = list(w.letters)
     swapped[pos], swapped[pos + 1] = small, big
-    return SortStep(Word(tuple(swapped)), rule, direction)
+    return Word(tuple(swapped))
 
 
 def sort_to_normal(w: Word) -> tuple[Word, int]:
@@ -538,7 +514,7 @@ def sort_to_normal(w: Word) -> tuple[Word, int]:
                 break
         if target is None:
             return w, steps
-        w = sort_step(w, target).word
+        w = sort_step(w, target)
         steps += 1
     raise AssertionError("sorting did not terminate")
 

@@ -25,9 +25,10 @@ regular (their star is total); aTL, aTLd and Annd take both.
 The counter rows Pd, Pd-bar, aTL, aTLd and Annd hold Deformed values: a
 value of a base row (P, aTLe or Ann) plus integer counters, each fed by
 one diagnostic of the base composition.  One builder derives each of
-them from its base row and its (field, diagnostic) pairs.  Values recur
-under many counters, so the counter rows compose small bases through the
-bounded memo of their base row's kernel (partitions.bounded_memo).
+them from its base row and its (field, diagnostic) pairs.  Bases recur
+under many labels and counters, so every row composes small bases through
+the bounded memo of its kernel (partitions.bounded_memo), the one that
+cobordisms.compose_decorated shares.
 """
 
 from __future__ import annotations
@@ -246,52 +247,37 @@ def _enc_ann(x: AnnularPartition) -> dict:
     return {**partition_to_json(x.base), "annular": True}
 
 
-def _undecorated(kernel):
-    """P and aTLe: the product is the base composition's own."""
-    return lambda x, y: ((res := kernel(x, y)).product, res)
+_compose_partitions = bounded_memo(compose)
+_compose_affine = bounded_memo(compose_affine)
 
 
-def _shadowed(kernel):
-    """Ann: the product is the shadow of the composition of the bases."""
-    return lambda x, y: (AnnularPartition((res := kernel(x.base, y.base)).product), res)
+def _compose_p(x: Partition, y: Partition):
+    res = _compose_partitions(x, y)
+    return res.product, {"dead_blocks": res.b}
 
 
-def _table_compose(traced, diagnostics):
-    """The table composer: the product of traced and the diagnostics read
-    off the one base composition it was built from."""
-
-    def compose_(x, y):
-        product, res = traced(x, y)
-        return product, diagnostics(res)
-
-    return compose_
+def _compose_atle(x: AffineDiagram, y: AffineDiagram):
+    res = _compose_affine(x, y)
+    return res.product, {"b0": res.b0, "bw": res.bw}
 
 
-def _base_composers(lift, kernel, diagnostics):
-    """A base row's table composer over kernel, and the one that the
-    counter rows over it share, over kernel's bounded memo; lift turns a
-    kernel into (x, y) -> (product, base composition)."""
-    return (
-        _table_compose(lift(kernel), diagnostics),
-        _table_compose(lift(bounded_memo(kernel)), diagnostics),
-    )
+def _compose_ann(x: AnnularPartition, y: AnnularPartition):
+    """The shadow of the composition of the bases."""
+    res = _compose_partitions(x.base, y.base)
+    return AnnularPartition(res.product), {"dead_blocks": res.b}
 
 
-def _dead_blocks(res) -> dict:
-    return {"dead_blocks": res.b}
-
-
-def _circles(res) -> dict:
-    return {"b0": res.b0, "bw": res.bw}
+def _compose_labeled(x, y):
+    product, res = cobordisms.compose_decorated(x, y)
+    return product, {"dead_blocks": res.b}
 
 
 def _partition_rows(name, read, encode, sample, star, quotients):
     """Rows X (non-regular values) and X-bar (regular ones) of a labeled
     family over partitions; a quotient to Y gives X -> Y and X-bar -> Y-bar."""
-    compose_ = _table_compose(cobordisms.compose_decorated, _dead_blocks)
     return {
         name + bar: Category(
-            name + bar, read, encode, compose_, (regular,), False, sample,
+            name + bar, read, encode, _compose_labeled, (regular,), False, sample,
             cobordisms.sigma, cobordisms.rho, star, {y + bar: q for y, q in quotients.items()},
         )
         for bar, regular in (("", False), ("-bar", True))
@@ -307,11 +293,9 @@ class Deformed(NamedTuple):
     regular: bool = False
 
 
-def _deformed_row(name, base, compose_base, counters, regularities=(False, True)) -> Category:
-    """The row of base values with counters: compose_base is the shared
-    composer from _base_composers() beside base.compose, and counters
-    pairs each counter's JSON field with the diagnostic of the base
-    composition that feeds it.
+def _deformed_row(name, base, counters, regularities=(False, True)) -> Category:
+    """The row of base values with counters: counters pairs each counter's
+    JSON field with the diagnostic of base.compose that feeds it.
 
     A product's counter is the sum of the operands' plus that diagnostic;
     the star is the base star with each counter c turned into
@@ -340,7 +324,7 @@ def _deformed_row(name, base, compose_base, counters, regularities=(False, True)
     def compose_(x: Deformed, y: Deformed):
         if x.regular != y.regular:
             raise RegularityMismatch("cannot mix regular and non-regular values")
-        product, diag = compose_base(x.base, y.base)
+        product, diag = base.compose(x.base, y.base)
         counts = tuple([a + b + diag[feed] for a, b, feed in zip(x.counts, y.counts, feeds)])
         return Deformed(product, counts, x.regular), diag
 
@@ -348,7 +332,7 @@ def _deformed_row(name, base, compose_base, counters, regularities=(False, True)
         if not x.regular:
             raise NotRegular("star needs a regular value")
         image = base.star(x.base)
-        fwd, bwd = compose_base(x.base, image)[1], compose_base(image, x.base)[1]
+        fwd, bwd = base.compose(x.base, image)[1], base.compose(image, x.base)[1]
         counts = tuple([-c - fwd[f] - bwd[f] for c, f in zip(x.counts, feeds)])
         return Deformed(image, counts, True)
 
@@ -373,24 +357,21 @@ def _reflect_ann(x: AnnularPartition) -> AnnularPartition:
     return AnnularPartition(reflect(x.base))
 
 
-_P_COMPOSE, _P_SHARED = _base_composers(_undecorated, compose, _dead_blocks)
-_ATLE_COMPOSE, _ATLE_SHARED = _base_composers(_undecorated, compose_affine, _circles)
-_ANN_COMPOSE, _ANN_SHARED = _base_composers(_shadowed, compose, _dead_blocks)
 _P = Category(
     "P", lambda d, regular: partition_from_json(d), partition_to_json,
-    _P_COMPOSE, (True,), False,
+    _compose_p, (True,), False,
     lambda rng, m, n, regular: sampling.random_partition(rng, m, n),
     reflect, rotate, reflect, {},
 )
 _ATLE = Category(
     "aTLe", lambda d, regular: affine_from_json(d), affine_to_json,
-    _ATLE_COMPOSE, (True,), True,
+    _compose_atle, (True,), True,
     lambda rng, m, n, regular: sampling.random_affine(rng, m),
     annular.sigma_affine, annular.rho_affine, annular.sigma_affine, {"Ann": project_to_ann},
 )
 _ANN = Category(
     "Ann", lambda d, regular: make_ann(partition_from_json(d)), _enc_ann,
-    _ANN_COMPOSE, (True,), True,
+    _compose_ann, (True,), True,
     lambda rng, m, n, regular: project_to_ann(sampling.random_affine(rng, m)),
     _reflect_ann, lambda x: AnnularPartition(rotate(x.base)), _reflect_ann, {},
 )
@@ -398,8 +379,8 @@ _SHIFT = (("shift", "dead_blocks"),)
 
 CATEGORIES: dict[str, Category] = {
     "P": _P,
-    "Pd": _deformed_row("Pd", _P, _P_SHARED, _SHIFT, (False,)),
-    "Pd-bar": _deformed_row("Pd-bar", _P, _P_SHARED, _SHIFT, (True,)),
+    "Pd": _deformed_row("Pd", _P, _SHIFT, (False,)),
+    "Pd-bar": _deformed_row("Pd-bar", _P, _SHIFT, (True,)),
     **_partition_rows(
         "Cob0", _read_labeled, _enc_labeled,
         lambda rng, m, n, regular: to_labeled(
@@ -415,10 +396,10 @@ CATEGORIES: dict[str, Category] = {
         {"Cob0": to_labeled, "Pd": lambda x: Deformed(x.base, (x.spectrum.total(),), x.regular)},
     ),
     "aTLe": _ATLE,
-    "aTL": _deformed_row("aTL", _ATLE, _ATLE_SHARED, (("k", "bw"),)),
-    "aTLd": _deformed_row("aTLd", _ATLE, _ATLE_SHARED, (("k", "bw"), ("k0", "b0"))),
+    "aTL": _deformed_row("aTL", _ATLE, (("k", "bw"),)),
+    "aTLd": _deformed_row("aTLd", _ATLE, (("k", "bw"), ("k0", "b0"))),
     "Ann": _ANN,
-    "Annd": _deformed_row("Annd", _ANN, _ANN_SHARED, (("k", "dead_blocks"),)),
+    "Annd": _deformed_row("Annd", _ANN, (("k", "dead_blocks"),)),
 }
 
 

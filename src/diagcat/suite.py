@@ -102,6 +102,7 @@ from .partitions import (
     Partition,
     _ground,
     block_stats,
+    bounded_memo,
     compose,
     enumerate_partitions,
     is_idempotent_structurally,
@@ -286,14 +287,7 @@ def _rows_key(rows) -> list:
 
 def check_cobordism_assoc(rng: random.Random) -> str:
     parts = _parts(2, 2)
-    cache: dict = {}
-
-    def traced(x: Partition, y: Partition):
-        key = (x, y)
-        if key not in cache:
-            cache[key] = compose(x, y)
-        return cache[key]
-
+    traced = bounded_memo(compose)  # the 225 pairs over parts fit its MEMO_SIZE
     triples = 0
     for a, b, c in itertools.product(parts, repeat=3):
         na, nb, nc = a.nblocks, b.nblocks, c.nblocks

@@ -31,6 +31,8 @@ from diagcat.errors import (
     BoundExceeded,
     CrossingError,
     NegativeLabel,
+    NotInvolutive,
+    ParityError,
     ParseError,
     RangeError,
     RankZero,
@@ -304,6 +306,25 @@ def test_make_affine_rejects_crossings():
 def test_make_affine_rejects_unmatched():
     with pytest.raises(UnmatchedPoint):
         make_affine(2, 0, {(IN, 1): (0, IN, 2)})
+
+
+@pytest.mark.parametrize(
+    "m, n, partners, error, match",
+    [
+        (1, 0, {}, ParityError, "admits no perfect matching"),
+        (2, 0, [((IN, 1), (0, IN, 2)), ((IN, 1), (0, IN, 2))], UnmatchedPoint, "duplicate partner"),
+        (
+            2, 0, {(IN, 1): (0, IN, 2), (IN, 2): (0, IN, 1), (IN, 3): (0, IN, 1)},
+            UnmatchedPoint, "partners for unknown points",
+        ),
+        (2, 0, {(IN, 1): (0, IN, 3), (IN, 2): (0, IN, 1)}, RangeError, "out of range"),
+        (2, 0, {(IN, 1): (1, IN, 1), (IN, 2): (0, IN, 1)}, NotInvolutive, "its own orbit"),
+        (2, 0, {(IN, 1): (0, IN, 2), (IN, 2): (1, IN, 1)}, NotInvolutive, "not self-inverse"),
+    ],
+)
+def test_make_affine_rejections(m, n, partners, error, match):
+    with pytest.raises(error, match=match):
+        make_affine(m, n, partners)
 
 
 @pytest.mark.parametrize(

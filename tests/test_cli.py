@@ -198,6 +198,11 @@ def test_check_search_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_check_fiber_names_its_witness(capsys):
+    assert main(["check", "star-sandwich", "fiber"]) == 1
+    assert "verdict: fails (substitution witness; x=" in capsys.readouterr().out
+
+
 def test_check_rejects_a_negative_budget(capsys):
     assert main(["check", "cube-transport", "rees", "--budget", "-5"]) == 2
     captured = capsys.readouterr()
@@ -222,6 +227,22 @@ def test_idempotents_p_census(capsys):
     assert len(rows) == 12
     assert all(c["rank"] <= 1 for row in rows for c in row["components"])
     assert "12 idempotents among 15" in out.err
+    for n, name, field, found, total in (
+        ("2", "aTLe", "diagram", 5, 13),
+        ("3", "aTLe", "diagram", 10, 58),
+        ("2", "Ann", "shadow", 2, 3),
+        ("3", "Ann", "shadow", 10, 12),
+    ):
+        assert main(["idempotents", n, name]) == 0
+        out = capsys.readouterr()
+        assert f"{found} idempotents among {total} elements" in out.err
+        rows = [json.loads(line) for line in out.out.splitlines()]
+        assert len(rows) == found
+        cat = CATEGORIES[name]
+        for row in rows:
+            e = cat.decode(row[field])
+            assert cat.compose(e, e)[0] == e
+            assert e.rank == row["rank"]
 
 
 def test_idempotents_past_the_enumeration_bound_exit_3(capsys):

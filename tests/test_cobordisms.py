@@ -21,7 +21,14 @@ from diagcat import (
     vout,
 )
 from diagcat.cobordisms import _merge_labels, compose_decorated
-from diagcat.errors import BaseMismatch, NegativeLabel, RangeError
+from diagcat.errors import (
+    BaseMismatch,
+    NegativeLabel,
+    NotIdempotent,
+    NotIrreducible,
+    RangeError,
+    RegularityMismatch,
+)
 from diagcat.sampling import random_cobordism, random_spectrum
 
 H = make_partition(2, 2, [[vin(1), vin(2)], [vout(1), vout(2)]])
@@ -209,3 +216,29 @@ def test_fiber_oracle_on_rank_zero_base():
     xs = [make_cobordism(e, (1, 2), (), False), make_cobordism(e, (0, 1), (), False)]
     direct = compose_cobordism(xs[0], xs[1])
     assert fiber_product_oracle(e, xs) == direct
+
+
+SWAP = make_partition(2, 2, [[vin(1), vout(2)], [vin(2), vout(1)]])
+SPLIT = make_partition(1, 1, [[vin(1)], [vout(1)]])
+ONE = identity_partition(1)
+
+
+@pytest.mark.parametrize(
+    "e, xs, error, match",
+    [
+        (SWAP, [make_cobordism(SWAP, (0, 0), (), True)], NotIdempotent, "not idempotent"),
+        (
+            identity_partition(2), [make_cobordism(identity_partition(2), (0, 0), (), True)],
+            NotIrreducible, "several components",
+        ),
+        (ONE, [], BaseMismatch, "at least one factor"),
+        (ONE, [make_cobordism(SPLIT, (0, 0), (), True)], BaseMismatch, "different base"),
+        (
+            ONE, [make_cobordism(ONE, (0,), (), True), make_cobordism(ONE, (0,), (), False)],
+            RegularityMismatch, "mixed regularity",
+        ),
+    ],
+)
+def test_fiber_oracle_rejections(e, xs, error, match):
+    with pytest.raises(error, match=match):
+        fiber_product_oracle(e, xs)

@@ -128,9 +128,13 @@ def test_sort_step_contract():
     w = parse_word("xyyxxy")
     with pytest.raises(NotInteriorFactor):
         sort_step(w, 0)  # extreme occurrence, not interior
+    with pytest.raises(NotInteriorFactor):
+        sort_step(w, 1)  # yy is not descending
+    with pytest.raises(NotInteriorFactor):
+        sort_step(w, 5)  # no pair starts at the last letter
     stepped = sort_step(w, 2)
-    assert stepped.word == parse_word("xyxyxy")
-    diff = [i for i in range(len(w)) if w.letters[i] != stepped.word.letters[i]]
+    assert stepped == parse_word("xyxyxy")
+    diff = [i for i in range(len(w)) if w.letters[i] != stepped.letters[i]]
     assert diff == [2, 3]  # one adjacent transposition
     sorted_w, steps = sort_to_normal(w)
     assert sorted_w == parse_word("xyxyxy") == normal_form(w)
@@ -273,6 +277,18 @@ def test_evaluate_and_errors():
     bare = Monoid(name="bare", mul=lambda p, q: p, one=0, elements=(0,))
     with pytest.raises(NoInvolution):
         evaluate(rees_word, {"x": 0}, bare)
+
+
+def test_fiber_monoid_verdicts():
+    fiber = identities.MONOIDS["fiber"]()
+    sandwich = IDENTITY_REGISTRY["star-sandwich"]
+    verdict = check_identity(sandwich, fiber)
+    assert verdict.status == "fails"
+    assert verdict.witness["x"].genus == (-1,)
+    assert evaluate(sandwich.lhs, verdict.witness, fiber) != evaluate(
+        sandwich.rhs, verdict.witness, fiber
+    )
+    assert check_identity(IDENTITY_REGISTRY["commutation"], fiber).status == "unknown"
 
 
 def test_check_identity_verdicts_are_deterministic():

@@ -334,9 +334,6 @@ def clear_memos():
         memo.cache_clear()
 
 
-MEMO_FREE = {"P", "aTLe", "Ann"}  # rows that call the plain kernels
-
-
 def test_compose_through_category_table():
     rng = random.Random(9)
     assert set(PUBLIC_COMPOSE) == set(CATEGORIES)
@@ -352,7 +349,7 @@ def test_compose_through_category_table():
             # A repeated small call is served by the row's memo, with a
             # diagnostics dict of its own.
             (again, fresh), calls = _base_compositions(cat.compose, x, y)
-            assert calls == (name in MEMO_FREE), name
+            assert calls == 0, name
             assert again == product and fresh == diag and fresh is not diag
             bx, by = _bare(x), _bare(y)
             if isinstance(bx, Partition):
