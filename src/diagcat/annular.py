@@ -13,7 +13,8 @@ The linear order behind the non-crossing test runs through the bottom row
 in reverse lexicographic order, then the top row in lexicographic order;
 a matching is non-crossing when for every two strings {x, x'} and {y, y'}
 the points y, y' are either both inside or both outside the interval
-[x, x'].
+[x, x'].  One pairwise predicate, _crosses, applies this rule to a string
+and the shifts of another; make_affine and enumerate_affine both call it.
 
 Composition glues the bottom row of the first diagram to the top row of
 the second and traces strings through the shared middle row.  Closed
@@ -35,7 +36,6 @@ composed by that row or by AnnularPartition's * operator.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -213,8 +213,7 @@ def _check_crossings(m: int, partner, offset) -> None:
     cap of offset t with |t| >= 2 holds one end of its own unit shift but
     not the other, and of two through strings whose offsets differ by at
     least 2, the one with the larger offset crosses the other shifted by
-    +1.  The remaining strings are compared at every relative shift within
-    their offset window.
+    +1.  The remaining strings are compared pairwise by _crosses.
     """
     r = next((offset[j] for j in range(m) if partner[j] >= m), 0)
     if r:
@@ -222,18 +221,11 @@ def _check_crossings(m: int, partner, offset) -> None:
             (t - r if j < m else t + r) if (j < m) != (p < m) else t
             for j, (p, t) in enumerate(zip(partner, offset))
         ]
-    window = max(map(abs, offset), default=0) + 1
-    if window > 2:
+    if max(map(abs, offset), default=0) >= 2:
         raise CrossingError("strings cross")
-    shifted = []
-    for j, (p, t) in enumerate(zip(partner, offset)):
-        if j < p:
-            low = max(0, -t)  # the string's lower end at offset 0
-            for d in range(low - window, low + window + 1):
-                ka, kb = _order_key(j, d, m), _order_key(p, t + d, m)
-                shifted.append((min(ka, kb), max(ka, kb)))
-    for (x, x1), (y, y1) in itertools.combinations(shifted, 2):
-        if (x < y < x1) != (x < y1 < x1):
+    strings = [(j, p, t) for j, (p, t) in enumerate(zip(partner, offset)) if j < p]
+    for i, s in enumerate(strings):
+        if any(_crosses(s, u, m) for u in strings[i:]):
             raise CrossingError("strings cross")
 
 
@@ -449,13 +441,24 @@ def shift_gap(x: AffineDiagram, y: AffineDiagram):
     return q
 
 
-def _crosses(s, r, d: int, m: int) -> bool:
-    """Whether string s crosses string r shifted by d, in the order behind
+def _crosses(s, r, m: int) -> bool:
+    """Whether string s crosses some shift of string r, in the order behind
     the non-crossing test; a string (p, q, t) of a diagram with m top
-    points joins window slot p at offset 0 to slot q at offset t."""
+    points joins window slot p at offset 0 to slot q at offset t.
+
+    The order is shift-invariant and a string from offset 0 to offset t
+    spans the offsets between them, so two strings with offsets t and u
+    can only cross at relative shifts d with |d| <= |t| + |u|; those are
+    the shifts tried.  When r is s only d > 0 is tried, since a crossing
+    at -d is the same crossing seen from the shifted copy.
+    """
     x, x1 = sorted((_order_key(s[0], 0, m), _order_key(s[1], s[2], m)))
-    y, y1 = _order_key(r[0], d, m), _order_key(r[1], r[2] + d, m)
-    return (x < y < x1) != (x < y1 < x1)
+    reach = abs(s[2]) + abs(r[2])
+    for d in range(1, reach + 1) if r is s else range(-reach, reach + 1):
+        y, y1 = _order_key(r[0], d, m), _order_key(r[1], r[2] + d, m)
+        if (x < y < x1) != (x < y1 < x1):
+            return True
+    return False
 
 
 MAX_AFFINE_POINTS = 10
@@ -466,12 +469,9 @@ def enumerate_affine(m: int, n: int, max_offset: int):
     [-max_offset, max_offset].
 
     Matchings are built one string at a time, and a branch is dropped as
-    soon as its newest string crosses a shift of itself or of a string
-    already placed.  The order is shift-invariant and a string from offset
-    0 to offset t spans the offsets between them, so two strings with
-    offsets t and u can only cross at relative shifts d with
-    |d| <= |t| + |u|; those are the shifts tried.  A window of more than
-    MAX_AFFINE_POINTS points raises BoundExceeded.
+    soon as _crosses finds its newest string crossing a shift of itself or
+    of a string already placed.  A window of more than MAX_AFFINE_POINTS
+    points raises BoundExceeded.
     """
     _require_shape(m, n)
     _require_int(max_offset, "offset bound")
@@ -486,13 +486,8 @@ def enumerate_affine(m: int, n: int, max_offset: int):
 
     def crosses_placed(new) -> bool:
         """Whether new crosses a shift of itself or of a placed string."""
-        t = abs(new[2])
         placed = [(j, k, offset[j]) for j, k in enumerate(partner) if j < k]
-        return any(_crosses(new, new, d, m) for d in range(1, 2 * t + 1)) or any(
-            _crosses(new, s, d, m)
-            for s in placed
-            for d in range(-t - abs(s[2]), t + abs(s[2]) + 1)
-        )
+        return any(_crosses(new, s, m) for s in (new, *placed))
 
     def rec():
         free = [j for j in range(size) if partner[j] < 0]

@@ -65,17 +65,10 @@ __all__ = [
 
 # -- circle forests ----------------------------------------------------------
 
-def _tree_depth(t) -> int:
-    return 1 + max((_tree_depth(c) for c in t), default=0)
-
-
-def _tree_size(t) -> int:
-    return 1 + sum(_tree_size(c) for c in t)
-
-
 def _tree_key(t):
     """Total order on canonical trees: depth, then size, then children."""
-    return (_tree_depth(t), _tree_size(t), tuple(_tree_key(c) for c in t))
+    keys = tuple(_tree_key(c) for c in t)
+    return (1 + max((k[0] for k in keys), default=0), 1 + sum(k[1] for k in keys), keys)
 
 
 def _render_forest(trees) -> str:

@@ -7,7 +7,7 @@ suite (the acceptance battery).
 
 Exit codes: 0 success, 1 failing verdict or failing suite, 2 usage or
 parse problems (including incomposable shapes), 3 invalid values caught
-by validation.
+by validation, 141 (128 + SIGPIPE) when the reader closed stdout.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import serialize
@@ -213,7 +214,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, UnknownMonoid, ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,7 @@ from diagcat.auxmonoids import (
     JE_PARITY,
     JEElement,
     REES_ONE,
+    _tree_key,
     je_mul,
     je_pair,
     je_s,
@@ -65,6 +66,37 @@ def test_circle_forest_is_commutative_and_cancellative_free():
     assert a != b
     assert CF_EMPTY + a == a
     assert sorted(map(str, (a + b + a).indecomposables())) == ["((0))", "(0)", "(0)"]
+
+
+def _tree_key_reference(t):
+    """The tree order as three recursions: depth, size and children."""
+
+    def depth(t):
+        return 1 + max((depth(c) for c in t), default=0)
+
+    def size(t):
+        return 1 + sum(size(c) for c in t)
+
+    return (depth(t), size(t), tuple(_tree_key_reference(c) for c in t))
+
+
+def test_tree_key_matches_three_recursions_on_random_forests():
+    rng = random.Random(0)
+
+    def tree(budget):
+        children = []
+        while budget > 0 and rng.random() < 0.6:
+            child_budget = rng.randint(0, budget - 1)
+            children.append(tree(child_budget))
+            budget -= child_budget + 1
+        return tuple(children)
+
+    for _ in range(3000):
+        forest = tuple(tree(rng.randint(0, 12)) for _ in range(rng.randint(0, 4)))
+        for t in forest:
+            assert _tree_key(t) == _tree_key_reference(t), t
+        trees = CircleForest(forest).trees
+        assert trees == tuple(sorted(forest, key=_tree_key_reference))
 
 
 def test_ideal_extension_products():

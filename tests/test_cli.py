@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -305,3 +309,23 @@ def test_usage_errors_exit_2(args):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["idempotents", "4", "P"], ["normalform", "x3yx"]])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    """A reader that closes its end at once, as head -1 does: idempotents
+    4 P meets it while printing its 531 KB, normalform's four lines only
+    when they are flushed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # stdout stays block-buffered, as it is for a pipe by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diagcat.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
