@@ -449,8 +449,11 @@ def _crosses(s, r, m: int) -> bool:
     The order is shift-invariant and a string from offset 0 to offset t
     spans the offsets between them, so two strings with offsets t and u
     can only cross at relative shifts d with |d| <= |t| + |u|; those are
-    the shifts tried.  When r is s only d > 0 is tried, since a crossing
-    at -d is the same crossing seen from the shifted copy.
+    the shifts tried.  A caller asks about a string and its own shifts by
+    passing the same object as s and r; then only d > 0 is tried, since
+    d = 0 never crosses and a crossing at -d is the same crossing seen
+    from the shifted copy.  An equal but distinct tuple gets the full
+    range and the same answer.
     """
     x, x1 = sorted((_order_key(s[0], 0, m), _order_key(s[1], s[2], m)))
     reach = abs(s[2]) + abs(r[2])

@@ -325,7 +325,13 @@ def test_a_closed_stdout_exits_141_without_a_traceback(argv):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     proc.stdout.close()
+    try:
+        # stderr is read after the exit: empty, or a traceback far below a
+        # pipe's buffer, so the timeout bounds a child that never exits
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
+    assert code == 141
     assert err == b""
