@@ -214,7 +214,10 @@ def compose_decorated(x, y):
         raise NegativeLabel(f"negative genus in non-regular product: {live}")
     if isinstance(x, LabeledPartition):
         return LabeledPartition(res.product, live, x.regular), res
-    spectrum = Spectrum._of(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
+    if dead or (x.spectrum and y.spectrum):
+        spectrum = Spectrum._of(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
+    else:  # a Spectrum is immutable and canonical, so the other one is the sum
+        spectrum = x.spectrum or y.spectrum
     if not x.regular and spectrum.min_genus_negative():
         raise NegativeLabel(f"negative spectrum entry in non-regular product: {spectrum}")
     return Cobordism(res.product, live, spectrum, x.regular), res
@@ -252,7 +255,7 @@ def star_cobordism(x: Cobordism) -> Cobordism:
     round trip x x* necessarily creates."""
     _require_regular(x)
     stats = block_stats(x.base)
-    spectrum = x.spectrum.negate() + Spectrum({1: -(stats.lb + stats.rb)})
+    spectrum = x.spectrum.negate() + Spectrum._of(((1, -(stats.lb + stats.rb)),))
     image, genus = _star_genus(x.base, x.genus, 1)
     return Cobordism(image, genus, spectrum, True)
 

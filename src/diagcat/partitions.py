@@ -26,6 +26,13 @@ their count b(alpha, beta) and the class of every factor block drive the
 label bookkeeping of the decorated variants, so compose() returns them
 alongside the product.
 
+A partition of at most MAX_PARTITION_VERTICES = 8 points is interned:
+every construction of it, whatever builds it, returns one shared object
+from a table of at most 46 113 entries (the partitions of 8 points or
+fewer, over every shape), so a bounded_memo() hit on such operands finds
+its key by identity.  Larger partitions are built anew each time and
+compare by value.
+
 bounded_memo() puts a kernel behind a small memo for the callers whose
 values share bases across many calls; compose() itself keeps none, while
 reflect_tracked() and rotate_tracked(), which the mirrors of decorated
@@ -120,6 +127,13 @@ def _relabel(seq) -> tuple[tuple[int, ...], dict[int, int]]:
     return labels, new
 
 
+MAX_PARTITION_VERTICES = 8  # 4 140 partitions; each further vertex multiplies that by 5+
+
+# (m, n, labels, nblocks) -> the interned Partition of those fields; at
+# most 46 113 entries, the sum of (k + 1) * Bell(k) over k <= 8.
+_INTERNED: dict = {}
+
+
 class Partition:
     """An immutable (m, n)-partition.
 
@@ -127,15 +141,36 @@ class Partition:
     canonical order and ``nblocks`` the number of blocks; equality and hash
     come from the labels.  Use make_partition() to build one with
     validation.
+
+    Of at most MAX_PARTITION_VERTICES points, a construction returns the
+    interned object of its four fields; keying on all four keeps a direct
+    construction with an inconsistent nblocks from changing what later
+    constructions return.
     """
 
     __slots__ = ("m", "n", "labels", "nblocks", "_blocks", "_hash")
 
-    def __init__(self, m: int, n: int, labels: tuple[int, ...], nblocks: int):
+    def __new__(cls, m: int, n: int, labels: tuple[int, ...], nblocks: int):
+        key = (m, n, labels, nblocks)
+        small = m + n <= MAX_PARTITION_VERTICES
+        if small:
+            self = _INTERNED.get(key)
+            if self is not None:
+                return self
+        self = object.__new__(cls)
         self.m = m
         self.n = n
         self.labels = labels
         self.nblocks = nblocks
+        self._hash = hash((m, labels))
+        if small:
+            _INTERNED[key] = self
+        return self
+
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild through __new__, which returns
+        # the interned object of a small partition.
+        return Partition, (self.m, self.n, self.labels, self.nblocks)
 
     @property
     def blocks(self) -> tuple[tuple[Vertex, ...], ...]:
@@ -151,18 +186,14 @@ class Partition:
             return self._blocks
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Partition)
             and self.m == other.m
             and self.labels == other.labels
         )
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash((self.m, self.labels))
-            return self._hash
+        return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join("{" + " ".join(map(repr, b)) + "}" for b in self.blocks)
@@ -362,7 +393,6 @@ def block_stats(p: Partition) -> PartitionStats:
     return PartitionStats(tuple(map(BlockStats, iv, ov)), rank, lb, rb)
 
 
-MAX_PARTITION_VERTICES = 8  # 4 140 partitions; each further vertex multiplies that by 5+
 MEMO_SIZE = 256  # results each bounded memo holds
 
 _MEMOS: dict = {}  # kernel -> its bounded memo
@@ -375,6 +405,9 @@ def bounded_memo(kernel):
 
     The memo serves a call only when each operand has at most
     MAX_PARTITION_VERTICES points; larger ones run kernel unmemoised.
+    Small partitions are interned, so a memo hit on partition operands
+    finds its key by identity without calling __eq__; other operands,
+    affine diagrams among them, compare by value.
     Two operands are equal only when their shapes are, so a pair whose
     shapes do not meet misses the memo and raises ShapeMismatch from
     kernel, which lru_cache never stores.  A result is stored under its

@@ -1,6 +1,11 @@
+import copy
+import pickle
+import random
+
 import pytest
 
 from diagcat import (
+    CATEGORIES,
     CompositionResult,
     Partition,
     block_stats,
@@ -13,9 +18,13 @@ from diagcat import (
     vin,
     vout,
 )
-from diagcat.cobordisms import _merge_labels
+from diagcat import partitions
+from diagcat.annular import AnnularPartition
+from diagcat.cobordisms import Cobordism, Spectrum, _merge_labels
 from diagcat.errors import BoundExceeded, CoverageError, OverlapError, RangeError
-from diagcat.partitions import MAX_PARTITION_VERTICES
+from diagcat.partitions import MAX_PARTITION_VERTICES, rotate
+from diagcat.sampling import random_partition
+from diagcat.serialize import Deformed
 
 
 # the hourglass: both sides collapsed, nothing transversal
@@ -145,3 +154,75 @@ def test_partition_is_hashable_and_ordered_canonically():
     q = make_partition(1, 1, [[vin(1)], [vout(1)]])
     assert p == q and hash(p) == hash(q)
     assert isinstance(p, Partition)
+
+
+# The partitions of at most 8 points over every shape: (k + 1) * Bell(k)
+# summed over the point counts k = 0..8.
+INTERN_BOUND = sum((k + 1) * bell for k, bell in enumerate([1, 1, 2, 5, 15, 52, 203, 877, 4140]))
+
+
+def test_equal_small_partitions_are_one_object_whichever_path_builds_them():
+    P = CATEGORIES["P"]
+    table = {p.labels: p for p in enumerate_partitions(2, 2)}
+    for p in table.values():
+        assert make_partition(2, 2, p.blocks) is p
+        assert compose(p, identity_partition(2)).product is p
+        assert compose(identity_partition(2), p).product is p
+        assert reflect(reflect(p)) is p
+        assert rotate(rotate(p)) is p
+        assert P.decode(P.encode(p)) is p
+    for x in table.values():
+        for y in table.values():
+            product = compose(x, y).product
+            assert product is table[product.labels]
+    rng = random.Random(0)
+    for _ in range(200):
+        p = random_partition(rng, 2, 2)
+        assert p is table[p.labels]
+
+
+def test_pickle_and_copies_return_the_interned_object():
+    p = make_partition(2, 1, [[vin(1), vout(1)], [vin(2)]])
+    values = [
+        p,
+        Cobordism(p, (0, 2), Spectrum({0: 1}), False),
+        Deformed(p, (3,), True),
+        AnnularPartition(p),
+    ]
+    for value in values:
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert clone == value
+            assert (clone if value is p else clone.base) is p
+
+
+def test_partitions_over_the_bound_compare_by_value():
+    blocks = [[vin(1), vin(3), vout(2)], [vin(2), vout(4)], [vin(4), vin(5)], [vout(1), vout(3)]]
+    a, b = make_partition(5, 4, blocks), make_partition(5, 4, blocks)
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert (a.m, a.n, a.labels, a.nblocks) not in partitions._INTERNED
+    assert compose(a, identity_partition(4)).product == a
+
+
+def test_hash_is_that_of_the_shape_and_labels():
+    big = make_partition(5, 4, [[vin(i) for i in range(1, 6)] + [vout(j) for j in range(1, 5)]])
+    for p in (*enumerate_partitions(2, 2), identity_partition(0), big):
+        assert hash(p) == hash((p.m, p.labels))
+
+
+def test_an_inconsistent_construction_leaves_later_lookups_alone(monkeypatch):
+    monkeypatch.setattr(partitions, "_INTERNED", {})
+    odd = Partition(1, 1, (0, 0), 2)
+    p = make_partition(1, 1, [[("in", 1), ("out", 1)]])
+    assert p.nblocks == 1 and p is not odd
+    assert identity_partition(1) is p
+
+
+def test_the_intern_table_stays_within_its_bound(monkeypatch):
+    assert sum(1 for _ in enumerate_partitions(4, 4)) == 4140
+    assert 4140 <= len(partitions._INTERNED) <= INTERN_BOUND == 46_113
+    monkeypatch.setattr(partitions, "_INTERNED", {})
+    parts = list(enumerate_partitions(4, 4))
+    assert len(partitions._INTERNED) == 4140
+    assert all(p is q for p, q in zip(enumerate_partitions(4, 4), parts))
+    assert len(partitions._INTERNED) == 4140
