@@ -511,7 +511,9 @@ def enumerate_affine(m: int, n: int, max_offset: int):
 
 
 class AnnMonoid(NamedTuple):
-    """Shadow monoid on [n]: elements, index lookup and the finite table."""
+    """Shadow monoid on [n]: elements in the closure's discovery order,
+    the generator shadows first and the identity at 0 (monoid.one == 0),
+    index lookup from a shadow's base partition, and the finite table."""
 
     elements: tuple[AnnularPartition, ...]
     index: dict
@@ -535,10 +537,10 @@ def build_ann_monoid(n: int) -> AnnMonoid:
     generators only, and each new product is recorded with its parent
     and generator.  The table's column of p*g is then R_g applied to the
     column of p, where R_g is right multiplication by g, one numpy gather
-    per element.  The elements are numbered in the order of the pairwise
-    closure (i walks the element list while j runs over it, forming
-    elements[i] * elements[j] and then elements[j] * elements[i]), which
-    is replayed by table lookups.
+    per element.  The elements are numbered in the order the closure
+    finds them: the distinct generator shadows first (the identity, the
+    rotation, its reflection, the cup-caps), so monoid.one == 0, and
+    then each new product p*g after its parent p.
     """
     import numpy as np
 
@@ -573,33 +575,10 @@ def build_ann_monoid(n: int) -> AnnMonoid:
         right.append(row)
         p += 1
 
-    size = len(bases)
     by_gen = np.array(right, dtype=np.intp).T  # by_gen[g] is R_g
-    columns = np.empty((size, size), dtype=np.intp)
+    columns = np.empty((len(bases), len(bases)), dtype=np.intp)
     columns[:ngens] = by_gen
     for q, (p, g) in enumerate(parents, ngens):
         columns[q] = by_gen[g][columns[p]]
-    rows = columns.T.tolist()  # rows[x][y]: the index of bases[x] * bases[y]
-
-    # The pairwise walk finds nothing new once every element is numbered,
-    # so it stops there.
-    order = list(range(ngens))  # closure position -> index in bases
-    position = order + [-1] * (size - ngens)
-    i = 0
-    while len(order) < size:
-        x = order[i]
-        j = 0
-        while j < len(order) and len(order) < size:
-            y = order[j]
-            for k in (rows[x][y], rows[y][x]):
-                if position[k] < 0:
-                    position[k] = len(order)
-                    order.append(k)
-            j += 1
-        i += 1
-
-    perm = np.array(order, dtype=np.intp)
-    table = np.array(position, dtype=np.intp)[columns.T[np.ix_(perm, perm)]]
-    elements = tuple(AnnularPartition(bases[k]) for k in order)
-    index = {bases[k]: i for i, k in enumerate(order)}
-    return AnnMonoid(elements, index, FiniteMonoid(table.tolist()))
+    elements = tuple(map(AnnularPartition, bases))
+    return AnnMonoid(elements, found, FiniteMonoid(columns.T.tolist()))

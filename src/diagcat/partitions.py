@@ -151,9 +151,9 @@ class Partition:
     __slots__ = ("m", "n", "labels", "nblocks", "_blocks", "_hash")
 
     def __new__(cls, m: int, n: int, labels: tuple[int, ...], nblocks: int):
-        key = (m, n, labels, nblocks)
         small = m + n <= MAX_PARTITION_VERTICES
         if small:
+            key = (m, n, labels, nblocks)
             self = _INTERNED.get(key)
             if self is not None:
                 return self

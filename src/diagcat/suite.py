@@ -285,17 +285,22 @@ def _rows_key(rows) -> list:
     return sorted(tuple(int(v) for v in row) for row in rows)
 
 
+def _unit_labels(*counts: int):
+    """Symbolic labels for operands with these block counts: one unit
+    coefficient row per block, each block its own variable, and the row
+    `one` of the constant slot, which comes last."""
+    eye = np.eye(sum(counts) + 1, dtype=np.int64)
+    starts = itertools.accumulate(counts, initial=0)
+    return [eye[s : s + k] for s, k in zip(starts, counts)], eye[-1]
+
+
 def check_cobordism_assoc(rng: random.Random) -> str:
     parts = _parts(2, 2)
     traced = bounded_memo(compose)  # the 225 pairs over parts fit its MEMO_SIZE
     triples = 0
     for a, b, c in itertools.product(parts, repeat=3):
         na, nb, nc = a.nblocks, b.nblocks, c.nblocks
-        width = na + nb + nc + 1
-        rows_a = np.eye(na, width, 0, dtype=np.int64)
-        rows_b = np.eye(nb, width, na, dtype=np.int64)
-        rows_c = np.eye(nc, width, na + nb, dtype=np.int64)
-        one = np.eye(1, width, width - 1, dtype=np.int64)[0]
+        (rows_a, rows_b, rows_c), one = _unit_labels(na, nb, nc)
 
         r_ab = traced(a, b)
         live_ab, dead_ab = _merge_labels(a, r_ab, rows_a, rows_b, one)
@@ -318,7 +323,7 @@ def check_cobordism_assoc(rng: random.Random) -> str:
 
         # keep the symbolic model tied to the real composition
         assign = np.array(
-            [rng.randint(-1, 1) for _ in range(width - 1)] + [1], dtype=np.int64
+            [rng.randint(-1, 1) for _ in range(na + nb + nc)] + [1], dtype=np.int64
         )
         xa = Cobordism(a, tuple(int(v) for v in assign[:na]), Spectrum(), True)
         xb = Cobordism(
@@ -387,10 +392,7 @@ def check_labeled_antiautomorphism(rng: random.Random) -> str:
     # the genus-labeled star reverses every product
     for a, b in itertools.product(parts, repeat=2):
         na, nb = a.nblocks, b.nblocks
-        width = na + nb + 1
-        rows_a = np.eye(na, width, 0, dtype=np.int64)
-        rows_b = np.eye(nb, width, na, dtype=np.int64)
-        one = np.eye(1, width, width - 1, dtype=np.int64)[0]
+        (rows_a, rows_b), one = _unit_labels(na, nb)
         r_ab = compose(a, b)
         live, _ = _merge_labels(a, r_ab, rows_a, rows_b, one)
         star_base, star_rows = _star_genus(r_ab.product, live, one)
@@ -403,7 +405,7 @@ def check_labeled_antiautomorphism(rng: random.Random) -> str:
             lambda: f"(xy)* != y* x* symbolically over bases {a!r}, {b!r}",
         )
         assign = np.array(
-            [rng.randint(-2, 2) for _ in range(width - 1)] + [1], dtype=np.int64
+            [rng.randint(-2, 2) for _ in range(na + nb)] + [1], dtype=np.int64
         )
         x = LabeledPartition(a, tuple(int(v) for v in assign[:na]), True)
         y = LabeledPartition(b, tuple(int(v) for v in assign[na:-1]), True)

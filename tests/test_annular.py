@@ -579,20 +579,23 @@ def test_affine_mirrors_match_the_reference_loops():
     assert checked == 1826
 
 
-def _build_ann_monoid_reference(n):
-    """build_ann_monoid before closure reuse: the closure forms both
-    products of every frontier element with every element, then the
-    table forms all n^2 products again."""
+def _generator_shadows(n):
+    """The shadows of the identity, the rotation, its reflection and the
+    cup-caps at width n, in that order, each once."""
     gens = [project_to_ann(affine_identity(n))]
     if n >= 1:
         gens += [project_to_ann(zeta(n)), project_to_ann(sigma_affine(zeta(n)))]
     if n >= 2:
         gens += [project_to_ann(cup_cap(n, i)) for i in range(1, n + 1)]
-    elements, index = [], {}
-    for g in gens:
-        if g.base not in index:
-            index[g.base] = len(elements)
-            elements.append(g)
+    return list(dict.fromkeys(gens))
+
+
+def _build_ann_monoid_reference(n):
+    """build_ann_monoid before closure reuse: the closure forms both
+    products of every frontier element with every element, then the
+    table forms all n^2 products again."""
+    elements = _generator_shadows(n)
+    index = {g.base: i for i, g in enumerate(elements)}
     frontier = list(elements)
     while frontier:
         new = []
@@ -612,9 +615,31 @@ def _build_ann_monoid_reference(n):
 def test_build_ann_monoid_matches_the_unshared_closure(n):
     elements, index, table = _build_ann_monoid_reference(n)
     got = build_ann_monoid(n)
-    assert list(got.elements) == elements
-    assert list(got.index.items()) == list(index.items())
-    assert got.monoid.table == tuple(map(tuple, table))
+    # The same elements, and the same table through the bijection between
+    # the two numberings.
+    to_ref = [index[x.base] for x in got.elements]
+    size = len(elements)
+    assert sorted(to_ref) == list(range(size))
+    assert [[to_ref[got.monoid.table[x][y]] for y in range(size)] for x in range(size)] == [
+        [table[to_ref[x]][to_ref[y]] for y in range(size)] for x in range(size)
+    ]
+    # Up to width 3 the discovery order is the pairwise closure's order.
+    if n <= 3:
+        assert list(got.elements) == elements
+        assert list(got.index.items()) == list(index.items())
+        assert got.monoid.table == tuple(map(tuple, table))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_build_ann_monoid_numbers_elements_in_discovery_order(n):
+    got = build_ann_monoid(n)
+    table, gens = got.monoid.table, _generator_shadows(n)
+    assert list(got.elements[: len(gens)]) == gens
+    assert got.monoid.one == 0
+    for q in range(len(gens), len(got.elements)):
+        assert any(table[p][g] == q for p in range(q) for g in range(len(gens))), q
+    assert len(got.index) == len(got.elements)
+    assert all(got.index[x.base] == i for i, x in enumerate(got.elements))
 
 
 def _crossing_free_reference(m, n, table) -> bool:
