@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from .errors import (
@@ -66,8 +67,11 @@ __all__ = [
 # -- circle forests ----------------------------------------------------------
 
 def _tree_key(t):
-    """Total order on canonical trees: depth, then size, then children."""
-    keys = tuple(_tree_key(c) for c in t)
+    """Total order on canonical trees: depth, then size, then children.
+    RangeError unless t is a tuple of trees."""
+    if not isinstance(t, tuple):
+        raise RangeError(f"{t!r} is not a tree: a tree is a tuple of trees")
+    keys = tuple(map(_tree_key, t))
     return (1 + max((k[0] for k in keys), default=0), 1 + sum(k[1] for k in keys), keys)
 
 
@@ -77,32 +81,75 @@ def _render_forest(trees) -> str:
     return " + ".join(f"({_render_forest(t)})" for t in trees)
 
 
+def _keyed(keys: tuple, trees: tuple) -> "CircleForest":
+    """The forest of these trees, already in key order, with these keys;
+    no tree is walked."""
+    forest = object.__new__(CircleForest)
+    # Written to the instance dict, which a frozen dataclass's own
+    # __setattr__ would refuse.
+    attrs = forest.__dict__
+    attrs["trees"] = trees
+    attrs["_keys"] = keys
+    return forest
+
+
+def _sorted_keyed(keys: tuple, trees: tuple) -> "CircleForest":
+    """The forest of these trees, stable-sorted by their keys."""
+    if len(keys) > 1:
+        keys, trees = zip(*sorted(zip(keys, trees), key=itemgetter(0)))
+    return _keyed(keys, trees)
+
+
 @dataclass(frozen=True)
 class CircleForest:
-    """Multiset of nested circles in canonical (recursively sorted) form."""
+    """Multiset of nested circles in canonical (recursively sorted) form.
+
+    A tree is a tuple of trees: the forest inside its circle.  Each forest
+    carries the order keys of its trees (_tree_key, in the attribute
+    _keys, which is no dataclass field): the constructor keys the raw
+    trees once, and +, *, enclose and indecomposables build their results
+    from their operands' keys, so no operation walks a tree again.
+    Equality, hashing and repr read trees only.  A tree that is not a
+    tuple of trees raises RangeError.
+    """
 
     trees: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "trees", tuple(sorted(self.trees, key=_tree_key))
-        )
+        try:
+            trees = tuple(self.trees)
+        except TypeError:
+            raise RangeError(f"{self.trees!r} is not a collection of trees") from None
+        keyed = _sorted_keyed(tuple(map(_tree_key, trees)), trees)
+        object.__setattr__(self, "trees", keyed.trees)
+        object.__setattr__(self, "_keys", keyed._keys)
 
     def __add__(self, other: "CircleForest") -> "CircleForest":
-        return CircleForest(self.trees + other.trees)
+        if not other.trees:
+            return self
+        if not self.trees:
+            return other
+        keys = self._keys + other._keys
+        if other._keys[0] < self._keys[-1]:
+            return _sorted_keyed(keys, self.trees + other.trees)
+        # Two sorted runs in order: their concatenation is sorted.
+        return _keyed(keys, self.trees + other.trees)
 
     def __mul__(self, m: int) -> "CircleForest":
-        if m < 0:
+        if _require_int(m, "forest multiple") < 0:
             raise RangeError("forest multiples must be non-negative")
-        return CircleForest(self.trees * m)
+        return _sorted_keyed(self._keys * m, self.trees * m)
 
     def enclose(self) -> "CircleForest":
         """One new circle drawn around the whole forest."""
-        return CircleForest((self.trees,))
+        keys = self._keys
+        # Keys order trees by depth first, so the deepest tree comes last.
+        depth = 1 + keys[-1][0] if keys else 1
+        return _keyed(((depth, 1 + sum(k[1] for k in keys), keys),), (self.trees,))
 
     def indecomposables(self) -> tuple["CircleForest", ...]:
         """The single-tree summands, with multiplicity."""
-        return tuple(CircleForest((t,)) for t in self.trees)
+        return tuple(_keyed((k,), (t,)) for k, t in zip(self._keys, self.trees))
 
     def __repr__(self) -> str:
         return _render_forest(self.trees)

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -41,13 +44,22 @@ from diagcat.auxmonoids import (
     je_to_labeled,
 )
 from diagcat.cobordisms import compose_decorated, make_cobordism
-from diagcat.identities import Identity, Monoid, Word, check_identity, evaluate
+from diagcat.identities import (
+    Identity,
+    Monoid,
+    Word,
+    check_identity,
+    evaluate,
+    monoid_REES,
+    monoid_SDP,
+)
 from diagcat.errors import (
     BadInvolution,
     InstanceMismatch,
     NoIdentity,
     NotAssociative,
     NotClosed,
+    RangeError,
 )
 
 
@@ -80,23 +92,148 @@ def _tree_key_reference(t):
     return (depth(t), size(t), tuple(_tree_key_reference(c) for c in t))
 
 
+def _random_tree(rng, budget):
+    """A raw tree of at most budget + 1 circles, children in drawn order."""
+    children = []
+    while budget > 0 and rng.random() < 0.6:
+        child_budget = rng.randint(0, budget - 1)
+        children.append(_random_tree(rng, child_budget))
+        budget -= child_budget + 1
+    return tuple(children)
+
+
+def _random_raw_forest(rng):
+    return tuple(_random_tree(rng, rng.randint(0, 12)) for _ in range(rng.randint(0, 4)))
+
+
 def test_tree_key_matches_three_recursions_on_random_forests():
     rng = random.Random(0)
-
-    def tree(budget):
-        children = []
-        while budget > 0 and rng.random() < 0.6:
-            child_budget = rng.randint(0, budget - 1)
-            children.append(tree(child_budget))
-            budget -= child_budget + 1
-        return tuple(children)
-
     for _ in range(3000):
-        forest = tuple(tree(rng.randint(0, 12)) for _ in range(rng.randint(0, 4)))
+        forest = _random_raw_forest(rng)
         for t in forest:
             assert _tree_key(t) == _tree_key_reference(t), t
         trees = CircleForest(forest).trees
         assert trees == tuple(sorted(forest, key=_tree_key_reference))
+
+
+def _assert_rebuilt(forest):
+    """forest equals the forest the public constructor builds from its
+    raw trees, in its trees and in the order keys it carries."""
+    rebuilt = CircleForest(forest.trees)
+    assert forest == rebuilt and forest.trees == rebuilt.trees, forest
+    assert forest._keys == rebuilt._keys == tuple(map(_tree_key_reference, forest.trees))
+
+
+def test_keyed_operations_equal_the_forests_rebuilt_from_raw_trees():
+    rng = random.Random(1)
+    for _ in range(1500):
+        # Canonical operands, as every forest built from CF_EMPTY by the
+        # operations is; a raw tree's children keep their drawn order.
+        a = CircleForest(_random_raw_forest(rng))
+        b = CircleForest(_random_raw_forest(rng))
+        _assert_rebuilt(a + b)
+        assert (a + b).trees == tuple(sorted(a.trees + b.trees, key=_tree_key_reference))
+        for k in range(4):
+            _assert_rebuilt(a * k)
+        _assert_rebuilt(a.enclose())
+        assert a.enclose().trees == (a.trees,)
+        summands = a.indecomposables()
+        assert [f.trees for f in summands] == [(t,) for t in a.trees]
+        for f in summands:
+            _assert_rebuilt(f)
+
+
+def _forests(x):
+    """The forests of a pool element or product, by field name."""
+    if x is REES_ONE:
+        return {}
+    return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)
+            if isinstance(getattr(x, f.name), CircleForest)}
+
+
+def _rebuilt_forests(x):
+    """x with each forest in it rebuilt by the public constructor."""
+    if x is REES_ONE:
+        return x
+    return dataclasses.replace(x, **{k: CircleForest(f.trees) for k, f in _forests(x).items()})
+
+
+def _public_forest_add(f, g):
+    return CircleForest(f.trees + g.trees)
+
+
+def _sdp_mul_public(x, y):
+    c, d = (y.left, y.right) if x.shift % 2 == 0 else (y.right, y.left)
+    return SDPElement(_public_forest_add(x.left, c), _public_forest_add(x.right, d), x.shift + y.shift)
+
+
+def _rees_mul_public(x, y):
+    if x is REES_ONE:
+        return y
+    if y is REES_ONE:
+        return x
+    inner = CircleForest((_public_forest_add(x.right, y.left).trees,))
+    mid = _public_forest_add(_public_forest_add(x.mid, inner), y.mid)
+    return ReesL2Element(x.left, mid, y.right)
+
+
+@pytest.mark.parametrize("monoid, public_mul", [
+    (monoid_SDP, _sdp_mul_public),
+    (monoid_REES, _rees_mul_public),
+])
+def test_product_chains_equal_products_built_by_the_public_constructor(monoid, public_mul):
+    m = monoid()
+    rng = random.Random(2)
+    for _ in range(300):
+        got = expected = rng.choice(m.pool)
+        for _ in range(rng.randint(1, 8)):
+            y = rng.choice(m.pool)
+            if rng.random() < 0.3:
+                got, expected = m.star(got), m.star(expected)
+            got = m.mul(got, y)
+            expected = public_mul(expected, _rebuilt_forests(y))
+            assert got == expected and repr(got) == repr(expected)
+            for forest in _forests(got).values():
+                _assert_rebuilt(forest)
+
+
+def test_copies_keep_equality_and_the_order_keys():
+    rng = random.Random(3)
+    for _ in range(200):
+        forest = CircleForest(_random_raw_forest(rng)).enclose() + CF_CIRCLE
+        for copied in (
+            copy.copy(forest),
+            copy.deepcopy(forest),
+            pickle.loads(pickle.dumps(forest)),
+            dataclasses.replace(forest),
+        ):
+            assert copied == forest and hash(copied) == hash(forest)
+            assert copied.trees == forest.trees and copied._keys == forest._keys
+            assert copied + CF_CIRCLE == forest + CF_CIRCLE
+
+
+def test_the_order_keys_are_no_dataclass_field():
+    assert [f.name for f in dataclasses.fields(CircleForest)] == ["trees"]
+    assert repr(CF_CIRCLE + CF_CIRCLE.enclose()) == "(0) + ((0))"
+
+
+@pytest.mark.parametrize("trees", [
+    "ab",
+    (1,),
+    ((), []),
+    (((), ("x",)),),
+    (None,),
+    5,
+])
+def test_circle_forest_rejects_malformed_trees(trees):
+    with pytest.raises(RangeError):
+        CircleForest(trees)
+
+
+@pytest.mark.parametrize("m", [True, False, 2.0, "2", None, -1])
+def test_forest_multiples_must_be_non_negative_ints(m):
+    with pytest.raises(RangeError):
+        CF_CIRCLE * m
 
 
 def test_ideal_extension_products():
