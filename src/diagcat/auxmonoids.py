@@ -66,13 +66,16 @@ __all__ = [
 
 # -- circle forests ----------------------------------------------------------
 
-def _tree_key(t):
-    """Total order on canonical trees: depth, then size, then children.
-    RangeError unless t is a tuple of trees."""
+def _canonical_tree(t) -> tuple[tuple, tuple]:
+    """The order key and the canonical form of the tree t, whose children
+    are sorted recursively by their keys.  Trees are ordered by depth,
+    then size, then children.  RangeError unless t is a tuple of trees."""
     if not isinstance(t, tuple):
         raise RangeError(f"{t!r} is not a tree: a tree is a tuple of trees")
-    keys = tuple(map(_tree_key, t))
-    return (1 + max((k[0] for k in keys), default=0), 1 + sum(k[1] for k in keys), keys)
+    children = sorted(map(_canonical_tree, t), key=itemgetter(0))
+    keys = tuple(k for k, _ in children)
+    key = (1 + max((k[0] for k in keys), default=0), 1 + sum(k[1] for k in keys), keys)
+    return key, tuple(c for _, c in children)
 
 
 def _render_forest(trees) -> str:
@@ -105,10 +108,10 @@ class CircleForest:
     """Multiset of nested circles in canonical (recursively sorted) form.
 
     A tree is a tuple of trees: the forest inside its circle.  Each forest
-    carries the order keys of its trees (_tree_key, in the attribute
-    _keys, which is no dataclass field): the constructor keys the raw
-    trees once, and +, *, enclose and indecomposables build their results
-    from their operands' keys, so no operation walks a tree again.
+    carries the order keys of its trees (_canonical_tree, in the attribute
+    _keys, which is no dataclass field): the constructor sorts and keys
+    the raw trees once, and +, *, enclose and indecomposables build their
+    results from their operands' keys, so no operation walks a tree again.
     Equality, hashing and repr read trees only.  A tree that is not a
     tuple of trees raises RangeError.
     """
@@ -120,9 +123,10 @@ class CircleForest:
             trees = tuple(self.trees)
         except TypeError:
             raise RangeError(f"{self.trees!r} is not a collection of trees") from None
-        keyed = _sorted_keyed(tuple(map(_tree_key, trees)), trees)
-        object.__setattr__(self, "trees", keyed.trees)
-        object.__setattr__(self, "_keys", keyed._keys)
+        # The forest's trees are the children of one tree around them all.
+        key, canonical = _canonical_tree(trees)
+        object.__setattr__(self, "trees", canonical)
+        object.__setattr__(self, "_keys", key[2])
 
     def __add__(self, other: "CircleForest") -> "CircleForest":
         if not other.trees:

@@ -15,9 +15,10 @@ The reflection sigma and the half-turn rho transport labels along the
 block bijection and are involutive anti-automorphisms on both variants;
 they take decorated values only, a bare Partition being mirrored by
 partitions.reflect and partitions.rotate.
-Values over few bases recur under many labels and spectra, so the base
-composition of small bases comes from a bounded memo
-(partitions.bounded_memo).
+Values over few bases recur under many labels and spectra, so the merge
+plan of a pair of small bases -- its base composition and the increment
+of each class -- comes from a bounded memo (partitions.bounded_memo), and
+a composition only adds the operands' labels onto the increments.
 Deformed partitions, a base with one integer shift, are a counter row
 of the category table (serialize.Deformed).
 """
@@ -39,6 +40,7 @@ from .errors import (
 from .partitions import (
     CompositionResult,
     Partition,
+    PartitionStats,
     _require_int,
     block_stats,
     bounded_memo,
@@ -97,10 +99,9 @@ class Spectrum:
         checked: counts summed per label, zero counts dropped."""
         counts: dict[int, int] = {}
         for genus, count in items:
-            if count:
-                counts[genus] = counts.get(genus, 0) + count
+            counts[genus] = counts.get(genus, 0) + count
         spectrum = object.__new__(cls)
-        spectrum.pairs = tuple(sorted((g, c) for g, c in counts.items() if c))
+        spectrum.pairs = tuple(sorted([item for item in counts.items() if item[1]]))
         return spectrum
 
     def __eq__(self, other) -> bool:
@@ -170,31 +171,42 @@ def make_cobordism(
     return Cobordism(base, g, s, regular)
 
 
+def _increments(alpha: Partition, res: CompositionResult) -> tuple[int, ...]:
+    """The increment v - (a + b) + 1 of each class of res = compose(alpha,
+    beta), in class order: v middle vertices, a and b the class's blocks
+    from either side.  A class that does not touch the middle is one
+    block, for which the count is 0."""
+    increment = [1] * (res.product.nblocks + res.b)
+    for c in res.classes:
+        increment[c] -= 1
+    for x in alpha.labels[alpha.m :]:
+        increment[res.classes[x]] += 1
+    return tuple(increment)
+
+
 def _merge_labels(alpha: Partition, res: CompositionResult, g: Sequence, h: Sequence, unit):
     """Labels of the product blocks and of the dead classes, in order, for
     res = compose(alpha, beta) with labels g on alpha's blocks and h on
     beta's.
 
-    Each class of res.classes sums the labels of its factor blocks, plus
-    the increment v - (a + b) + 1 when it touches the middle layer in v
-    vertices, a and b being its blocks from either side; a class that
-    does not touch the middle is one block, for which the count is 0.
-    Labels are any additive values with ``unit`` the label 1: ints with
-    unit 1, or coefficient rows with the constant-slot row as unit."""
-    classes = res.classes
-    increment = [1] * (res.product.nblocks + res.b)
-    for c in classes:
-        increment[c] -= 1
-    for x in alpha.labels[alpha.m :]:
-        increment[classes[x]] += 1
-    sums = [k * unit for k in increment]
-    for c, label in zip(classes, (*g, *h)):
+    Each class of res.classes sums the labels of its factor blocks plus
+    its increment (_increments).  Labels are any additive values with
+    ``unit`` the label 1: ints with unit 1, or coefficient rows with the
+    constant-slot row as unit."""
+    sums = [k * unit for k in _increments(alpha, res)]
+    for c, label in zip(res.classes, (*g, *h)):
         sums[c] = sums[c] + label
     live = res.product.nblocks
     return tuple(sums[:live]), sums[live:]
 
 
-_compose_bases = bounded_memo(compose)
+def _merge_plan(alpha: Partition, beta: Partition) -> tuple[CompositionResult, tuple[int, ...]]:
+    """compose(alpha, beta) and the increments of its classes."""
+    res = compose(alpha, beta)
+    return res, _increments(alpha, res)
+
+
+_plans = bounded_memo(_merge_plan)
 
 
 def compose_decorated(x, y):
@@ -208,8 +220,12 @@ def compose_decorated(x, y):
         raise BaseMismatch(f"cannot compose a {type(x).__name__} with a {type(y).__name__}")
     if x.regular != y.regular:
         raise RegularityMismatch("cannot mix regular and non-regular values")
-    res = _compose_bases(x.base, y.base)
-    live, dead = _merge_labels(x.base, res, x.genus, y.genus, 1)
+    res, increment = _plans(x.base, y.base)
+    sums = list(increment)
+    for c, label in zip(res.classes, (*x.genus, *y.genus)):
+        sums[c] += label
+    nlive = res.product.nblocks
+    live, dead = tuple(sums[:nlive]), sums[nlive:]
     if not x.regular and any(l < 0 for l in live):
         raise NegativeLabel(f"negative genus in non-regular product: {live}")
     if isinstance(x, LabeledPartition):
@@ -233,11 +249,14 @@ def _require_regular(x) -> None:
         raise NotRegular("star needs a regular value")
 
 
-def _star_genus(x: Partition, genus: Sequence, unit) -> tuple[Partition, tuple]:
+def _star_genus(
+    x: Partition, stats: PartitionStats, genus: Sequence, unit
+) -> tuple[Partition, tuple]:
     """The reflected base with labels g*(B*) = -g(B) - v(B) + 2, for
-    additive labels with unit ``unit`` as in _merge_labels()."""
+    additive labels with unit ``unit`` as in _merge_labels(); stats is
+    block_stats(x)."""
     image, moved = reflect_tracked(x)
-    per_block = block_stats(x).per_block
+    per_block = stats.per_block
     out = [0] * len(genus)
     for i, target in moved.items():
         out[target] = -genus[i] + (2 - per_block[i].v) * unit
@@ -246,7 +265,7 @@ def _star_genus(x: Partition, genus: Sequence, unit) -> tuple[Partition, tuple]:
 
 def star_labeled(x: LabeledPartition) -> LabeledPartition:
     _require_regular(x)
-    return LabeledPartition(*_star_genus(x.base, x.genus, 1), True)
+    return LabeledPartition(*_star_genus(x.base, block_stats(x.base), x.genus, 1), True)
 
 
 def star_cobordism(x: Cobordism) -> Cobordism:
@@ -256,7 +275,7 @@ def star_cobordism(x: Cobordism) -> Cobordism:
     _require_regular(x)
     stats = block_stats(x.base)
     spectrum = x.spectrum.negate() + Spectrum._of(((1, -(stats.lb + stats.rb)),))
-    image, genus = _star_genus(x.base, x.genus, 1)
+    image, genus = _star_genus(x.base, stats, x.genus, 1)
     return Cobordism(image, genus, spectrum, True)
 
 

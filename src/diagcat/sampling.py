@@ -12,7 +12,7 @@ import random
 from typing import Optional
 
 from .partitions import Partition, _require_shape, bounded_memo
-from .cobordisms import Cobordism, Spectrum, make_cobordism
+from .cobordisms import Cobordism, Spectrum
 from .annular import AffineDiagram, _generators, affine_identity, compose_affine
 from .identities import Word
 
@@ -40,7 +40,7 @@ def random_partition(rng: random.Random, m: int, n: int) -> Partition:
 def random_spectrum(rng: random.Random, support: int = 3) -> Spectrum:
     """Up to support distinct genera in 0-4, each with count 1 or 2."""
     genera = rng.sample(range(5), min(support, 5))
-    return Spectrum({g: rng.randint(1, 2) for g in genera})
+    return Spectrum._of([(g, rng.randint(1, 2)) for g in genera])
 
 
 def random_cobordism(
@@ -50,10 +50,14 @@ def random_cobordism(
     regular: bool = False,
     spectrum_support: int = 2,
 ) -> Cobordism:
+    """A cobordism over a random_partition() base; labels are drawn in
+    -2..2 when regular and 0..2 otherwise, so the value is valid as drawn
+    and skips make_cobordism()'s checks."""
     base = random_partition(rng, m, n)
     spectrum = random_spectrum(rng, rng.randint(0, spectrum_support))
-    labels = [rng.randint(-2 if regular else 0, 2) for _ in range(base.nblocks)]
-    return make_cobordism(base, labels, spectrum, regular)
+    low = -2 if regular else 0
+    labels = tuple([rng.randint(low, 2) for _ in range(base.nblocks)])
+    return Cobordism(base, labels, spectrum, regular)
 
 
 _step = bounded_memo(compose_affine)  # short walks at small widths revisit their products

@@ -27,8 +27,9 @@ value of a base row (P, aTLe or Ann) plus integer counters, each fed by
 one diagnostic of the base composition.  One builder derives each of
 them from its base row and its (field, diagnostic) pairs.  Bases recur
 under many labels and counters, so every row composes small bases through
-the bounded memo of its kernel (partitions.bounded_memo), the one that
-cobordisms.compose_decorated shares.
+a bounded memo (partitions.bounded_memo): the base and counter rows
+through their kernel's, the labeled rows through the merge plans of
+cobordisms.compose_decorated.
 """
 
 from __future__ import annotations

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from diagcat import CATEGORIES, Deformed
-from diagcat.partitions import make_partition
-from diagcat.suite import CheckFailed, _check_involutions, _check_star, run_suite
+from diagcat import CATEGORIES, Deformed, suite
+from diagcat.partitions import make_partition, rotate
+from diagcat.suite import CheckFailed, _check_involutions, _check_star, _pair_table, run_suite
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -147,3 +147,17 @@ def test_star_helper_catches_a_wrong_star():
     with pytest.raises(CheckFailed):
         for x, _ in _pairs(row, True):
             _check_star(row, x)
+
+
+def test_reflect_star_laws_catch_a_rotation_in_place_of_the_reflection(monkeypatch):
+    monkeypatch.setattr(suite, "reflect", rotate)
+    with pytest.raises(CheckFailed, match=r"at Partition\(\d->\d: "):
+        suite.check_reflect_star_laws(random.Random(0))
+
+
+def test_pair_tables_are_shared_read_only():
+    prod, dead = _pair_table(2, 2, 2)
+    assert _pair_table(2, 2, 2)[0] is prod
+    for table in (prod, dead):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0

@@ -37,7 +37,7 @@ from diagcat.auxmonoids import (
     JE_PARITY,
     JEElement,
     REES_ONE,
-    _tree_key,
+    _canonical_tree,
     je_mul,
     je_pair,
     je_s,
@@ -106,14 +106,28 @@ def _random_raw_forest(rng):
     return tuple(_random_tree(rng, rng.randint(0, 12)) for _ in range(rng.randint(0, 4)))
 
 
+def _sorted_reference(t):
+    """t with its children sorted by _tree_key_reference, recursively."""
+    return tuple(sorted(map(_sorted_reference, t), key=_tree_key_reference))
+
+
 def test_tree_key_matches_three_recursions_on_random_forests():
     rng = random.Random(0)
     for _ in range(3000):
         forest = _random_raw_forest(rng)
         for t in forest:
-            assert _tree_key(t) == _tree_key_reference(t), t
-        trees = CircleForest(forest).trees
-        assert trees == tuple(sorted(forest, key=_tree_key_reference))
+            key, canonical = _canonical_tree(t)
+            assert canonical == _sorted_reference(t), t
+            assert key == _tree_key_reference(canonical), t
+        # The constructor sorts every level, not only the top one.
+        assert CircleForest(forest).trees == _sorted_reference(forest)
+
+
+def test_circle_forests_of_one_multiset_of_circles_are_equal():
+    a = CircleForest(((((),), ()),))
+    b = CircleForest((((), ((),)),))
+    assert a == b and hash(a) == hash(b) and a.trees == b.trees
+    assert a.enclose() == b.enclose() and hash(a.enclose()) == hash(b.enclose())
 
 
 def _assert_rebuilt(forest):
@@ -128,7 +142,7 @@ def test_keyed_operations_equal_the_forests_rebuilt_from_raw_trees():
     rng = random.Random(1)
     for _ in range(1500):
         # Canonical operands, as every forest built from CF_EMPTY by the
-        # operations is; a raw tree's children keep their drawn order.
+        # operations is.
         a = CircleForest(_random_raw_forest(rng))
         b = CircleForest(_random_raw_forest(rng))
         _assert_rebuilt(a + b)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -29,7 +30,7 @@ from diagcat.errors import (
     RangeError,
     RegularityMismatch,
 )
-from diagcat.sampling import random_cobordism, random_spectrum
+from diagcat.sampling import random_cobordism, random_partition, random_spectrum
 
 H = make_partition(2, 2, [[vin(1), vin(2)], [vout(1), vout(2)]])
 
@@ -105,6 +106,38 @@ def test_unchecked_sums_match_the_validated_constructor():
         expected = Spectrum([*x.spectrum.pairs, *y.spectrum.pairs, *((d, 1) for d in dead)])
         assert product.spectrum.pairs == expected.pairs
         assert regular or not product.spectrum.min_genus_negative()
+
+
+def _random_spectrum_reference(rng, support=3):
+    """random_spectrum through the validated Spectrum constructor."""
+    genera = rng.sample(range(5), min(support, 5))
+    return Spectrum({g: rng.randint(1, 2) for g in genera})
+
+
+def _random_cobordism_reference(rng, m, n, regular=False, spectrum_support=2):
+    """random_cobordism through make_cobordism."""
+    base = random_partition(rng, m, n)
+    spectrum = _random_spectrum_reference(rng, rng.randint(0, spectrum_support))
+    labels = [rng.randint(-2 if regular else 0, 2) for _ in range(base.nblocks)]
+    return make_cobordism(base, labels, spectrum, regular)
+
+
+def test_samplers_make_the_draws_of_the_validated_constructors():
+    shapes = list(itertools.product(range(4), repeat=2))
+    for seed in range(50):
+        for regular in (False, True):
+            for support in (0, 2, 3):
+                rng, reference = random.Random(seed), random.Random(seed)
+                for m, n in shapes:
+                    x = random_cobordism(rng, m, n, regular, support)
+                    assert x == _random_cobordism_reference(reference, m, n, regular, support)
+                    assert make_cobordism(x.base, x.genus, x.spectrum, x.regular) == x
+                    assert type(x.genus) is tuple
+                assert rng.getstate() == reference.getstate()
+        rng, reference = random.Random(seed), random.Random(seed)
+        for support in range(7):
+            assert random_spectrum(rng, support) == _random_spectrum_reference(reference, support)
+        assert rng.getstate() == reference.getstate()
 
 
 def test_compose_decorated_rejects_mixed_operand_types():

@@ -1,5 +1,6 @@
-"""The bounded memos behind the decorated compositions, the counter rows,
-the tracked partition mirrors and the affine sampler's walk."""
+"""The bounded memos behind the decorated compositions' merge plans, the
+counter rows, the tracked partition mirrors and the affine sampler's
+walk."""
 
 import itertools
 import random
@@ -8,7 +9,15 @@ import pytest
 
 from diagcat import CATEGORIES, annular, cobordisms, partitions
 from diagcat.annular import AffineDiagram, compose_affine
-from diagcat.cobordisms import Cobordism, Spectrum, compose_decorated, rho, sigma
+from diagcat.cobordisms import (
+    Cobordism,
+    LabeledPartition,
+    Spectrum,
+    _merge_labels,
+    compose_decorated,
+    rho,
+    sigma,
+)
 from diagcat.errors import ShapeMismatch
 from diagcat.partitions import (
     MAX_PARTITION_VERTICES,
@@ -66,13 +75,23 @@ def test_memoised_rows_agree_with_fresh_compositions(name):
 
 
 def test_one_memo_per_kernel_and_mirrors_and_walks_agree_with_their_kernels():
-    assert bounded_memo(compose) is cobordisms._compose_bases
+    assert bounded_memo(cobordisms._merge_plan) is cobordisms._plans
     assert bounded_memo(compose_affine) is bounded_memo(compose_affine)
-    kernels = {compose, compose_affine, reflect_tracked.__wrapped__, rotate_tracked.__wrapped__}
+    kernels = {
+        compose,
+        cobordisms._merge_plan,
+        compose_affine,
+        reflect_tracked.__wrapped__,
+        rotate_tracked.__wrapped__,
+    }
     assert set(partitions._MEMOS) == kernels
     rng = random.Random(3)
     for _ in range(500):
         p = random_partition(rng, rng.randint(0, 5), rng.randint(0, 5))
+        q = random_partition(rng, p.n, rng.randint(0, 5))
+        res, increments = cobordisms._plans(p, q)
+        assert (res, increments) == cobordisms._merge_plan(p, q)
+        assert res == compose(p, q) and isinstance(increments, tuple)
         for tracked in (reflect_tracked, rotate_tracked):
             image, moved = tracked(p)
             assert (image, moved) == tracked.__wrapped__(p)
@@ -167,7 +186,7 @@ def test_memos_stay_within_capacity_and_skip_large_shapes():
         compose_decorated(_unlabelled(p), _unlabelled(q))
         reflect_tracked(p)
         assert max(memo_sizes()) <= MEMO_SIZE
-    assert cobordisms._compose_bases.cache_info().currsize == MEMO_SIZE
+    assert cobordisms._plans.cache_info().currsize == MEMO_SIZE
 
     clear_memos()
     rng = random.Random(8)
@@ -176,7 +195,7 @@ def test_memos_stay_within_capacity_and_skip_large_shapes():
         x, y = random_cobordism(rng, m, n, regular=True), random_cobordism(rng, n, m, regular=True)
         compose_decorated(x, y)
         sigma(x), rho(x)
-        # one base composition and one block map per mirror
+        # one merge plan and one block map per mirror
         assert sum(memo_sizes()) == (3 if m + n <= MAX_PARTITION_VERTICES else 0), (m, n)
         clear_memos()
     for name, cat in CATEGORIES.items():
@@ -188,3 +207,48 @@ def test_memos_stay_within_capacity_and_skip_large_shapes():
         if regular:
             cat.star(x)
         assert sum(memo_sizes()) == 0, name
+
+
+def _merged_by_oracle(x, y):
+    """compose_decorated(x, y) through an unmemoised composition and
+    _merge_labels."""
+    res = compose(x.base, y.base)
+    live, dead = _merge_labels(x.base, res, x.genus, y.genus, 1)
+    if isinstance(x, LabeledPartition):
+        return LabeledPartition(res.product, live, x.regular), res
+    spectrum = x.spectrum + y.spectrum + Spectrum([(d, 1) for d in dead])
+    return Cobordism(res.product, live, spectrum, x.regular), res
+
+
+def _decorations(rng, p, regular):
+    """A labeled value and a cobordism over p with random int labels."""
+    low = -3 if regular else 0
+    genus = tuple(rng.randint(low, 3) for _ in range(p.nblocks))
+    entries = rng.randint(0, 2)
+    spectrum = Spectrum({rng.randint(low, 3): rng.randint(low, 2) for _ in range(entries)})
+    return LabeledPartition(p, genus, regular), Cobordism(p, genus, spectrum, regular)
+
+
+def test_merge_plans_equal_the_merge_labels_oracle_before_and_after_eviction():
+    rng = random.Random(11)
+    pairs = [
+        (p, q)
+        for a, b, c in itertools.product(range(3), repeat=3)
+        for p in enumerate_partitions(a, b)
+        for q in enumerate_partitions(b, c)
+    ]
+    for k in (3, 4):
+        pairs += [(random_partition(rng, k, k), random_partition(rng, k, k)) for _ in range(500)]
+    bases = list(enumerate_partitions(3, 3))
+    evicting = [(p, q) for p in bases[:20] for q in bases[20:35]]  # 300 distinct pairs
+    assert len(evicting) > MEMO_SIZE
+    clear_memos()
+    for _ in range(2):
+        for p, q in pairs:
+            for regular in (False, True):
+                xs, ys = _decorations(rng, p, regular), _decorations(rng, q, regular)
+                for x, y in zip(xs, ys):
+                    assert compose_decorated(x, y) == _merged_by_oracle(x, y), (x, y)
+        for p, q in evicting:
+            compose_decorated(_unlabelled(p), _unlabelled(q))
+    assert cobordisms._plans.cache_info().hits > len(pairs)
