@@ -101,7 +101,6 @@ from .identities import (
     extreme_rep,
     holds_in_M,
     holds_in_N,
-    identity_by_name,
     monoid_A21,
     monoid_M,
     monoid_N,

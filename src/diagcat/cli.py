@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import serialize
-from .annular import build_ann_monoid, compose_affine, enumerate_affine
+from .annular import build_ann_monoid, enumerate_affine
 from .errors import DiagcatError, ParseError, ShapeMismatch, UnknownMonoid
 from .identities import (
     IDENTITY_REGISTRY,
@@ -102,47 +102,36 @@ def _cmd_normalform(args: argparse.Namespace) -> int:
     return 0
 
 
+# Per family: the JSON key of a value, its [n] ~> [n] values, and the
+# extra fields of an idempotent.
+_IDEMPOTENT_ROWS = {
+    "P": (
+        "partition",
+        lambda n: enumerate_partitions(n, n),
+        lambda e: {"components": [
+            {"blocks": list(ix), "rank": rank} for ix, rank in is_idempotent_structurally(e)
+        ]},
+    ),
+    "aTLe": ("diagram", lambda n: enumerate_affine(n, n, 2), lambda d: {"rank": d.rank}),
+    "Ann": ("shadow", lambda n: build_ann_monoid(n).elements, lambda x: {"rank": x.rank}),
+}
+
+
 def _cmd_idempotents(args: argparse.Namespace) -> int:
     n = args.n
     if n < 0:
         raise ParseError("n must be non-negative")
+    if args.category not in _IDEMPOTENT_ROWS:
+        names = ", ".join(_IDEMPOTENT_ROWS)
+        raise ParseError(f"unsupported category {args.category!r} (choose from {names})")
+    key, values, extra = _IDEMPOTENT_ROWS[args.category]
+    row = serialize.CATEGORIES[args.category]
     found = total = 0
-    if args.category == "P":
-        for e in enumerate_partitions(n, n):
-            total += 1
-            witness = is_idempotent_structurally(e)
-            if not witness:
-                continue
+    for x in values(n):
+        total += 1
+        if row.compose(x, x)[0] == x:
             found += 1
-            out = {
-                "partition": serialize.partition_to_json(e),
-                "components": [
-                    {"blocks": list(ix), "rank": rank} for ix, rank in witness
-                ],
-            }
-            print(json.dumps(out, sort_keys=True))
-    elif args.category == "aTLe":
-        for d in enumerate_affine(n, n, 2):
-            total += 1
-            if compose_affine(d, d).product != d:
-                continue
-            found += 1
-            out = {"diagram": serialize.affine_to_json(d), "rank": d.rank}
-            print(json.dumps(out, sort_keys=True))
-    elif args.category == "Ann":
-        annm = build_ann_monoid(n)
-        for i in annm.monoid.idempotents():
-            found += 1
-            out = {
-                "shadow": serialize.CATEGORIES["Ann"].encode(annm.elements[i]),
-                "rank": annm.elements[i].rank,
-            }
-            print(json.dumps(out, sort_keys=True))
-        total = annm.monoid.size
-    else:
-        raise ParseError(
-            f"unsupported category {args.category!r} (choose from P, aTLe, Ann)"
-        )
+            print(json.dumps({key: row.encode(x), **extra(x)}, sort_keys=True))
     print(f"{found} idempotents among {total} elements", file=sys.stderr)
     return 0
 

@@ -171,29 +171,17 @@ def make_cobordism(
     return Cobordism(base, g, s, regular)
 
 
-def _increments(alpha: Partition, res: CompositionResult) -> tuple[int, ...]:
-    """The increment v - (a + b) + 1 of each class of res = compose(alpha,
-    beta), in class order: v middle vertices, a and b the class's blocks
-    from either side.  A class that does not touch the middle is one
-    block, for which the count is 0."""
-    increment = [1] * (res.product.nblocks + res.b)
-    for c in res.classes:
-        increment[c] -= 1
-    for x in alpha.labels[alpha.m :]:
-        increment[res.classes[x]] += 1
-    return tuple(increment)
-
-
-def _merge_labels(alpha: Partition, res: CompositionResult, g: Sequence, h: Sequence, unit):
+def _merge_labels(res: CompositionResult, constants: Sequence, g: Sequence, h: Sequence):
     """Labels of the product blocks and of the dead classes, in order, for
     res = compose(alpha, beta) with labels g on alpha's blocks and h on
     beta's.
 
     Each class of res.classes sums the labels of its factor blocks plus
-    its increment (_increments).  Labels are any additive values with
-    ``unit`` the label 1: ints with unit 1, or coefficient rows with the
-    constant-slot row as unit."""
-    sums = [k * unit for k in _increments(alpha, res)]
+    its constant.  Labels are any additive values, and constants holds
+    each class's increment (_merge_plan) in the labels' own type: the
+    plan's ints for int labels, or each increment times the constant-slot
+    row for coefficient rows."""
+    sums = list(constants)
     for c, label in zip(res.classes, (*g, *h)):
         sums[c] = sums[c] + label
     live = res.product.nblocks
@@ -201,9 +189,17 @@ def _merge_labels(alpha: Partition, res: CompositionResult, g: Sequence, h: Sequ
 
 
 def _merge_plan(alpha: Partition, beta: Partition) -> tuple[CompositionResult, tuple[int, ...]]:
-    """compose(alpha, beta) and the increments of its classes."""
+    """compose(alpha, beta) and the increment v - (a + b) + 1 of each of
+    its classes, in class order: v middle vertices, a and b the class's
+    blocks from either side.  A class that does not touch the middle is
+    one block, for which the count is 0."""
     res = compose(alpha, beta)
-    return res, _increments(alpha, res)
+    increment = [1] * (res.product.nblocks + res.b)
+    for c in res.classes:
+        increment[c] -= 1
+    for x in alpha.labels[alpha.m :]:
+        increment[res.classes[x]] += 1
+    return res, tuple(increment)
 
 
 _plans = bounded_memo(_merge_plan)
@@ -221,11 +217,7 @@ def compose_decorated(x, y):
     if x.regular != y.regular:
         raise RegularityMismatch("cannot mix regular and non-regular values")
     res, increment = _plans(x.base, y.base)
-    sums = list(increment)
-    for c, label in zip(res.classes, (*x.genus, *y.genus)):
-        sums[c] += label
-    nlive = res.product.nblocks
-    live, dead = tuple(sums[:nlive]), sums[nlive:]
+    live, dead = _merge_labels(res, increment, x.genus, y.genus)
     if not x.regular and any(l < 0 for l in live):
         raise NegativeLabel(f"negative genus in non-regular product: {live}")
     if isinstance(x, LabeledPartition):
@@ -253,8 +245,8 @@ def _star_genus(
     x: Partition, stats: PartitionStats, genus: Sequence, unit
 ) -> tuple[Partition, tuple]:
     """The reflected base with labels g*(B*) = -g(B) - v(B) + 2, for
-    additive labels with unit ``unit`` as in _merge_labels(); stats is
-    block_stats(x)."""
+    additive labels with unit ``unit``: the int 1 for int labels, or the
+    constant-slot row for coefficient rows; stats is block_stats(x)."""
     image, moved = reflect_tracked(x)
     per_block = stats.per_block
     out = [0] * len(genus)

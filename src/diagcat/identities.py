@@ -82,7 +82,6 @@ __all__ = [
     "Verdict",
     "check_identity",
     "IDENTITY_REGISTRY",
-    "identity_by_name",
     "zimin_sorted_pair",
     "star_mix_words",
     "monoid_M",
@@ -688,12 +687,6 @@ IDENTITY_REGISTRY: dict[str, Identity] = {
     # the inverse-like law that collapses involutory Zimin chains
     "star-sandwich": parse_identity("x = xx*x"),
 }
-
-
-def identity_by_name(name: str) -> Identity:
-    if name not in IDENTITY_REGISTRY:
-        raise ParseError(f"unknown registered identity {name!r}")
-    return IDENTITY_REGISTRY[name]
 
 
 def zimin_sorted_pair(k: int) -> Identity:

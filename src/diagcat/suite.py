@@ -9,10 +9,11 @@ whose JSON form is versioned as "report_v1".
 The heavier exhaustive checks work symbolically: block labels become
 integer coefficient rows (one slot per formal label plus a constant
 slot), so one comparison of linear forms covers every numeric label
-assignment at once.  They run through the production label merge and
-star, with the constant-slot row as the label 1.  Each symbolic
-composition is spot checked against the real composition on sampled
-assignments.
+assignment at once.  They run through the production plan memo and
+label merge, which compose_decorated runs too, with each increment
+scaled by the constant-slot row, and through the production star with
+that row as the label 1.  Each symbolic composition is spot checked
+against the real composition on sampled assignments.
 
 The sampled family laws (involution-laws, regular-star-laws and the random
 half of circle-counting) know the families only through the rows of
@@ -68,6 +69,7 @@ from .cobordisms import (
     Spectrum,
     compose_cobordism,
     _merge_labels,
+    _plans,
     _star_genus,
     fiber_product_oracle,
     make_cobordism,
@@ -102,7 +104,6 @@ from .partitions import (
     Partition,
     _ground,
     block_stats,
-    bounded_memo,
     compose,
     enumerate_partitions,
     is_idempotent_structurally,
@@ -302,22 +303,21 @@ def _unit_labels(*counts: int):
 
 def check_cobordism_assoc(rng: random.Random) -> str:
     parts = _parts(2, 2)
-    traced = bounded_memo(compose)  # the 225 pairs over parts fit its MEMO_SIZE
     triples = 0
     for a, b, c in itertools.product(parts, repeat=3):
         na, nb, nc = a.nblocks, b.nblocks, c.nblocks
         (rows_a, rows_b, rows_c), one = _unit_labels(na, nb, nc)
 
-        r_ab = traced(a, b)
-        live_ab, dead_ab = _merge_labels(a, r_ab, rows_a, rows_b, one)
-        r_ab_c = traced(r_ab.product, c)
-        live_l, dead_l = _merge_labels(r_ab.product, r_ab_c, live_ab, rows_c, one)
+        r_ab, inc = _plans(a, b)
+        live_ab, dead_ab = _merge_labels(r_ab, np.outer(inc, one), rows_a, rows_b)
+        r_ab_c, inc = _plans(r_ab.product, c)
+        live_l, dead_l = _merge_labels(r_ab_c, np.outer(inc, one), live_ab, rows_c)
         dead_l += dead_ab
 
-        r_bc = traced(b, c)
-        live_bc, dead_bc = _merge_labels(b, r_bc, rows_b, rows_c, one)
-        r_a_bc = traced(a, r_bc.product)
-        live_r, dead_r = _merge_labels(a, r_a_bc, rows_a, live_bc, one)
+        r_bc, inc = _plans(b, c)
+        live_bc, dead_bc = _merge_labels(r_bc, np.outer(inc, one), rows_b, rows_c)
+        r_a_bc, inc = _plans(a, r_bc.product)
+        live_r, dead_r = _merge_labels(r_a_bc, np.outer(inc, one), rows_a, live_bc)
         dead_r += dead_bc
 
         _require(
@@ -399,13 +399,13 @@ def check_labeled_antiautomorphism(rng: random.Random) -> str:
     for a, b in itertools.product(parts, repeat=2):
         na, nb = a.nblocks, b.nblocks
         (rows_a, rows_b), one = _unit_labels(na, nb)
-        r_ab = compose(a, b)
-        live, _ = _merge_labels(a, r_ab, rows_a, rows_b, one)
+        r_ab, inc = _plans(a, b)
+        live, _ = _merge_labels(r_ab, np.outer(inc, one), rows_a, rows_b)
         star_base, star_rows = _star_genus(r_ab.product, block_stats(r_ab.product), live, one)
         b_base, b_rows = _star_genus(b, block_stats(b), rows_b, one)
         a_base, a_rows = _star_genus(a, block_stats(a), rows_a, one)
-        r_rev = compose(b_base, a_base)
-        live_rev, _ = _merge_labels(b_base, r_rev, b_rows, a_rows, one)
+        r_rev, inc = _plans(b_base, a_base)
+        live_rev, _ = _merge_labels(r_rev, np.outer(inc, one), b_rows, a_rows)
         _require(
             star_base == r_rev.product and np.array_equal(star_rows, live_rev),
             lambda: f"(xy)* != y* x* symbolically over bases {a!r}, {b!r}",

@@ -36,6 +36,7 @@ from diagcat.errors import (
     ParseError,
     RangeError,
     RankZero,
+    ShapeMismatch,
     UnmatchedPoint,
 )
 from diagcat.sampling import random_affine
@@ -325,6 +326,24 @@ def test_make_affine_rejects_unmatched():
 def test_make_affine_rejections(m, n, partners, error, match):
     with pytest.raises(error, match=match):
         make_affine(m, n, partners)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: zeta(0), RangeError, "zeta needs n >= 1"),
+        (lambda: cup_cap(1, 1), RangeError, "cup_cap needs n >= 2"),
+        (
+            lambda: affine_power(make_affine(0, 2, {(OUT, 1): (0, OUT, 2), (OUT, 2): (0, OUT, 1)}), 2),
+            ShapeMismatch, "powers need a square diagram",
+        ),
+        (lambda: shift_gap(zeta(2), zeta(3)), ShapeMismatch, "diagrams must share a shape"),
+    ],
+    ids=["zeta", "cup_cap", "affine_power", "shift_gap"],
+)
+def test_generators_and_powers_reject_bad_arguments(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.mark.parametrize(

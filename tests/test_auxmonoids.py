@@ -24,6 +24,7 @@ from diagcat import (
     a21_star,
     compose_cobordism,
     genus_pair,
+    identity_partition,
     monoid_M,
     monoid_N,
     rees_mul,
@@ -408,9 +409,27 @@ def test_finite_monoid_from_table():
     assert fm.index_period(i01) == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: genus_pair(2, {}, 0), "genus entries must be 0 or 1"),
+        (lambda: a2_image(make_cobordism(identity_partition(1), (0,))),
+         "not a value over the singleton base"),
+        (lambda: a21_pair(2, 0), "pair entries must be 0 or 1"),
+        (lambda: je_pair(JE_PARITY, 2, 0), "is not a pair of parity-on-two-points"),
+    ],
+    ids=["genus_pair", "a2_image", "a21_pair", "je_pair"],
+)
+def test_pair_constructors_reject_out_of_range_entries(call, match):
+    with pytest.raises(RangeError, match=match):
+        call()
+
+
 def test_finite_monoid_rejects_bad_tables():
     with pytest.raises(NotClosed):
         FiniteMonoid([[0, 1], [1, 7]])
+    with pytest.raises(NotClosed, match="not a square"):
+        FiniteMonoid([[0, 1]])
     with pytest.raises(NotAssociative):
         FiniteMonoid([[0, 1, 2], [1, 2, 1], [2, 0, 0]])
 

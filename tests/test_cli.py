@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -249,6 +250,30 @@ def test_idempotents_p_census(capsys):
             assert e.rank == row["rank"]
 
 
+@pytest.mark.parametrize("n, category, digest, summary", [
+    ("0", "P", "ea09eaf838ebfbf974b3c05001844a78b35c09ca5fc6a738bb883695ca5c93cd", "1 idempotents among 1 elements"),
+    ("1", "P", "97cd2c7bc1e61b1ea188f86316ef01d9558899000a135daca3ba08de32062b77", "2 idempotents among 2 elements"),
+    ("2", "P", "fb4c4b1fc3062a41779a7ec83fc7464c0c376b38423e509a8cb907ae81f0721e", "12 idempotents among 15 elements"),
+    ("3", "P", "157d8571c137919a01e68df9aea62e508d06dc7ddfd773de200d9249aa8dc2fe", "114 idempotents among 203 elements"),
+    ("0", "aTLe", "b38e3ead5f648854651ce1fefcc810b993b8c53c1572ef3bd3bbf388357775d8", "1 idempotents among 1 elements"),
+    ("1", "aTLe", "2a4165eb1218b33e1c5f4a335649c46f0d464a7f410655ded415a39bdedd13b5", "1 idempotents among 5 elements"),
+    ("2", "aTLe", "4ccee3e8aa660cb2d6b470284515b0f8cdf9e014bc9878bdb7c7df4f06e01156", "5 idempotents among 13 elements"),
+    ("3", "aTLe", "8f089bea57090674fe6cdb88a3adcf79b7a85afda3c41c0f9432079aa6bfd77e", "10 idempotents among 58 elements"),
+    ("0", "Ann", "05938249365daf9b049c802acfaebdb5bdd9b5b70ad47ec1046750a592ca34b7", "1 idempotents among 1 elements"),
+    ("1", "Ann", "aefe5443bd4c22ded0f6cc22382bfd5fd25b8f4f24fbb0570524bbb30f0143f5", "1 idempotents among 1 elements"),
+    ("2", "Ann", "c454cec937c34a8b60fd5f7d6c176f8d54f017f6d89390039acc91785195493d", "2 idempotents among 3 elements"),
+    ("3", "Ann", "b0644f5e3c5e6e26f2f6f65c878a888cf93d6690aee652e5e42d2ae4c22aee94", "10 idempotents among 12 elements"),
+    ("4", "Ann", "70975328fa3542759ea608ff6bcac6caf2cdf414f59da9387f32038d48ef49ca", "17 idempotents among 40 elements"),
+])
+def test_idempotents_listing_is_pinned(capsys, n, category, digest, summary):
+    """The whole listing, value encodings and extra fields in their order,
+    pinned by the sha256 of stdout; the count summary comes last, on stderr."""
+    assert main(["idempotents", n, category]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == summary + "\n"
+
+
 def test_idempotents_past_the_enumeration_bound_exit_3(capsys):
     assert main(["idempotents", "5", "P"]) == 3
     captured = capsys.readouterr()
@@ -271,6 +296,18 @@ def test_idempotents_past_the_counted_closure_exit_3_at_once(capsys, n):
     assert main(["idempotents", n, "Ann"]) == 3
     assert time.perf_counter() - start < 1
     assert "closure exceeded 2000 elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compose", "P", "-", "-"], "only one operand may come from stdin"),
+    (["check", "no-such", "M"], "'no-such' is neither a registered identity"),
+    (["idempotents", "-1", "P"], "n must be non-negative"),
+])
+def test_commands_reject_bad_operands_with_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_idempotents_rejects_unknown_category(capsys):

@@ -21,7 +21,7 @@ from diagcat import (
     vin,
     vout,
 )
-from diagcat.cobordisms import _merge_labels, compose_decorated
+from diagcat.cobordisms import _merge_labels, _merge_plan, compose_decorated
 from diagcat.errors import (
     BaseMismatch,
     NegativeLabel,
@@ -102,7 +102,7 @@ def test_unchecked_sums_match_the_validated_constructor():
         x = random_cobordism(rng, m, k, regular, spectrum_support=3)
         y = random_cobordism(rng, k, n, regular, spectrum_support=3)
         product, res = compose_decorated(x, y)
-        _, dead = _merge_labels(x.base, res, x.genus, y.genus, 1)
+        _, dead = _merge_labels(res, _merge_plan(x.base, y.base)[1], x.genus, y.genus)
         expected = Spectrum([*x.spectrum.pairs, *y.spectrum.pairs, *((d, 1) for d in dead)])
         assert product.spectrum.pairs == expected.pairs
         assert regular or not product.spectrum.min_genus_negative()
@@ -147,6 +147,9 @@ def test_compose_decorated_rejects_mixed_operand_types():
         compose_decorated(labeled, cobordism)
     with pytest.raises(BaseMismatch):
         compose_decorated(cobordism, labeled)
+    regular = make_cobordism(H, (1, 2), {3: 1}, regular=True)
+    with pytest.raises(RegularityMismatch, match="cannot mix regular and non-regular"):
+        compose_decorated(regular, cobordism)
 
 
 def test_compose_decorated_rejects_negative_non_regular_products():

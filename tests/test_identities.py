@@ -16,7 +16,6 @@ from diagcat import (
     extreme_rep,
     holds_in_M,
     holds_in_N,
-    identity_by_name,
     monoid_A21,
     monoid_M,
     normal_form,
@@ -92,7 +91,7 @@ def test_extreme_rep_of_empty_word():
 def test_one_variable_criterion_spot_values():
     assert not holds_in_M(parse_word("xy"), parse_word("yx"))
     for name in ("interior-swap-nested", "interior-swap-crossed"):
-        ident = identity_by_name(name)
+        ident = IDENTITY_REGISTRY[name]
         assert holds_in_M(ident.lhs, ident.rhs)
         assert holds_in_N(ident.lhs, ident.rhs)
 
@@ -116,7 +115,7 @@ def test_count_criterion_implies_parity_criterion():
 
 
 def test_deleting_a_letter_preserves_validity():
-    ident = identity_by_name("interior-swap-nested")
+    ident = IDENTITY_REGISTRY["interior-swap-nested"]
     for gone in "tuvw":
         u = Word(tuple(ch for ch in ident.lhs.letters if ch != gone))
         v = Word(tuple(ch for ch in ident.rhs.letters if ch != gone))
@@ -264,6 +263,24 @@ def test_canonical_form_bound(monkeypatch):
     assert _section_data(canonical_form(long_word).letters) == _section_data(letters)
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: zimin(27), RangeError, "need 1 <= k <= 26"),
+        (lambda: parse_word("x*"), ParseError, "starred symbols need an involutory context"),
+        (lambda: parse_identity("x=y=z"), ParseError, "exactly one '='"),
+        (lambda: Identity(parse_word("x"), parse_iword("x*")), ParseError, "share a flavor"),
+        (lambda: canonical_form(Word()), EmptyWord, "the empty word has no canonical form"),
+        (lambda: evaluate(Word(), {}, Monoid("bare", lambda p, q: p)), EmptyWord, "no designated identity"),
+        (lambda: sort_step(parse_word("yx"), 0), NotInteriorFactor, "touches an extreme occurrence"),
+    ],
+    ids=["zimin", "parse_word", "parse_identity", "Identity", "canonical_form", "evaluate", "sort_step"],
+)
+def test_word_functions_reject_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_evaluate_and_errors():
     m = monoid_A21()
     aba = parse_word("aba")
@@ -347,8 +364,6 @@ def test_registry_contents():
         "star-sandwich",
     ):
         assert name in IDENTITY_REGISTRY
-    with pytest.raises(ParseError):
-        identity_by_name("no-such-identity")
 
 
 def _check_identity_reference(identity, monoid, budget, seed):

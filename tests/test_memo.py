@@ -14,6 +14,7 @@ from diagcat.cobordisms import (
     LabeledPartition,
     Spectrum,
     _merge_labels,
+    _merge_plan,
     compose_decorated,
     rho,
     sigma,
@@ -210,10 +211,10 @@ def test_memos_stay_within_capacity_and_skip_large_shapes():
 
 
 def _merged_by_oracle(x, y):
-    """compose_decorated(x, y) through an unmemoised composition and
-    _merge_labels."""
-    res = compose(x.base, y.base)
-    live, dead = _merge_labels(x.base, res, x.genus, y.genus, 1)
+    """compose_decorated(x, y) through a fresh _merge_plan, past the
+    memo."""
+    res, increments = _merge_plan(x.base, y.base)
+    live, dead = _merge_labels(res, increments, x.genus, y.genus)
     if isinstance(x, LabeledPartition):
         return LabeledPartition(res.product, live, x.regular), res
     spectrum = x.spectrum + y.spectrum + Spectrum([(d, 1) for d in dead])

@@ -21,7 +21,7 @@ from diagcat import (
     vin,
     vout,
 )
-from diagcat.cobordisms import Cobordism, LabeledPartition, Spectrum, _merge_labels
+from diagcat.cobordisms import Cobordism, LabeledPartition, Spectrum, _merge_labels, _merge_plan
 from diagcat.partitions import _ground, _moved, compose, rotate
 from diagcat.sampling import random_cobordism, random_partition, random_spectrum
 
@@ -119,7 +119,8 @@ def assert_matches_oracle(x, y):
             members = [origin[1] if origin[0] == "alpha" else x.nblocks + origin[1]]
         assert [i for i, k in enumerate(r.classes) if k == c] == members
     rows_a, rows_b, one = symbolic_rows(x.nblocks, y.nblocks)
-    live_rows, dead_rows = _merge_labels(x, r, rows_a, rows_b, one)
+    increments = _merge_plan(x, y)[1]
+    live_rows, dead_rows = _merge_labels(r, np.outer(increments, one), rows_a, rows_b)
     expected = [oracle_row(o, rows_a, rows_b, one).tolist() for o in origins + dead]
     assert [row.tolist() for row in (*live_rows, *dead_rows)] == expected
     assert len(live_rows) == len(origins)

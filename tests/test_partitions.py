@@ -20,8 +20,8 @@ from diagcat import (
 )
 from diagcat import partitions
 from diagcat.annular import AnnularPartition
-from diagcat.cobordisms import Cobordism, Spectrum, _merge_labels
-from diagcat.errors import BoundExceeded, CoverageError, OverlapError, RangeError
+from diagcat.cobordisms import Cobordism, Spectrum, _merge_labels, _merge_plan
+from diagcat.errors import BoundExceeded, CoverageError, OverlapError, RangeError, ShapeMismatch
 from diagcat.partitions import MAX_PARTITION_VERTICES, rotate
 from diagcat.sampling import random_partition
 from diagcat.serialize import Deformed
@@ -38,6 +38,8 @@ def test_make_partition_validates():
         make_partition(1, 1, [[vin(1), vout(1)], [vout(1)]])
     with pytest.raises(CoverageError):
         make_partition(2, 1, [[vin(1), vout(1)]])
+    with pytest.raises(CoverageError, match="empty block"):
+        make_partition(1, 1, [[vin(1), vout(1)], []])
 
 
 @pytest.mark.parametrize("index", [1.9, 1.0, True, "1", None])
@@ -100,8 +102,8 @@ def test_increment_counts_components():
     # a merged class visiting v middle points out of a + b blocks gets
     # v - (a + b) + 1 on top of its blocks' labels
     def merged(alpha, beta):
-        r = compose(alpha, beta)
-        live, dead = _merge_labels(alpha, r, [0] * alpha.nblocks, [0] * beta.nblocks, 1)
+        r, increments = _merge_plan(alpha, beta)
+        live, dead = _merge_labels(r, increments, [0] * alpha.nblocks, [0] * beta.nblocks)
         return (*live, *dead)
 
     one_point = identity_partition(1)
@@ -147,6 +149,8 @@ def test_idempotent_witness_ranks():
             assert all(rank <= 1 for _, rank in witness)
             covered = sorted(i for ix, _ in witness for i in ix)
             assert covered == [1, 2]
+    with pytest.raises(ShapeMismatch, match="idempotency needs a square shape"):
+        is_idempotent_structurally(make_partition(1, 0, [[vin(1)]]))
 
 
 def test_partition_is_hashable_and_ordered_canonically():

@@ -68,6 +68,25 @@ def _cup(index=1, offset=0):
     return {"m": 1, "n": 1, "blocks": blocks, "partners": partners, "genus": genus, "k": 0}
 
 
+@pytest.mark.parametrize(
+    "name, field, value, match",
+    [
+        ("Cob", "genus", {}, "no genus for block anchored at in1"),
+        ("Cob", "genus", {"in1": 0, "out7": 1}, "genus for unknown anchors"),
+        ("aTLe", "partners", None, "bad affine object: 'partners'"),
+        ("aTLe", "partners", [{"from": {"side": "in", "index": 1}}], "bad affine object: 'to'"),
+    ],
+    ids=["genus-missing-anchor", "genus-unknown-anchor", "no-partners", "partner-without-to"],
+)
+def test_decode_rejects_missing_and_unknown_fields(name, field, value, match):
+    """value None drops the field."""
+    obj = {k: v for k, v in _cup().items() if k != field}
+    if value is not None:
+        obj[field] = value
+    with pytest.raises(ParseError, match=match):
+        decode(name, obj)
+
+
 @pytest.mark.parametrize("index", [1.9, 1.0, True, "1", None])
 @pytest.mark.parametrize("name", ["P", "Pd", "Cob", "Ann", "aTLe", "aTL", "aTLd"])
 def test_partition_decoders_reject_non_integer_indices(name, index):
