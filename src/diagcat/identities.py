@@ -22,7 +22,8 @@ are equal under every parity-twisted substitution), so it would be finer
 than the decision procedure it is meant to mirror.
 
 A generic substitution checker runs identities against finite tables
-exhaustively and against infinite monoids over seeded witness pools.
+exhaustively and against infinite monoids over seeded witness pools; it
+numbers the values it meets and forms each distinct product once.
 The band extensions M and N carry their criteria (balanced sections, and
 sections balanced mod 2) as exact deciders, which the checker returns in
 place of a search: "holds", or "fails" with a witness built from the
@@ -520,6 +521,12 @@ def sort_to_normal(w: Word) -> tuple[Word, int]:
 
 # -- evaluation and search ---------------------------------------------------
 
+# Stored products and stars plus numbered values beyond the base (the
+# search values and the identity) that one search may hold before it drops
+# them between two substitutions; the base ids stay.
+SEARCH_TABLE_SIZE = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class Monoid:
     """Duck-typed multiplication context for evaluate/check_identity.
@@ -528,7 +535,11 @@ class Monoid:
     pool is the witness pool used for infinite monoids.  decide, when
     given, is an exact decision procedure that check_identity returns
     instead of searching; a caller that wants the search strips it with
-    dataclasses.replace(monoid, decide=None).
+    dataclasses.replace(monoid, decide=None).  table, when given, is a
+    FiniteMonoid whose elements are its indices: check_identity uses its
+    table and star tuples instead of mul and star, so the search values
+    must be indices of it, and a caller replacing mul or star replaces
+    the table too (evaluate always calls mul and star).
     """
 
     name: str
@@ -538,6 +549,7 @@ class Monoid:
     elements: Optional[tuple] = None
     pool: tuple = ()
     decide: Optional[Callable[[Identity], "Verdict"]] = None
+    table: Optional[am.FiniteMonoid] = None
 
 
 def _symbols(w: Union[Word, IWord]) -> tuple[tuple[str, bool], ...]:
@@ -582,47 +594,106 @@ def _identity_letters(identity: Identity) -> list[str]:
     return sorted({ch for ch, _ in symbols})
 
 
-def _side_evaluator(w: Union[Word, IWord], letters: list[str], monoid: Monoid):
-    """One side of an identity compiled to a function of the letter values
-    (in the order of letters) that equals evaluate(w, subst, monoid) and
-    raises as evaluate does, when it is called.  A monoid from
-    monoid_from_table multiplies through its table rows."""
+def _side_evaluator(w: Union[Word, IWord], slot: dict, monoid: Monoid, table: "_ProductTable"):
+    """One side of an identity compiled to a function of a substitution's
+    ids (slot gives each (letter, starred) symbol its place in them) that
+    returns the id of the side's value, forming each product it misses
+    through table, and raises as evaluate does when it is called."""
     symbols = _symbols(w)
     if not symbols:
-        def constant(values):
-            if monoid.one is None:
+        one = table.one
+
+        def constant(ids):
+            if one is None:
                 raise EmptyWord(f"{monoid.name} has no designated identity")
-            return monoid.one
+            return one
         return constant
-    star = monoid.star
-    if star is None and any(starred for _, starred in symbols):
-        def unstarrable(values):
+    if any(symbol not in slot for symbol in symbols):
+        def unstarrable(ids):
             raise NoInvolution(f"{monoid.name} has no involution")
         return unstarrable
-    slot = {ch: i for i, ch in enumerate(letters)}
-    # Starred letters read the stars of their values, appended after the
-    # values themselves.
-    starred = sorted({slot[ch] for ch, s in symbols if s})
-    code = [len(letters) + starred.index(slot[ch]) if s else slot[ch] for ch, s in symbols]
+    code = [slot[symbol] for symbol in symbols]
     head, tail = code[0], code[1:]
-    mul = monoid.mul
-    rows = None
-    if getattr(mul, "__func__", None) is am.FiniteMonoid.mul:
-        rows = mul.__self__.table
+    rows, product = table.rows, table.product
 
-    def run(values):
-        if starred:
-            values = [*values, *[star(values[i]) for i in starred]]
-        acc = values[head]
-        if rows is not None:
-            for i in tail:
-                acc = rows[acc][values[i]]
-        else:
-            for i in tail:
-                acc = mul(acc, values[i])
+    def run(ids):
+        acc = ids[head]
+        for i in tail:
+            try:
+                acc = rows[acc][ids[i]]
+            except KeyError:
+                acc = product(acc, ids[i])
         return acc
 
     return run
+
+
+class _ProductTable:
+    """The values of one search numbered on first sight, with the products
+    and stars formed so far: back[i] is the value of id i, rows[i][j] the
+    id of back[i] * back[j] and stars[i] the id of back[i]'s star (None
+    when the monoid has none).  rows and stars are dicts filled on a miss;
+    a monoid's table hands them over complete, as its table and star
+    tuples, with ids equal to its indices.  The base (the search values,
+    then the identity) is numbered first, and its ids survive drop()."""
+
+    def __init__(self, monoid: Monoid, values: tuple):
+        fm = monoid.table
+        self.complete = fm is not None
+        if self.complete:
+            self.back = range(fm.size)
+            self.ids = dict(zip(self.back, self.back))
+            self.rows, self.stars = fm.table, fm.star
+        else:
+            self.ids, self.back, self.rows = {}, [], []
+            self.stars = None if monoid.star is None else {}
+        self.mul, self.star = monoid.mul, monoid.star
+        # The products and stars stored, and the values numbered, beyond
+        # the base.
+        self.stored = 0
+        self.value_ids = [self.number(v) for v in values]
+        self.one = None if monoid.one is None else self.number(monoid.one)
+        self.base, self.stored = len(self.back), 0
+
+    def number(self, value) -> int:
+        try:
+            return self.ids[value]
+        except TypeError:
+            raise RangeError(f"search values must be hashable, not {value!r}") from None
+        except KeyError:
+            if self.complete:
+                raise RangeError(f"{value!r} is not an index of the table") from None
+        i = self.ids[value] = len(self.back)
+        self.back.append(value)
+        self.rows.append({})
+        self.stored += 1
+        return i
+
+    def product(self, i: int, j: int) -> int:
+        k = self.number(self.mul(self.back[i], self.back[j]))
+        self.rows[i][j] = k
+        self.stored += 1
+        return k
+
+    def star_of(self, i: int) -> int:
+        try:
+            return self.stars[i]
+        except KeyError:
+            k = self.stars[i] = self.number(self.star(self.back[i]))
+            self.stored += 1
+            return k
+
+    def drop(self) -> None:
+        """Forget the values numbered after the base, and every product
+        and star stored."""
+        for value in self.back[self.base:]:
+            del self.ids[value]
+        del self.back[self.base:], self.rows[self.base:]
+        for row in self.rows:
+            row.clear()
+        if self.stars is not None:
+            self.stars.clear()
+        self.stored = 0
 
 
 def check_identity(
@@ -641,6 +712,17 @@ def check_identity(
     yielding fails or unknown.  The sides are deterministic, so a pool
     once enumerated is not drawn from again.  The budget must be a
     non-negative int (RangeError otherwise).
+
+    The search numbers each value when it first meets it and forms each
+    distinct product and star once: both sides run on the ids, through
+    the monoid's table when it has one, and two values are equal when
+    their ids are, that is when they hash and compare equal.  So the
+    search values and the identity must be hashable; a search over an
+    unhashable one raises RangeError before it forms any product.  Past
+    SEARCH_TABLE_SIZE stored products and new values it drops them
+    between two substitutions, which changes no verdict.  The draws pick
+    positions of the search values, and a witness holds the values at the
+    positions drawn.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise RangeError(f"budget must be a non-negative int, not {budget!r}")
@@ -648,8 +730,6 @@ def check_identity(
         return monoid.decide(identity)
     letters = _identity_letters(identity)
     k = len(letters)
-    lhs = _side_evaluator(identity.lhs, letters, monoid)
-    rhs = _side_evaluator(identity.rhs, letters, monoid)
 
     values = monoid.elements
     exhaustive = values is not None and len(values) ** k <= budget
@@ -657,14 +737,37 @@ def check_identity(
         values = tuple(monoid.pool) or (values or ())
         if not values:
             return Verdict("unknown", "no witness pool")
+    table = _ProductTable(monoid, values)
+    # A substitution's ids: its letters' values, then the stars of the
+    # starred letters when the monoid has a star.
+    starred = []
+    if table.stars is not None:
+        symbols = _symbols(identity.lhs) + _symbols(identity.rhs)
+        starred = sorted({letters.index(ch) for ch, s in symbols if s})
+    slot = {(ch, False): i for i, ch in enumerate(letters)}
+    slot.update({(letters[i], True): k + n for n, i in enumerate(starred)})
+    lhs = _side_evaluator(identity.lhs, slot, monoid, table)
+    rhs = _side_evaluator(identity.rhs, slot, monoid, table)
+
+    positions = tuple(range(len(values)))
     if len(values) ** k <= budget:
-        substitutions = itertools.product(values, repeat=k)
+        substitutions = itertools.product(positions, repeat=k)
     else:
-        rng = random.Random(seed)
-        substitutions = ([rng.choice(values) for _ in range(k)] for _ in range(budget))
+        choice = random.Random(seed).choice
+        substitutions = ([choice(positions) for _ in range(k)] for _ in range(budget))
+    # Distinct search values are numbered in order, so their ids are
+    # their positions; equal ones share the first one's id.
+    value_ids = None if table.value_ids == list(positions) else table.value_ids
+    star_of, bound = table.star_of, SEARCH_TABLE_SIZE
     for subst in substitutions:
-        if lhs(subst) != rhs(subst):
-            return Verdict("fails", "substitution witness", dict(zip(letters, subst)))
+        ids = subst if value_ids is None else [value_ids[p] for p in subst]
+        if starred:
+            ids = [*ids, *[star_of(ids[i]) for i in starred]]
+        if lhs(ids) != rhs(ids):
+            return Verdict("fails", "substitution witness",
+                           {ch: values[p] for ch, p in zip(letters, subst)})
+        if table.stored > bound:
+            table.drop()
     if exhaustive:
         return Verdict("holds", f"exhausted {len(values)}^{k} substitutions")
     return Verdict("unknown", f"no witness within budget {budget}")
@@ -809,6 +912,9 @@ def monoid_REES() -> Monoid:
 
 
 def monoid_from_table(fm: am.FiniteMonoid, name: str = "table") -> Monoid:
+    """The context of a FiniteMonoid: its elements are its indices, and
+    check_identity multiplies and stars through its table and star
+    tuples."""
     star = None
     if fm.star is not None:
         star = lambda i: fm.star[i]
@@ -818,6 +924,7 @@ def monoid_from_table(fm: am.FiniteMonoid, name: str = "table") -> Monoid:
         one=fm.one,
         star=star,
         elements=tuple(range(fm.size)),
+        table=fm,
     )
 
 

@@ -447,14 +447,15 @@ def _registered(name):
     return lambda: _interned(MONOIDS[name]())
 
 
-# M and N are the slowest monoids to search, so they are compared at seed 0
-# only and the other monoids at seeds 0-2.
+# M, N and fiber are the slowest monoids to search, so they are compared at
+# seed 0 only and the other monoids at seeds 0-2.
 ORACLE_MONOIDS = {
     "M": (_registered("M"), [0]),
     "N": (_registered("N"), [0]),
     "A21": (_registered("A21"), [0, 1, 2]),
     "sdp": (_registered("sdp"), [0, 1, 2]),
     "rees": (_registered("rees"), [0, 1, 2]),
+    "fiber": (_registered("fiber"), [0]),
     "ann3": (MONOIDS["ann3"], [0, 1, 2]),
     "ann4": (lambda: monoid_from_table(build_ann_monoid(4).monoid, "ann4"), [0, 1, 2]),
     "A21-table": (_a21_table, [0, 1, 2]),
@@ -543,6 +544,79 @@ def test_empty_elements_and_pools_match_the_evaluate_search(budget):
         "holds (exhausted 0^2 substitutions)"
     )
     assert str(check_identity(parse_identity("xy=yx"), monoids[1])) == "unknown (no witness pool)"
+
+
+def test_no_search_forms_a_product_twice():
+    """Each distinct pair of factors is multiplied once per search."""
+    for name, identity in (("rees", "zimin4-compression"), ("fiber", "interior-swap-nested")):
+        monoid = MONOIDS[name]()
+        formed = Counter()
+
+        def mul(x, y):
+            formed[x, y] += 1
+            return monoid.mul(x, y)
+
+        counted = dataclasses.replace(monoid, mul=mul)
+        verdict = check_identity(IDENTITY_REGISTRY[identity], counted, 4000, 0)
+        assert verdict == check_identity(IDENTITY_REGISTRY[identity], monoid, 4000, 0)
+        assert formed and max(formed.values()) == 1, (name, formed.most_common(1))
+
+
+def test_a_search_that_drops_its_table_after_each_substitution_agrees(monkeypatch):
+    """With SEARCH_TABLE_SIZE 0 a search keeps only its base ids between
+    substitutions; its verdicts and witnesses stay the same."""
+    expected = {}
+    for name, (make, _) in ORACLE_MONOIDS.items():
+        monoid = make()
+        for key, identity in IDENTITY_REGISTRY.items():
+            expected[name, key] = _outcome(check_identity, identity, monoid, 4000, 0)
+    drops = Counter()
+    drop = identities._ProductTable.drop
+
+    def counted_drop(table):
+        drops[table.mul] += 1
+        drop(table)
+
+    monkeypatch.setattr(identities, "SEARCH_TABLE_SIZE", 0)
+    monkeypatch.setattr(identities._ProductTable, "drop", counted_drop)
+    for name, (make, _) in ORACLE_MONOIDS.items():
+        monoid = make()
+        for key, identity in IDENTITY_REGISTRY.items():
+            got = _outcome(check_identity, identity, monoid, 4000, 0)
+            assert got == expected[name, key], (name, key)
+        assert (drops[monoid.mul] > 0) == (monoid.table is None), name
+
+
+@pytest.mark.parametrize("field", ["pool", "elements"])
+def test_search_values_that_cannot_be_numbered_are_rejected_before_any_product(field):
+    """Unhashable values, and values that are no index of the monoid's
+    table, raise RangeError."""
+    formed = []
+
+    def mul(x, y):
+        formed.append((x, y))
+        return x + y
+
+    commutation = IDENTITY_REGISTRY["commutation"]
+    lists = Monoid(name="lists", mul=mul, one=[], **{field: ([0], [1])})
+    with pytest.raises(RangeError, match=r"hashable, not \[0\]"):
+        check_identity(commutation, lists, 4000, 0)
+    assert formed == []
+    ann3 = dataclasses.replace(MONOIDS["ann3"](), **{"elements": None, field: (0, 12)})
+    with pytest.raises(RangeError, match="12 is not an index of the table"):
+        check_identity(commutation, ann3, 4000, 0)
+
+
+def test_a_witness_holds_the_drawn_value_among_equal_ones():
+    """1 and True are equal and share an id; the witness still holds the
+    object at the position drawn, as evaluate's search does."""
+    monoid = Monoid(name="and", mul=lambda x, y: x and y, one=1, pool=(1, True, 0))
+    identity = parse_identity("xy=y")
+    drawn = check_identity(identity, monoid, 8, 0)
+    assert str(drawn) == "fails (substitution witness; x=0, y=True)"
+    assert drawn == _check_identity_reference(identity, monoid, 8, 0)
+    exhausted = check_identity(identity, monoid, 9, 0)
+    assert str(exhausted) == "fails (substitution witness; x=0, y=1)"
 
 
 # -- the structural deciders of M and N ----------------------------------------
