@@ -39,7 +39,6 @@ import functools
 import itertools
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -220,9 +219,16 @@ def parse_identity(text: str) -> Identity:
 
 
 def zimin(k: int) -> Word:
-    """z(1) = a, z(k+1) = z(k) + next letter + z(k)."""
+    """z(1) = a, z(k+1) = z(k) + next letter + z(k).
+
+    z(k) has 2^k - 1 letters, so for 20 <= k <= 26 it would exceed
+    MAX_WORD_SYMBOLS; those depths raise BoundExceeded before any letter
+    is built.
+    """
     if not 1 <= _require_int(k, "Zimin depth") <= 26:
         raise RangeError("need 1 <= k <= 26")
+    if (1 << k) - 1 > MAX_WORD_SYMBOLS:
+        raise BoundExceeded(f"z({k}) is longer than {MAX_WORD_SYMBOLS} symbols")
     letters: tuple[str, ...] = ("a",)
     for i in range(1, k):
         letters = letters + (chr(ord("a") + i),) + letters
@@ -230,6 +236,13 @@ def zimin(k: int) -> Word:
 
 
 # -- counting and sections ---------------------------------------------------
+
+def _plain_letters(w: Word, what: str) -> tuple[str, ...]:
+    """w's letters; ParseError when w is an involutory word."""
+    if isinstance(w, IWord):
+        raise ParseError(what)
+    return w.letters
+
 
 def content(w: Word) -> frozenset[str]:
     return frozenset(w.letters)
@@ -282,8 +295,9 @@ def _extreme_positions(w: Word) -> list[int]:
 
 
 def extreme_rep(w: Word) -> ExtremeRep:
-    """Split w at the leftmost and rightmost occurrence of each letter."""
-    if not w.letters:
+    """Split w at the leftmost and rightmost occurrence of each letter.
+    ParseError on an involutory word."""
+    if not _plain_letters(w, "extreme_rep takes a plain word"):
         raise EmptyWord("the empty word has no extreme representation")
     marks = _extreme_positions(w)
     e = Word(tuple(w.letters[i] for i in marks))
@@ -296,14 +310,18 @@ def extreme_rep(w: Word) -> ExtremeRep:
     return ExtremeRep(e, blocks)
 
 
-def _sorted_word(w: Word) -> Word:
-    return Word(tuple(sorted(w.letters)))
-
-
 def normal_form(w: Word) -> Word:
-    """Sort every interior block."""
-    rep = extreme_rep(w)
-    return ExtremeRep(rep.e, tuple(_sorted_word(b) for b in rep.blocks)).reassemble()
+    """Sort every interior block: the letters strictly between two
+    consecutive extreme occurrences.  ParseError on an involutory word."""
+    letters = _plain_letters(w, "normal_form takes a plain word")
+    if not letters:
+        raise EmptyWord("the empty word has no extreme representation")
+    marks = _extreme_positions(w)
+    out = [letters[0]]
+    for a, b in zip(marks, marks[1:]):
+        out += sorted(letters[a + 1 : b])
+        out.append(letters[b])
+    return Word(tuple(out))
 
 
 def _event_signatures(word: list[int]) -> dict[int, tuple[int, int]]:
@@ -432,11 +450,26 @@ def canonical_form(w: Word) -> Word:
     at most prod(c + 1) values over the letter counts c, so at most
     2^len(w); BoundExceeded is raised once the search would hold more
     than MAX_CANONICAL_STATES keys, which no word of 16 letters or fewer
-    reaches.
+    reaches.  ParseError on an involutory word.
     """
-    if not w.letters:
+    if not _plain_letters(w, "canonical_form takes a plain word"):
         raise EmptyWord("the empty word has no canonical form")
     return Word(_canonical_letters(w.letters))
+
+
+def _first_sections(letters) -> tuple[dict[str, dict[str, int]], dict[str, int]]:
+    """One scan: for each letter, the counts of the letters read before its
+    first occurrence, and the counts of all letters.  Fed a word reversed,
+    the first map holds each letter's right section instead."""
+    counts: dict[str, int] = {}
+    sections: dict[str, dict[str, int]] = {}
+    for ch in letters:
+        if ch in counts:
+            counts[ch] += 1
+        else:
+            sections[ch] = counts.copy()
+            counts[ch] = 1
+    return sections, counts
 
 
 def _imbalance(u: Word, v: Word, modulus: Optional[int]):
@@ -445,21 +478,28 @@ def _imbalance(u: Word, v: Word, modulus: Optional[int]):
     of times in u and v; else (x, y, present) for the first section at a
     letter x, left before right, in which y's counts differ (modulo
     `modulus` when one is given: present False) or, agreeing modulo it,
-    are zero on one side only (present True).  Letters go in sorted order."""
-    count_u, count_v = Counter(u.letters), Counter(v.letters)
+    are zero on one side only (present True).  Letters go in sorted order.
+
+    Each word is read in one forward scan, which records the left section
+    at each letter's first occurrence, and one backward scan, which
+    records the right section at its last; the sections are count maps,
+    compared in place of Words sliced out per letter."""
+    what = "the structural criteria take plain words"
+    lu, lv = _plain_letters(u, what), _plain_letters(v, what)
+    left_u, count_u = _first_sections(lu)
+    left_v, count_v = _first_sections(lv)
     if count_u != count_v:
-        y = min(y for y in count_u.keys() | count_v.keys() if count_u[y] != count_v[y])
+        y = min(y for y in count_u.keys() | count_v.keys()
+                if count_u.get(y) != count_v.get(y))
         return None, y, False
+    right_u, _ = _first_sections(reversed(lu))
+    right_v, _ = _first_sections(reversed(lv))
     for x in sorted(count_u):
-        for s, t in (
-            (left_section(u, x), left_section(v, x)),
-            (right_section(x, u), right_section(x, v)),
-        ):
-            cs, ct = Counter(s.letters), Counter(t.letters)
+        for cs, ct in ((left_u[x], left_v[x]), (right_u[x], right_v[x])):
             if cs == ct:
                 continue
             for y in sorted(cs.keys() | ct.keys()):
-                diff = cs[y] - ct[y]
+                diff = cs.get(y, 0) - ct.get(y, 0)
                 if diff if modulus is None else diff % modulus:
                     return x, y, False
                 if (y in cs) != (y in ct):
@@ -469,12 +509,16 @@ def _imbalance(u: Word, v: Word, modulus: Optional[int]):
 
 def holds_in_M(u: Word, v: Word) -> bool:
     """All left and right sections balanced (and the identity itself,
-    which is its own section at any unused letter)."""
+    which is its own section at any unused letter), decided from one
+    forward and one backward scan of each word (see _imbalance).
+    ParseError on an involutory word."""
     return _imbalance(u, v, None) is None
 
 
 def holds_in_N(u: Word, v: Word) -> bool:
-    """Balanced, and all sections balanced mod 2."""
+    """Balanced, and all sections balanced mod 2, decided from the same
+    two scans of each word as holds_in_M.  ParseError on an involutory
+    word."""
     return _imbalance(u, v, 2) is None
 
 
@@ -797,7 +841,7 @@ def zimin_sorted_pair(k: int) -> Identity:
     letters; the sorted side contains a square of the first letter for
     k >= 2, which parity-position substitutions separate."""
     z = zimin(k)
-    return Identity(z, _sorted_word(z))
+    return Identity(z, Word(tuple(sorted(z.letters))))
 
 
 def star_mix_words(t: int) -> list[IWord]:
@@ -820,8 +864,6 @@ def _decide_band(instance: am.JEInstance, identity: Identity) -> Verdict:
     gets y = 1; y counted differently in a section at x gets x = (0,0),
     y = 1; y present in that section on one side only gets x = (0,0),
     y = (1,1); every other letter gets 0."""
-    if identity.involutory:
-        raise ParseError("the structural criteria take plain words")
     where = _imbalance(identity.lhs, identity.rhs, instance.modulus)
     if where is None:
         return Verdict("holds", "structural criterion")

@@ -45,8 +45,10 @@ from diagcat.identities import (
     Monoid,
     _identity_letters,
     Verdict,
+    left_section,
     monoid_from_table,
     monoid_REES,
+    right_section,
     star_mix_words,
     zimin_sorted_pair,
 )
@@ -72,6 +74,23 @@ def test_zimin_words():
     assert str(zimin(2)) == "aba"
     assert str(zimin(3)) == "abacaba"
     assert len(zimin(5)) == 31
+
+
+def test_zimin_depth_is_bounded_before_building():
+    assert len(zimin(19)) == 2**19 - 1 <= MAX_WORD_SYMBOLS
+    tracemalloc.start()
+    try:
+        for k in (20, 26):
+            with pytest.raises(BoundExceeded, match=f"z\\({k}\\) is longer than"):
+                zimin(k)
+        with pytest.raises(BoundExceeded):
+            zimin_sorted_pair(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(RangeError, match="need 1 <= k <= 26"):
+        zimin(0)
 
 
 def test_worked_decomposition():
@@ -177,6 +196,73 @@ def test_word_length_is_bounded_before_expansion():
             parse_word(text)
 
 
+# -- the one-scan section criteria and normal form against the slicing ones ---
+
+def _imbalance_reference(u, v, modulus):
+    """The section criterion read through left_section/right_section, one
+    Counter per section: the first broken condition as _imbalance reports
+    it."""
+    count_u, count_v = Counter(u.letters), Counter(v.letters)
+    if count_u != count_v:
+        y = min(y for y in count_u.keys() | count_v.keys() if count_u[y] != count_v[y])
+        return None, y, False
+    for x in sorted(count_u):
+        for s, t in (
+            (left_section(u, x), left_section(v, x)),
+            (right_section(x, u), right_section(x, v)),
+        ):
+            cs, ct = Counter(s.letters), Counter(t.letters)
+            if cs == ct:
+                continue
+            for y in sorted(cs.keys() | ct.keys()):
+                diff = cs[y] - ct[y]
+                if diff if modulus is None else diff % modulus:
+                    return x, y, False
+                if (y in cs) != (y in ct):
+                    return x, y, True
+    return None
+
+
+def test_imbalance_matches_the_slicing_reference_on_every_short_pair():
+    words = [Word(t) for n in range(1, 5) for t in itertools.product("xyz", repeat=n)]
+    pairs = 0
+    for u in words:
+        for v in words:
+            for modulus in (None, 2):
+                assert identities._imbalance(u, v, modulus) == _imbalance_reference(u, v, modulus)
+            pairs += 1
+    assert pairs == 14_400
+
+
+def test_imbalance_matches_the_slicing_reference_on_shuffles():
+    """Same-content pairs pass the count check, so every section is read."""
+    rng = random.Random(28)
+    for _ in range(20_000):
+        u = tuple(rng.choice("wxyz") for _ in range(rng.randint(6, 12)))
+        v = rng.sample(u, len(u))
+        u, v = Word(u), Word(tuple(v))
+        for modulus in (None, 2):
+            assert identities._imbalance(u, v, modulus) == _imbalance_reference(u, v, modulus)
+
+
+def _normal_form_reference(w):
+    rep = extreme_rep(w)
+    blocks = tuple(Word(tuple(sorted(b.letters))) for b in rep.blocks)
+    return identities.ExtremeRep(rep.e, blocks).reassemble()
+
+
+def test_normal_form_matches_the_sorted_extreme_rep():
+    words = [Word(t) for n in range(1, 8) for t in itertools.product("xyz", repeat=n)]
+    assert len(words) == 3279
+    rng = random.Random(28)
+    words += [Word(tuple(rng.choice("abcdefghij") for _ in range(rng.randint(50, 400))))
+              for _ in range(200)]
+    for w in words:
+        assert normal_form(w) == _normal_form_reference(w)
+    with pytest.raises(EmptyWord, match="no extreme representation"):
+        normal_form(Word())
+
+
 # -- the canonical form against a brute-force oracle --------------------------
 
 def _section_data(letters):
@@ -273,8 +359,17 @@ def test_canonical_form_bound(monkeypatch):
         (lambda: canonical_form(Word()), EmptyWord, "the empty word has no canonical form"),
         (lambda: evaluate(Word(), {}, Monoid("bare", lambda p, q: p)), EmptyWord, "no designated identity"),
         (lambda: sort_step(parse_word("yx"), 0), NotInteriorFactor, "touches an extreme occurrence"),
+        (lambda: holds_in_M(parse_iword("xx*"), parse_iword("x*x")), ParseError,
+         "the structural criteria take plain words"),
+        (lambda: holds_in_N(parse_word("xy"), parse_iword("yx")), ParseError,
+         "the structural criteria take plain words"),
+        (lambda: normal_form(parse_iword("xyx")), ParseError, "normal_form takes a plain word"),
+        (lambda: canonical_form(parse_iword("x*")), ParseError, "canonical_form takes a plain word"),
+        (lambda: extreme_rep(parse_iword("xy*x")), ParseError, "extreme_rep takes a plain word"),
     ],
-    ids=["zimin", "parse_word", "parse_identity", "Identity", "canonical_form", "evaluate", "sort_step"],
+    ids=["zimin", "parse_word", "parse_identity", "Identity", "canonical_form", "evaluate", "sort_step",
+         "holds_in_M-iword", "holds_in_N-iword", "normal_form-iword", "canonical_form-iword",
+         "extreme_rep-iword"],
 )
 def test_word_functions_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
