@@ -8,12 +8,13 @@ symbols with a star.  The engine revolves around two complete invariants:
   representation;
 * all sections balanced mod 2 (plus balancedness): equivalent to equality
   of canonical forms, computed here as the lexicographically least word
-  with the same section-parity data.  A greedy walk builds it letter by
-  letter: it takes the least letter after which the rest can still be
-  completed, which depends only on the letters placed and the remaining
-  counts; that search is memoised and bounded (BoundExceeded past
-  MAX_CANONICAL_STATES keys, never reached by words of 16 letters or
-  fewer).
+  with the same section-parity data.  One depth-first search tries
+  letters in order; every completion has the word's length, so the first
+  it reaches is the answer.  Whether the rest can still be completed
+  depends only on the letters placed and the remaining counts, so the
+  states found dead are remembered under that key, and the search is
+  bounded (BoundExceeded past MAX_CANONICAL_STATES states, never reached
+  by words of 16 letters or fewer).
 
 The canonical form is deliberately not the classical "reduce exponents
 except in the leftmost block" construction: that construction distinguishes
@@ -148,10 +149,9 @@ class IWord:
 
 
 MAX_WORD_SYMBOLS = 1_000_000
-# Keys the canonical-form search may hold before it raises BoundExceeded.
+# States (dead keys plus the current path) the canonical-form search may
+# hold before it raises BoundExceeded.
 MAX_CANONICAL_STATES = 100_000
-# Swaps sort_to_normal may make before it gives up.
-_SORT_GUARD = 100_000
 
 
 def _parse_symbols(text: str) -> list[tuple[str, bool]]:
@@ -324,17 +324,19 @@ def normal_form(w: Word) -> Word:
     return Word(tuple(out))
 
 
-def _event_signatures(word: list[int]) -> dict[int, tuple[int, int]]:
-    """For each letter index of word, the (support, parity) bitmasks of the
-    prefix before its first occurrence; fed the reversed word, of the
-    suffix after its last occurrence."""
-    sig: dict[int, tuple[int, int]] = {}
+def _event_signatures(word: list[int], k: int) -> tuple[list[int], list[int]]:
+    """For each letter index x < k, the support and parity bitmasks of
+    the prefix of word before its first occurrence; fed the reversed word,
+    of the suffix after its last occurrence."""
+    supports, parities = [0] * k, [0] * k
     support = parity = 0
-    for i in word:
-        sig.setdefault(i, (support, parity))
-        support |= 1 << i
-        parity ^= 1 << i
-    return sig
+    for x in word:
+        bit = 1 << x
+        if not support & bit:
+            supports[x], parities[x] = support, parity
+            support |= bit
+        parity ^= bit
+    return supports, parities
 
 
 def _canonical_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
@@ -342,115 +344,78 @@ def _canonical_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
     k = len(alphabet)
     index = {ch: i for i, ch in enumerate(alphabet)}
     word = [index[ch] for ch in letters]
-    first = _event_signatures(word)
-    last = _event_signatures(word[::-1])
-    counts = [0] * k
-    for i in word:
-        counts[i] += 1
-    count_parity = sum((c & 1) << x for x, c in enumerate(counts))
+    first_support, first_parity = _event_signatures(word, k)
+    last_support, last_parity = _event_signatures(word[::-1], k)
+    remaining = [0] * k
+    for x in word:
+        remaining[x] += 1
     # A remainder holds at most 2k events (first and last occurrences), so
     # 2k + 1 gaps between them.  Of more than 2k + 1 copies of a letter that
     # are not events two share a gap, and removing that pair (or doubling a
     # copy) changes no section's content or parity; so a remaining count
     # above `top` may be capped to top - 1 or top by parity.
     top = 2 * k + 3
-
-    def cap(c: int) -> int:
-        return c if c <= top else top - 1 + (c & 1)
-
     width = top.bit_length()
-    shifts = [width * x for x in range(k)]
-    field = (1 << width) - 1
-    full = (1 << k) - 1
-
-    # A state is (placed: mask of the letters placed at least once, rest:
-    # the capped remaining counts packed in `width`-bit fields, support:
-    # mask of the letters remaining, parity: mask of the odd remaining
-    # counts); its key is rest and placed packed into one int.
-    def moves(state):
-        """(letter, next state) for each letter whose placement next meets
-        the prefix signature of a first occurrence and the suffix
-        signature of a last one."""
-        placed, rest, support, parity = state
-        prefix = (placed, count_parity ^ parity)
-        for x in range(k):
+    units = [1 << width * x for x in range(k)]
+    count_parity = sum((c & 1) << x for x, c in enumerate(remaining))
+    # The state: placed, the mask of the letters placed at least once;
+    # rest, the capped remaining counts packed in `width`-bit fields;
+    # support, the mask of the letters remaining; parity, the mask of the
+    # odd remaining counts.  Its key is rest and placed packed into one int.
+    placed, support, parity = 0, (1 << k) - 1, count_parity
+    rest = sum((c if c <= top else top - 1 + (c & 1)) * u for c, u in zip(remaining, units))
+    bound = MAX_CANONICAL_STATES
+    dead = set()  # keys from which the remaining letters cannot follow
+    path = []  # (state, letter placed from it) down to the current state
+    x = 0
+    while len(path) < len(word):
+        # The least letter from x on whose placement meets the prefix
+        # signature of a first occurrence and the suffix signature of a
+        # last one, and leads to a state not known dead.
+        while x < k:
             bit = 1 << x
-            if not support & bit or (not placed & bit and prefix != first[x]):
-                continue
-            after = rest - (1 << shifts[x])
-            left = support
-            if not after >> shifts[x] & field:
-                left ^= bit
-                if (left, parity ^ bit) != last[x]:
-                    continue
-            yield x, (placed | bit, after, left, parity ^ bit)
-
-    memo = {full: True}  # key -> whether the remaining letters can follow
-
-    def completable(state) -> bool:
-        """Depth-first search in letter order; a state whose moves all fail
-        is recorded False, and on reaching a True state every state on
-        the stack is recorded True."""
-        key = state[1] << k | state[0]
-        if key in memo:
-            return memo[key]
-        stack = [(key, moves(state))]
-        while stack:
-            key, branches = stack[-1]
-            for _, child in branches:
-                child_key = child[1] << k | child[0]
-                if child_key not in memo:
-                    if len(memo) + len(stack) >= MAX_CANONICAL_STATES:
-                        raise BoundExceeded(
-                            "canonical form search exceeded "
-                            f"{MAX_CANONICAL_STATES} states"
-                        )
-                    stack.append((child_key, moves(child)))
-                    break
-                if memo[child_key]:
-                    memo.update((key, True) for key, _ in stack)
-                    return True
-            else:
-                memo[key] = False
-                stack.pop()
-        return False
-
-    remaining = counts[:]
-    state = (0, sum(cap(c) << s for c, s in zip(counts, shifts)), full, count_parity)
-    out = []
-    for _ in word:
-        for x, child in moves(state):
-            if remaining[x] > top:
-                # moves() lowered the capped count by one; re-cap the real one.
-                placed, rest, support, parity = child
-                rest += (cap(remaining[x] - 1) - cap(remaining[x]) + 1) << shifts[x]
-                child = (placed, rest, support, parity)
-            if completable(child):
-                break
+            if support & bit and (placed & bit or (
+                    placed == first_support[x] and count_parity ^ parity == first_parity[x])):
+                c = remaining[x]
+                left = support ^ bit if c == 1 else support
+                if c > 1 or (left == last_support[x] and parity ^ bit == last_parity[x]):
+                    # Above top an odd count caps to top and an even one
+                    # to top - 1, so placing from an even count raises it.
+                    after = rest + units[x] if c > top and not c & 1 else rest - units[x]
+                    if after << k | placed | bit not in dead:
+                        break
+            x += 1
         else:
-            raise AssertionError("unreachable: w itself completes every prefix taken")
-        out.append(alphabet[x])
+            dead.add(rest << k | placed)
+            placed, rest, support, parity, x = path.pop()
+            remaining[x] += 1
+            x += 1
+            continue
+        if len(dead) + len(path) >= bound:
+            raise BoundExceeded(f"canonical form search exceeded {bound} states")
+        path.append((placed, rest, support, parity, x))
         remaining[x] -= 1
-        state = child
-    return tuple(out)
+        placed, rest, support, parity, x = placed | bit, after, left, parity ^ bit, 0
+    return tuple(alphabet[step[4]] for step in path)
 
 
 def canonical_form(w: Word) -> Word:
     """Lexicographically least word sharing w's section parities.
 
-    A greedy walk places, at each step, the least letter after which the
-    rest of the word can still be completed.  Placing a letter for the
-    first time must meet its prefix signature (the letters placed so far
-    and their parities), and placing its last copy its suffix signature
-    (the letters remaining and their parities), so whether a remainder
-    can be completed depends on the set of letters placed and the
-    remaining counts alone; it is searched depth first and memoised on
-    that key, with counts above 2k + 3 (k distinct letters) capped to
-    2k + 2 or 2k + 3 by parity, which changes no answer.  The key takes
-    at most prod(c + 1) values over the letter counts c, so at most
-    2^len(w); BoundExceeded is raised once the search would hold more
-    than MAX_CANONICAL_STATES keys, which no word of 16 letters or fewer
-    reaches.  ParseError on an involutory word.
+    A depth-first search places letters in letter order and stops at
+    the first full word it reaches: every completion has the same length,
+    so that word is the least.  Placing a letter for the first time must
+    meet its prefix signature (the letters placed so far and their
+    parities), and placing its last copy its suffix signature (the
+    letters remaining and their parities), so whether a remainder can be
+    completed depends on the set of letters placed and the remaining
+    counts alone; the search remembers the dead ends under that key, with
+    counts above 2k + 3 (k distinct letters) capped to 2k + 2 or 2k + 3
+    by parity, which changes no answer.  The key takes at most
+    prod(c + 1) values over the letter counts c, so at most 2^len(w);
+    BoundExceeded is raised once the dead keys and the current path would
+    hold more than MAX_CANONICAL_STATES states, which no word of 16
+    letters or fewer reaches.  ParseError on an involutory word.
     """
     if not _plain_letters(w, "canonical_form takes a plain word"):
         raise EmptyWord("the empty word has no canonical form")
@@ -545,22 +510,28 @@ def sort_step(w: Word, pos: int) -> Word:
 
 def sort_to_normal(w: Word) -> tuple[Word, int]:
     """Apply sort_step at the leftmost descending interior pair until
-    none remains; returns the result and the number of steps."""
+    none remains; returns the result and the number of steps.
+
+    A swap of two interior letters moves no extreme occurrence, so the
+    marks are found once and each interior block, left to right, is
+    sorted in place by insertion: every swap it makes is then the
+    leftmost descending interior pair.  The steps are the inversions
+    inside the blocks, at most n(n - 1)/2 for n letters."""
+    out = list(w.letters)
+    marks = _extreme_positions(w)
     steps = 0
-    for _ in range(_SORT_GUARD):
-        marks = set(_extreme_positions(w))
-        target = None
-        for i in range(len(w.letters) - 1):
-            if i in marks or i + 1 in marks:
-                continue
-            if w.letters[i] > w.letters[i + 1]:
-                target = i
-                break
-        if target is None:
-            return w, steps
-        w = sort_step(w, target)
-        steps += 1
-    raise AssertionError("sorting did not terminate")
+    for a, b in zip(marks, marks[1:]):
+        for i in range(a + 2, b):
+            ch = out[i]
+            j = i
+            while j > a + 1 and out[j - 1] > ch:
+                out[j] = out[j - 1]
+                j -= 1
+            out[j] = ch
+            steps += i - j
+    n = len(out)
+    assert steps <= n * (n - 1) // 2, "more steps than pairs of letters"
+    return Word(tuple(out)), steps
 
 
 # -- evaluation and search ---------------------------------------------------

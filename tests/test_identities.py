@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 import tracemalloc
 from collections import Counter
 
@@ -347,6 +348,155 @@ def test_canonical_form_bound(monkeypatch):
         with pytest.raises(BoundExceeded):
             canonical_form(long_word)
     assert _section_data(canonical_form(long_word).letters) == _section_data(letters)
+
+
+# -- the one search and the insertion sort against the code they replaced ----
+
+def _event_signature_map(word):
+    sig = {}
+    support = parity = 0
+    for i in word:
+        sig.setdefault(i, (support, parity))
+        support |= 1 << i
+        parity ^= 1 << i
+    return sig
+
+
+def _canonical_greedy_reference(letters):
+    """The greedy walk the one search replaced: at each step the least
+    letter after which a memoised depth-first search can still complete
+    the rest (no state bound)."""
+    alphabet = sorted(set(letters))
+    k = len(alphabet)
+    index = {ch: i for i, ch in enumerate(alphabet)}
+    word = [index[ch] for ch in letters]
+    first = _event_signature_map(word)
+    last = _event_signature_map(word[::-1])
+    counts = [0] * k
+    for i in word:
+        counts[i] += 1
+    count_parity = sum((c & 1) << x for x, c in enumerate(counts))
+    top = 2 * k + 3
+
+    def cap(c):
+        return c if c <= top else top - 1 + (c & 1)
+
+    width = top.bit_length()
+    shifts = [width * x for x in range(k)]
+    field = (1 << width) - 1
+    full = (1 << k) - 1
+
+    def moves(state):
+        placed, rest, support, parity = state
+        prefix = (placed, count_parity ^ parity)
+        for x in range(k):
+            bit = 1 << x
+            if not support & bit or (not placed & bit and prefix != first[x]):
+                continue
+            after = rest - (1 << shifts[x])
+            left = support
+            if not after >> shifts[x] & field:
+                left ^= bit
+                if (left, parity ^ bit) != last[x]:
+                    continue
+            yield x, (placed | bit, after, left, parity ^ bit)
+
+    memo = {full: True}
+
+    def completable(state):
+        key = state[1] << k | state[0]
+        if key in memo:
+            return memo[key]
+        stack = [(key, moves(state))]
+        while stack:
+            key, branches = stack[-1]
+            for _, child in branches:
+                child_key = child[1] << k | child[0]
+                if child_key not in memo:
+                    stack.append((child_key, moves(child)))
+                    break
+                if memo[child_key]:
+                    memo.update((key, True) for key, _ in stack)
+                    return True
+            else:
+                memo[key] = False
+                stack.pop()
+        return False
+
+    remaining = counts[:]
+    state = (0, sum(cap(c) << s for c, s in zip(counts, shifts)), full, count_parity)
+    out = []
+    for _ in word:
+        for x, child in moves(state):
+            if remaining[x] > top:
+                placed, rest, support, parity = child
+                rest += (cap(remaining[x] - 1) - cap(remaining[x]) + 1) << shifts[x]
+                child = (placed, rest, support, parity)
+            if completable(child):
+                break
+        out.append(alphabet[x])
+        remaining[x] -= 1
+        state = child
+    return tuple(out)
+
+
+def _sort_reference(w):
+    """The rewriter insertion sort replaced: sort_step at the leftmost
+    descending interior pair, the marks found again after every swap."""
+    steps = 0
+    while True:
+        marks = set(identities._extreme_positions(w))
+        target = next(
+            (i for i in range(len(w.letters) - 1)
+             if i not in marks and i + 1 not in marks and w.letters[i] > w.letters[i + 1]),
+            None,
+        )
+        if target is None:
+            return w, steps
+        w = sort_step(w, target)
+        steps += 1
+
+
+def _oracle_words():
+    words = [t for n in range(1, 8) for t in itertools.product("xyz", repeat=n)]
+    words += [t for n in range(1, 7) for t in itertools.product("wxyz", repeat=n)]
+    words += [t for n in range(8, 13) for t in itertools.product("xy", repeat=n)
+              if max(Counter(t).values()) >= 8]
+    rng = random.Random(29)
+    for _ in range(2_000):
+        alphabet = "abcdef"[: rng.randint(2, 6)]
+        words.append(tuple(rng.choice(alphabet) for _ in range(rng.randint(8, 20))))
+    return words
+
+
+def test_canonical_form_and_sort_to_normal_match_the_code_they_replaced():
+    words = _oracle_words()
+    assert len(words) == 3_279 + 5_460 + 2_186 + 2_000
+    for letters in words:
+        w = Word(letters)
+        assert canonical_form(w).letters == _canonical_greedy_reference(letters), letters
+        assert sort_to_normal(w) == _sort_reference(w), letters
+
+
+def _interior_inversions(w):
+    marks = identities._extreme_positions(w)
+    return sum(
+        w.letters[i] > w.letters[j]
+        for a, b in zip(marks, marks[1:])
+        for i in range(a + 1, b)
+        for j in range(i + 1, b)
+    )
+
+
+def test_sort_to_normal_takes_one_step_per_interior_inversion_on_long_words():
+    rng = random.Random(800)
+    w = Word(tuple(rng.choice("abcd") for _ in range(800)))
+    start = time.perf_counter()
+    result, steps = sort_to_normal(w)
+    elapsed = time.perf_counter() - start
+    assert result == normal_form(w)
+    assert steps == _interior_inversions(w) > 100_000
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(
