@@ -3,8 +3,8 @@
 Partition arrows with dead-block counting, their deformed and labeled
 quotients, combinatorial cobordisms with handle spectra, affine
 planar diagrams with wrap counters, the auxiliary monoids used to
-separate these families, a two-sorted word engine with structural
-equivalence criteria, and an acceptance suite tying it all together.
+separate these families, a word engine with structural equivalence
+criteria, and an acceptance suite tying it all together.
 """
 
 from .errors import (
@@ -91,7 +91,6 @@ from .auxmonoids import (
 from .identities import (
     IDENTITY_REGISTRY,
     Identity,
-    IWord,
     Monoid,
     Verdict,
     Word,
@@ -109,7 +108,6 @@ from .identities import (
     monoid_from_table,
     normal_form,
     parse_identity,
-    parse_iword,
     parse_word,
     sort_step,
     sort_to_normal,

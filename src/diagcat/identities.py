@@ -1,7 +1,11 @@
 """Words, section invariants, and exact identity decision procedures.
 
-A word is a finite sequence of letters a..z; an involutory word may mark
-symbols with a star.  The engine revolves around two complete invariants:
+A word is a finite sequence of letters a..z, any of which may carry a
+star for the involution ("x*"); one Word type serves both signatures, and
+a word is involutory when it has a starred letter.  The section
+invariants, the normal and canonical forms and the sorting rewriter take
+plain words only and raise ParseError on an involutory one.  The engine
+revolves around two complete invariants:
 
 * all left and right sections balanced: equivalent to equality of normal
   forms, where the normal form sorts every interior block of the extreme
@@ -31,7 +35,8 @@ place of a search: "holds", or "fails" with a witness built from the
 first condition broken.  MONOIDS names every ready-made monoid context.
 
 Parsed words hold at most MAX_WORD_SYMBOLS symbols; a longer one raises
-BoundExceeded before its repeats are expanded.
+BoundExceeded before its repeats are expanded.  A word prints in the
+notation parse_word reads, a run of k copies of x as xk and of x* as xk*.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 from .errors import (
     BoundExceeded,
@@ -59,12 +64,10 @@ from .partitions import _require_int, identity_partition
 
 __all__ = [
     "Word",
-    "IWord",
     "Identity",
     "MAX_WORD_SYMBOLS",
     "MAX_CANONICAL_STATES",
     "parse_word",
-    "parse_iword",
     "parse_identity",
     "zimin",
     "content",
@@ -100,52 +103,26 @@ _TOKEN = re.compile(r"([a-z])(\d*)(\*?)", re.ASCII)
 
 @dataclass(frozen=True)
 class Word:
-    """Plain word; letters are single characters a..z."""
+    """Word of the plain or the involutory signature: one string per
+    symbol, a letter a..z, or the letter and a star ("x*") for its
+    involution."""
 
     letters: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        got = self.letters[i]
-        return Word(got) if isinstance(i, slice) else got
-
-    def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"
         out = []
-        for ch, run in itertools.groupby(self.letters):
+        for sym, run in itertools.groupby(self.letters):
             n = len(list(run))
-            out.append(ch if n == 1 else f"{ch}{n}")
+            out.append(sym if n == 1 else f"{sym[0]}{n}{sym[1:]}")
         return "".join(out)
 
     def __repr__(self) -> str:
         return f"Word({self})"
-
-
-@dataclass(frozen=True)
-class IWord:
-    """Involutory word: symbols are (letter, starred) pairs."""
-
-    symbols: tuple[tuple[str, bool], ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __str__(self) -> str:
-        return "1" if not self.symbols else "".join(
-            ch + ("*" if s else "") for ch, s in self.symbols
-        )
-
-    def __repr__(self) -> str:
-        return f"IWord({self})"
 
 
 MAX_WORD_SYMBOLS = 1_000_000
@@ -154,11 +131,13 @@ MAX_WORD_SYMBOLS = 1_000_000
 MAX_CANONICAL_STATES = 100_000
 
 
-def _parse_symbols(text: str) -> list[tuple[str, bool]]:
+def parse_word(text: str) -> Word:
+    """Parse letters with optional repeat digits and star, e.g. x3yx =
+    xxxyx and x2*y = x*x*y."""
     text = text.strip()
     if text == "1":
-        return []
-    out: list[tuple[str, bool]] = []
+        return Word()
+    out: list[str] = []
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -175,35 +154,24 @@ def _parse_symbols(text: str) -> list[tuple[str, bool]]:
             raise ParseError(f"zero repeat in {m.group(0)!r}")
         if len(out) + count > MAX_WORD_SYMBOLS:
             raise BoundExceeded(f"word longer than {MAX_WORD_SYMBOLS} symbols")
-        out.extend([(ch, bool(star))] * count)
+        out.extend([ch + star] * count)
         pos = m.end()
-    return out
+    return Word(tuple(out))
 
 
-def parse_word(text: str) -> Word:
-    """Parse letters with optional repeat digits, e.g. x3yx = xxxyx."""
-    syms = _parse_symbols(text)
-    if any(s for _, s in syms):
-        raise ParseError("starred symbols need an involutory context")
-    return Word(tuple(ch for ch, _ in syms))
-
-
-def parse_iword(text: str) -> IWord:
-    return IWord(tuple(_parse_symbols(text)))
+def _starred(w: Word) -> bool:
+    return "*" in "".join(w.letters)
 
 
 @dataclass(frozen=True)
 class Identity:
-    lhs: Union[Word, IWord]
-    rhs: Union[Word, IWord]
-
-    def __post_init__(self):
-        if isinstance(self.lhs, IWord) != isinstance(self.rhs, IWord):
-            raise ParseError("both sides must share a flavor")
+    lhs: Word
+    rhs: Word
 
     @property
     def involutory(self) -> bool:
-        return isinstance(self.lhs, IWord)
+        """True when a side has a starred letter."""
+        return _starred(self.lhs) or _starred(self.rhs)
 
     def __str__(self) -> str:
         return f"{self.lhs} = {self.rhs}"
@@ -213,8 +181,6 @@ def parse_identity(text: str) -> Identity:
     if text.count("=") != 1:
         raise ParseError("an identity needs exactly one '='")
     left, right = text.split("=")
-    if "*" in text:
-        return Identity(parse_iword(left), parse_iword(right))
     return Identity(parse_word(left), parse_word(right))
 
 
@@ -238,29 +204,33 @@ def zimin(k: int) -> Word:
 # -- counting and sections ---------------------------------------------------
 
 def _plain_letters(w: Word, what: str) -> tuple[str, ...]:
-    """w's letters; ParseError when w is an involutory word."""
-    if isinstance(w, IWord):
+    """w's letters; ParseError when one is starred."""
+    if _starred(w):
         raise ParseError(what)
     return w.letters
 
 
 def content(w: Word) -> frozenset[str]:
-    return frozenset(w.letters)
+    """The letters of w.  ParseError on an involutory word."""
+    return frozenset(_plain_letters(w, "content takes a plain word"))
 
 
 def left_section(w: Word, x: str) -> Word:
-    """Longest prefix avoiding x; w itself when x does not occur."""
+    """Longest prefix avoiding x; w itself when x does not occur.
+    ParseError on an involutory word."""
+    letters = _plain_letters(w, "left_section takes a plain word")
     try:
-        return Word(w.letters[: w.letters.index(x)])
+        return Word(letters[: letters.index(x)])
     except ValueError:
         return w
 
 
 def right_section(x: str, w: Word) -> Word:
-    """Longest suffix avoiding x."""
-    for i in range(len(w.letters) - 1, -1, -1):
-        if w.letters[i] == x:
-            return Word(w.letters[i + 1 :])
+    """Longest suffix avoiding x.  ParseError on an involutory word."""
+    letters = _plain_letters(w, "right_section takes a plain word")
+    for i in range(len(letters) - 1, -1, -1):
+        if letters[i] == x:
+            return Word(letters[i + 1 :])
     return w
 
 
@@ -502,16 +472,18 @@ def sort_step(w: Word, pos: int) -> Word:
 
     One of the two interior-swap basis identities justifies the swap,
     whichever way the extreme occurrences of the two letters interleave.
+    ParseError on an involutory word.
     """
-    if not 0 <= pos < len(w.letters) - 1:
+    letters = _plain_letters(w, "sort_step takes a plain word")
+    if not 0 <= pos < len(letters) - 1:
         raise NotInteriorFactor(f"no adjacent pair at position {pos}")
-    big, small = w.letters[pos], w.letters[pos + 1]
+    big, small = letters[pos], letters[pos + 1]
     if big <= small:
         raise NotInteriorFactor(f"{big}{small} is not a descending pair")
     marks = set(_extreme_positions(w))
     if pos in marks or pos + 1 in marks:
         raise NotInteriorFactor("the pair touches an extreme occurrence")
-    swapped = list(w.letters)
+    swapped = list(letters)
     swapped[pos], swapped[pos + 1] = small, big
     return Word(tuple(swapped))
 
@@ -524,8 +496,9 @@ def sort_to_normal(w: Word) -> tuple[Word, int]:
     marks are found once and each interior block, left to right, is
     sorted in place by insertion: every swap it makes is then the
     leftmost descending interior pair.  The steps are the inversions
-    inside the blocks, at most n(n - 1)/2 for n letters."""
-    out = list(w.letters)
+    inside the blocks, at most n(n - 1)/2 for n letters.  ParseError on
+    an involutory word."""
+    out = list(_plain_letters(w, "sort_to_normal takes a plain word"))
     marks = _extreme_positions(w)
     steps = 0
     for a, b in zip(marks, marks[1:]):
@@ -573,23 +546,18 @@ class Monoid:
     table: Optional[am.FiniteMonoid] = None
 
 
-def _symbols(w: Union[Word, IWord]) -> tuple[tuple[str, bool], ...]:
-    """The (letter, starred) symbols of a plain or involutory word."""
-    return w.symbols if isinstance(w, IWord) else tuple((ch, False) for ch in w.letters)
-
-
-def evaluate(w: Union[Word, IWord], subst, monoid: Monoid):
-    symbols = _symbols(w)
-    if not symbols:
+def evaluate(w: Word, subst, monoid: Monoid):
+    if not w.letters:
         if monoid.one is None:
             raise EmptyWord(f"{monoid.name} has no designated identity")
         return monoid.one
     acc = None
-    for ch, starred in symbols:
+    for sym in w.letters:
+        ch = sym[0]
         if ch not in subst:
             raise MissingLetter(f"no value for letter {ch!r}")
         val = subst[ch]
-        if starred:
+        if len(sym) > 1:
             if monoid.star is None:
                 raise NoInvolution(f"{monoid.name} has no involution")
             val = monoid.star(val)
@@ -611,16 +579,15 @@ class Verdict:
 
 
 def _identity_letters(identity: Identity) -> list[str]:
-    symbols = _symbols(identity.lhs) + _symbols(identity.rhs)
-    return sorted({ch for ch, _ in symbols})
+    return sorted({sym[0] for sym in identity.lhs.letters + identity.rhs.letters})
 
 
-def _side_evaluator(w: Union[Word, IWord], slot: dict, monoid: Monoid, table: "_ProductTable"):
+def _side_evaluator(w: Word, slot: dict, monoid: Monoid, table: "_ProductTable"):
     """One side of an identity compiled to a function of a substitution's
-    ids (slot gives each (letter, starred) symbol its place in them) that
+    ids (slot gives each symbol, "x" or "x*", its place in them) that
     returns the id of the side's value, forming each product it misses
     through table, and raises as evaluate does when it is called."""
-    symbols = _symbols(w)
+    symbols = w.letters
     if not symbols:
         one = table.one
 
@@ -763,10 +730,10 @@ def check_identity(
     # starred letters when the monoid has a star.
     starred = []
     if table.stars is not None:
-        symbols = _symbols(identity.lhs) + _symbols(identity.rhs)
-        starred = sorted({letters.index(ch) for ch, s in symbols if s})
-    slot = {(ch, False): i for i, ch in enumerate(letters)}
-    slot.update({(letters[i], True): k + n for n, i in enumerate(starred)})
+        symbols = identity.lhs.letters + identity.rhs.letters
+        starred = sorted({letters.index(sym[0]) for sym in symbols if len(sym) > 1})
+    slot = {ch: i for i, ch in enumerate(letters)}
+    slot.update({letters[i] + "*": k + n for n, i in enumerate(starred)})
     lhs = _side_evaluator(identity.lhs, slot, monoid, table)
     rhs = _side_evaluator(identity.rhs, slot, monoid, table)
 
@@ -821,14 +788,14 @@ def zimin_sorted_pair(k: int) -> Identity:
     return Identity(z, Word(tuple(sorted(z.letters))))
 
 
-def star_mix_words(t: int) -> list[IWord]:
+def star_mix_words(t: int) -> list[Word]:
     """Involutory one-letter words of length t starting and ending with
     the plain letter and carrying one starred occurrence inside."""
     out = []
     for i in range(1, _require_int(t, "word length") - 1):
-        syms = [("x", False)] * t
-        syms[i] = ("x", True)
-        out.append(IWord(tuple(syms)))
+        syms = ["x"] * t
+        syms[i] = "x*"
+        out.append(Word(tuple(syms)))
     return out
 
 

@@ -90,7 +90,6 @@ from .identities import (
     monoid_REES,
     monoid_SDP,
     normal_form,
-    parse_iword,
     parse_word,
     right_section,
     sort_to_normal,
@@ -1064,7 +1063,7 @@ def check_rees_witnesses(rng: random.Random) -> str:
             )
             mixed += 1
         for text in ("x" * t, "x*" * t):
-            value = evaluate(parse_iword(text), subst, rees)
+            value = evaluate(parse_word(text), subst, rees)
             _require(
                 marker not in value.mid.indecomposables(),
                 lambda: f"pure power {text} grew a doubled nested circle",

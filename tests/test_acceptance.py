@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from diagcat import CATEGORIES, Deformed, suite
+from diagcat import CATEGORIES, Deformed, cli, suite
+from diagcat.errors import RangeError
 from diagcat.partitions import make_partition, rotate
 from diagcat.suite import CheckFailed, _check_involutions, _check_star, _pair_table, run_suite
 
@@ -161,3 +162,29 @@ def test_pair_tables_are_shared_read_only():
     for table in (prod, dead):
         with pytest.raises(ValueError):
             table[0, 0] = 0
+
+
+def test_failing_and_crashing_checks_fail_the_report(monkeypatch, capsys):
+    def failed(rng):
+        raise CheckFailed("law broken at x")
+
+    def library_error(rng):
+        raise RangeError("value out of range")
+
+    def crashed(rng):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(suite, "CHECKS", (
+        ("failed", "a", failed),
+        ("library-error", "b", library_error),
+        ("crashed", "c", crashed),
+    ))
+    report = run_suite(seed=0)
+    assert [(r.check, r.status, r.detail) for r in report.results] == [
+        ("failed", "fail", "law broken at x"),
+        ("library-error", "fail", "unexpected library error: value out of range"),
+        ("crashed", "fail", "crashed: ValueError('boom')"),
+    ]
+    assert not report.ok()
+    assert cli.main(["suite"]) == 1
+    assert "0 passed, 3 failed, 0 skipped in " in capsys.readouterr().out

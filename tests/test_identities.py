@@ -20,7 +20,6 @@ from diagcat import (
     monoid_M,
     normal_form,
     parse_identity,
-    parse_iword,
     parse_word,
     sort_step,
     sort_to_normal,
@@ -45,6 +44,7 @@ from diagcat.identities import (
     Monoid,
     _identity_letters,
     Verdict,
+    content,
     left_section,
     monoid_from_table,
     monoid_REES,
@@ -65,8 +65,23 @@ def test_parse_and_render():
 
 
 def test_involutory_parsing():
-    w = parse_iword("xx*x")
-    assert w.symbols == (("x", False), ("x", True), ("x", False))
+    w = parse_word("xx*x")
+    assert w.letters == ("x", "x*", "x")
+    assert parse_word("x2*y") == parse_word("x*x*y")
+    assert str(parse_word("x*x*y")) == "x2*y" and repr(parse_word("x*x*y")) == "Word(x2*y)"
+    assert str(parse_word("xx*x")) == "xx*x"
+    identity = parse_identity("x*x*y = x2*y")
+    assert identity.involutory and str(identity) == "x2*y = x2*y"
+    assert Identity(parse_word("x"), w).involutory and not parse_identity("x = xx").involutory
+
+
+def test_words_print_in_the_notation_they_parse_from():
+    symbols = ("x", "x*", "y", "y*")
+    words = [Word(t) for n in range(6) for t in itertools.product(symbols, repeat=n)]
+    words.append(Word(("x*",) * 7 + ("y",) * 3))
+    for w in words:
+        assert parse_word(str(w)) == w, w
+    assert str(words[-1]) == "x7*y3"
 
 
 def test_zimin_words():
@@ -507,23 +522,28 @@ def test_canonical_form_completes_words_longer_than_the_state_bound():
     "call, error, match",
     [
         (lambda: zimin(27), RangeError, "need 1 <= k <= 26"),
-        (lambda: parse_word("x*"), ParseError, "starred symbols need an involutory context"),
+        (lambda: parse_word("x**"), ParseError, "bad word syntax"),
         (lambda: parse_identity("x=y=z"), ParseError, "exactly one '='"),
-        (lambda: Identity(parse_word("x"), parse_iword("x*")), ParseError, "share a flavor"),
         (lambda: canonical_form(Word()), EmptyWord, "the empty word has no canonical form"),
         (lambda: evaluate(Word(), {}, Monoid("bare", lambda p, q: p)), EmptyWord, "no designated identity"),
         (lambda: sort_step(parse_word("yx"), 0), NotInteriorFactor, "touches an extreme occurrence"),
-        (lambda: holds_in_M(parse_iword("xx*"), parse_iword("x*x")), ParseError,
+        (lambda: holds_in_M(parse_word("xx*"), parse_word("x*x")), ParseError,
          "the structural criteria take plain words"),
-        (lambda: holds_in_N(parse_word("xy"), parse_iword("yx")), ParseError,
+        (lambda: holds_in_N(parse_word("xy"), parse_word("y*x")), ParseError,
          "the structural criteria take plain words"),
-        (lambda: normal_form(parse_iword("xyx")), ParseError, "normal_form takes a plain word"),
-        (lambda: canonical_form(parse_iword("x*")), ParseError, "canonical_form takes a plain word"),
-        (lambda: extreme_rep(parse_iword("xy*x")), ParseError, "extreme_rep takes a plain word"),
+        (lambda: normal_form(parse_word("xy*x")), ParseError, "normal_form takes a plain word"),
+        (lambda: canonical_form(parse_word("x*")), ParseError, "canonical_form takes a plain word"),
+        (lambda: extreme_rep(parse_word("xy*x")), ParseError, "extreme_rep takes a plain word"),
+        (lambda: sort_step(parse_word("xy*yx"), 1), ParseError, "sort_step takes a plain word"),
+        (lambda: sort_to_normal(parse_word("xy*x")), ParseError, "sort_to_normal takes a plain word"),
+        (lambda: content(parse_word("xx*")), ParseError, "content takes a plain word"),
+        (lambda: left_section(parse_word("yx*x"), "x"), ParseError, "left_section takes a plain word"),
+        (lambda: right_section("x", parse_word("xx*y")), ParseError, "right_section takes a plain word"),
     ],
-    ids=["zimin", "parse_word", "parse_identity", "Identity", "canonical_form", "evaluate", "sort_step",
+    ids=["zimin", "parse_word", "parse_identity", "canonical_form", "evaluate", "sort_step",
          "holds_in_M-iword", "holds_in_N-iword", "normal_form-iword", "canonical_form-iword",
-         "extreme_rep-iword"],
+         "extreme_rep-iword", "sort_step-iword", "sort_to_normal-iword", "content-iword",
+         "left_section-iword", "right_section-iword"],
 )
 def test_word_functions_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
@@ -537,7 +557,7 @@ def test_evaluate_and_errors():
     assert evaluate(aba, {"a": x, "b": y}, m) == m.mul(m.mul(x, y), x)
     with pytest.raises(MissingLetter):
         evaluate(aba, {"a": x}, m)
-    rees_word = parse_iword("xx*")
+    rees_word = parse_word("xx*")
     from diagcat.identities import Monoid
 
     bare = Monoid(name="bare", mul=lambda p, q: p, one=0, elements=(0,))
@@ -613,6 +633,7 @@ def test_registry_contents():
         "star-sandwich",
     ):
         assert name in IDENTITY_REGISTRY
+    assert [name for name, ident in IDENTITY_REGISTRY.items() if ident.involutory] == ["star-sandwich"]
 
 
 def _check_identity_reference(identity, monoid, budget, seed):
