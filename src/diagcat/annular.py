@@ -30,8 +30,8 @@ aTLd counts both kinds of circle, aTL only the wrapping ones, and Annd
 the dead blocks of the shadow composition.
 
 sigma_affine and rho_affine mirror bare diagrams only.  A shadow is
-mirrored through its base by the Ann row of the category table, and
-composed by that row or by AnnularPartition's * operator.
+mirrored and composed through its base by the Ann row of the category
+table.
 """
 
 from __future__ import annotations
@@ -126,9 +126,6 @@ class AffineDiagram:
             f"(0,{v!r})->({t},{g[p]!r})" for v, p, t in zip(g, self.partner, self.offset)
         )
         return f"AffineDiagram({self.m}->{self.n}: {body})"
-
-    def __mul__(self, other: "AffineDiagram") -> "AffineDiagram":
-        return compose_affine(self, other).product
 
     @property
     def rank(self) -> int:
@@ -371,9 +368,6 @@ class AnnularPartition(NamedTuple):
     def rank(self) -> int:
         return self.base.rank
 
-    def __mul__(self, other: "AnnularPartition") -> "AnnularPartition":
-        return AnnularPartition(compose_partition(self.base, other.base).product)
-
 
 def project_to_ann(a: AffineDiagram) -> AnnularPartition:
     """Forget offsets: each string becomes a two-element block."""
@@ -513,10 +507,9 @@ def enumerate_affine(m: int, n: int, max_offset: int):
 class AnnMonoid(NamedTuple):
     """Shadow monoid on [n]: elements in the closure's discovery order,
     the generator shadows first and the identity at 0 (monoid.one == 0),
-    index lookup from a shadow's base partition, and the finite table."""
+    and the finite table."""
 
     elements: tuple[AnnularPartition, ...]
-    index: dict
     monoid: FiniteMonoid
 
 
@@ -581,4 +574,4 @@ def build_ann_monoid(n: int) -> AnnMonoid:
     for q, (p, g) in enumerate(parents, ngens):
         columns[q] = by_gen[g][columns[p]]
     elements = tuple(map(AnnularPartition, bases))
-    return AnnMonoid(elements, found, FiniteMonoid(columns.T.tolist()))
+    return AnnMonoid(elements, FiniteMonoid(columns.T.tolist()))

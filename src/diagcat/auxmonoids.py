@@ -426,9 +426,6 @@ class FiniteMonoid:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def idempotents(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if self.table[i][i] == i)
-
     def units(self) -> tuple[int, ...]:
         return tuple(
             i

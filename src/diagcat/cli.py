@@ -92,6 +92,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_normalform(args: argparse.Namespace) -> int:
     w = parse_word(args.word)
+    starred = [sym for sym in w.letters if sym.endswith("*")]
+    if starred:
+        raise ParseError(
+            f"normalform takes a plain word, but {args.word!r} has the starred letter {starred[0]}"
+        )
     rep = extreme_rep(w)
     print(f"word: {w}")
     print(f"extreme word: {rep.e}")

@@ -199,9 +199,6 @@ class Partition:
         body = ", ".join("{" + " ".join(map(repr, b)) + "}" for b in self.blocks)
         return f"Partition({self.m}->{self.n}: {body})"
 
-    def __mul__(self, other: "Partition") -> "Partition":
-        return compose(self, other).product
-
     @property
     def rank(self) -> int:
         """Number of transversal blocks (touching both sides)."""

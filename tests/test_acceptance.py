@@ -6,6 +6,7 @@ the details must equal the benchmark's seed-0 reference.  The suite's
 shared law helpers are also tested on their own, against broken rows.
 """
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from diagcat import CATEGORIES, Deformed, cli, suite
+from diagcat.annular import affine_identity, cup_cap, enumerate_affine
 from diagcat.errors import RangeError
 from diagcat.partitions import make_partition, rotate
 from diagcat.suite import CheckFailed, _check_involutions, _check_star, _pair_table, run_suite
@@ -116,13 +118,27 @@ def _pairs(row, regular, count=20):
     return pairs
 
 
-def test_law_helpers_pass_every_row():
-    for row in CATEGORIES.values():
-        for regular in row.regularities:
-            for x, y in _pairs(row, regular):
-                _check_involutions(row, x, y)
-                if regular:
-                    _check_star(row, x)
+def test_associativity_helper_catches_a_non_associative_product():
+    atle = CATEGORIES["aTLe"]
+    row = atle._replace(compose=lambda x, y: atle.compose(x, atle.sigma(y)))
+    with pytest.raises(CheckFailed, match="the products of"):
+        for x, y, z in itertools.product(enumerate_affine(2, 2, 1), repeat=3):
+            suite._check_associative(row, x, y, z)
+
+
+def test_associativity_helper_catches_diagnostics_that_do_not_add_up():
+    # the true products, with one circle too many after a rank-0 left operand
+    atle = CATEGORIES["aTLe"]
+
+    def compose(x, y):
+        product, diag = atle.compose(x, y)
+        return product, {**diag, "b0": diag["b0"] + (x.rank == 0)}
+
+    row = atle._replace(compose=compose)
+    one, cap = affine_identity(2), cup_cap(2, 1)
+    assert suite._check_associative(row, one, one, one) == one
+    with pytest.raises(CheckFailed, match="the diagnostics of"):
+        suite._check_associative(row, cap, one, one)
 
 
 def test_involution_helper_catches_a_broken_sigma():

@@ -404,7 +404,7 @@ def test_finite_monoid_from_table():
     assert fm.size == 6
     assert fm.one == index[A2_ONE]
     assert fm.units() == (fm.one,)
-    assert len(fm.idempotents()) == 5
+    assert sum(fm.table[i][i] == i for i in range(fm.size)) == 5
     i01 = index[a21_pair(0, 1)]
     assert fm.index_period(i01) == (1, 1)
 

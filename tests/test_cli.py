@@ -304,6 +304,7 @@ def test_idempotents_past_the_counted_closure_exit_3_at_once(capsys, n):
     (["compose", "P", "-", "-"], "only one operand may come from stdin"),
     (["check", "no-such", "M"], "'no-such' is neither a registered identity"),
     (["idempotents", "-1", "P"], "n must be non-negative"),
+    (["normalform", "x*y"], "starred letter"),
 ])
 def test_commands_reject_bad_operands_with_exit_2(capsys, argv, message):
     assert main(argv) == 2
@@ -348,6 +349,19 @@ def test_usage_errors_exit_2(args):
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
+
+
+def test_python_m_diagcat_runs_the_command_line(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diagcat", "normalform", "x3yx"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["normalform", "x3yx"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["idempotents", "4", "P"], ["normalform", "x3yx"]])

@@ -316,7 +316,7 @@ PUBLIC_COMPOSE = {
     "aTLe": lambda x, y: compose_affine(x, y).product,
     "aTL": _compose_counters,
     "aTLd": _compose_counters,
-    "Ann": lambda x, y: x * y,
+    "Ann": lambda x, y: AnnularPartition(compose(x.base, y.base).product),
     "Annd": _compose_counters,
 }
 
