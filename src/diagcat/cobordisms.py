@@ -178,9 +178,7 @@ def _merge_labels(res: CompositionResult, constants: Sequence, g: Sequence, h: S
 
     Each class of res.classes sums the labels of its factor blocks plus
     its constant.  Labels are any additive values, and constants holds
-    each class's increment (_merge_plan) in the labels' own type: the
-    plan's ints for int labels, or each increment times the constant-slot
-    row for coefficient rows."""
+    each class's increment (_merge_plan) in the labels' own type."""
     sums = list(constants)
     for c, label in zip(res.classes, (*g, *h)):
         sums[c] = sums[c] + label
@@ -242,22 +240,20 @@ def _require_regular(x) -> None:
 
 
 def _star_genus(
-    x: Partition, stats: PartitionStats, genus: Sequence, unit
-) -> tuple[Partition, tuple]:
-    """The reflected base with labels g*(B*) = -g(B) - v(B) + 2, for
-    additive labels with unit ``unit``: the int 1 for int labels, or the
-    constant-slot row for coefficient rows; stats is block_stats(x)."""
+    x: Partition, stats: PartitionStats, genus: Sequence[int]
+) -> tuple[Partition, tuple[int, ...]]:
+    """The reflected base with labels g*(B*) = 2 - v(B) - g(B); stats is block_stats(x)."""
     image, moved = reflect_tracked(x)
     per_block = stats.per_block
     out = [0] * len(genus)
     for i, target in moved.items():
-        out[target] = -genus[i] + (2 - per_block[i].v) * unit
+        out[target] = 2 - per_block[i].v - genus[i]
     return image, tuple(out)
 
 
 def star_labeled(x: LabeledPartition) -> LabeledPartition:
     _require_regular(x)
-    return LabeledPartition(*_star_genus(x.base, block_stats(x.base), x.genus, 1), True)
+    return LabeledPartition(*_star_genus(x.base, block_stats(x.base), x.genus), True)
 
 
 def star_cobordism(x: Cobordism) -> Cobordism:
@@ -267,7 +263,7 @@ def star_cobordism(x: Cobordism) -> Cobordism:
     _require_regular(x)
     stats = block_stats(x.base)
     spectrum = x.spectrum.negate() + Spectrum._of(((1, -(stats.lb + stats.rb)),))
-    image, genus = _star_genus(x.base, stats, x.genus, 1)
+    image, genus = _star_genus(x.base, stats, x.genus)
     return Cobordism(image, genus, spectrum, True)
 
 

@@ -45,6 +45,7 @@ import functools
 import itertools
 import random
 import re
+import string
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -99,6 +100,7 @@ __all__ = [
 
 
 _TOKEN = re.compile(r"([a-z])(\d*)(\*?)", re.ASCII)
+_SYMBOLS = frozenset(ch + star for ch in string.ascii_lowercase for star in ("", "*"))
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,18 @@ class Word:
     involution."""
 
     letters: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        """RangeError unless letters is a tuple of symbols."""
+        letters = self.letters
+        try:
+            if isinstance(letters, tuple) and _SYMBOLS.issuperset(letters):
+                return
+        except TypeError:  # an unhashable item
+            pass
+        if isinstance(letters, tuple):
+            letters = next(s for s in letters if not (isinstance(s, str) and s in _SYMBOLS))
+        raise RangeError(f"a word holds a tuple of symbols a..z and a*..z*, not {letters!r}")
 
     def __len__(self) -> int:
         return len(self.letters)

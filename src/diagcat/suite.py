@@ -6,14 +6,13 @@ fixed seed always reproduces the same verdicts, witnesses and details.
 run_suite() executes the battery in a fixed order and returns a Report
 whose JSON form is versioned as "report_v1".
 
-The heavier exhaustive checks work symbolically: block labels become
-integer coefficient rows (one slot per formal label plus a constant
-slot), so one comparison of linear forms covers every numeric label
-assignment at once.  They run through the production plan memo and
-label merge, which compose_decorated runs too, with each increment
-scaled by the constant-slot row, and through the production star with
-that row as the label 1.  Each symbolic composition is spot checked
-against the real composition on sampled assignments.
+The two exhaustive label checks (cobordism-assoc, labeled-antiautomorphism)
+compose at one generic point: the operands' k blocks carry the int labels
+B, B^2, ..., B^k, with B = _GENERIC_BASE = 2^20.  A label that a composition
+or a star makes is a sum of operand labels with coefficients in {-1, 0, 1}
+plus a constant within -2..2, so it is that linear form written in balanced
+base B: two results are equal as integers exactly when they are equal as
+forms, that is, under every label assignment.
 
 The sampled family laws (involution-laws, regular-star-laws, the random
 halves of cobordism-assoc and circle-counting) run through _check_associative,
@@ -24,6 +23,7 @@ the rows of serialize.CATEGORIES: composer, involutions, star, quotients.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from collections import Counter
@@ -65,16 +65,15 @@ from .auxmonoids import (
 )
 from .cobordisms import (
     Cobordism,
-    LabeledPartition,
     Spectrum,
     compose_cobordism,
     _merge_labels,
     _plans,
-    _star_genus,
     fiber_product_oracle,
     make_cobordism,
     rho,
     sigma,
+    to_labeled,
 )
 from .errors import CrossingError, DiagcatError
 from .identities import (
@@ -304,66 +303,35 @@ def check_reflect_star_laws(rng: random.Random) -> str:
 
 
 # --------------------------------------------------------------------------
-# 3. labeled composition, symbolically
+# 3. labeled composition at the generic point
 
 
-def _rows_key(rows) -> list:
-    return sorted(tuple(int(v) for v in row) for row in rows)
+_GENERIC_BASE = 1 << 20
 
 
-def _unit_labels(*counts: int):
-    """Symbolic labels for operands with these block counts: one unit
-    coefficient row per block, each block its own variable, and the row
-    `one` of the constant slot, which comes last."""
-    eye = np.eye(sum(counts) + 1, dtype=np.int64)
-    starts = itertools.accumulate(counts, initial=0)
-    return [eye[s : s + k] for s, k in zip(starts, counts)], eye[-1]
+def _generic(*bases: Partition) -> list[Cobordism]:
+    """Regular cobordisms with empty spectra over bases at the generic
+    point: their k blocks carry the labels B, B^2, ..., B^k in order."""
+    powers = itertools.accumulate(itertools.repeat(_GENERIC_BASE), operator.mul)
+    return [
+        Cobordism(p, tuple(itertools.islice(powers, p.nblocks)), Spectrum(), True) for p in bases
+    ]
 
 
 def check_cobordism_assoc(rng: random.Random) -> str:
     parts = _parts(2, 2)
     triples = 0
     for a, b, c in itertools.product(parts, repeat=3):
-        na, nb, nc = a.nblocks, b.nblocks, c.nblocks
-        (rows_a, rows_b, rows_c), one = _unit_labels(na, nb, nc)
-
-        r_ab, inc = _plans(a, b)
-        live_ab, dead_ab = _merge_labels(r_ab, np.outer(inc, one), rows_a, rows_b)
-        r_ab_c, inc = _plans(r_ab.product, c)
-        live_l, dead_l = _merge_labels(r_ab_c, np.outer(inc, one), live_ab, rows_c)
-        dead_l += dead_ab
-
-        r_bc, inc = _plans(b, c)
-        live_bc, dead_bc = _merge_labels(r_bc, np.outer(inc, one), rows_b, rows_c)
-        r_a_bc, inc = _plans(a, r_bc.product)
-        live_r, dead_r = _merge_labels(r_a_bc, np.outer(inc, one), rows_a, live_bc)
-        dead_r += dead_bc
-
+        x, y, z = _generic(a, b, c)
+        left = _check_associative(CATEGORIES["Cob-bar"], x, y, z)
+        # tie the composition to its merge plans, dead-label deposits included
+        r_xy, inc = _plans(a, b)
+        live_xy, dead_xy = _merge_labels(r_xy, inc, x.genus, y.genus)
+        r, inc = _plans(r_xy.product, c)
+        live, dead = _merge_labels(r, inc, live_xy, z.genus)
         _require(
-            r_ab_c.product == r_a_bc.product
-            and np.array_equal(live_l, live_r)
-            and _rows_key(dead_l) == _rows_key(dead_r),
-            lambda: f"label associativity broken symbolically at {a!r}, {b!r}, {c!r}",
-        )
-
-        # keep the symbolic model tied to the real composition
-        assign = np.array(
-            [rng.randint(-1, 1) for _ in range(na + nb + nc)] + [1], dtype=np.int64
-        )
-        xa = Cobordism(a, tuple(int(v) for v in assign[:na]), Spectrum(), True)
-        xb = Cobordism(
-            b, tuple(int(v) for v in assign[na : na + nb]), Spectrum(), True
-        )
-        xc = Cobordism(
-            c, tuple(int(v) for v in assign[na + nb : -1]), Spectrum(), True
-        )
-        direct = compose_cobordism(compose_cobordism(xa, xb), xc)
-        predicted_spec = Spectrum(Counter(int(row @ assign) for row in dead_l))
-        _require(
-            direct.base == r_ab_c.product
-            and direct.genus == tuple(int(row @ assign) for row in live_l)
-            and direct.spectrum == predicted_spec,
-            lambda: f"symbolic model out of step with compose_cobordism at {a!r}, {b!r}, {c!r}",
+            left == Cobordism(r.product, live, Spectrum._of((d, 1) for d in dead_xy + dead), True),
+            lambda: f"compose_decorated out of step with its merge plans at {a!r}, {b!r}, {c!r}",
         )
         triples += 1
 
@@ -410,36 +378,17 @@ def check_labeled_antiautomorphism(rng: random.Random) -> str:
     parts = _parts(2, 2)
     labeled, deformed = CATEGORIES["Cob0-bar"], CATEGORIES["Pd-bar"]
 
-    # the genus-labeled star reverses every product
+    # the genus-labeled star reverses every product: at the generic point,
+    # so under every label assignment, and at labels drawn from -2..2
     for a, b in itertools.product(parts, repeat=2):
-        na, nb = a.nblocks, b.nblocks
-        (rows_a, rows_b), one = _unit_labels(na, nb)
-        r_ab, inc = _plans(a, b)
-        live, _ = _merge_labels(r_ab, np.outer(inc, one), rows_a, rows_b)
-        star_base, star_rows = _star_genus(r_ab.product, block_stats(r_ab.product), live, one)
-        b_base, b_rows = _star_genus(b, block_stats(b), rows_b, one)
-        a_base, a_rows = _star_genus(a, block_stats(a), rows_a, one)
-        r_rev, inc = _plans(b_base, a_base)
-        live_rev, _ = _merge_labels(r_rev, np.outer(inc, one), b_rows, a_rows)
-        _require(
-            star_base == r_rev.product and np.array_equal(star_rows, live_rev),
-            lambda: f"(xy)* != y* x* symbolically over bases {a!r}, {b!r}",
-        )
-        assign = np.array(
-            [rng.randint(-2, 2) for _ in range(na + nb)] + [1], dtype=np.int64
-        )
-        x = LabeledPartition(a, tuple(int(v) for v in assign[:na]), True)
-        y = LabeledPartition(b, tuple(int(v) for v in assign[na:-1]), True)
-        lhs = labeled.star(_mul(labeled, x, y))
-        _require(
-            lhs == _mul(labeled, labeled.star(y), labeled.star(x)),
-            lambda: f"(xy)* != y* x* numerically at {x!r}, {y!r}",
-        )
-        _require(
-            lhs.base == star_base
-            and lhs.genus == tuple(int(row @ assign) for row in star_rows),
-            lambda: f"symbolic star model out of step with star_labeled at {a!r}, {b!r}",
-        )
+        generic = [to_labeled(x) for x in _generic(a, b)]
+        drawn = [x._replace(genus=tuple(rng.randint(-2, 2) for _ in x.genus)) for x in generic]
+        for how, (x, y) in (("symbolically", generic), ("numerically", drawn)):
+            _require(
+                labeled.star(_mul(labeled, x, y))
+                == _mul(labeled, labeled.star(y), labeled.star(x)),
+                lambda: f"(xy)* != y* x* {how} at {x!r}, {y!r}",
+            )
 
     # the deformed star reverses some products but not all of them
     cond_pairs = eq_pairs = extra = 0

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from diagcat import CATEGORIES, Deformed, cli, suite
+from diagcat import CATEGORIES, Deformed, cli, cobordisms, suite
 from diagcat.annular import affine_identity, cup_cap, enumerate_affine
+from diagcat.cobordisms import Cobordism, Spectrum, to_labeled
 from diagcat.errors import RangeError
 from diagcat.partitions import make_partition, rotate
 from diagcat.suite import CheckFailed, _check_involutions, _check_star, _pair_table, run_suite
@@ -170,6 +171,69 @@ def test_reflect_star_laws_catch_a_rotation_in_place_of_the_reflection(monkeypat
     monkeypatch.setattr(suite, "reflect", rotate)
     with pytest.raises(CheckFailed, match=r"at Partition\(\d->\d: "):
         suite.check_reflect_star_laws(random.Random(0))
+
+
+def test_cobordism_assoc_ties_the_composition_to_its_merge_plans(monkeypatch):
+    # one spectrum entry 0 per dead block keeps the product associative,
+    # but it is not the dead labels that the merge plans deposit
+    compose_decorated = cobordisms.compose_decorated
+
+    def compose(x, y):
+        product, res = compose_decorated(x, y)
+        if isinstance(product, Cobordism):
+            product = product._replace(spectrum=product.spectrum + Spectrum({0: res.b}))
+        return product, res
+
+    monkeypatch.setattr(cobordisms, "compose_decorated", compose)
+    cap = make_partition(2, 2, [[("in", 1), ("in", 2)], [("out", 1), ("out", 2)]])
+    x, y, z = suite._generic(cap, cap, cap)
+    assert suite._check_associative(CATEGORIES["Cob-bar"], x, y, z).spectrum.count(0) == 2
+    with pytest.raises(CheckFailed, match="out of step with its merge plans"):
+        suite.check_cobordism_assoc(random.Random(0))
+
+
+def test_labeled_antiautomorphism_catches_a_star_that_shifts_labels(monkeypatch):
+    row = CATEGORIES["Cob0-bar"]
+
+    def star(x):
+        xs = row.star(x)
+        return xs._replace(genus=tuple(g + 1 for g in xs.genus))
+
+    monkeypatch.setitem(CATEGORIES, "Cob0-bar", row._replace(star=star))
+    with pytest.raises(CheckFailed, match=r"\(xy\)\* != y\* x\* symbolically"):
+        suite.check_labeled_antiautomorphism(random.Random(0))
+
+
+def _generic_form(label: int) -> tuple[int, list[int]]:
+    """label in balanced base suite._GENERIC_BASE: its constant digit and
+    the coefficients of B, B^2, ..., in order."""
+    base = suite._GENERIC_BASE
+    digits = []
+    while label:
+        digit = (label + base // 2) % base - base // 2
+        digits.append(digit)
+        label = (label - digit) // base
+    constant, *coefficients = digits or [0]
+    return constant, coefficients
+
+
+def test_generic_point_labels_are_small_linear_forms():
+    """The premise of the generic point: every label of (x y) z over the
+    3 375 triples, and of (x y)* over the 225 pairs, is a sum of operand
+    labels with coefficients in {-1, 0, 1} plus a small constant."""
+    labels = []
+    parts = suite._parts(2, 2)
+    cob, labeled = CATEGORIES["Cob-bar"], CATEGORIES["Cob0-bar"]
+    for a, b, c in itertools.product(parts, repeat=3):
+        x, y, z = suite._generic(a, b, c)
+        xyz = suite._mul(cob, suite._mul(cob, x, y), z)
+        labels += [*xyz.genus, *(g for g, _ in xyz.spectrum.pairs)]
+    for a, b in itertools.product(parts, repeat=2):
+        x, y = map(to_labeled, suite._generic(a, b))
+        labels += labeled.star(suite._mul(labeled, x, y)).genus
+    for label in labels:
+        constant, coefficients = _generic_form(label)
+        assert abs(constant) <= 16 and set(coefficients) <= {-1, 0, 1}, label
 
 
 def test_pair_tables_are_shared_read_only():

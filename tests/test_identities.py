@@ -5,6 +5,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagcat import (
     IDENTITY_REGISTRY,
@@ -82,6 +84,13 @@ def test_words_print_in_the_notation_they_parse_from():
     for w in words:
         assert parse_word(str(w)) == w, w
     assert str(words[-1]) == "x7*y3"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([ch + star for ch in "abcde" for star in ("", "*")]), max_size=12))
+def test_words_round_trip_through_their_printed_form(symbols):
+    w = Word(tuple(symbols))
+    assert parse_word(str(w)) == w
 
 
 def test_zimin_words():
@@ -539,11 +548,18 @@ def test_canonical_form_completes_words_longer_than_the_state_bound():
         (lambda: content(parse_word("xx*")), ParseError, "content takes a plain word"),
         (lambda: left_section(parse_word("yx*x"), "x"), ParseError, "left_section takes a plain word"),
         (lambda: right_section("x", parse_word("xx*y")), ParseError, "right_section takes a plain word"),
+        # "xy" would print as a run of two symbols and parse back as another word
+        (lambda: Word(("xy", "x")), RangeError, "not 'xy'$"),
+        (lambda: Word(("X",)), RangeError, "not 'X'$"),
+        (lambda: Word(("x**",)), RangeError, r"not 'x\*\*'$"),
+        (lambda: Word("xy"), RangeError, "not 'xy'$"),
+        (lambda: Word((1,)), RangeError, "not 1$"),
     ],
     ids=["zimin", "parse_word", "parse_identity", "canonical_form", "evaluate", "sort_step",
          "holds_in_M-iword", "holds_in_N-iword", "normal_form-iword", "canonical_form-iword",
          "extreme_rep-iword", "sort_step-iword", "sort_to_normal-iword", "content-iword",
-         "left_section-iword", "right_section-iword"],
+         "left_section-iword", "right_section-iword", "Word-two-letters", "Word-upper-case",
+         "Word-two-stars", "Word-string", "Word-int"],
 )
 def test_word_functions_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
