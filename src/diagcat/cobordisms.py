@@ -100,6 +100,12 @@ class Spectrum:
         counts: dict[int, int] = {}
         for genus, count in items:
             counts[genus] = counts.get(genus, 0) + count
+        return cls._trimmed(counts)
+
+    @classmethod
+    def _trimmed(cls, counts: dict[int, int]) -> "Spectrum":
+        """The spectrum of a dict from checked int labels to counts, its
+        zero counts dropped."""
         spectrum = object.__new__(cls)
         spectrum.pairs = tuple(sorted([item for item in counts.items() if item[1]]))
         return spectrum
@@ -216,12 +222,17 @@ def compose_decorated(x, y):
         raise RegularityMismatch("cannot mix regular and non-regular values")
     res, increment = _plans(x.base, y.base)
     live, dead = _merge_labels(res, increment, x.genus, y.genus)
-    if not x.regular and any(l < 0 for l in live):
+    if not x.regular and live and min(live) < 0:
         raise NegativeLabel(f"negative genus in non-regular product: {live}")
     if isinstance(x, LabeledPartition):
         return LabeledPartition(res.product, live, x.regular), res
     if dead or (x.spectrum and y.spectrum):
-        spectrum = Spectrum._of(x.spectrum.pairs + y.spectrum.pairs + tuple((d, 1) for d in dead))
+        counts = dict(x.spectrum.pairs)
+        for genus, count in y.spectrum.pairs:
+            counts[genus] = counts.get(genus, 0) + count
+        for genus in dead:
+            counts[genus] = counts.get(genus, 0) + 1
+        spectrum = Spectrum._trimmed(counts)
     else:  # a Spectrum is immutable and canonical, so the other one is the sum
         spectrum = x.spectrum or y.spectrum
     if not x.regular and spectrum.min_genus_negative():

@@ -340,8 +340,10 @@ def _deformed_row(name, base, counters, regularities=(False, True)) -> Category:
     def sample(rng, m, n, regular) -> Deformed:
         x = base.sample(rng, m, n, regular)
         lo = -3 if regular else 0
+        bits = rng.getrandbits
         counts = tuple([
-            0 if feed == "bw" and x.rank > 0 else rng.randint(lo, 3) for feed in feeds
+            0 if feed == "bw" and x.rank > 0 else lo + sampling._below(bits, 4 - lo)
+            for feed in feeds
         ])
         return Deformed(x, counts, regular)
 

@@ -108,6 +108,7 @@ from .partitions import (
     reflect,
 )
 from .sampling import (
+    _below,
     random_affine,
     random_cobordism,
     random_partition,
@@ -336,8 +337,9 @@ def check_cobordism_assoc(rng: random.Random) -> str:
         triples += 1
 
     randoms = 0
+    bits = rng.getrandbits
     for _ in range(10_000):
-        m, k, l, n = (rng.randint(0, 3) for _ in range(4))
+        m, k, l, n = [_below(bits, 4) for _ in range(4)]
         regular = rng.random() < 0.5
         x = random_cobordism(rng, m, k, regular=regular, spectrum_support=3)
         y = random_cobordism(rng, k, l, regular=regular, spectrum_support=3)
@@ -358,8 +360,9 @@ def check_cobordism_assoc(rng: random.Random) -> str:
 def check_regular_star_laws(rng: random.Random) -> str:
     rows = (CATEGORIES["Pd-bar"], CATEGORIES["Cob-bar"])
     count = 0
+    bits = rng.getrandbits
     for _ in range(10_000):
-        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        m, n = _below(bits, 4), _below(bits, 4)
         for row in rows:
             _check_star(row, row.sample(rng, m, n, True))
             count += 1
@@ -380,9 +383,10 @@ def check_labeled_antiautomorphism(rng: random.Random) -> str:
 
     # the genus-labeled star reverses every product: at the generic point,
     # so under every label assignment, and at labels drawn from -2..2
+    bits = rng.getrandbits
     for a, b in itertools.product(parts, repeat=2):
         generic = [to_labeled(x) for x in _generic(a, b)]
-        drawn = [x._replace(genus=tuple(rng.randint(-2, 2) for _ in x.genus)) for x in generic]
+        drawn = [x._replace(genus=tuple([_below(bits, 5) - 2 for _ in x.genus])) for x in generic]
         for how, (x, y) in (("symbolically", generic), ("numerically", drawn)):
             _require(
                 labeled.star(_mul(labeled, x, y))
@@ -477,9 +481,10 @@ def _irreducible_idempotent_bases() -> tuple[Partition, ...]:
 
 
 def _random_fiber_element(rng: random.Random, e: Partition, regular: bool) -> Cobordism:
-    lo, hi = (-2, 2) if regular else (0, 3)
-    labels = tuple(rng.randint(lo, hi) for _ in range(e.nblocks))
-    spectrum = random_spectrum(rng, support=rng.randint(0, 2))
+    bits = rng.getrandbits
+    lo, width = (-2, 5) if regular else (0, 4)
+    labels = tuple([lo + _below(bits, width) for _ in range(e.nblocks)])
+    spectrum = random_spectrum(rng, support=_below(bits, 3))
     return make_cobordism(e, labels, spectrum, regular)
 
 
@@ -494,7 +499,7 @@ def check_fiber_oracle(rng: random.Random) -> str:
         regular = rng.random() < 0.5
         xs = [
             _random_fiber_element(rng, e, regular)
-            for _ in range(rng.randint(1, 6))
+            for _ in range(1 + _below(rng.getrandbits, 6))
         ]
         direct = reduce(compose_cobordism, xs)
         _require(
@@ -625,12 +630,13 @@ def check_affine_validation(rng: random.Random) -> str:
 
     pool = list(enumerate_affine(1, 3, 1)) + list(enumerate_affine(3, 1, 1))
     slid = 0
+    bits = rng.getrandbits
     for i in range(1000):
         if i % 4 == 0:
-            a = pool[rng.randrange(len(pool))]
+            a = pool[_below(bits, len(pool))]
         else:
-            a = random_affine(rng, rng.randint(1, 4), steps=rng.randint(1, 5))
-        r = rng.randint(-3, 3)
+            a = random_affine(rng, 1 + _below(bits, 4), steps=1 + _below(bits, 5))
+        r = _below(bits, 7) - 3
         left = compose_affine(lambda_pow(a.m, r), a).product
         right = compose_affine(a, lambda_pow(a.n, r)).product
         _require(left == right, lambda: f"full shift fails to slide across {a!r}")
@@ -698,9 +704,10 @@ def check_circle_counting(rng: random.Random) -> str:
     )
 
     randoms = 0
+    bits = rng.getrandbits
     for row in (CATEGORIES["aTL"], CATEGORIES["aTLd"]):
         for _ in range(5000):
-            n = rng.randint(1, 3)
+            n = 1 + _below(bits, 3)
             x, y, z = (row.sample(rng, n, n, False) for _ in range(3))
             left = _check_associative(row, x, y, z)
             _require(
@@ -892,8 +899,9 @@ def check_word_engine(rng: random.Random) -> str:
 
     # exercise the pairwise deciders directly on sampled pairs
     nf_of, cf_of = dict(zip(words, nfs)), dict(zip(words, cfs))
+    bits = rng.getrandbits
     for _ in range(3000):
-        u, v = rng.choice(words), rng.choice(words)
+        u, v = words[_below(bits, len(words))], words[_below(bits, len(words))]
         _require(
             holds_in_M(u, v) == (nf_of[u] == nf_of[v]),
             lambda: f"one-variable decider and sorted forms disagree on {u}, {v}",
@@ -905,7 +913,7 @@ def check_word_engine(rng: random.Random) -> str:
     positives = 0
     for group in by_nf.values():
         if len(group) >= 2:
-            u, v = rng.choice(group), rng.choice(group)
+            u, v = group[_below(bits, len(group))], group[_below(bits, len(group))]
             _require(holds_in_M(u, v), lambda: f"decider rejects an equivalent pair {u}, {v}")
             positives += 1
 
@@ -1046,8 +1054,9 @@ def check_involution_laws(rng: random.Random) -> str:
     strips = [row for row in rows if not row.square]
     squares = [row for row in rows if row.square]
     checks = 0
+    bits = rng.getrandbits
     for _ in range(5000):
-        m, n, r = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        m, n, r = _below(bits, 4), _below(bits, 4), _below(bits, 4)
         for row in strips:
             _check_involutions(row, row.sample(rng, m, n, True), row.sample(rng, n, r, True))
         checks += 1
@@ -1059,9 +1068,10 @@ def check_involution_laws(rng: random.Random) -> str:
         for n in (1, 2, 3)
     }
     for _ in range(5000):
-        n = rng.randint(1, 3)
+        n = 1 + _below(bits, 3)
         for row in squares:
-            x, y = rng.choice(pools[row.name, n]), rng.choice(pools[row.name, n])
+            pool = pools[row.name, n]
+            x, y = pool[_below(bits, len(pool))], pool[_below(bits, len(pool))]
             _check_involutions(row, x, y)
             if row.name == "aTLe":
                 _check_star(row, x)  # its star is the reflection

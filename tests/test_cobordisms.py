@@ -12,6 +12,7 @@ from diagcat import (
     Spectrum,
     compose_cobordism,
     fiber_product_oracle,
+    genus_pair,
     identity_partition,
     make_cobordism,
     make_partition,
@@ -101,11 +102,29 @@ def test_unchecked_sums_match_the_validated_constructor():
         regular = rng.random() < 0.5
         x = random_cobordism(rng, m, k, regular, spectrum_support=3)
         y = random_cobordism(rng, k, n, regular, spectrum_support=3)
-        product, res = compose_decorated(x, y)
-        _, dead = _merge_labels(res, _merge_plan(x.base, y.base)[1], x.genus, y.genus)
-        expected = Spectrum([*x.spectrum.pairs, *y.spectrum.pairs, *((d, 1) for d in dead)])
-        assert product.spectrum.pairs == expected.pairs
-        assert regular or not product.spectrum.min_genus_negative()
+        _assert_summed_spectrum(x, y)
+    # the a2-morphism check's genus pairs, every third, so that all four
+    # boundary genera (i, j) occur and dead blocks reach genus 2
+    genus_pairs = [
+        genus_pair(i, Spectrum({g: c for g, c in enumerate(counts) if c}), j)
+        for i, j in itertools.product((0, 1), repeat=2)
+        for counts in itertools.product(range(3), repeat=4)
+    ][::3]
+    deposited = set()
+    for x, y in itertools.product(genus_pairs, repeat=2):
+        deposited.update(_assert_summed_spectrum(x, y))
+    assert deposited == {0, 1, 2}
+
+
+def _assert_summed_spectrum(x, y):
+    """compose_decorated's spectrum is the validated constructor's sum of
+    both spectra and the dead labels, which are returned."""
+    product, res = compose_decorated(x, y)
+    _, dead = _merge_labels(res, _merge_plan(x.base, y.base)[1], x.genus, y.genus)
+    expected = Spectrum([*x.spectrum.pairs, *y.spectrum.pairs, *((d, 1) for d in dead)])
+    assert product.spectrum.pairs == expected.pairs
+    assert x.regular or not product.spectrum.min_genus_negative()
+    return dead
 
 
 def _random_spectrum_reference(rng, support=3):
@@ -170,6 +189,15 @@ def test_compose_decorated_rejects_negative_non_regular_products():
         compose_decorated(
             Cobordism(H, (0, -1), Spectrum(), False), Cobordism(H, (-1, 0), Spectrum(), False)
         )
+    # a negative count beside another spectrum goes through the summed spectrum
+    with pytest.raises(NegativeLabel) as caught:
+        compose_decorated(
+            Cobordism(one, (0,), Spectrum({2: -1}), False),
+            Cobordism(one, (0,), Spectrum({3: 1}), False),
+        )
+    assert str(caught.value) == (
+        "negative spectrum entry in non-regular product: Spectrum({2: -1, 3: 1})"
+    )
     regular = compose_decorated(negative._replace(regular=True), zero._replace(regular=True))[0]
     assert regular.genus == (-1,)
 
