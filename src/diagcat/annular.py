@@ -23,6 +23,13 @@ shift 0 components are contractible circles (b0), shift +-1 components
 wrap the annulus once (bw).  A cycle can never pick up more than one unit
 of shift without self-intersection, which compose_affine asserts.
 
+The central full twist lambda^r moves every point r units along.  Top
+point k of lambda^r meets top point k of a diagram below it at offset r: a
+top-to-bottom string carries that r down, a cap gives it back, and bottom
+cups never meet lambda^r.  _twisted states this rule on the slot and offset
+tuples.  Over the diagrams with a through string, the shadow fibres are
+therefore the lambda-orbits, which shift_gap decides.
+
 The bare AffineDiagram keeps no circle counter, and AnnularPartition
 also forgets the offsets, leaving an ordinary partition arrow.  The
 category table adds the counters back as counter rows (serialize.Deformed):
@@ -132,17 +139,6 @@ class AffineDiagram:
         """Number of transversal strings per period."""
         return sum(p >= self.m for p in self.partner[: self.m])
 
-    def strings(self) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-        """One representative per string orbit, lowest endpoint at offset 0,
-        as sorted (offset, side, index) endpoints in window order."""
-        g = _ground(self.m, self.n)
-        out = []
-        for j, (p, t) in enumerate(zip(self.partner, self.offset)):
-            if j < p:
-                low = max(0, -t)
-                out.append(tuple(sorted(((low, *g[j]), (low + t, *g[p])))))
-        return out
-
 
 def make_affine(m: int, n: int, partners) -> AffineDiagram:
     """Build a validated affine diagram.
@@ -150,7 +146,8 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
     partners maps each window point to its partner; accepted forms are a
     mapping {(side, index): (offset, side, index)} or an iterable of such
     pairs, with sides given as "in"/"out" strings or the IN/OUT constants;
-    any other side, a bool included, raises RangeError.  The shape,
+    any other container, or any other side, a bool included, raises
+    RangeError.  The shape,
     indices and offsets must be ints; a bool, float, string or None raises
     RangeError, as does a negative shape.  Fewer partners than window
     points raise UnmatchedPoint before anything of the window's size is
@@ -161,9 +158,17 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
         raise ParityError(f"[{m}]~>[{n}] admits no perfect matching")
     table: dict[tuple[int, int], tuple[int, int, int]] = {}
     items = partners.items() if hasattr(partners, "items") else partners
-    for key, value in items:
-        side, index = key
-        offset, pside, pindex = value
+    try:
+        items = iter(items)
+    except TypeError:
+        raise RangeError(f"partners {partners!r} are not iterable") from None
+    for item in items:
+        try:
+            key, value = item
+            side, index = key
+            offset, pside, pindex = value
+        except (TypeError, ValueError):
+            raise RangeError(f"{item!r} is no (side, index) -> (offset, side, index) pair") from None
         side, pside = _coerce_side(side), _coerce_side(pside)
         for number in (index, offset, pindex):
             if isinstance(number, bool) or not isinstance(number, int):
@@ -205,25 +210,32 @@ def _check_crossings(m: int, partner, offset) -> None:
 
     Shifting the whole bottom row by -r, where r is the offset of the first
     through string, preserves the order behind the test and so preserves
-    crossings; it subtracts r from every top-to-bottom offset and adds it
-    to every bottom-to-top one.  After that no offset may reach 2: a cup or
-    cap of offset t with |t| >= 2 holds one end of its own unit shift but
-    not the other, and of two through strings whose offsets differ by at
-    least 2, the one with the larger offset crosses the other shifted by
-    +1.  The remaining strings are compared pairwise by _crosses.
+    crossings; it is lambda^-r composed on top, _twisted(..., -r).  After
+    that no offset may reach 2: a cup or cap of offset t with |t| >= 2
+    holds one end of its own unit shift but not the other, and of two
+    through strings whose offsets differ by at least 2, the one with the
+    larger offset crosses the other shifted by +1.  The remaining strings
+    are compared pairwise by _crosses.
     """
     r = next((offset[j] for j in range(m) if partner[j] >= m), 0)
     if r:
-        offset = [
-            (t - r if j < m else t + r) if (j < m) != (p < m) else t
-            for j, (p, t) in enumerate(zip(partner, offset))
-        ]
+        offset = _twisted(m, partner, offset, -r)
     if max(map(abs, offset), default=0) >= 2:
         raise CrossingError("strings cross")
     strings = [(j, p, t) for j, (p, t) in enumerate(zip(partner, offset)) if j < p]
     for i, s in enumerate(strings):
         if any(_crosses(s, u, m) for u in strings[i:]):
             raise CrossingError("strings cross")
+
+
+def _twisted(m: int, partner, offset, r: int) -> tuple[int, ...]:
+    """The offsets of lambda^r composed on top of the diagram with these
+    slots: slot j gains r when j < m <= partner[j], loses r when
+    partner[j] < m <= j, and otherwise keeps its offset."""
+    return tuple([
+        t + r if j < m <= p else t - r if p < m <= j else t
+        for j, (p, t) in enumerate(zip(partner, offset))
+    ])
 
 
 def affine_identity(n: int) -> AffineDiagram:
@@ -418,21 +430,19 @@ def shift_gap(x: AffineDiagram, y: AffineDiagram):
     """The twist power q with y == lambda^q x, or None.
 
     Only diagrams with at least one transversal string determine such a q;
-    the rank-0 fibers of the shadow map are trivial instead.
+    the rank-0 fibers of the shadow map are trivial instead.  The shadow
+    pairs slot j with partner[j], so x and y share one exactly when their
+    partners are equal; then y is lambda^q x, for the q of the first top
+    through string, when its offsets are _twisted(..., q) of those of x.
     """
     if x.m != y.m or x.n != y.n:
         raise ShapeMismatch("diagrams must share a shape")
     if x.rank == 0:
         raise RankZero("shift gap needs a transversal string")
-    if project_to_ann(x) != project_to_ann(y):
+    if x.partner != y.partner:
         return None
-    for j in range(x.m):
-        if x.partner[j] >= x.m:
-            q = y.offset[j] - x.offset[j]
-            break
-    if compose_affine(lambda_pow(x.m, q), x).product != y:
-        return None
-    return q
+    q = next(y.offset[j] - x.offset[j] for j in range(x.m) if x.partner[j] >= x.m)
+    return q if y.offset == _twisted(x.m, x.partner, x.offset, q) else None
 
 
 def _crosses(s, r, m: int) -> bool:

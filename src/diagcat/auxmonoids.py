@@ -379,17 +379,23 @@ class FiniteMonoid:
             form one with every entry an integer (not a bool or numpy bool)
             in range(n).  np.array turns bools among ints into ints, so the
             types of the entries, which iterates over them, are read as well."""
-            a = np.array(values)
+            try:
+                a = np.array(values)
+            except ValueError:  # ragged: a sequence among the entries
+                raise error from None
             bad = a.shape != shape or a.dtype.kind not in "iu" or ((a < 0) | (a >= n)).any()
             if bad or not {bool, np.bool_}.isdisjoint(map(type, entries)):
                 raise error
             return a.astype(np.intp, copy=False)
 
-        table = tuple(tuple(row) for row in table)
+        not_square = NotClosed("table is not a square over its own indices")
+        try:
+            table = tuple(tuple(row) for row in table)
+        except TypeError:
+            raise not_square from None
         n = len(table)
         if not n:
             raise NoIdentity("table has no identity element")
-        not_square = NotClosed("table is not a square over its own indices")
         if any(len(row) != n for row in table):
             raise not_square
         t = indices(table, chain.from_iterable(table), (n, n), not_square)
@@ -404,8 +410,12 @@ class FiniteMonoid:
                 y, z = (int(v) for v in np.argwhere(bad)[0])
                 raise NotAssociative(f"({x}{y}){z} != {x}({y}{z})")
         if star is not None:
-            star = tuple(star)
-            s = indices(star, star, (n,), BadInvolution("star map is not a self-map of the table"))
+            not_self_map = BadInvolution("star map is not a self-map of the table")
+            try:
+                star = tuple(star)
+            except TypeError:
+                raise not_self_map from None
+            s = indices(star, star, (n,), not_self_map)
             # anti[x, y]: (xy)* != y* x*
             anti = s[t] != t[np.ix_(s, s)].T
             bad = (s[s] != ids) | anti.any(axis=1)

@@ -162,10 +162,14 @@ def make_cobordism(
     regular: bool = False,
 ) -> Cobordism:
     """Validated constructor; genus holds one int label per block of base,
-    in block order, and a mapping in its place raises RangeError."""
+    in block order, and a mapping or any other non-sequence in its place
+    raises RangeError."""
     if isinstance(genus, Mapping):
         raise RangeError("genus must be a label sequence, not a mapping")
-    g = tuple(_require_int(x, "genus label") for x in genus)
+    try:
+        g = tuple(_require_int(x, "genus label") for x in genus)
+    except TypeError:
+        raise RangeError(f"genus {genus!r} is not a label sequence") from None
     if len(g) != base.nblocks:
         raise BaseMismatch(f"{len(g)} labels for {base.nblocks} blocks")
     s = spectrum if isinstance(spectrum, Spectrum) else Spectrum(spectrum)

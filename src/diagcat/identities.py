@@ -147,7 +147,9 @@ MAX_CANONICAL_STATES = 100_000
 
 def parse_word(text: str) -> Word:
     """Parse letters with optional repeat digits and star, e.g. x3yx =
-    xxxyx and x2*y = x*x*y."""
+    xxxyx and x2*y = x*x*y; text that is no str raises ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"a word is text, not {text!r}")
     text = text.strip()
     if text == "1":
         return Word()
@@ -192,6 +194,8 @@ class Identity:
 
 
 def parse_identity(text: str) -> Identity:
+    if not isinstance(text, str):
+        raise ParseError(f"an identity is text, not {text!r}")
     if text.count("=") != 1:
         raise ParseError("an identity needs exactly one '='")
     left, right = text.split("=")
@@ -713,7 +717,7 @@ def check_identity(
     its substitutions when they fit the budget, else budget seeded draws,
     yielding fails or unknown.  The sides are deterministic, so a pool
     once enumerated is not drawn from again.  The budget must be a
-    non-negative int (RangeError otherwise).
+    non-negative int and the seed an int (RangeError otherwise).
 
     The search numbers each value when it first meets it and forms each
     distinct product and star once: both sides run on the ids, through
@@ -728,6 +732,7 @@ def check_identity(
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
         raise RangeError(f"budget must be a non-negative int, not {budget!r}")
+    _require_int(seed, "seed")
     if monoid.decide is not None:
         return monoid.decide(identity)
     letters = _identity_letters(identity)

@@ -241,16 +241,24 @@ def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
 
     Each vertex is a Vertex or a (side, index) pair with side "in"/"out"
     (or IN/OUT) and an int index.  Raises RangeError for a shape that is
-    no non-negative int, unknown sides (a bool included) and non-integer
-    or out-of-range indices, OverlapError for repeated vertices, and
+    no non-negative int, blocks that are no iterable of such pairs,
+    unknown sides (a bool included) and non-integer or out-of-range
+    indices, OverlapError for repeated vertices, and
     CoverageError for empty blocks or missing vertices; the message names
     the first three missing vertices, and nothing of the shape's size is
     built before the blocks are found to cover it.
     """
     _require_shape(m, n)
     owner: dict[int, int] = {}  # position in canonical order -> block
-    for b, raw in enumerate(blocks):
-        block = [_coerce_vertex(v) for v in raw]
+    try:
+        numbered = enumerate(blocks)
+    except TypeError:
+        raise RangeError(f"blocks {blocks!r} are not iterable") from None
+    for b, raw in numbered:
+        try:
+            block = [_coerce_vertex(v) for v in raw]
+        except (TypeError, ValueError):
+            raise RangeError(f"block {raw!r} is not an iterable of (side, index) pairs") from None
         if not block:
             raise CoverageError("empty block")
         for side, index in block:

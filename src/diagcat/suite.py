@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .annular import (
-    AffineDiagram,
+    _twisted,
     affine_identity,
     affine_power,
     build_ann_monoid,
@@ -582,14 +582,6 @@ def check_a2_morphism(rng: random.Random) -> str:
 # 9. affine diagram validation and the twist laws
 
 
-def _side_strings(d: AffineDiagram, side: int) -> set:
-    return {
-        pair
-        for pair in d.strings()
-        if all(end[1] == side for end in pair)  # ends are (offset, side, index)
-    }
-
-
 _CROSSING_EXAMPLES = (
     (2, 2, {(IN, 1): (0, OUT, 2), (IN, 2): (0, OUT, 1),
             (OUT, 1): (0, IN, 2), (OUT, 2): (0, IN, 1)}),
@@ -641,16 +633,10 @@ def check_affine_validation(rng: random.Random) -> str:
         right = compose_affine(a, lambda_pow(a.n, r)).product
         _require(left == right, lambda: f"full shift fails to slide across {a!r}")
         _require(
-            _side_strings(left, IN) == _side_strings(a, IN)
-            and _side_strings(left, OUT) == _side_strings(a, OUT),
-            lambda: f"full shift changed the side strings of {a!r}",
+            left.partner == a.partner
+            and left.offset == _twisted(a.m, a.partner, a.offset, r),
+            lambda: f"full shift by {r} broke the twist rule on {a!r}",
         )
-        for j in range(a.m):
-            if a.partner[j] >= a.m:
-                _require(
-                    left.partner[j] == a.partner[j] and left.offset[j] == a.offset[j] + r,
-                    lambda: f"transversal offset did not shift by {r} on {a!r}",
-                )
         slid += 1
 
     counts = {}

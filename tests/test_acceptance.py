@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from diagcat import CATEGORIES, Deformed, cli, cobordisms, suite
+from diagcat import CATEGORIES, Deformed, annular, cli, cobordisms, suite
 from diagcat.annular import affine_identity, cup_cap, enumerate_affine
 from diagcat.cobordisms import Cobordism, Spectrum, to_labeled
 from diagcat.errors import RangeError
@@ -202,6 +202,15 @@ def test_labeled_antiautomorphism_catches_a_star_that_shifts_labels(monkeypatch)
     monkeypatch.setitem(CATEGORIES, "Cob0-bar", row._replace(star=star))
     with pytest.raises(CheckFailed, match=r"\(xy\)\* != y\* x\* symbolically"):
         suite.check_labeled_antiautomorphism(random.Random(0))
+
+
+def test_affine_validation_ties_the_full_shift_to_the_twist_rule(monkeypatch):
+    def twisted(m, partner, offset, r):
+        return annular._twisted(m, partner, offset, -r)
+
+    monkeypatch.setattr(suite, "_twisted", twisted)
+    with pytest.raises(CheckFailed, match="broke the twist rule"):
+        suite.check_affine_validation(random.Random(0))
 
 
 def _generic_form(label: int) -> tuple[int, list[int]]:

@@ -100,6 +100,18 @@ IDENTITY_1_1 = [(("in", 1), (0, "out", 1)), (("out", 1), (0, "in", 1))]
     pytest.param(lambda: zimin(True), id="zimin(True)"),
     pytest.param(lambda: zimin(1.5), id="zimin(1.5)"),
     pytest.param(lambda: star_mix_words(2.5), id="star_mix_words(2.5)"),
+    # containers that are no blocks, partner pairs or label sequences
+    pytest.param(lambda: diagcat.make_partition(1, 1, 5), id="make_partition(blocks=5)"),
+    pytest.param(lambda: diagcat.make_partition(1, 1, [5]), id="make_partition(block=5)"),
+    pytest.param(lambda: diagcat.make_partition(1, 1, [["a"]]), id="make_partition(vertex='a')"),
+    pytest.param(lambda: diagcat.make_partition(1, 1, [[("in", 1, 2)], [("out", 1)]]),
+                 id="make_partition(vertex=triple)"),
+    pytest.param(lambda: diagcat.make_affine(1, 1, 5), id="make_affine(partners=5)"),
+    pytest.param(lambda: diagcat.make_affine(1, 1, [("in", 1)]), id="make_affine(unpaired)"),
+    pytest.param(lambda: diagcat.make_affine(1, 1, {("in", 1): (0, "out")}),
+                 id="make_affine(partner=pair)"),
+    pytest.param(lambda: diagcat.make_cobordism(diagcat.identity_partition(1), 5),
+                 id="make_cobordism(genus=5)"),
 ])
 def test_shapes_and_counts_must_be_non_negative_ints(build):
     with pytest.raises(RangeError):

@@ -432,6 +432,11 @@ def test_finite_monoid_rejects_bad_tables():
         FiniteMonoid([[0, 1]])
     with pytest.raises(NotAssociative):
         FiniteMonoid([[0, 1, 2], [1, 2, 1], [2, 0, 0]])
+    for table in (5, [5], [[0, [1]], [1, 0]]):
+        with pytest.raises(NotClosed, match="not a square"):
+            FiniteMonoid(table)
+    with pytest.raises(BadInvolution, match="not a self-map"):
+        FiniteMonoid([[0]], star=5)
 
 
 def test_finite_monoid_rejects_non_integer_entries():

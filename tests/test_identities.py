@@ -554,12 +554,14 @@ def test_canonical_form_completes_words_longer_than_the_state_bound():
         (lambda: Word(("x**",)), RangeError, r"not 'x\*\*'$"),
         (lambda: Word("xy"), RangeError, "not 'xy'$"),
         (lambda: Word((1,)), RangeError, "not 1$"),
+        (lambda: parse_word(None), ParseError, "a word is text, not None"),
+        (lambda: parse_identity(["x=x"]), ParseError, "an identity is text"),
     ],
     ids=["zimin", "parse_word", "parse_identity", "canonical_form", "evaluate", "sort_step",
          "holds_in_M-iword", "holds_in_N-iword", "normal_form-iword", "canonical_form-iword",
          "extreme_rep-iword", "sort_step-iword", "sort_to_normal-iword", "content-iword",
          "left_section-iword", "right_section-iword", "Word-two-letters", "Word-upper-case",
-         "Word-two-stars", "Word-string", "Word-int"],
+         "Word-two-stars", "Word-string", "Word-int", "parse_word-None", "parse_identity-list"],
 )
 def test_word_functions_reject_bad_input(call, error, match):
     with pytest.raises(error, match=match):
@@ -606,6 +608,12 @@ def test_check_identity_verdicts_are_deterministic():
 def test_check_identity_rejects_a_bad_budget(budget):
     with pytest.raises(RangeError):
         check_identity(IDENTITY_REGISTRY["commutation"], monoid_A21(), budget=budget)
+
+
+@pytest.mark.parametrize("seed", [[0], 1.5, "0", None, True])
+def test_check_identity_rejects_a_bad_seed(seed):
+    with pytest.raises(RangeError, match="seed"):
+        check_identity(IDENTITY_REGISTRY["commutation"], monoid_A21(), seed=seed)
 
 
 def test_check_identity_exhausts_small_monoids():
