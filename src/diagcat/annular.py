@@ -55,6 +55,7 @@ from .errors import (
     ShapeMismatch,
     UnmatchedPoint,
     BoundExceeded,
+    _shown,
 )
 from .auxmonoids import FiniteMonoid
 from .partitions import (
@@ -155,27 +156,31 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
     """
     _require_shape(m, n)
     if (m + n) % 2:
-        raise ParityError(f"[{m}]~>[{n}] admits no perfect matching")
+        raise ParityError(f"[{_shown(m)}]~>[{_shown(n)}] admits no perfect matching")
     table: dict[tuple[int, int], tuple[int, int, int]] = {}
     items = partners.items() if hasattr(partners, "items") else partners
     try:
         items = iter(items)
     except TypeError:
-        raise RangeError(f"partners {partners!r} are not iterable") from None
+        raise RangeError(f"partners {_shown(partners)} are not iterable") from None
     for item in items:
         try:
             key, value = item
             side, index = key
             offset, pside, pindex = value
         except (TypeError, ValueError):
-            raise RangeError(f"{item!r} is no (side, index) -> (offset, side, index) pair") from None
+            raise RangeError(
+                f"{_shown(item)} is no (side, index) -> (offset, side, index) pair"
+            ) from None
         side, pside = _coerce_side(side), _coerce_side(pside)
         for number in (index, offset, pindex):
             if isinstance(number, bool) or not isinstance(number, int):
-                raise RangeError(f"{number!r} in {key!r} -> {value!r} is not an integer")
+                raise RangeError(
+                    f"{_shown(number)} in {_shown(key)} -> {_shown(value)} is not an integer"
+                )
         slot = (side, index)
         if slot in table:
-            raise UnmatchedPoint(f"duplicate partner for {slot}")
+            raise UnmatchedPoint(f"duplicate partner for {_shown(slot)}")
         table[slot] = (offset, pside, pindex)
 
     # Messages name window points as (side, index) pairs, as the duplicate
@@ -187,13 +192,13 @@ def make_affine(m: int, n: int, partners) -> AffineDiagram:
             raise UnmatchedPoint(f"no partner for {tuple(slot)}")
         t, side, index = table[slot]
         if not 1 <= index <= (m if side == IN else n):
-            raise RangeError(f"partner ({t},{Vertex(side, index)!r}) out of range")
+            raise RangeError(f"partner ({_shown(t)},{_shown(Vertex(side, index))}) out of range")
         partner.append(index - 1 if side == IN else m + index - 1)
         offset.append(t)
     slots = _ground(m, n)
     if len(table) != m + n:
         extra = [s for s in table if s not in set(slots)]
-        raise UnmatchedPoint(f"partners for unknown points: {extra}")
+        raise UnmatchedPoint(f"partners for unknown points: {_shown(extra)}")
 
     for j, (p, t) in enumerate(zip(partner, offset)):
         if p == j:
@@ -483,7 +488,7 @@ def enumerate_affine(m: int, n: int, max_offset: int):
     _require_shape(m, n)
     _require_int(max_offset, "offset bound")
     if m + n > MAX_AFFINE_POINTS:
-        raise BoundExceeded(f"window of {m + n} points exceeds bound {MAX_AFFINE_POINTS}")
+        raise BoundExceeded(f"window of {_shown(m + n)} points exceeds bound {MAX_AFFINE_POINTS}")
     if (m + n) % 2:
         return
     size = m + n

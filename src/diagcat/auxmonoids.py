@@ -26,6 +26,7 @@ from .errors import (
     NotAssociative,
     NotClosed,
     RangeError,
+    _shown,
 )
 from .cobordisms import Cobordism, LabeledPartition, make_cobordism
 from .partitions import _require_int, identity_partition, make_partition, vin, vout
@@ -71,7 +72,7 @@ def _canonical_tree(t) -> tuple[tuple, tuple]:
     are sorted recursively by their keys.  Trees are ordered by depth,
     then size, then children.  RangeError unless t is a tuple of trees."""
     if not isinstance(t, tuple):
-        raise RangeError(f"{t!r} is not a tree: a tree is a tuple of trees")
+        raise RangeError(f"{_shown(t)} is not a tree: a tree is a tuple of trees")
     children = sorted(map(_canonical_tree, t), key=itemgetter(0))
     keys = tuple(k for k, _ in children)
     key = (1 + max((k[0] for k in keys), default=0), 1 + sum(k[1] for k in keys), keys)
@@ -122,7 +123,7 @@ class CircleForest:
         try:
             trees = tuple(self.trees)
         except TypeError:
-            raise RangeError(f"{self.trees!r} is not a collection of trees") from None
+            raise RangeError(f"{_shown(self.trees)} is not a collection of trees") from None
         # The forest's trees are the children of one tree around them all.
         key, canonical = _canonical_tree(trees)
         object.__setattr__(self, "trees", canonical)
@@ -202,7 +203,7 @@ def je_pair(instance: JEInstance, l, r) -> JEElement:
     for v in (l, r):
         _require_int(v, "pair coordinate")
         if instance.modulus is not None and not 0 <= v < instance.modulus:
-            raise RangeError(f"({l!r},{r!r}) is not a pair of {instance.name}")
+            raise RangeError(f"({_shown(l)},{_shown(r)}) is not a pair of {instance.name}")
     return JEElement(instance, "pair", (l, r))
 
 

@@ -36,6 +36,7 @@ from .errors import (
     NotRegular,
     RangeError,
     RegularityMismatch,
+    _shown,
 )
 from .partitions import (
     CompositionResult,
@@ -86,7 +87,7 @@ class Spectrum:
             items = [(genus, count) for genus, count in items]
         except (TypeError, ValueError) as exc:
             raise RangeError(
-                f"a spectrum takes a mapping or (label, count) pairs, not {data!r}"
+                f"a spectrum takes a mapping or (label, count) pairs, not {_shown(data)}"
             ) from exc
         self.pairs = Spectrum._of(
             (_require_int(genus, "spectrum label"), _require_int(count, "spectrum count"))
@@ -169,15 +170,15 @@ def make_cobordism(
     try:
         g = tuple(_require_int(x, "genus label") for x in genus)
     except TypeError:
-        raise RangeError(f"genus {genus!r} is not a label sequence") from None
+        raise RangeError(f"genus {_shown(genus)} is not a label sequence") from None
     if len(g) != base.nblocks:
         raise BaseMismatch(f"{len(g)} labels for {base.nblocks} blocks")
     s = spectrum if isinstance(spectrum, Spectrum) else Spectrum(spectrum)
     if not regular:
         if any(x < 0 for x in g):
-            raise NegativeLabel(f"negative genus in non-regular value: {g}")
+            raise NegativeLabel(f"negative genus in non-regular value: {_shown(g)}")
         if s.min_genus_negative():
-            raise NegativeLabel(f"negative spectrum entry in non-regular value: {s}")
+            raise NegativeLabel(f"negative spectrum entry in non-regular value: {_shown(s)}")
     return Cobordism(base, g, s, regular)
 
 
@@ -227,7 +228,7 @@ def compose_decorated(x, y):
     res, increment = _plans(x.base, y.base)
     live, dead = _merge_labels(res, increment, x.genus, y.genus)
     if not x.regular and live and min(live) < 0:
-        raise NegativeLabel(f"negative genus in non-regular product: {live}")
+        raise NegativeLabel(f"negative genus in non-regular product: {_shown(live)}")
     if isinstance(x, LabeledPartition):
         return LabeledPartition(res.product, live, x.regular), res
     if dead or (x.spectrum and y.spectrum):
@@ -240,7 +241,9 @@ def compose_decorated(x, y):
     else:  # a Spectrum is immutable and canonical, so the other one is the sum
         spectrum = x.spectrum or y.spectrum
     if not x.regular and spectrum.min_genus_negative():
-        raise NegativeLabel(f"negative spectrum entry in non-regular product: {spectrum}")
+        raise NegativeLabel(
+            f"negative spectrum entry in non-regular product: {_shown(spectrum)}"
+        )
     return Cobordism(res.product, live, spectrum, x.regular), res
 
 

@@ -44,6 +44,16 @@ class DiagcatError(Exception):
     """Base class for all diagcat errors."""
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or a placeholder naming its type
+    when Python refuses to print it: an int of more digits than
+    sys.get_int_max_str_digits() allows, alone or inside a container."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
+
+
 # -- value construction ------------------------------------------------------
 
 class OverlapError(DiagcatError):

@@ -57,6 +57,7 @@ from .errors import (
     NotInteriorFactor,
     ParseError,
     RangeError,
+    _shown,
 )
 from . import auxmonoids as am
 from .annular import build_ann_monoid
@@ -121,7 +122,7 @@ class Word:
             pass
         if isinstance(letters, tuple):
             letters = next(s for s in letters if not (isinstance(s, str) and s in _SYMBOLS))
-        raise RangeError(f"a word holds a tuple of symbols a..z and a*..z*, not {letters!r}")
+        raise RangeError(f"a word holds a tuple of symbols a..z and a*..z*, not {_shown(letters)}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -149,7 +150,7 @@ def parse_word(text: str) -> Word:
     """Parse letters with optional repeat digits and star, e.g. x3yx =
     xxxyx and x2*y = x*x*y; text that is no str raises ParseError."""
     if not isinstance(text, str):
-        raise ParseError(f"a word is text, not {text!r}")
+        raise ParseError(f"a word is text, not {_shown(text)}")
     text = text.strip()
     if text == "1":
         return Word()
@@ -195,7 +196,7 @@ class Identity:
 
 def parse_identity(text: str) -> Identity:
     if not isinstance(text, str):
-        raise ParseError(f"an identity is text, not {text!r}")
+        raise ParseError(f"an identity is text, not {_shown(text)}")
     if text.count("=") != 1:
         raise ParseError("an identity needs exactly one '='")
     left, right = text.split("=")
@@ -494,7 +495,7 @@ def sort_step(w: Word, pos: int) -> Word:
     """
     letters = _plain_letters(w, "sort_step takes a plain word")
     if not 0 <= pos < len(letters) - 1:
-        raise NotInteriorFactor(f"no adjacent pair at position {pos}")
+        raise NotInteriorFactor(f"no adjacent pair at position {_shown(pos)}")
     big, small = letters[pos], letters[pos + 1]
     if big <= small:
         raise NotInteriorFactor(f"{big}{small} is not a descending pair")
@@ -665,10 +666,10 @@ class _ProductTable:
         try:
             return self.ids[value]
         except TypeError:
-            raise RangeError(f"search values must be hashable, not {value!r}") from None
+            raise RangeError(f"search values must be hashable, not {_shown(value)}") from None
         except KeyError:
             if self.complete:
-                raise RangeError(f"{value!r} is not an index of the table") from None
+                raise RangeError(f"{_shown(value)} is not an index of the table") from None
         i = self.ids[value] = len(self.back)
         self.back.append(value)
         self.rows.append({})
@@ -731,7 +732,7 @@ def check_identity(
     positions drawn.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise RangeError(f"budget must be a non-negative int, not {budget!r}")
+        raise RangeError(f"budget must be a non-negative int, not {_shown(budget)}")
     _require_int(seed, "seed")
     if monoid.decide is not None:
         return monoid.decide(identity)

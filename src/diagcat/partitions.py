@@ -56,6 +56,7 @@ from .errors import (
     OverlapError,
     RangeError,
     ShapeMismatch,
+    _shown,
 )
 
 __all__ = [
@@ -215,13 +216,13 @@ def _coerce_side(side) -> int:
             return _SIDE_NAMES[side]
         except (KeyError, TypeError):
             pass
-    raise RangeError(f"unknown side {side!r}")
+    raise RangeError(f"unknown side {_shown(side)}")
 
 
 def _require_int(value, what: str) -> int:
     """value if it is an int; a bool, float, string or None raises RangeError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise RangeError(f"{what} {value!r} is not an integer")
+        raise RangeError(f"{what} {_shown(value)} is not an integer")
     return value
 
 
@@ -253,12 +254,14 @@ def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
     try:
         numbered = enumerate(blocks)
     except TypeError:
-        raise RangeError(f"blocks {blocks!r} are not iterable") from None
+        raise RangeError(f"blocks {_shown(blocks)} are not iterable") from None
     for b, raw in numbered:
         try:
             block = [_coerce_vertex(v) for v in raw]
         except (TypeError, ValueError):
-            raise RangeError(f"block {raw!r} is not an iterable of (side, index) pairs") from None
+            raise RangeError(
+                f"block {_shown(raw)} is not an iterable of (side, index) pairs"
+            ) from None
         if not block:
             raise CoverageError("empty block")
         for side, index in block:
@@ -267,15 +270,18 @@ def make_partition(m: int, n: int, blocks: Iterable[Iterable]) -> Partition:
             else:
                 pos, hi = m + index - 1, n
             if not 1 <= index <= hi:
-                raise RangeError(f"{Vertex(side, index)!r} out of range for shape [{m}]~>[{n}]")
+                raise RangeError(
+                    f"{_shown(Vertex(side, index))} out of range for shape "
+                    f"[{_shown(m)}]~>[{_shown(n)}]"
+                )
             if pos in owner:
-                raise OverlapError(f"{Vertex(side, index)!r} appears twice")
+                raise OverlapError(f"{_shown(Vertex(side, index))} appears twice")
             owner[pos] = b
     if len(owner) < m + n:
         missing = list(islice((v for pos, v in enumerate(_points(m, n)) if pos not in owner), 3))
         more = m + n - len(owner) - len(missing)
-        tail = f" and {more} more" if more else ""
-        raise CoverageError(f"uncovered vertices: {missing}{tail}")
+        tail = f" and {_shown(more)} more" if more else ""
+        raise CoverageError(f"uncovered vertices: {_shown(missing)}{tail}")
     labels, new = _relabel([owner[pos] for pos in range(m + n)])
     return Partition(m, n, labels, len(new))
 
@@ -527,7 +533,7 @@ def enumerate_partitions(m: int, n: int):
     _require_shape(m, n)
     size = m + n
     if size > MAX_PARTITION_VERTICES:
-        raise BoundExceeded(f"ground set of {size} exceeds bound {MAX_PARTITION_VERTICES}")
+        raise BoundExceeded(f"ground set of {_shown(size)} exceeds bound {MAX_PARTITION_VERTICES}")
     if size == 0:
         yield Partition(m, n, (), 0)
         return

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .errors import RangeError
+from .errors import RangeError, _shown
 from .partitions import Partition, _require_int, _require_shape, bounded_memo
 from .cobordisms import Cobordism, Spectrum
 from .annular import AffineDiagram, _generators, affine_identity, compose_affine
@@ -68,7 +68,7 @@ def random_spectrum(rng: random.Random, support: int = 3) -> Spectrum:
     genera are drawn as rng.sample(range(5), k) draws them: each draw takes
     one of the 5 - i genera left and moves the last one into its place."""
     if _require_int(support, "spectrum support") < 0:
-        raise RangeError(f"spectrum support {support} is negative")
+        raise RangeError(f"spectrum support {_shown(support)} is negative")
     bits = rng.getrandbits
     pool, genera = [0, 1, 2, 3, 4], []
     for i in range(min(support, 5)):
@@ -89,7 +89,7 @@ def random_cobordism(
     -2..2 when regular and 0..2 otherwise, so the value is valid as drawn
     and skips make_cobordism()'s checks."""
     if _require_int(spectrum_support, "spectrum support") < 0:
-        raise RangeError(f"spectrum support {spectrum_support} is negative")
+        raise RangeError(f"spectrum support {_shown(spectrum_support)} is negative")
     base = random_partition(rng, m, n)
     bits = rng.getrandbits
     spectrum = random_spectrum(rng, _below(bits, spectrum_support + 1))
@@ -109,8 +109,8 @@ def random_affine(
     if steps is None:
         steps = _below(bits, 7)
     elif _require_int(steps, "steps") < 0:
-        raise RangeError(f"steps {steps} is negative")
-    gens = _generators(n)
+        raise RangeError(f"steps {_shown(steps)} is negative")
+    gens = _generators(_require_int(n, "shape"))  # cached: an unhashable n must not reach it
     out = affine_identity(n)
     for _ in range(steps):
         out = _step(out, gens[_below(bits, len(gens))]).product
@@ -120,7 +120,7 @@ def random_affine(
 def random_word(rng: random.Random, max_len: int = 7) -> Word:
     """A word of 1 to max_len letters over abc."""
     if _require_int(max_len, "max_len") < 1:
-        raise RangeError(f"max_len {max_len} is below 1")
+        raise RangeError(f"max_len {_shown(max_len)} is below 1")
     bits = rng.getrandbits
     length = 1 + _below(bits, max_len)
     return Word(tuple(["abc"[_below(bits, 3)] for _ in range(length)]))

@@ -38,7 +38,14 @@ import re
 from typing import Callable, Mapping, NamedTuple
 
 from . import annular, cobordisms, sampling
-from .errors import NegativeLabel, NotRegular, ParseError, RangeError, RegularityMismatch
+from .errors import (
+    NegativeLabel,
+    NotRegular,
+    ParseError,
+    RangeError,
+    RegularityMismatch,
+    _shown,
+)
 from .partitions import (
     IN,
     OUT,
@@ -88,14 +95,14 @@ def _vertex_json(v: Vertex) -> dict:
 def _int(value, what: str) -> int:
     """A JSON integer; a boolean, float, string or null raises ParseError."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{what} must be an integer, not {value!r}")
+        raise ParseError(f"{what} must be an integer, not {_shown(value)}")
     return value
 
 
 def _object(value, what: str) -> dict:
     """A JSON object; an array, string, number or null raises ParseError."""
     if not isinstance(value, dict):
-        raise ParseError(f"{what} must be an object, not {value!r}")
+        raise ParseError(f"{what} must be an object, not {_shown(value)}")
     return value
 
 
@@ -105,7 +112,7 @@ def _key(pattern: re.Pattern, key, what: str) -> tuple[re.Match, int]:
     try:
         return m, int(m["number"])
     except (TypeError, ValueError) as exc:  # no match, or too long for int()
-        raise ParseError(f"bad {what} key {key!r}") from exc
+        raise ParseError(f"bad {what} key {_shown(key)}") from exc
 
 
 def _vertex_from_json(d: dict) -> tuple[int, int]:
@@ -114,7 +121,7 @@ def _vertex_from_json(d: dict) -> tuple[int, int]:
         side = _SIDE[d["side"]]
         index = d["index"]
     except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad vertex object {d!r}") from exc
+        raise ParseError(f"bad vertex object {_shown(d)}") from exc
     return side, _int(index, "vertex index")
 
 
@@ -217,7 +224,9 @@ class Category(NamedTuple):
         """The value that the JSON object obj encodes."""
         regular = _object(obj, f"{self.name} value").get("regular", self.regularities[0])
         if not isinstance(regular, bool) or regular not in self.regularities:
-            raise ParseError(f"{self.name} takes regular in {self.regularities}, not {regular!r}")
+            raise ParseError(
+                f"{self.name} takes regular in {self.regularities}, not {_shown(regular)}"
+            )
         return self.read(obj, regular)
 
 
@@ -409,7 +418,7 @@ CATEGORIES: dict[str, Category] = {
 def _row(category: str) -> Category:
     if category not in CATEGORIES:
         names = ", ".join(CATEGORIES)
-        raise ParseError(f"unknown category {category!r} (choose from {names})")
+        raise ParseError(f"unknown category {_shown(category)} (choose from {names})")
     return CATEGORIES[category]
 
 

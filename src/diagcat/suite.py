@@ -15,9 +15,10 @@ base B: two results are equal as integers exactly when they are equal as
 forms, that is, under every label assignment.
 
 The sampled family laws (involution-laws, regular-star-laws, the random
-halves of cobordism-assoc and circle-counting) run through _check_associative,
-_check_involution(s) and _check_star, which know the families only through
-the rows of serialize.CATEGORIES: composer, involutions, star, quotients.
+halves of partition-axioms, cobordism-assoc and circle-counting) run through
+_check_associative, _check_involution(s) and _check_star, which know the
+families only through the rows of serialize.CATEGORIES: composer,
+involutions, star, quotients.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ from .partitions import (
     IN,
     OUT,
     Partition,
-    _ground,
     block_stats,
     compose,
     enumerate_partitions,
@@ -111,7 +111,6 @@ from .sampling import (
     _below,
     random_affine,
     random_cobordism,
-    random_partition,
     random_spectrum,
     random_word,
 )
@@ -242,21 +241,9 @@ def check_partition_axioms(rng: random.Random) -> str:
         )
         triples += count
 
+    row = CATEGORIES["P"]
     for _ in range(10_000):
-        x = random_partition(rng, 4, 4)
-        y = random_partition(rng, 4, 4)
-        z = random_partition(rng, 4, 4)
-        r1 = compose(x, y)
-        r2 = compose(r1.product, z)
-        r3 = compose(y, z)
-        r4 = compose(x, r3.product)
-        _require(
-            r2.product == r4.product and r1.b + r2.b == r3.b + r4.b,
-            lambda: (
-                f"random [4]~>[4] triple broke associativity or the cocycle: "
-                f"{x!r}, {y!r}, {z!r}"
-            ),
-        )
+        _check_associative(row, *[row.sample(rng, 4, 4, True) for _ in range(3)])
     return (
         f"{triples} exhaustive triples over layer sizes <= 3 "
         f"({len(skipped)} shapes above the 10^6 budget: {skipped}); "
@@ -593,16 +580,15 @@ _CROSSING_EXAMPLES = (
 
 
 def check_affine_validation(rng: random.Random) -> str:
+    row = CATEGORIES["aTLe"]
     accepted = 0
     for n in range(1, 6):
         generators = [zeta(n), lambda_pow(n), affine_identity(n)]
         if n >= 2:
             generators += [cup_cap(n, i) for i in range(1, n + 1)]
         for d in generators:
-            g = _ground(d.m, d.n)
-            table = {v: (t, *g[p]) for v, p, t in zip(g, d.partner, d.offset)}
             _require(
-                make_affine(d.m, d.n, table) == d,
+                row.decode(row.encode(d)) == d,
                 lambda: f"validator rejected or rebuilt {d!r} differently",
             )
             accepted += 1

@@ -213,6 +213,37 @@ def test_affine_validation_ties_the_full_shift_to_the_twist_rule(monkeypatch):
         suite.check_affine_validation(random.Random(0))
 
 
+def test_partition_axioms_compose_random_triples_through_the_p_row(monkeypatch):
+    # one dead block too many after an [4] ~> [4] left operand with an odd
+    # block count; the exhaustive half reads its cached kernel tables, so
+    # only the random half composes operands of 8 points through the row
+    row = CATEGORIES["P"]
+
+    def compose(x, y):
+        product, diag = row.compose(x, y)
+        return product, {"dead_blocks": diag["dead_blocks"] + (x.m + x.n == 8 and x.nblocks % 2)}
+
+    monkeypatch.setitem(CATEGORIES, "P", row._replace(compose=compose))
+    with pytest.raises(CheckFailed, match=r"^P: the diagnostics of \(x y\) z and x \(y z\)"):
+        suite.check_partition_axioms(random.Random(0))
+
+
+def test_affine_validation_rebuilds_the_generators_through_the_atle_codec(monkeypatch):
+    row = CATEGORIES["aTLe"]
+
+    def read(obj, regular):
+        # the first string one unit further along, at both of its ends
+        d = row.read(obj, regular)
+        offset = list(d.offset)
+        offset[0] += 1
+        offset[d.partner[0]] -= 1
+        return annular.AffineDiagram(d.m, d.n, d.partner, tuple(offset))
+
+    monkeypatch.setitem(CATEGORIES, "aTLe", row._replace(read=read))
+    with pytest.raises(CheckFailed, match=r"^validator rejected or rebuilt AffineDiagram"):
+        suite.check_affine_validation(random.Random(0))
+
+
 def _generic_form(label: int) -> tuple[int, list[int]]:
     """label in balanced base suite._GENERIC_BASE: its constant digit and
     the coefficients of B, B^2, ..., in order."""
